@@ -39,17 +39,11 @@ def _from_token(token: str) -> bytes:
 
 @dataclass
 class TokenSequence:
-    """One encoded sample: ids, attention mask, segment ids, real length."""
+    """One encoded sample: ids padded to max_len, and the count of real
+    (non-PAD) tokens at the front."""
 
     input_ids: list[int]
-    attention_mask: list[int]
-    token_type_ids: list[int]
     length: int
-
-    def __post_init__(self):
-        n = len(self.input_ids)
-        if len(self.attention_mask) != n or len(self.token_type_ids) != n:
-            raise DataError("token sequence field lengths differ")
 
 
 @dataclass
@@ -161,16 +155,14 @@ def encode(vocab: BpeVocabulary, text: str, max_len: int) -> TokenSequence:
     """Tokenize, map to ids, then pad with PAD / truncate to ``max_len``.
 
     Truncation keeps the head of the sequence.  Symbols missing from the
-    vocabulary map to UNK.  token_type_ids are all zero (single segment).
+    vocabulary map to UNK.
     """
     if max_len < 2:
         raise ParameterError(f"max_len must be >= 2, got {max_len}")
     tokens = _apply_merges(vocab, _to_symbols(text))
     ids = [vocab.token_to_id.get(tok, UNK_ID) for tok in tokens][:max_len]
     length = len(ids)
-    ids = ids + [PAD_ID] * (max_len - length)
-    mask = [1] * length + [0] * (max_len - length)
-    return TokenSequence(ids, mask, [0] * max_len, length)
+    return TokenSequence(ids + [PAD_ID] * (max_len - length), length)
 
 
 def decode(vocab: BpeVocabulary, ids) -> str:
@@ -208,23 +200,27 @@ def save_vocabulary(vocab: BpeVocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> BpeVocabulary:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"vocabulary file {path} is not UTF-8: {exc}") from exc
     if not lines or lines[0] != _FILE_VERSION:
         raise DataError(f"unsupported vocabulary file version in {path}")
+    body = lines[1:]
+    cut = body.index("#merges") if "#merges" in body else len(body)
     token_to_id: dict[str, int] = {}
-    merges: list[tuple[str, str]] = []
-    in_merges = False
-    for line in lines[1:]:
-        if line == "#merges":
-            in_merges = True
-            continue
-        if in_merges:
-            left, right = line.split(" ")
-            merges.append((left, right))
-        else:
-            tok, _, idx = line.rpartition("\t")
-            token_to_id[tok] = int(idx)
+    for line in body[:cut]:
+        tok, tab, idx = line.rpartition("\t")
+        if not (tab and idx.isascii() and idx.isdigit()):
+            raise DataError(
+                f"token line {line!r} in {path} needs a tab and an integer id")
+        token_to_id[tok] = int(idx)
+    merges = [tuple(line.split(" ")) for line in body[cut + 1:]]
+    if any(len(pair) != 2 for pair in merges):
+        raise DataError(f"a merge line in {path} lacks exactly one space")
     if not token_to_id:
         raise DataError(f"no tokens found in {path}")
+    if sorted(token_to_id.values()) != list(range(len(token_to_id))):
+        raise DataError(f"token ids in {path} are not unique and dense 0..n-1")
     return BpeVocabulary(token_to_id, merges)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import multiprocessing
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -455,12 +457,17 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
     return embeddings_path
 
 
-def _grid_worker(config: RunConfig):
+def _grid_worker(config: RunConfig, clock=time.perf_counter) -> ResultsRow:
+    """One grid cell's test row; any exception that stops the cell becomes
+    an error row, so one failed cell cannot abort the grid."""
     try:
-        rows = cmd_train(config)
-        return next(r for r in rows if r.split == "test"), None
+        rows = cmd_train(config, clock=clock)
+        return next(r for r in rows if r.split == "test")
     except (SeqclsError, OSError) as exc:
-        return None, f"{type(exc).__name__}"
+        return _failed_row(config, type(exc).__name__)
+    except Exception as exc:
+        traceback.print_exc()
+        return _failed_row(config, type(exc).__name__)
 
 
 def best_rows(rows: list[ResultsRow]) -> list[tuple[str, ResultsRow]]:
@@ -490,26 +497,13 @@ def cmd_grid(base: RunConfig, lrs, dropouts, hidden_units, variants,
         tag = f"run_{variant}_lr{lr:g}_h{hidden}_d{drop:g}"
         configs.append(replace(base, rnn=variant, lr=lr, hidden_units=hidden,
                                dropout=drop, out_dir=str(out / tag)))
+    worker = functools.partial(_grid_worker, clock=clock)
     if workers > 1:
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            outcomes = pool.map(_grid_worker, configs)
+            merged = pool.map(worker, configs)
     else:
-        outcomes = []
-        for config in configs:
-            try:
-                rows = cmd_train(config, clock=clock)
-                outcomes.append(
-                    (next(r for r in rows if r.split == "test"), None))
-            except (SeqclsError, OSError) as exc:
-                outcomes.append((None, f"{type(exc).__name__}"))
-    merged = []
-    failed = 0
-    for config, (row, reason) in zip(configs, outcomes):
-        if row is None:
-            failed += 1
-            merged.append(_failed_row(config, reason))
-        else:
-            merged.append(row)
+        merged = list(map(worker, configs))
+    failed = sum(row.status != "ok" for row in merged)
     merged.sort(key=ResultsRow.sort_key)
     write_results(out / "grid.csv", merged, append=False)
     winners = best_rows(merged)

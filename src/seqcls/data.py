@@ -51,9 +51,6 @@ class DatasetSplits:
     label_map: dict[str, int]
     seed: int
 
-    def all_samples(self) -> list[LabeledSample]:
-        return self.train + self.val + self.test
-
 
 def _parse_defect(record: dict):
     code = record["func"]
@@ -234,8 +231,3 @@ def write_manifest(path, splits: DatasetSplits) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=0)
         fh.write("\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tt
+from .binfile import BinaryReader
 from .bpe import MASK_ID, TokenSequence
 from .errors import DataError, DimensionError, ParameterError
 from .rng import RandomSource
@@ -129,7 +130,6 @@ class EmbeddingSequence:
     """Contextual vectors for one sequence, padded to a fixed row count."""
 
     vectors: Tensor
-    source: str
     valid_len: int
 
 
@@ -142,14 +142,6 @@ def positional_table(max_len: int, d_model: int) -> np.ndarray:
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : d_model // 2])
     return table
-
-
-def positional_encoding(config: EncoderConfig, pos: int) -> np.ndarray:
-    if not 0 <= pos < config.max_len:
-        raise ParameterError(
-            f"position {pos} outside table of size {config.max_len}"
-        )
-    return positional_table(config.max_len, config.d_model)[pos]
 
 
 def additive_mask(n: int, valid_len: int | None = None,
@@ -201,8 +193,7 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
         k = tt.matmul(x, wk)
         v = tt.matmul(x, wv)
         heads.append(attention(q, k, v, mask))
-    stacked = heads[0] if len(heads) == 1 else tt.concat_all(heads, axis=1)
-    return tt.matmul(stacked, params.wo)
+    return tt.matmul(tt.concat_all(heads, axis=1), params.wo)
 
 
 def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
@@ -245,7 +236,7 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
     for layer in model.layers:
         x = _layer_forward(layer, x, mask, config.dropout, rng, training,
                            config.pre_norm)
-    return EmbeddingSequence(vectors=x, source="internal", valid_len=tokens.length)
+    return EmbeddingSequence(vectors=x, valid_len=tokens.length)
 
 
 def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:
@@ -303,9 +294,6 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
     valid = tokens.length
     budget = int(round(mask_rate * valid))
     ids = list(tokens.input_ids)
-    if budget == 0:
-        return TokenSequence(ids, list(tokens.attention_mask),
-                             list(tokens.token_type_ids), valid), []
     chosen: set[int] = set()
     attempts = 0
     while len(chosen) < budget and attempts < 20 * valid:
@@ -323,8 +311,7 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
     targets = [(pos, ids[pos]) for pos in sorted(chosen)]
     for pos, _ in targets:
         ids[pos] = MASK_ID
-    return TokenSequence(ids, list(tokens.attention_mask),
-                         list(tokens.token_type_ids), valid), targets
+    return TokenSequence(ids, valid), targets
 
 
 def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
@@ -361,32 +348,12 @@ def save_embeddings(path, samples) -> None:
 
 
 def load_embeddings(path) -> list[tuple[np.ndarray, int]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _EMBEDDING_MAGIC:
-        raise DataError(f"bad embedding file magic {blob[:4]!r}")
-    offset = 4
-
-    def take(fmt: str):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(blob):
-            raise DataError("truncated embedding file")
-        values = struct.unpack_from(fmt, blob, offset)
-        offset += size
-        return values
-
-    (count,) = take("<I")
+    reader = BinaryReader(path, _EMBEDDING_MAGIC, "embedding file")
+    (count,) = reader.take("<I")
     samples = []
     for _ in range(count):
-        n, d = take("<II")
-        end = offset + 4 * n * d
-        if end > len(blob):
-            raise DataError("truncated embedding file")
-        matrix = np.frombuffer(blob[offset:end], dtype="<f4").reshape(n, d)
-        offset = end
-        (label,) = take("<I")
-        samples.append((matrix.astype(np.float64), int(label)))
-    if offset != len(blob):
-        raise DataError("trailing bytes after last embedding sample")
+        matrix = reader.floats(reader.take("<II"))
+        (label,) = reader.take("<I")
+        samples.append((matrix, label))
+    reader.finish()
     return samples

@@ -205,12 +205,9 @@ def rnn_forward(cell: RnnCellParams, sequence: Tensor, valid_len: int) -> Tensor
 def birnn_forward(params: BiRnnParams, sequence: Tensor, valid_len: int) -> Tensor:
     """Row t holds [forward state after tokens 0..t, backward state after
     tokens valid_len-1..t]; pad rows carry forward, zero backward."""
-    n = sequence.shape[0]
-    if not 0 <= valid_len <= n:
-        raise ParameterError(f"valid length {valid_len} outside [0, {n}]")
     forward = rnn_forward(params.fw, sequence, valid_len)
     state = initial_state(params.bw)
-    backward_rows = [hidden_of(state)] * n
+    backward_rows = [hidden_of(state)] * sequence.shape[0]
     for t in range(valid_len - 1, -1, -1):
         state = rnn_step(params.bw, tt.row(sequence, t), state)
         backward_rows[t] = hidden_of(state)

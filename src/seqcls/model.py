@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import heads as hd
+from .binfile import BinaryReader
 from .bpe import TokenSequence
 from .encoder import (EmbeddingSequence, EncoderConfig, EncoderParams,
                       encoder_forward, init_encoder)
@@ -76,8 +77,7 @@ class ModelConfig:
         return 2 * self.hidden_units if self.bidirectional else self.hidden_units
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        return payload
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
@@ -165,7 +165,6 @@ def forward_example(bundle: ModelBundle, example: Example,
     if example.tokens is not None:
         return forward_tokens(bundle, example.tokens, rng, training, label)
     embeddings = EmbeddingSequence(vectors=Tensor(example.matrix),
-                                   source="imported",
                                    valid_len=example.matrix.shape[0])
     return forward_embedded(bundle, embeddings, rng, training, label)
 
@@ -191,56 +190,35 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise DataError(f"bad checkpoint magic {blob[:4]!r}")
-    offset = 4
-
-    def take(fmt: str):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(blob):
-            raise DataError("truncated checkpoint")
-        values = struct.unpack_from(fmt, blob, offset)
-        offset += size
-        return values
-
-    (version,) = take("<I")
+    reader = BinaryReader(path, _CHECKPOINT_MAGIC, "checkpoint")
+    (version,) = reader.take("<I")
     if version != _CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    (config_len,) = take("<I")
-    if offset + config_len > len(blob):
-        raise DataError("truncated checkpoint")
-    config = ModelConfig.from_dict(
-        json.loads(blob[offset:offset + config_len].decode("utf-8")))
-    offset += config_len
+    (config_len,) = reader.take("<I")
+    config_text = reader.text(config_len)
+    try:
+        config = ModelConfig.from_dict(json.loads(config_text))
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"bad checkpoint config: {exc}") from exc
     bundle = init_model(config, seed=0)
     expected = dict(bundle.all_named_parameters())
-    (count,) = take("<I")
+    (count,) = reader.take("<I")
     if count != len(expected):
         raise DataError(
             f"checkpoint holds {count} tensors, model needs {len(expected)}")
     for _ in range(count):
-        (name_len,) = take("<H")
-        if offset + name_len > len(blob):
-            raise DataError("truncated checkpoint")
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = take("<B")
-        shape = tuple(take("<I")[0] for _ in range(ndim))
-        if name not in expected:
-            raise DataError(f"checkpoint tensor {name!r} unknown to the model")
-        tensor = expected[name]
+        (name_len,) = reader.take("<H")
+        name = reader.text(name_len)
+        (ndim,) = reader.take("<B")
+        shape = reader.take(f"<{ndim}I")
+        # popping makes a repeated name fail like an unknown one
+        tensor = expected.pop(name, None)
+        if tensor is None:
+            raise DataError(
+                f"checkpoint tensor {name!r} unknown to the model or repeated")
         if shape != tensor.shape:
             raise DimensionError(
                 f"checkpoint tensor {name!r} shape {shape} vs model {tensor.shape}")
-        size = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
-        if offset + size > len(blob):
-            raise DataError("truncated checkpoint")
-        values = np.frombuffer(blob[offset:offset + size], dtype="<f4")
-        offset += size
-        tensor.data = values.astype(np.float64).reshape(shape)
-    if offset != len(blob):
-        raise DataError("trailing bytes after last checkpoint tensor")
+        tensor.data = reader.floats(shape)
+    reader.finish()
     return bundle

@@ -19,7 +19,6 @@ of this module.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -361,10 +360,6 @@ def sum_all(x: Tensor) -> Tensor:
         return rule
 
     return _make_output(np.asarray(x.data.sum()), (x,), build)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.size)
 
 
 def sum_rows(x: Tensor) -> Tensor:

@@ -122,7 +122,7 @@ def test_01_gradient_suite():
         denoise = enc.init_encoder(cfg, rng.derive("den"))
         den_params = list(denoise.named_parameters())
         _jitter(den_params, rng.derive("jitter"))
-        tokens = TokenSequence([3, 5, 6, 7, 5, 4], [1] * 6, [0] * 6, 6)
+        tokens = TokenSequence([3, 5, 6, 7, 5, 4], 6)
         corrupted, targets = enc.span_mask(tokens, rng.derive("mask"), 0.34)
         assert targets, "span mask produced no targets"
         cases["denoising head"] = (
@@ -215,9 +215,9 @@ def test_03_causal_masking():
         if perturbed == ids:
             perturbed[-1] = (perturbed[-1] - 5 + 1) % 27 + 5
         base = enc.encoder_forward(
-            params, TokenSequence(ids, [1] * n, [0] * n, n)).vectors.data
+            params, TokenSequence(ids, n)).vectors.data
         moved = enc.encoder_forward(
-            params, TokenSequence(perturbed, [1] * n, [0] * n, n)).vectors.data
+            params, TokenSequence(perturbed, n)).vectors.data
         if not np.array_equal(base[: i + 1], moved[: i + 1]):
             failures += 1
     _verdict(3, "causal masking", failures == 0,
@@ -371,7 +371,7 @@ def test_08_split_arithmetic(tmp_path):
     kept, removed = dedupe(loaded.samples)
     splits = split(kept, seed=0)
     sizes = (len(splits.train), len(splits.val), len(splits.test))
-    ids = [s.source_id for s in splits.all_samples()]
+    ids = [s.source_id for s in splits.train + splits.val + splits.test]
     partition_ok = len(ids) == len(set(ids)) == 25400 and removed == 0
     ok = sizes == (20320, 2540, 2540) and partition_ok
     _verdict(8, "split arithmetic", ok,

@@ -59,14 +59,13 @@ class TestEncode:
         vocab = train_small(["ab"])
         seq = bpe.encode(vocab, "", max_len=5)
         assert seq.input_ids == [bpe.PAD_ID] * 5
-        assert seq.attention_mask == [0] * 5
         assert seq.length == 0
 
     def test_padding_and_mask(self):
         vocab = train_small(["xyz"], extra_tokens=1, min_frequency=99)
         seq = bpe.encode(vocab, "xyz", max_len=6)
         assert seq.length == 3
-        assert seq.attention_mask == [1, 1, 1, 0, 0, 0]
+        assert bpe.PAD_ID not in seq.input_ids[:3]
         assert seq.input_ids[3:] == [bpe.PAD_ID] * 3
 
     def test_merge_application(self):
@@ -82,10 +81,6 @@ class TestEncode:
         seq = bpe.encode(vocab, "qrstuv", max_len=3)
         assert seq.length == 3
         assert bpe.decode(vocab, seq.input_ids) == "qrs"
-
-    def test_token_type_ids_constant_zero(self):
-        vocab = train_small(["ab"])
-        assert bpe.encode(vocab, "ab", max_len=4).token_type_ids == [0] * 4
 
     def test_unknown_symbol_maps_to_unk(self):
         vocab = train_small(["ab"])
@@ -140,7 +135,7 @@ class TestProperties:
         for text, max_len in [("aabb", 16), ("aabbaabbaabbaabb", 4), ("", 6)]:
             seq = bpe.encode(vocab, text, max_len)
             raw = len(bpe._apply_merges(vocab, bpe._to_symbols(text)))
-            assert sum(seq.attention_mask) == min(raw, max_len)
+            assert seq.length == min(raw, max_len)
 
     def test_encoding_independent_of_batching(self):
         corpus = ["foo bar", "bar foo foo"]
@@ -168,5 +163,29 @@ class TestVocabularyFile:
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("not-a-vocab\n")
+        with pytest.raises(DataError):
+            bpe.load_vocabulary(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:3] + ["notab"] + lines[3:],
+        lambda lines: lines[:3] + ["tok\tx7"] + lines[3:],
+        lambda lines: lines + ["one two three"],
+        lambda lines: lines + ["nospace"],
+        lambda lines: [lines[0], lines[1].replace("\t0", "\t900")] + lines[2:],
+        lambda lines: [lines[0], lines[1].replace("\t0", "\t1")] + lines[2:],
+    ], ids=["no-tab", "non-int-id", "merge-two-spaces", "merge-no-space",
+            "id-gap", "id-repeated"])
+    def test_malformed_lines_raise_data_error(self, tmp_path, edit):
+        vocab = train_small(["alpha beta alpha beta"], extra_tokens=4)
+        path = tmp_path / "vocab.txt"
+        bpe.save_vocabulary(vocab, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            bpe.load_vocabulary(path)
+
+    def test_invalid_utf8_raises_data_error(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"seqcls-bpe-v1\n\xc4\tx\n")
         with pytest.raises(DataError):
             bpe.load_vocabulary(path)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqcls import cli
 from seqcls.bpe import load_vocabulary
 from seqcls.cli import (
     RESULTS_FIELDS,
@@ -352,6 +353,25 @@ class TestGridCommand:
         assert by_hidden[4].status == "ok"
         assert by_hidden[0].status.startswith("error:")
         assert by_hidden[0].accuracy is None
+
+    def test_unexpected_exception_becomes_error_row(self, corpus, tmp_path,
+                                                    monkeypatch):
+        real_train = cli.cmd_train
+
+        def flaky_train(config, clock):
+            if config.hidden_units == 8:
+                raise RuntimeError("cell blew up")
+            return real_train(config, clock=clock)
+
+        monkeypatch.setattr(cli, "cmd_train", flaky_train)
+        base = small_config(corpus, tmp_path / "grid", epochs=1)
+        rows, _, failed = cmd_grid(base, [1e-2], [0.1], [4, 8], ["gru"],
+                                   workers=1, clock=FakeClock())
+        assert failed == 1
+        by_hidden = {r.hidden_units: r for r in rows}
+        assert by_hidden[4].status == "ok"
+        assert by_hidden[8].status == "error:RuntimeError"
+        assert len(read_results(tmp_path / "grid" / "grid.csv")) == 2
 
     def test_rerun_writes_identical_grid_csv(self, corpus, tmp_path):
         base_a = small_config(corpus, tmp_path / "a", epochs=1)

@@ -10,7 +10,6 @@ from seqcls.data import (
     dedupe,
     load_jsonl,
     normalize_code,
-    read_manifest,
     split,
     synth_corpus,
     write_manifest,
@@ -166,7 +165,7 @@ class TestSplit:
     def test_splits_partition_the_input(self):
         samples = make_samples([40, 25, 15])
         splits = split(samples, seed=5)
-        ids = [s.source_id for s in splits.all_samples()]
+        ids = [s.source_id for s in splits.train + splits.val + splits.test]
         assert len(ids) == len(set(ids)) == len(samples)
         assert set(ids) == {s.source_id for s in samples}
 
@@ -272,7 +271,7 @@ class TestManifest:
         splits = split(make_samples([30, 30]), seed=2)
         path = tmp_path / "manifest.json"
         write_manifest(path, splits)
-        payload = read_manifest(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["seed"] == 2
         assert payload["train"] == [s.source_id for s in splits.train]
         assert payload["val"] == [s.source_id for s in splits.val]
@@ -292,6 +291,5 @@ class TestPipelineIdempotence:
         assert again == deduped and removed_again == 0
         first = split(deduped, seed=6, label_map=loaded.label_map)
         second = split(deduped, seed=6, label_map=loaded.label_map)
-        assert [s.source_id for s in first.all_samples()] == \
-            [s.source_id for s in second.all_samples()]
+        assert first == second
         assert isinstance(first, DatasetSplits)

@@ -16,9 +16,11 @@ NEG_INF = float("-inf")
 
 
 def make_tokens(ids, valid_len):
-    n = len(ids)
-    mask = [1] * valid_len + [0] * (n - valid_len)
-    return TokenSequence(list(ids), mask, [0] * n, valid_len)
+    return TokenSequence(list(ids), valid_len)
+
+
+def mean_of(x):
+    return tt.scale(tt.sum_all(x), 1.0 / x.size)
 
 
 def small_config(**overrides):
@@ -30,32 +32,17 @@ def small_config(**overrides):
 
 class TestPositionalEncoding:
     def test_position_zero_alternates_zero_one(self):
-        config = small_config(d_model=4, n_heads=1)
-        vec = enc.positional_encoding(config, 0)
+        vec = enc.positional_table(6, 4)[0]
         assert np.array_equal(vec, [0.0, 1.0, 0.0, 1.0])
 
     def test_position_one_d4_reference_values(self):
-        config = small_config(d_model=4, n_heads=1)
-        vec = enc.positional_encoding(config, 1)
+        vec = enc.positional_table(6, 4)[1]
         expected = [0.841471, 0.540302, 0.010000, 0.999950]
         assert np.allclose(vec, expected, atol=1e-5)
 
     def test_all_entries_within_unit_interval(self):
         table = enc.positional_table(50, 16)
         assert table.min() >= -1.0 and table.max() <= 1.0
-
-    def test_table_rows_match_single_position_evaluation(self):
-        config = small_config(d_model=8, n_heads=2, max_len=12)
-        table = enc.positional_table(config.max_len, config.d_model)
-        for pos in (0, 3, 11):
-            assert np.array_equal(table[pos], enc.positional_encoding(config, pos))
-
-    def test_position_out_of_range_rejected(self):
-        config = small_config(max_len=6)
-        with pytest.raises(ParameterError):
-            enc.positional_encoding(config, 6)
-        with pytest.raises(ParameterError):
-            enc.positional_encoding(config, -1)
 
 
 class TestAdditiveMask:
@@ -138,7 +125,7 @@ class TestAttention:
             mask = enc.additive_mask(3, causal=(seed % 2 == 0))
 
             def loss():
-                return tt.mean_all(enc.attention(q, k, v, mask))
+                return mean_of(enc.attention(q, k, v, mask))
 
             assert tt.check_gradients(loss, [q, k, v]) < 1e-4
 
@@ -189,7 +176,7 @@ class TestMultiHeadAttention:
         tensors = [t for _, t in names_and_tensors] + [x]
 
         def loss():
-            return tt.mean_all(enc.multi_head_attention(params, x))
+            return mean_of(enc.multi_head_attention(params, x))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
 
@@ -217,7 +204,7 @@ class TestFeedForward:
         tensors = [t for _, t in ffn.named_parameters()] + [x]
 
         def loss():
-            return tt.mean_all(enc.feed_forward(ffn, x))
+            return mean_of(enc.feed_forward(ffn, x))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
 
@@ -230,7 +217,6 @@ class TestEncoderForward:
         out = enc.encoder_forward(model, tokens)
         expected = model.embedding.data[[5, 7, 3, PAD_ID]] + model.positional[:4]
         assert np.array_equal(out.vectors.data, expected)
-        assert out.source == "internal"
         assert out.valid_len == 3
 
     def test_output_shape_is_rows_by_d_model(self):
@@ -475,3 +461,19 @@ class TestEmbeddingFiles:
         path = tmp_path / "emb.bin"
         enc.save_embeddings(path, [])
         assert enc.load_embeddings(path) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        matrix = np.ones((3, 2))
+        matrix[2, 1] = value
+        path = tmp_path / "emb.bin"
+        enc.save_embeddings(path, [(np.ones((1, 2)), 0), (matrix, 1)])
+        with pytest.raises(DataError, match="non-finite"):
+            enc.load_embeddings(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        enc.save_embeddings(path, [(np.ones((2, 2)), 1)])
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="trailing"):
+            enc.load_embeddings(path)

@@ -25,9 +25,9 @@ def zero_cell(variant, d_in, hidden):
     return hd.RnnCellParams(variant=variant, gates=gates)
 
 
-def embed(matrix, valid_len, source="internal"):
+def embed(matrix, valid_len):
     return EmbeddingSequence(vectors=Tensor(np.asarray(matrix, dtype=float)),
-                             source=source, valid_len=valid_len)
+                             valid_len=valid_len)
 
 
 class TestRnnStep:
@@ -249,15 +249,6 @@ def build_pipeline(variant, bidirectional, d_model=3, d_rnn=3, hidden=2,
 
 
 class TestPipelineForward:
-    def test_source_tag_never_changes_the_computation(self):
-        bridge, cell, head = build_pipeline("gru", False)
-        matrix = RandomSource(31).uniform(-1, 1, (4, 3))
-        internal, _ = hd.pipeline_forward(embed(matrix, 3, "internal"),
-                                          bridge, cell, head)
-        imported, _ = hd.pipeline_forward(embed(matrix, 3, "imported"),
-                                          bridge, cell, head)
-        assert np.array_equal(internal.data, imported.data)
-
     def test_loss_attached_only_with_label(self):
         bridge, cell, head = build_pipeline("lstm", False)
         matrix = RandomSource(32).uniform(-1, 1, (3, 3))
@@ -317,8 +308,7 @@ class TestPipelineForward:
                 tensors.extend(t for _, t in params.named_parameters())
 
             def loss():
-                seq = EmbeddingSequence(vectors=matrix, source="internal",
-                                        valid_len=3)
+                seq = EmbeddingSequence(vectors=matrix, valid_len=3)
                 return hd.pipeline_forward(seq, bridge, cell, head,
                                            label=1)[1]
 
@@ -357,8 +347,7 @@ class TestMeanPoolForward:
             tensors.extend(t for _, t in params.named_parameters())
 
         def loss():
-            seq = EmbeddingSequence(vectors=matrix, source="internal",
-                                    valid_len=4)
+            seq = EmbeddingSequence(vectors=matrix, valid_len=4)
             return hd.mean_pool_forward(seq, bridge, head, label=0)[1]
 
         assert tt.check_gradients(loss, tensors) < 1e-4

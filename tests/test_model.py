@@ -1,5 +1,7 @@
 """Tests for model bundle configuration, forward dispatch, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,15 @@ def tiny_config(**overrides):
     return md.ModelConfig(**defaults)
 
 
+def with_config(blob: bytes, config_blob: bytes) -> bytes:
+    """Checkpoint bytes with the JSON config block replaced."""
+    (old_len,) = struct.unpack_from("<I", blob, 8)
+    return (blob[:8] + struct.pack("<I", len(config_blob)) + config_blob
+            + blob[12 + old_len:])
+
+
 def tokens(ids, valid):
-    n = len(ids)
-    return TokenSequence(list(ids), [1] * valid + [0] * (n - valid), [0] * n, valid)
+    return TokenSequence(list(ids), valid)
 
 
 class TestModelConfig:
@@ -180,6 +188,50 @@ class TestCheckpoint:
         md.save_checkpoint(path, bundle)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(DataError):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("config_blob", [
+        b"{not json",
+        b'{"n_classes": 2, "no_such_field": 1}',
+        b"[2]",
+        b'{"n_classes": "two"}',
+        b'{"n_classes": 2, "encoder": 7}',
+    ], ids=["bad-json", "unknown-key", "not-an-object", "wrong-type",
+            "encoder-not-an-object"])
+    def test_bad_config_raises_data_error(self, tmp_path, config_blob):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_model(tiny_config(), seed=18))
+        path.write_bytes(with_config(path.read_bytes(), config_blob))
+        with pytest.raises(DataError):
+            md.load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_raises_data_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_model(tiny_config(), seed=19))
+        blob = bytearray(path.read_bytes())
+        name_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 4 + 2
+        blob[name_at] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="UTF-8"):
+            md.load_checkpoint(path)
+
+    def test_repeated_tensor_name_raises_data_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_model(tiny_config(), seed=20))
+        blob = path.read_bytes()
+        # equal-length names, so every later offset stays in place
+        assert blob.count(b"cell.r.b") == 1 and blob.count(b"cell.z.b") == 1
+        path.write_bytes(blob.replace(b"cell.r.b", b"cell.z.b"))
+        with pytest.raises(DataError, match="repeated"):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_raises_data_error(self, tmp_path, value):
+        bundle = md.init_model(tiny_config(), seed=21)
+        bundle.head.b_out.data[1] = value
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, bundle)
+        with pytest.raises(DataError, match="non-finite"):
             md.load_checkpoint(path)
 
     def test_imported_mean_model_round_trips(self, tmp_path):

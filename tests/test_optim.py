@@ -186,7 +186,7 @@ def toy_dataset(n_per_class=6):
         fwd = [5, 6, 7, 8, fill, 0]
         bwd = [fill, 8, 7, 6, 5, 0]
         for ids, label in ((fwd, 0), (bwd, 1)):
-            seq = TokenSequence(ids, [1] * 5 + [0], [0] * 6, 5)
+            seq = TokenSequence(ids, 5)
             examples.append(md.Example(label=label, tokens=seq))
     return examples
 
