@@ -3,10 +3,28 @@
 The initial alphabet is byte-level: every input byte b maps to the
 private symbol chr(0x100 + b), so any string is representable, symbols
 never collide with the reserved token names, and vocabulary files stay
-free of embedded tabs/newlines.  Merges are learned greedily by pair
-frequency; equal frequencies break ties by lexicographic order of the
-pair, which makes training fully deterministic for a fixed corpus
-order.
+free of embedded tabs/newlines.  Loading a vocabulary file rejects any
+other token or merge part.
+
+Training merges greedily by pair frequency; equal frequencies break ties
+by lexicographic order of the pair, which makes training fully
+deterministic for a fixed corpus order.  Each merge replaces the pair
+left to right without overlap (``aaaa`` becomes ``aa aa``).  The pair
+statistics are kept incrementally, as in Sennrich, Haddow & Birch,
+"Neural Machine Translation of Rare Words with Subword Units" (2016):
+the corpus is one doubly linked symbol list with a separator between
+lines, one index counts every adjacent pair (overlapping ones included)
+and another lists the positions where each pair occurs, so a merge
+visits only its own positions and adjusts the counts of the pairs
+around them.  The best pair comes from a lazy max-heap keyed
+``(-count, pair)``, which keeps the tie-break above.
+
+Encoding merges in rounds: each round merges every occurrence of the
+adjacent pair whose merge comes first in the merge list, left to right,
+then looks again.  A heap keyed on (rank, position) over a linked symbol
+list finds each round's pair without rescanning the text, and pairs a
+round creates enter the heap only after it, so the rounds stay exact even
+for a merge list that is not in training order.
 
 Vocabulary file format (UTF-8 text, bit-exact round trip):
   line 1            version tag
@@ -17,7 +35,11 @@ Vocabulary file format (UTF-8 text, bit-exact round trip):
 
 from __future__ import annotations
 
+import heapq
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import DataError, ParameterError
 
@@ -26,11 +48,14 @@ RESERVED = (PAD, UNK, MASK, BOS, EOS)
 PAD_ID, UNK_ID, MASK_ID, BOS_ID, EOS_ID = range(5)
 
 _BYTE_OFFSET = 0x100
+# built once: CPython caches no one-character strings at or above U+0100
+_BYTE_SYMBOLS = tuple(chr(_BYTE_OFFSET + b) for b in range(256))
+_BYTE_ALPHABET = frozenset(_BYTE_SYMBOLS)
 _FILE_VERSION = "seqcls-bpe-v1"
 
 
 def _to_symbols(text: str) -> list[str]:
-    return [chr(_BYTE_OFFSET + b) for b in text.encode("utf-8")]
+    return [_BYTE_SYMBOLS[b] for b in text.encode("utf-8")]
 
 
 def _from_token(token: str) -> bytes:
@@ -72,32 +97,38 @@ class BpeVocabulary:
 
 def _base_vocabulary() -> dict[str, int]:
     vocab = {tok: i for i, tok in enumerate(RESERVED)}
-    for b in range(256):
-        vocab[chr(_BYTE_OFFSET + b)] = len(vocab)
+    for symbol in _BYTE_SYMBOLS:
+        vocab[symbol] = len(vocab)
     return vocab
 
 
-def _count_pairs(sequences: list[list[str]]) -> dict[tuple[str, str], int]:
-    counts: dict[tuple[str, str], int] = {}
-    for seq in sequences:
-        for i in range(len(seq) - 1):
-            pair = (seq[i], seq[i + 1])
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
+def _forget(counts: dict, where: dict, pair: tuple[str, str]) -> None:
+    """Drop one occurrence of ``pair``; a pair that no longer occurs leaves
+    both indexes, since every position left in ``where`` is stale."""
+    count = counts[pair] - 1
+    if count:
+        counts[pair] = count
+    else:
+        del counts[pair]
+        where.pop(pair, None)
 
 
-def _merge_sequence(seq: list[str], pair: tuple[str, str], joined: str) -> list[str]:
-    """Replace occurrences of ``pair`` left to right, non-overlapping."""
-    out = []
-    i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
-            out.append(joined)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
+def _pop_best(heap: list, counts: dict[tuple[str, str], int]):
+    """Pop the pair with the highest count, ties to the smallest pair.
+
+    ``heap`` holds ``(-count, pair)`` entries that may be stale.  Every
+    pair still in ``counts`` has an entry whose count is at least its
+    current one, so a stale entry whose pair has since dropped is pushed
+    back at its current count.  Returns ``(None, 0)`` when no pair is left.
+    """
+    while heap:
+        neg, pair = heapq.heappop(heap)
+        count = counts.get(pair, 0)
+        if count == -neg:
+            return pair, count
+        if 0 < count < -neg:
+            heapq.heappush(heap, (-count, pair))
+    return None, 0
 
 
 def train_bpe(corpus, vocab_size: int, min_frequency: int = 2) -> BpeVocabulary:
@@ -115,40 +146,108 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = 2) -> BpeVocabulary:
         )
     if min_frequency < 1:
         raise ParameterError(f"min_frequency must be >= 1, got {min_frequency}")
-    sequences = [_to_symbols(text) for text in corpus]
-    if not sequences:
+
+    # One flat symbol list: None before, between and after the lines, and
+    # in every slot a merge has emptied.  counts[pair] is the number of
+    # adjacent occurrences, overlapping ones included; where[pair] lists
+    # every position at which the pair has occurred, stale ones included.
+    # Positions live in arrays: a list would hold an int object for each.
+    symbols: list[str | None] = [None]
+    counts: dict[tuple[str, str], int] = {}
+    where: dict[tuple[str, str], array] = defaultdict(partial(array, "l"))
+    for text in corpus:
+        line = _to_symbols(text)
+        for i, pair in enumerate(zip(line, line[1:]), len(symbols)):
+            counts[pair] = counts.get(pair, 0) + 1
+            where[pair].append(i)
+        symbols.extend(line)
+        symbols.append(None)
+    if len(symbols) == 1:
         raise DataError("empty corpus")
+    nxt = array("l", range(1, len(symbols) + 1))
+    prv = array("l", range(-1, len(symbols) - 1))
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
 
     vocab = dict(base)
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size:
-        counts = _count_pairs(sequences)
-        if not counts:
+        pair, count = _pop_best(heap, counts)
+        if count < min_frequency:  # count 0: no pair is left
             break
-        best_count = max(counts.values())
-        if best_count < min_frequency:
-            break
-        pair = min(p for p, c in counts.items() if c == best_count)
-        joined = pair[0] + pair[1]
+        left, right = pair
+        joined = left + right
         merges.append(pair)
         vocab[joined] = len(vocab)
-        sequences = [_merge_sequence(seq, pair, joined) for seq in sequences]
+        born: set[tuple[str, str]] = set()
+        # ascending positions merge left to right without overlap: aaaa -> aa aa
+        for i in sorted(where.pop(pair)):
+            if symbols[i] != left:
+                continue
+            j = nxt[i]
+            if symbols[j] != right:
+                continue
+            before, after = prv[i], nxt[j]
+            _forget(counts, where, pair)
+            if symbols[before] is not None:
+                _forget(counts, where, (symbols[before], left))
+                new = (symbols[before], joined)
+                counts[new] = counts.get(new, 0) + 1
+                where[new].append(before)
+                born.add(new)
+            if symbols[after] is not None:
+                _forget(counts, where, (right, symbols[after]))
+                new = (joined, symbols[after])
+                counts[new] = counts.get(new, 0) + 1
+                where[new].append(i)
+                born.add(new)
+            symbols[i], symbols[j] = joined, None
+            nxt[i], prv[after] = after, i
+        for new in born:
+            if new in counts:
+                heapq.heappush(heap, (-counts[new], new))
     return BpeVocabulary(vocab, merges)
 
 
 def _apply_merges(vocab: BpeVocabulary, symbols: list[str]) -> list[str]:
-    ranks = vocab._ranks
-    seq = symbols
-    while len(seq) > 1:
-        best_rank, best_pair = None, None
-        for i in range(len(seq) - 1):
-            r = ranks.get((seq[i], seq[i + 1]))
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank, best_pair = r, (seq[i], seq[i + 1])
-        if best_pair is None:
-            break
-        seq = _merge_sequence(seq, best_pair, best_pair[0] + best_pair[1])
-    return seq
+    """Merge in rounds: each round merges every occurrence of the adjacent
+    pair with the lowest rank, left to right without overlap."""
+    ranks, merges = vocab._ranks, vocab.merges
+    # None at both ends and in every slot a merge has emptied
+    seq: list[str | None] = [None, *symbols, None]
+    stride = len(seq)
+    nxt = list(range(1, stride + 1))
+    prv = list(range(-1, stride - 1))
+    # key rank * stride + position: pops rank by rank, each left to right
+    heap = [ranks[pair] * stride + i
+            for i, pair in enumerate(zip(symbols, symbols[1:]), 1)
+            if pair in ranks]
+    heapq.heapify(heap)
+    while heap:
+        rank = heap[0] // stride
+        base = rank * stride
+        left, right = merges[rank]
+        joined = left + right
+        merged = []
+        while heap and heap[0] < base + stride:
+            i = heapq.heappop(heap) - base
+            if seq[i] != left:
+                continue
+            j = nxt[i]
+            if seq[j] != right:
+                continue
+            after = nxt[j]
+            seq[i], seq[j] = joined, None
+            nxt[i], prv[after] = after, i
+            merged.append(i)
+        # pairs this round created wait for the next round, even when a
+        # hand-edited merge list ranks them below the pair just merged
+        for i in merged:
+            for at, pair in ((prv[i], (seq[prv[i]], joined)),
+                             (i, (joined, seq[nxt[i]]))):
+                if pair in ranks:
+                    heapq.heappush(heap, ranks[pair] * stride + at)
+    return [s for s in seq if s is not None]
 
 
 def encode(vocab: BpeVocabulary, text: str, max_len: int) -> TokenSequence:
@@ -219,6 +318,15 @@ def load_vocabulary(path) -> BpeVocabulary:
     merges = [tuple(line.split(" ")) for line in body[cut + 1:]]
     if any(len(pair) != 2 for pair in merges):
         raise DataError(f"a merge line in {path} lacks exactly one space")
+    # decode maps every character of a non-reserved token back to a byte
+    for tok in token_to_id:
+        if tok not in RESERVED and not _BYTE_ALPHABET.issuperset(tok):
+            raise DataError(f"token {tok!r} in {path} has a character "
+                            "outside the byte alphabet U+0100-U+01FF")
+    for left, right in merges:
+        if not _BYTE_ALPHABET.issuperset(left + right):
+            raise DataError(f"merge {left!r} {right!r} in {path} has a "
+                            "character outside the byte alphabet U+0100-U+01FF")
     if not token_to_id:
         raise DataError(f"no tokens found in {path}")
     if sorted(token_to_id.values()) != list(range(len(token_to_id))):

@@ -353,8 +353,10 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
     """Forward-only evaluation of a saved run against one dataset split."""
     checkpoint = Path(checkpoint)
     config_path = checkpoint.parent / "config.json"
-    if not config_path.exists():
-        raise DataError(f"missing run config next to checkpoint: {config_path}")
+    splits_path = checkpoint.parent / "splits.json"
+    for path in (config_path, splits_path):
+        if not path.exists():
+            raise DataError(f"missing run {path.stem} next to checkpoint: {path}")
     config = RunConfig.from_dict(json.loads(config_path.read_text()))
     if schema is not None:
         config = replace(config, schema=schema)
@@ -374,6 +376,14 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
         raise DataError(
             f"dataset has {prepared.model_config.n_classes} classes but the "
             f"checkpoint was trained with {bundle.config.n_classes}")
+    try:
+        trained_map = json.loads(splits_path.read_text())["label_map"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"unreadable run splits {splits_path}: {exc!r}") from exc
+    if prepared.splits.label_map != trained_map:
+        raise DataError(
+            f"dataset label map {prepared.splits.label_map} differs from the "
+            f"run's label map {trained_map} in {splits_path}")
     if split_name not in SPLIT_NAMES:
         raise ParameterError(f"unknown split {split_name!r}")
     started = clock()

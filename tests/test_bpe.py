@@ -12,6 +12,72 @@ def train_small(corpus, extra_tokens=10, min_frequency=2):
                          min_frequency=min_frequency)
 
 
+# Reference implementation: recount every pair after every merge, rescan
+# the whole sequence after every encode round.  The fast paths in
+# seqcls.bpe must give the same vocabulary, merges and ids.
+
+def count_pairs(sequences):
+    counts = {}
+    for seq in sequences:
+        for i in range(len(seq) - 1):
+            pair = (seq[i], seq[i + 1])
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def merge_sequence(seq, pair, joined):
+    """Replace occurrences of ``pair`` left to right, non-overlapping."""
+    out = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
+            out.append(joined)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def reference_train_bpe(corpus, vocab_size, min_frequency=2):
+    sequences = [bpe._to_symbols(text) for text in corpus]
+    vocab = bpe._base_vocabulary()
+    merges = []
+    while len(vocab) < vocab_size:
+        counts = count_pairs(sequences)
+        if not counts:
+            break
+        best_count = max(counts.values())
+        if best_count < min_frequency:
+            break
+        pair = min(p for p, c in counts.items() if c == best_count)
+        joined = pair[0] + pair[1]
+        merges.append(pair)
+        vocab[joined] = len(vocab)
+        sequences = [merge_sequence(seq, pair, joined) for seq in sequences]
+    return bpe.BpeVocabulary(vocab, merges)
+
+
+def reference_apply_merges(vocab, symbols):
+    ranks = {pair: r for r, pair in enumerate(vocab.merges)}
+    seq = symbols
+    while len(seq) > 1:
+        best_rank, best_pair = None, None
+        for i in range(len(seq) - 1):
+            r = ranks.get((seq[i], seq[i + 1]))
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank, best_pair = r, (seq[i], seq[i + 1])
+        if best_pair is None:
+            break
+        seq = merge_sequence(seq, best_pair, best_pair[0] + best_pair[1])
+    return seq
+
+
+def reference_ids(vocab, text):
+    tokens = reference_apply_merges(vocab, bpe._to_symbols(text))
+    return [vocab.token_to_id.get(tok, bpe.UNK_ID) for tok in tokens]
+
+
 class TestTraining:
     def test_first_merge_by_pair_count(self):
         # "aaab": ("a","a") occurs twice (overlapping positions), ("a","b") once.
@@ -146,6 +212,70 @@ class TestProperties:
             assert bpe.encode(vocab, "foo bar", max_len=32).input_ids == alone
 
 
+def random_corpus(rng, alphabet):
+    """Lines of random draws, long single-character runs and empty strings."""
+    lines = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(str(rng.choice(alphabet)) * int(rng.integers(1, 40)))
+        else:
+            lines.append("".join(rng.choice(alphabet, size=rng.integers(1, 60))))
+    return lines
+
+
+class TestReferenceEquivalence:
+    ALPHABETS = [list("a"), list("ab"), list("aab "), list("é日𝄞a "),
+                 list("abcdefgh(){};= \n")]
+
+    @pytest.mark.parametrize("min_frequency", [1, 2, 3])
+    def test_training_and_encoding_match_the_reference(self, min_frequency):
+        rng = np.random.default_rng(100 + min_frequency)
+        for trial in range(60):
+            alphabet = self.ALPHABETS[trial % len(self.ALPHABETS)]
+            corpus = random_corpus(rng, alphabet)
+            vocab_size = 261 + int(rng.integers(1, 120))
+            fast = bpe.train_bpe(corpus, vocab_size, min_frequency)
+            slow = reference_train_bpe(corpus, vocab_size, min_frequency)
+            assert fast.token_to_id == slow.token_to_id, corpus
+            assert fast.merges == slow.merges, corpus
+            probes = corpus + random_corpus(rng, alphabet)
+            for text in probes:
+                seq = bpe.encode(fast, text, max_len=512)
+                assert seq.input_ids[:seq.length] == reference_ids(slow, text)
+
+    def test_training_stops_when_no_pair_is_left(self):
+        rng = np.random.default_rng(7)
+        for alphabet in self.ALPHABETS:
+            corpus = random_corpus(rng, alphabet)
+            # far more room than merges: training ends for lack of pairs
+            fast = bpe.train_bpe(corpus, 261 + 5000, min_frequency=1)
+            slow = reference_train_bpe(corpus, 261 + 5000, min_frequency=1)
+            assert fast == slow
+            assert len(fast) < 261 + 5000
+            for text in corpus:
+                assert len(bpe._apply_merges(fast, bpe._to_symbols(text))) <= 1
+
+    def test_shuffled_merge_list_encodes_like_the_reference(self, tmp_path):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            alphabet = self.ALPHABETS[trial % len(self.ALPHABETS)]
+            corpus = random_corpus(rng, alphabet)
+            trained = bpe.train_bpe(corpus, 261 + 60, min_frequency=1)
+            merges = list(trained.merges)
+            rng.shuffle(merges)
+            path = tmp_path / "shuffled.txt"
+            bpe.save_vocabulary(bpe.BpeVocabulary(trained.token_to_id, merges),
+                                path)
+            vocab = bpe.load_vocabulary(path)
+            assert vocab.merges == merges
+            for text in corpus + random_corpus(rng, alphabet):
+                seq = bpe.encode(vocab, text, max_len=512)
+                assert seq.input_ids[:seq.length] == reference_ids(vocab, text)
+
+
 class TestVocabularyFile:
     def test_save_load_round_trip(self, tmp_path):
         vocab = train_small(["the quick brown fox " * 3], extra_tokens=25)
@@ -182,6 +312,27 @@ class TestVocabularyFile:
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         with pytest.raises(DataError):
+            bpe.load_vocabulary(path)
+
+    def test_token_outside_byte_alphabet_rejected(self, tmp_path):
+        # the byte symbol for "a" renamed to a plain "a"
+        vocab = train_small(["alpha beta alpha beta"], extra_tokens=4)
+        path = tmp_path / "vocab.txt"
+        bpe.save_vocabulary(vocab, path)
+        symbol = bpe._to_symbols("a")[0]
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(f"\n{symbol}\t", "\na\t", 1),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="byte alphabet"):
+            bpe.load_vocabulary(path)
+
+    def test_merge_outside_byte_alphabet_rejected(self, tmp_path):
+        vocab = train_small(["alpha beta alpha beta"], extra_tokens=4)
+        path = tmp_path / "vocab.txt"
+        bpe.save_vocabulary(vocab, path)
+        path.write_text(path.read_text(encoding="utf-8") + "a b\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="byte alphabet"):
             bpe.load_vocabulary(path)
 
     def test_invalid_utf8_raises_data_error(self, tmp_path):

@@ -26,7 +26,7 @@ from seqcls.cli import (
     read_results,
     write_results,
 )
-from seqcls.data import LabeledSample, load_jsonl, split
+from seqcls.data import LabeledSample, load_jsonl, split, write_manifest
 from seqcls.encoder import save_embeddings
 from seqcls.errors import DataError, ParameterError
 from seqcls.model import ModelConfig, init_model, save_checkpoint
@@ -266,6 +266,28 @@ class TestEvalCommand:
         with pytest.raises(DataError, match="classes"):
             cmd_eval(Path(config.out_dir) / "model.ckpt", other, "test")
 
+    def test_label_map_mismatch_is_a_data_error(self, corpus, tmp_path):
+        def relabel(path, names):
+            records = [json.loads(line) for line in corpus.read_text().splitlines()]
+            path.write_text("".join(
+                json.dumps({**r, "label": names[r["label"]]}) + "\n"
+                for r in records))
+            return path
+
+        trained = relabel(tmp_path / "cat_dog.jsonl", ["cat", "dog"])
+        config = small_config(trained, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        other = relabel(tmp_path / "dog_zebra.jsonl", ["dog", "zebra"])
+        with pytest.raises(DataError, match="label map.*zebra.*cat"):
+            cmd_eval(Path(config.out_dir) / "model.ckpt", other, "test")
+
+    def test_missing_run_splits_is_a_data_error(self, corpus, tmp_path):
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        (Path(config.out_dir) / "splits.json").unlink()
+        with pytest.raises(DataError, match="splits"):
+            cmd_eval(Path(config.out_dir) / "model.ckpt", None, "test")
+
     def test_missing_run_config_is_a_data_error(self, tmp_path):
         checkpoint = tmp_path / "model.ckpt"
         checkpoint.write_bytes(b"SQCK")
@@ -297,6 +319,7 @@ class TestEvalCommand:
 
         run_dir = tmp_path / "run"
         run_dir.mkdir()
+        write_manifest(run_dir / "splits.json", splits)
         run_config = RunConfig(
             data="", out_dir=str(run_dir), schema="generic", seed=seed,
             head="mean", d_rnn=2, dense_units=2, dropout=0.0,

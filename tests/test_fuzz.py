@@ -172,6 +172,26 @@ class TestVocabularyFileFuzz:
                     for blob in bit_flips(vocab_blob, RandomSource(31))]
         assert not all(outcomes)
 
+    def test_alphabet_violations_fail_cleanly(self, tmp_path, vocab_blob):
+        # one character of a token or merge part moved outside U+0100-U+01FF
+        path = tmp_path / "alphabet.txt"
+        lines = vocab_blob.decode("utf-8").splitlines()
+        first = 1 + len(bpe.RESERVED)
+        rng = RandomSource(32)
+        for at in rng.integers(first, len(lines), 80):
+            line = lines[at]
+            if line == "#merges":
+                continue
+            body = line.rpartition("\t")[0] if "\t" in line else line
+            spots = [k for k, ch in enumerate(body) if ch != " "]
+            k = spots[int(rng.integers(0, len(spots)))]
+            low, high = ((0x21, 0x100), (0x200, 0x3000))[at % 2]
+            char = chr(int(rng.integers(low, high)))
+            mutated = list(lines)
+            mutated[at] = line[:k] + char + line[k + 1:]
+            blob = ("\n".join(mutated) + "\n").encode("utf-8")
+            assert not loads_or_library_error(bpe.load_vocabulary, path, blob)
+
     def test_oversized_ids_fail_cleanly(self, tmp_path, vocab_blob):
         path = tmp_path / "big.txt"
         text = vocab_blob.decode("utf-8")
