@@ -34,7 +34,7 @@ from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
 from .errors import DataError, ParameterError, SeqclsError
 from .metrics import MetricsReport
 from .model import (Example, ModelConfig, init_model, load_checkpoint,
-                    save_checkpoint)
+                    round_to_checkpoint, save_checkpoint)
 from .optim import (OptimizerConfig, TrainConfig, evaluate, make_optimizer,
                     train, write_log)
 from .rng import RandomSource
@@ -329,6 +329,8 @@ def cmd_train(config: RunConfig, clock=time.perf_counter) -> list[ResultsRow]:
     result = train(bundle, prepared.examples["train"], prepared.examples["val"],
                    train_config, clock=clock)
     wall = clock() - started
+    # score what model.ckpt will hold, so `seqcls eval` reproduces each row
+    round_to_checkpoint(bundle)
     n_classes = prepared.model_config.n_classes
     rows = [
         _results_row(config, name,
@@ -357,7 +359,10 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
     for path in (config_path, splits_path):
         if not path.exists():
             raise DataError(f"missing run {path.stem} next to checkpoint: {path}")
-    config = RunConfig.from_dict(json.loads(config_path.read_text()))
+    try:
+        config = RunConfig.from_dict(json.loads(config_path.read_text()))
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"unreadable run config {config_path}: {exc!r}") from exc
     if schema is not None:
         config = replace(config, schema=schema)
     if seed is not None:

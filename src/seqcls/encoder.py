@@ -5,7 +5,9 @@ positional table, refined by stacked layers of multi-head self-attention
 and a position-wise feed-forward network, each wrapped in residual add
 and layer normalization (post-norm by default, pre-norm behind a flag).
 Padding positions are excluded from attention via an additive mask, and
-a causal variant restricts each position to its prefix.
+a causal variant restricts each position to its prefix.  Multi-head
+attention is one tape op: one Q/K/V projection GEMM, a (heads, T, T)
+score array and a hand-written backward rule, over weights kept per head.
 
 Also provides span masking and a denoising loss (vocabulary projection
 tied to the input embedding matrix) for toy pretraining, plus a small
@@ -164,36 +166,59 @@ def additive_mask(n: int, valid_len: int | None = None,
     return mask
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
-              mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention: softmax(QK^T/sqrt(d_k) + M)V."""
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(f"query width {q.shape} vs key width {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(f"key rows {k.shape} vs value rows {v.shape}")
-    d_k = q.shape[1]
-    scores = tt.scale(tt.matmul(q, tt.transpose(k)), 1.0 / np.sqrt(d_k))
-    if mask is not None:
-        if mask.shape != scores.shape:
-            raise DimensionError(f"mask {mask.shape} vs scores {scores.shape}")
-        scores = tt.add(scores, Tensor(mask))
-    weights = tt.softmax(scores, axis=-1)
-    return tt.matmul(weights, v)
-
-
 def multi_head_attention(params: AttentionParams, x: Tensor,
                          mask: np.ndarray | None = None) -> Tensor:
+    """All heads of softmax(QK^T/sqrt(d_k) + M)V, concatenated, then W_O.
+
+    One tape op with a hand-written backward rule.  The per-head weights
+    are stacked on every call (they change after each optimizer step)
+    into one x @ [Wq|Wk|Wv] GEMM, and the scores of every head form one
+    (heads, T, T) array.
+    """
     if x.shape[1] != params.wq[0].shape[0]:
         raise DimensionError(
             f"input width {x.shape} vs projection {params.wq[0].shape}"
         )
-    heads = []
-    for wq, wk, wv in zip(params.wq, params.wk, params.wv):
-        q = tt.matmul(x, wq)
-        k = tt.matmul(x, wk)
-        v = tt.matmul(x, wv)
-        heads.append(attention(q, k, v, mask))
-    return tt.matmul(tt.concat_all(heads, axis=1), params.wo)
+    n = x.shape[0]
+    if mask is not None and mask.shape != (n, n):
+        raise DimensionError(f"mask {mask.shape} vs scores {(n, n)}")
+    heads, d_k = len(params.wq), params.wq[0].shape[1]
+    width = heads * d_k
+    projections = [*params.wq, *params.wk, *params.wv]
+    w = np.concatenate([t.data for t in projections], axis=1)
+    # (3, heads, n, d_k): queries, keys and values of every head
+    q, k, v = (x.data @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
+    scale = 1.0 / np.sqrt(d_k)
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
+    wo = params.wo
+
+    def build(out: Tensor):
+        def rule():
+            g = out.grad
+            if wo.requires_grad:
+                wo.accumulate_grad(joined.T @ g)
+            d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
+            d_weights = d_context @ v.transpose(0, 2, 1)
+            dot = (d_weights * weights).sum(axis=-1, keepdims=True)
+            d_scores = weights * (d_weights - dot) * scale
+            d_qkv = np.stack((d_scores @ k,
+                              d_scores.transpose(0, 2, 1) @ q,
+                              weights.transpose(0, 2, 1) @ d_context))
+            d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
+            dw = x.data.T @ d_proj
+            for i, t in enumerate(projections):
+                if t.requires_grad:
+                    t.accumulate_grad(dw[:, i * d_k:(i + 1) * d_k])
+            if x.requires_grad:
+                x.accumulate_grad(d_proj @ w.T)
+        return rule
+
+    return tt.make_output(joined @ wo.data, [x, *projections, wo], build)
 
 
 def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:

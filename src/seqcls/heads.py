@@ -8,6 +8,13 @@ state at the last valid position with the backward state at position 0.
 An order-blind variant replaces the recurrent scan with mean pooling
 over valid positions, as a baseline for order-sensitivity comparisons.
 
+Each scan direction is one tape op (Appleyard, Kocisky & Blunsom, 2016):
+the gates are stacked in VARIANT_GATES order, the input projections of
+all valid positions are one GEMM, every step does one recurrent matvec
+(GRU's candidate keeps its own Q_h (r * h)), and the backward rule runs
+BPTT in numpy.  ``rnn_step`` builds the same update from elementary ops,
+one graph per step, and serves as the tests' reference.
+
 Weight layouts: per-gate input maps P are (hidden x d_in), recurrent
 maps Q are (hidden x hidden), applied as P x + Q h + b on column
 vectors; the bridge and classifier apply row-vector maps.
@@ -187,31 +194,210 @@ def rnn_step(cell: RnnCellParams, x_t: Tensor, state):
     return tt.add(tt.mul(one_minus, candidate), tt.mul(update, h))
 
 
-def rnn_forward(cell: RnnCellParams, sequence: Tensor, valid_len: int) -> Tensor:
-    """Left-to-right scan from the zero state; positions past valid_len
-    carry the state unchanged (pad-skip)."""
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """``tt.sigmoid``'s values on a bare array: exp never overflows."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+
+# Each recurrence runs over the stacked input projections gx (one row per
+# step, gates in VARIANT_GATES order) and the stacked recurrent map q.  The
+# forward pass returns hs, whose row t + 1 is the hidden state after step
+# t (row 0 is the zero initial state), plus what its backward pass needs.
+# The backward pass turns dh, the gradient on hs[1:], into da, the
+# gradient on every gate pre-activation (one row per step), and dq.  The
+# factors that do not depend on the carried gradient are computed for
+# all steps before the loop, which keeps only the recurrence inside it.
+
+
+def _vanilla_forward(gx: np.ndarray, q: np.ndarray):
+    hs = np.zeros((len(gx) + 1, q.shape[1]))
+    h = hs[0]
+    for t in range(len(gx)):
+        h = hs[t + 1] = np.tanh(gx[t] + q @ h)
+    return hs, ()
+
+
+def _vanilla_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved):
+    slope = 1.0 - hs[1:] * hs[1:]
+    q_t = q.T
+    da = np.empty_like(dh)
+    carry = np.zeros(dh.shape[1])
+    for t in range(len(dh) - 1, -1, -1):
+        row = da[t] = (dh[t] + carry) * slope[t]
+        carry = q_t @ row
+    return da, da.T @ hs[:-1]
+
+
+def _lstm_forward(gx: np.ndarray, q: np.ndarray):
+    steps, hidden = len(gx), q.shape[1]
+    hs = np.zeros((steps + 1, hidden))
+    cs = np.zeros((steps + 1, hidden))
+    candidates = np.empty((steps, hidden))
+    gates = np.empty((steps, 3 * hidden))  # forget, update, output
+    cell_tanh = np.empty((steps, hidden))
+    h, c = hs[0], cs[0]
+    for t in range(steps):
+        a = gx[t] + q @ h
+        candidate = candidates[t] = np.tanh(a[:hidden])
+        s = gates[t] = _sigmoid(a[hidden:])
+        c = cs[t + 1] = s[hidden:2 * hidden] * candidate + s[:hidden] * c
+        tc = cell_tanh[t] = np.tanh(c)
+        h = hs[t + 1] = s[2 * hidden:] * tc
+    return hs, (cs, candidates, gates, cell_tanh)
+
+
+def _lstm_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved):
+    cs, candidates, gates, cell_tanh = saved
+    steps, hidden = dh.shape
+    forget, update, output = (gates[:, k * hidden:(k + 1) * hidden]
+                              for k in range(3))
+    # candidate, forget and update pre-activations per unit of d_c
+    per_dc = np.stack((update * (1.0 - candidates * candidates),
+                       cs[:-1] * forget * (1.0 - forget),
+                       candidates * update * (1.0 - update)), axis=1)
+    per_dh = cell_tanh * output * (1.0 - output)
+    dc_per_dh = output * (1.0 - cell_tanh * cell_tanh)
+    q_t = q.T
+    da = np.empty((steps, 4 * hidden))
+    da_cfi = da[:, :3 * hidden].reshape(steps, 3, hidden)
+    da_o = da[:, 3 * hidden:]
+    carry_h = np.zeros(hidden)
+    carry_c = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        d_h = dh[t] + carry_h
+        d_c = carry_c + d_h * dc_per_dh[t]
+        da_cfi[t] = per_dc[t] * d_c
+        da_o[t] = d_h * per_dh[t]
+        carry_c = d_c * forget[t]
+        carry_h = q_t @ da[t]
+    return da, da.T @ hs[:-1]
+
+
+def _gru_forward(gx: np.ndarray, q: np.ndarray):
+    steps, hidden = len(gx), q.shape[1]
+    q_zr, q_h = q[:2 * hidden], q[2 * hidden:]
+    gx_zr, gx_h = gx[:, :2 * hidden], gx[:, 2 * hidden:]
+    hs = np.zeros((steps + 1, hidden))
+    gates = np.empty((steps, 2 * hidden))  # update, reset
+    candidates = np.empty((steps, hidden))
+    h = hs[0]
+    for t in range(steps):
+        s = gates[t] = _sigmoid(gx_zr[t] + q_zr @ h)
+        update = s[:hidden]
+        candidate = candidates[t] = np.tanh(gx_h[t] + q_h @ (s[hidden:] * h))
+        h = hs[t + 1] = (1.0 - update) * candidate + update * h
+    return hs, (gates, candidates)
+
+
+def _gru_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved):
+    gates, candidates = saved
+    steps, hidden = dh.shape
+    update, reset = gates[:, :hidden], gates[:, hidden:]
+    previous = hs[:-1]
+    # update and candidate pre-activations per unit of d_h; reset per unit
+    # of the gradient on reset * previous
+    per_dh_z = (previous - candidates) * update * (1.0 - update)
+    per_dh_c = (1.0 - update) * (1.0 - candidates * candidates)
+    per_drh_r = previous * reset * (1.0 - reset)
+    q_zr_t, q_h_t = q[:2 * hidden].T, q[2 * hidden:].T
+    da = np.empty((steps, 3 * hidden))
+    da_z, da_r, da_c = da[:, :hidden], da[:, hidden:2 * hidden], da[:, 2 * hidden:]
+    da_zr = da[:, :2 * hidden]
+    carry = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        d_h = dh[t] + carry
+        d_c = da_c[t] = d_h * per_dh_c[t]
+        d_rh = q_h_t @ d_c
+        da_z[t] = d_h * per_dh_z[t]
+        da_r[t] = d_rh * per_drh_r[t]
+        carry = d_h * update[t] + d_rh * reset[t] + q_zr_t @ da_zr[t]
+    dq = np.concatenate((da_zr.T @ previous, da_c.T @ (reset * previous)))
+    return da, dq
+
+
+_RECURRENCES = {
+    "vanilla": (_vanilla_forward, _vanilla_backward),
+    "lstm": (_lstm_forward, _lstm_backward),
+    "gru": (_gru_forward, _gru_backward),
+}
+
+
+def _scan(cell: RnnCellParams, sequence: Tensor, valid_len: int,
+          reverse: bool) -> Tensor:
+    """One direction of the recurrence over the first valid_len rows, as
+    a single tape op with a hand-written backward pass through time.
+
+    The gate weights are stacked on every call (they change after each
+    optimizer step), the input projections of all valid steps are one
+    GEMM, and each step does one recurrent matvec.  Forward: rows past
+    valid_len carry the last state.  Reverse: the scan starts at row
+    valid_len - 1 and rows past valid_len are zero.
+    """
     n = sequence.shape[0]
     if not 0 <= valid_len <= n:
         raise ParameterError(f"valid length {valid_len} outside [0, {n}]")
-    state = initial_state(cell)
-    rows = []
-    for t in range(n):
-        if t < valid_len:
-            state = rnn_step(cell, tt.row(sequence, t), state)
-        rows.append(hidden_of(state))
-    return tt.stack_rows(rows)
+    if sequence.data.ndim != 2 or sequence.shape[1] != cell.input_dim:
+        raise DimensionError(
+            f"input shape {sequence.shape} vs cell input {cell.input_dim}"
+        )
+    gates = list(cell.gates.values())
+    p = np.concatenate([g.p.data for g in gates])
+    q = np.concatenate([g.q.data for g in gates])
+    b = np.concatenate([g.b.data for g in gates])
+    x = sequence.data[:valid_len]
+    if reverse:
+        x = x[::-1]
+    forward, backward = _RECURRENCES[cell.variant]
+    hs, saved = forward(x @ p.T + b, q)
+    hidden = cell.hidden
+    data = np.zeros((n, hidden))
+    if reverse:
+        data[:valid_len] = hs[:0:-1]
+    else:
+        data[:valid_len] = hs[1:]
+        data[valid_len:] = hs[-1]
+
+    def build(out: Tensor):
+        def rule():
+            g = out.grad
+            if reverse:
+                dh = g[:valid_len][::-1]
+            else:
+                dh = g[:valid_len].copy()
+                if valid_len:
+                    dh[-1] += g[valid_len:].sum(axis=0)
+            da, dq = backward(dh, q, hs, saved)
+            dp = da.T @ x
+            db = da.sum(axis=0)
+            for k, gate in enumerate(gates):
+                rows = slice(k * hidden, (k + 1) * hidden)
+                for param, grad in ((gate.p, dp), (gate.q, dq), (gate.b, db)):
+                    if param.requires_grad:
+                        param.accumulate_grad(grad[rows])
+            if sequence.requires_grad:
+                dx = np.zeros_like(sequence.data)
+                dx[:valid_len] = da[::-1] @ p if reverse else da @ p
+                sequence.accumulate_grad(dx)
+        return rule
+
+    params = [t for g in gates for t in (g.p, g.q, g.b)]
+    return tt.make_output(data, [sequence, *params], build)
+
+
+def rnn_forward(cell: RnnCellParams, sequence: Tensor, valid_len: int) -> Tensor:
+    """Left-to-right scan from the zero state; positions past valid_len
+    carry the state unchanged (pad-skip).  One tape op."""
+    return _scan(cell, sequence, valid_len, reverse=False)
 
 
 def birnn_forward(params: BiRnnParams, sequence: Tensor, valid_len: int) -> Tensor:
     """Row t holds [forward state after tokens 0..t, backward state after
-    tokens valid_len-1..t]; pad rows carry forward, zero backward."""
-    forward = rnn_forward(params.fw, sequence, valid_len)
-    state = initial_state(params.bw)
-    backward_rows = [hidden_of(state)] * sequence.shape[0]
-    for t in range(valid_len - 1, -1, -1):
-        state = rnn_step(params.bw, tt.row(sequence, t), state)
-        backward_rows[t] = hidden_of(state)
-    return tt.concat(forward, tt.stack_rows(backward_rows), axis=1)
+    tokens valid_len-1..t]; pad rows carry forward, zero backward.  One
+    tape op per direction."""
+    return tt.concat(_scan(params.fw, sequence, valid_len, reverse=False),
+                     _scan(params.bw, sequence, valid_len, reverse=True),
+                     axis=1)
 
 
 def summarize(states: Tensor, valid_len: int, bidirectional: bool) -> Tensor:

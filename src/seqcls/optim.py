@@ -1,7 +1,9 @@
 """Optimizers and the supervised training loop.
 
 Three first-order methods share one interface: AdamW (decoupled weight
-decay), NAdam (Nesterov first moment), and RMSprop.  The training loop
+decay), NAdam (Nesterov first moment), and RMSprop.  Weight decay, when
+on, applies to every trained tensor alike, biases and layer-norm gains
+included: there is no exclusion list.  The training loop
 runs seeded-shuffle mini-batches, accumulates per-sample gradients on
 one tape per batch, scores the validation split each epoch, and keeps
 the parameters from the best-validation-accuracy epoch (earliest wins

@@ -117,6 +117,12 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
+# Fused ops outside this module (the recurrent scan in ``heads``, multi-head
+# attention in ``encoder``) wrap their outputs and record their hand-written
+# backward rules through the same hook.
+make_output = _make_output
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 

@@ -29,7 +29,8 @@ from seqcls.cli import (
 from seqcls.data import LabeledSample, load_jsonl, split, write_manifest
 from seqcls.encoder import save_embeddings
 from seqcls.errors import DataError, ParameterError
-from seqcls.model import ModelConfig, init_model, save_checkpoint
+from seqcls.model import (ModelConfig, init_model, load_checkpoint,
+                          save_checkpoint)
 from seqcls.optim import evaluate
 
 
@@ -287,6 +288,44 @@ class TestEvalCommand:
         (Path(config.out_dir) / "splits.json").unlink()
         with pytest.raises(DataError, match="splits"):
             cmd_eval(Path(config.out_dir) / "model.ckpt", None, "test")
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "unknown-key"])
+    def test_unreadable_run_config_is_a_data_error(self, corpus, tmp_path,
+                                                   capsys, corrupt):
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        config_path = Path(config.out_dir) / "config.json"
+        if corrupt == "truncated":
+            config_path.write_text("{")
+        else:
+            payload = json.loads(config_path.read_text())
+            config_path.write_text(json.dumps({**payload, "mystery": 1}))
+        checkpoint = Path(config.out_dir) / "model.ckpt"
+        with pytest.raises(DataError, match="run config"):
+            cmd_eval(checkpoint, None, "test")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: DataError: unreadable run config")
+        assert err.count("\n") == 1
+
+    def test_train_scores_the_parameters_the_checkpoint_holds(
+            self, corpus, tmp_path, monkeypatch):
+        scored = []
+
+        def capture(bundle, examples, n_classes):
+            scored.append({name: p.data.copy()
+                           for name, p in bundle.all_named_parameters()})
+            return evaluate(bundle, examples, n_classes)
+
+        monkeypatch.setattr(cli, "evaluate", capture)
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        saved = load_checkpoint(Path(config.out_dir) / "model.ckpt")
+        assert len(scored) == 3
+        for params in scored:
+            for name, p in saved.all_named_parameters():
+                assert np.array_equal(params[name], p.data), name
 
     def test_missing_run_config_is_a_data_error(self, tmp_path):
         checkpoint = tmp_path / "model.ckpt"

@@ -30,6 +30,31 @@ def small_config(**overrides):
     return enc.EncoderConfig(**defaults)
 
 
+def reference_attention(q, k, v, mask=None):
+    """Scaled dot-product attention, softmax(QK^T/sqrt(d_k) + M)V, as a
+    graph of elementary tape ops: the oracle for the fused op."""
+    if q.shape[1] != k.shape[1]:
+        raise DimensionError(f"query width {q.shape} vs key width {k.shape}")
+    if k.shape[0] != v.shape[0]:
+        raise DimensionError(f"key rows {k.shape} vs value rows {v.shape}")
+    d_k = q.shape[1]
+    scores = tt.scale(tt.matmul(q, tt.transpose(k)), 1.0 / np.sqrt(d_k))
+    if mask is not None:
+        if mask.shape != scores.shape:
+            raise DimensionError(f"mask {mask.shape} vs scores {scores.shape}")
+        scores = tt.add(scores, Tensor(mask))
+    weights = tt.softmax(scores, axis=-1)
+    return tt.matmul(weights, v)
+
+
+def reference_multi_head_attention(params, x, mask=None):
+    """The per-head composition the fused ``multi_head_attention`` replaced."""
+    heads = [reference_attention(tt.matmul(x, wq), tt.matmul(x, wk),
+                                 tt.matmul(x, wv), mask)
+             for wq, wk, wv in zip(params.wq, params.wk, params.wv)]
+    return tt.matmul(tt.concat_all(heads, axis=1), params.wo)
+
+
 class TestPositionalEncoding:
     def test_position_zero_alternates_zero_one(self):
         vec = enc.positional_table(6, 4)[0]
@@ -75,7 +100,7 @@ class TestAttention:
         q = Tensor([[1.0, 2.0]])
         k = Tensor([[0.3, -0.7]])
         v = Tensor([[5.0, -1.0]])
-        out = enc.attention(q, k, v)
+        out = reference_attention(q, k, v)
         assert np.allclose(out.data, v.data)
 
     def test_identical_keys_average_values(self):
@@ -83,7 +108,7 @@ class TestAttention:
         q = Tensor(rng.uniform(-1, 1, (3, 2)))
         k = Tensor(np.ones((3, 2)) * 0.4)
         v = Tensor(rng.uniform(-1, 1, (3, 2)))
-        out = enc.attention(q, k, v)
+        out = reference_attention(q, k, v)
         expected = np.tile(v.data.mean(axis=0), (3, 1))
         assert np.allclose(out.data, expected)
 
@@ -92,7 +117,7 @@ class TestAttention:
         q = Tensor(rng.uniform(-1, 1, (3, 2)))
         k = Tensor(rng.uniform(-1, 1, (3, 2)))
         v = Tensor(rng.uniform(-1, 1, (3, 2)))
-        out = enc.attention(q, k, v, enc.additive_mask(3, valid_len=0))
+        out = reference_attention(q, k, v, enc.additive_mask(3, valid_len=0))
         assert np.allclose(out.data, np.tile(v.data[0], (3, 1)))
 
     def test_causal_mask_blocks_future_values(self):
@@ -101,20 +126,20 @@ class TestAttention:
         k = Tensor(rng.uniform(-1, 1, (3, 2)))
         base_v = rng.uniform(-1, 1, (3, 2))
         mask = enc.additive_mask(3, causal=True)
-        out1 = enc.attention(q, k, Tensor(base_v), mask).data.copy()
+        out1 = reference_attention(q, k, Tensor(base_v), mask).data.copy()
         perturbed = base_v.copy()
         perturbed[2] += 10.0
-        out2 = enc.attention(q, k, Tensor(perturbed), mask).data
+        out2 = reference_attention(q, k, Tensor(perturbed), mask).data
         assert np.array_equal(out1[:2], out2[:2])
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            enc.attention(Tensor([[1.0, 2.0]]), Tensor([[1.0]]), Tensor([[1.0]]))
+            reference_attention(Tensor([[1.0, 2.0]]), Tensor([[1.0]]), Tensor([[1.0]]))
 
     def test_mask_shape_mismatch_rejected(self):
         x = Tensor([[1.0, 2.0]])
         with pytest.raises(DimensionError):
-            enc.attention(x, x, x, np.zeros((2, 2)))
+            reference_attention(x, x, x, np.zeros((2, 2)))
 
     def test_gradients_match_finite_differences(self):
         for seed in range(5):
@@ -125,7 +150,7 @@ class TestAttention:
             mask = enc.additive_mask(3, causal=(seed % 2 == 0))
 
             def loss():
-                return mean_of(enc.attention(q, k, v, mask))
+                return mean_of(reference_attention(q, k, v, mask))
 
             assert tt.check_gradients(loss, [q, k, v]) < 1e-4
 
@@ -155,8 +180,8 @@ class TestMultiHeadAttention:
         combined = enc.multi_head_attention(params, x, mask)
         parts = []
         for wq, wk, wv in zip(params.wq, params.wk, params.wv):
-            head = enc.attention(tt.matmul(x, wq), tt.matmul(x, wk),
-                                 tt.matmul(x, wv), mask)
+            head = reference_attention(tt.matmul(x, wq), tt.matmul(x, wk),
+                                       tt.matmul(x, wv), mask)
             parts.append(head.data)
         manual = np.concatenate(parts, axis=1) @ params.wo.data
         assert np.allclose(combined.data, manual, atol=1e-12)
@@ -179,6 +204,66 @@ class TestMultiHeadAttention:
             return mean_of(enc.multi_head_attention(params, x))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
+
+
+class TestFusedAttention:
+    MASKS = {
+        "none": lambda n: None,
+        "pad": lambda n: enc.additive_mask(n, valid_len=n - 2),
+        "causal": lambda n: enc.additive_mask(n, causal=True),
+        "dead rows": lambda n: enc.additive_mask(n, valid_len=0),
+    }
+
+    @pytest.mark.parametrize("mask_kind", sorted(MASKS))
+    def test_matches_per_head_reference(self, mask_kind):
+        for seed in range(3):
+            rng = RandomSource(200 + seed)
+            config = small_config(d_model=8, n_heads=4)
+            params = enc.init_encoder(config, rng.derive("enc")).layers[0].attn
+            x = Tensor(rng.uniform(-1, 1, (5, 8)), requires_grad=True)
+            mask = self.MASKS[mask_kind](5)
+            probe = Tensor(rng.uniform(-1, 1, (5, 8)))
+            tensors = [t for _, t in params.named_parameters()] + [x]
+            results = []
+            for attend in (enc.multi_head_attention,
+                           reference_multi_head_attention):
+                for t in tensors:
+                    t.zero_grad()
+                with tt.Tape() as tape:
+                    out = attend(params, x, mask)
+                    tape.backward(tt.sum_all(tt.mul(out, probe)))
+                results.append((out.data, [t.grad.copy() for t in tensors]))
+            (out, grads), (ref_out, ref_grads) = results
+            assert np.abs(out - ref_out).max() <= 1e-10
+            for g, ref in zip(grads, ref_grads):
+                assert np.abs(g - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("mask_kind", sorted(MASKS))
+    def test_gradients_match_finite_differences(self, mask_kind):
+        rng = RandomSource(210)
+        params = enc.init_encoder(small_config(), rng.derive("enc")).layers[0].attn
+        x = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
+        mask = self.MASKS[mask_kind](4)
+        probe = Tensor(rng.uniform(-1, 1, (4, 4)))
+        tensors = [t for _, t in params.named_parameters()] + [x]
+
+        def loss():
+            return tt.sum_all(tt.mul(enc.multi_head_attention(params, x, mask),
+                                     probe))
+
+        assert tt.check_gradients(loss, tensors) < 1e-4
+
+    def test_one_tape_record(self):
+        params = enc.init_encoder(small_config(), RandomSource(211)).layers[0].attn
+        with tt.Tape() as tape:
+            enc.multi_head_attention(params, Tensor(np.ones((3, 4))))
+        assert len(tape) == 1
+
+    def test_mask_shape_mismatch_rejected(self):
+        params = enc.init_encoder(small_config(), RandomSource(212)).layers[0].attn
+        with pytest.raises(DimensionError):
+            enc.multi_head_attention(params, Tensor(np.ones((3, 4))),
+                                     np.zeros((2, 2)))
 
 
 class TestFeedForward:

@@ -30,6 +30,46 @@ def embed(matrix, valid_len):
                              valid_len=valid_len)
 
 
+def reference_rnn_forward(cell, sequence, valid_len):
+    """The per-step scan the fused ``rnn_forward`` replaced: one
+    ``rnn_step`` graph per valid position, pad rows carry the state."""
+    n = sequence.shape[0]
+    if not 0 <= valid_len <= n:
+        raise ParameterError(f"valid length {valid_len} outside [0, {n}]")
+    state = hd.initial_state(cell)
+    rows = []
+    for t in range(n):
+        if t < valid_len:
+            state = hd.rnn_step(cell, tt.row(sequence, t), state)
+        rows.append(hd.hidden_of(state))
+    return tt.stack_rows(rows)
+
+
+def reference_birnn_forward(params, sequence, valid_len):
+    """The per-step bidirectional scan the fused ``birnn_forward`` replaced."""
+    forward = reference_rnn_forward(params.fw, sequence, valid_len)
+    state = hd.initial_state(params.bw)
+    backward_rows = [hd.hidden_of(state)] * sequence.shape[0]
+    for t in range(valid_len - 1, -1, -1):
+        state = hd.rnn_step(params.bw, tt.row(sequence, t), state)
+        backward_rows[t] = hd.hidden_of(state)
+    return tt.concat(forward, tt.stack_rows(backward_rows), axis=1)
+
+
+def probed_gradients(scan, params, sequence, valid_len, probe):
+    """Output and the gradients of sum(output * probe) on every cell
+    tensor and on the input, untouched tensors reading as zeros."""
+    tensors = [t for _, t in params.named_parameters()] + [sequence]
+    for t in tensors:
+        t.zero_grad()
+    with tt.Tape() as tape:
+        out = scan(params, sequence, valid_len)
+        tape.backward(tt.sum_all(tt.mul(out, Tensor(probe))))
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for t in tensors]
+    return out.data.copy(), grads
+
+
 class TestRnnStep:
     def test_zero_lstm_maps_zero_state_to_zero(self):
         cell = zero_cell("lstm", 3, 2)
@@ -140,6 +180,69 @@ class TestBiRnnForward:
             hd.BiRnnParams(fw=fw, bw=hd.init_cell("lstm", 3, 2, RandomSource(13)))
         with pytest.raises(DimensionError):
             hd.BiRnnParams(fw=fw, bw=hd.init_cell("gru", 3, 3, RandomSource(14)))
+
+
+class TestFusedScan:
+    @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_matches_per_step_reference(self, variant, bidirectional):
+        n = 6
+        for seed, valid_len in ((60, 0), (61, 1), (62, 3), (63, n)):
+            rng = RandomSource(seed)
+            if bidirectional:
+                params = hd.init_bicell(variant, 3, 4, rng.derive("cell"))
+                fused, reference = hd.birnn_forward, reference_birnn_forward
+            else:
+                params = hd.init_cell(variant, 3, 4, rng.derive("cell"))
+                fused, reference = hd.rnn_forward, reference_rnn_forward
+            # non-zero biases, so every gate term is exercised
+            for name, t in params.named_parameters():
+                if name.endswith(".b"):
+                    t.data = rng.uniform(-0.5, 0.5, t.shape)
+            sequence = Tensor(rng.uniform(-2, 2, (n, 3)), requires_grad=True)
+            probe = rng.uniform(-1, 1, (n, 8 if bidirectional else 4))
+            out, grads = probed_gradients(fused, params, sequence, valid_len,
+                                          probe)
+            ref_out, ref_grads = probed_gradients(reference, params, sequence,
+                                                  valid_len, probe)
+            assert np.abs(out - ref_out).max() <= 1e-10
+            for g, ref in zip(grads, ref_grads):
+                assert np.abs(g - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_gradients_match_finite_differences(self, variant, bidirectional):
+        rng = RandomSource(70)
+        if bidirectional:
+            params = hd.init_bicell(variant, 3, 2, rng.derive("cell"))
+            scan = hd.birnn_forward
+        else:
+            params = hd.init_cell(variant, 3, 2, rng.derive("cell"))
+            scan = hd.rnn_forward
+        sequence = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, (5, 4 if bidirectional else 2)))
+        tensors = [t for _, t in params.named_parameters()] + [sequence]
+
+        def loss():
+            return tt.sum_all(tt.mul(scan(params, sequence, 3), probe))
+
+        assert tt.check_gradients(loss, tensors) < 1e-4
+
+    def test_one_record_per_direction(self):
+        cell = hd.init_cell("gru", 3, 4, RandomSource(71))
+        sequence = Tensor(np.ones((5, 3)), requires_grad=True)
+        with tt.Tape() as tape:
+            hd.rnn_forward(cell, sequence, 4)
+        assert len(tape) == 1
+        bicell = hd.init_bicell("lstm", 3, 4, RandomSource(72))
+        with tt.Tape() as tape:
+            hd.birnn_forward(bicell, sequence, 4)
+        assert len(tape) == 3  # two scans and their concatenation
+
+    def test_input_width_mismatch_rejected(self):
+        cell = hd.init_cell("gru", 3, 2, RandomSource(73))
+        with pytest.raises(DimensionError):
+            hd.rnn_forward(cell, Tensor(np.zeros((4, 2))), 2)
 
 
 class TestSummarize:
@@ -289,6 +392,17 @@ class TestPipelineForward:
         a = hd.pipeline_forward(embed(matrix, 4), bridge, cell, head)[0].data
         b = hd.pipeline_forward(embed(reordered, 4), bridge, cell, head)[0].data
         assert not np.allclose(a, b, atol=1e-6)
+
+    def test_gru_sample_records_far_fewer_than_100_tape_entries(self):
+        bridge, cell, head = build_pipeline("gru", False, d_model=8, d_rnn=8,
+                                            hidden=8, dropout=0.1)
+        matrix = Tensor(RandomSource(37).uniform(-1, 1, (64, 8)),
+                        requires_grad=True)
+        with tt.Tape() as tape:
+            hd.pipeline_forward(EmbeddingSequence(matrix, 45), bridge, cell,
+                                head, rng=RandomSource(38), training=True,
+                                label=1)
+        assert len(tape) < 100
 
     @pytest.mark.parametrize("variant,bidirectional", [
         ("vanilla", False),

@@ -68,6 +68,24 @@ class TestAdamW:
         config = op.OptimizerConfig(algorithm="adamw", lr=0.01)
         assert config.weight_decay == 0.01
 
+    def test_decay_also_shrinks_biases_and_layer_norm_gains(self):
+        encoder = EncoderConfig(d_model=4, n_heads=2, n_layers=1,
+                                vocab_size=8, max_len=6)
+        bundle = md.init_model(md.ModelConfig(n_classes=2, encoder=encoder,
+                                              hidden_units=3, d_rnn=3,
+                                              dense_units=3), seed=1)
+        named = dict(bundle.all_named_parameters())
+        named["bridge.b"].data = np.full(3, 0.5)
+        before = {name: t.data.copy() for name, t in named.items()}
+        optimizer = op.make_optimizer(
+            op.OptimizerConfig(algorithm="adamw", lr=0.1), named.items())
+        optimizer.step()  # every gradient is zero
+        for name in ("bridge.b", "encoder.layer0.ln1.gain",
+                     "encoder.layer0.ln2.gain"):
+            assert np.allclose(named[name].data, before[name] * (1.0 - 0.1 * 0.01),
+                               rtol=0, atol=1e-15), name
+            assert not np.array_equal(named[name].data, before[name]), name
+
 
 class TestNAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
