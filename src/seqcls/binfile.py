@@ -1,14 +1,19 @@
-"""Bounds-checked reader for the binary files seqcls writes.
+"""Reader and writer for the binary files seqcls writes.
 
 Checkpoints and SQF1 embedding files both read through one
 :class:`BinaryReader`, so any corrupt or non-finite file fails with one
-:class:`DataError` line naming the kind of file.
+:class:`DataError` line naming the kind of file.  Both are written through
+:func:`replacing`, so a save that fails partway leaves the previous file
+as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -52,3 +57,18 @@ class BinaryReader:
     def finish(self) -> None:
         if self._offset != len(self._blob):
             raise DataError(f"trailing bytes after the end of the {self._what}")
+
+
+@contextmanager
+def replacing(path):
+    """Binary handle on ``<path>.tmp`` that replaces ``path`` only once the
+    block completes; on any exception the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

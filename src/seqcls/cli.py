@@ -22,7 +22,7 @@ import multiprocessing
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .bpe import BpeVocabulary, encode, load_vocabulary, save_vocabulary, train_bpe
@@ -35,18 +35,17 @@ from .errors import DataError, ParameterError, SeqclsError
 from .metrics import MetricsReport
 from .model import (Example, ModelConfig, init_model, load_checkpoint,
                     round_to_checkpoint, save_checkpoint)
-from .optim import (OptimizerConfig, TrainConfig, evaluate, make_optimizer,
-                    train, write_log)
+from .optim import (OPTIMIZERS, OptimizerConfig, TrainConfig, evaluate,
+                    make_optimizer, train, write_log)
 from .rng import RandomSource
 from .tensor import Tape
 
 RNN_CHOICES = ("vanilla", "lstm", "bilstm", "gru", "bigru")
 HEAD_CHOICES = ("rnn", "mean")
 SPLIT_NAMES = ("train", "val", "test")
+SCHEMAS = ("defect", "generic")
 
 _ENCODER_FIELDS = ("max_len", "d_model", "n_heads", "n_layers", "vocab_size")
-_ENCODER_DEFAULTS = {"max_len": 64, "d_model": 64, "n_heads": 4,
-                     "n_layers": 2, "vocab_size": 512}
 
 
 def _variant_parts(rnn: str) -> tuple[str, bool]:
@@ -104,7 +103,7 @@ class RunConfig:
         else:
             for name in _ENCODER_FIELDS:
                 if getattr(self, name) is None:
-                    setattr(self, name, _ENCODER_DEFAULTS[name])
+                    setattr(self, name, getattr(EncoderConfig, name))
 
     @property
     def embedding_source(self) -> str:
@@ -132,13 +131,6 @@ class RunConfig:
         payload.pop("embedding_source", None)
         return cls(**payload)
 
-
-RESULTS_FIELDS = (
-    "model", "variant", "lr", "optimizer", "hidden_units", "dropout",
-    "split", "accuracy", "precision_weighted", "recall_weighted",
-    "f1_weighted", "precision_macro", "recall_macro", "f1_macro",
-    "wall_seconds", "seed", "status",
-)
 
 _METRIC_FIELDS = (
     "accuracy", "precision_weighted", "recall_weighted", "f1_weighted",
@@ -183,6 +175,9 @@ class ResultsRow:
                 self.dropout, self.split)
 
 
+RESULTS_FIELDS = tuple(f.name for f in fields(ResultsRow))
+
+
 def write_results(path, rows, append: bool = True) -> None:
     path = Path(path)
     fresh = not (append and path.exists() and path.stat().st_size > 0)
@@ -208,26 +203,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _results_row(config: RunConfig, split_name: str, rep: MetricsReport,
-                 wall: float) -> ResultsRow:
+def _results_row(config: RunConfig, split_name: str,
+                 rep: MetricsReport | None = None, wall: float | None = None,
+                 status: str = "ok") -> ResultsRow:
+    """A scored row, or with no report an error row whose metrics are empty."""
+    metrics = {name: None if rep is None else getattr(rep, name)
+               for name in _METRIC_FIELDS}
     return ResultsRow(
         model=config.model_tag, variant=config.variant_tag, lr=config.lr,
         optimizer=config.optimizer, hidden_units=config.hidden_units,
-        dropout=config.dropout, split=split_name, accuracy=rep.accuracy,
-        precision_weighted=rep.precision_weighted,
-        recall_weighted=rep.recall_weighted, f1_weighted=rep.f1_weighted,
-        precision_macro=rep.precision_macro, recall_macro=rep.recall_macro,
-        f1_macro=rep.f1_macro, wall_seconds=wall, seed=config.seed)
-
-
-def _failed_row(config: RunConfig, reason: str) -> ResultsRow:
-    return ResultsRow(
-        model=config.model_tag, variant=config.variant_tag, lr=config.lr,
-        optimizer=config.optimizer, hidden_units=config.hidden_units,
-        dropout=config.dropout, split="test", accuracy=None,
-        precision_weighted=None, recall_weighted=None, f1_weighted=None,
-        precision_macro=None, recall_macro=None, f1_macro=None,
-        wall_seconds=None, seed=config.seed, status=f"error:{reason}")
+        dropout=config.dropout, split=split_name, wall_seconds=wall,
+        seed=config.seed, status=status, **metrics)
 
 
 @dataclass
@@ -245,6 +231,12 @@ def _encode_split(vocab: BpeVocabulary, samples, max_len: int) -> list[Example]:
 
 def _imported_samples(path):
     rows = load_embeddings(path)
+    if not rows:
+        raise DataError(f"embedding file {path} holds no samples")
+    for i, (matrix, _) in enumerate(rows):
+        if 0 in matrix.shape:
+            raise DataError(
+                f"embedding sample {i} in {path} is empty: shape {matrix.shape}")
     widths = {matrix.shape[1] for matrix, _ in rows}
     if len(widths) > 1:
         raise DataError(f"embedding widths differ: {sorted(widths)}")
@@ -265,33 +257,29 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
                    for s in getattr(splits, name)]
             for name in SPLIT_NAMES
         }
-        model_config = ModelConfig(
-            n_classes=len(splits.label_map), embedding_source="imported",
-            input_dim=width, head_kind=config.head,
-            rnn_variant=_variant_parts(config.rnn)[0],
-            bidirectional=_variant_parts(config.rnn)[1],
-            hidden_units=config.hidden_units, d_rnn=config.d_rnn,
-            dense_units=config.dense_units, dropout=config.dropout)
-        return PreparedData(model_config, examples, splits, vocab=None)
-
-    loaded = load_jsonl(config.data, schema=config.schema)
-    samples, _ = dedupe(loaded.samples)
-    splits = split(samples, config.seed, label_map=loaded.label_map)
-    if vocab is None:
-        vocab = train_bpe((s.code for s in splits.train), config.vocab_size)
-    encoder = EncoderConfig(
-        d_model=config.d_model, n_heads=config.n_heads,
-        n_layers=config.n_layers, vocab_size=len(vocab),
-        max_len=config.max_len, dropout=config.dropout)
+        source = dict(embedding_source="imported", input_dim=width)
+        vocab = None
+    else:
+        loaded = load_jsonl(config.data, schema=config.schema)
+        samples, _ = dedupe(loaded.samples)
+        splits = split(samples, config.seed, label_map=loaded.label_map)
+        if vocab is None:
+            vocab = train_bpe((s.code for s in splits.train), config.vocab_size)
+        encoder = EncoderConfig(
+            d_model=config.d_model, n_heads=config.n_heads,
+            n_layers=config.n_layers, vocab_size=len(vocab),
+            max_len=config.max_len, dropout=config.dropout)
+        source = dict(embedding_source="internal", encoder=encoder)
+        examples = {
+            name: _encode_split(vocab, getattr(splits, name), config.max_len)
+            for name in SPLIT_NAMES
+        }
+    rnn_variant, bidirectional = _variant_parts(config.rnn)
     model_config = ModelConfig(
-        n_classes=len(splits.label_map), embedding_source="internal",
-        encoder=encoder, head_kind=config.head,
-        rnn_variant=_variant_parts(config.rnn)[0],
-        bidirectional=_variant_parts(config.rnn)[1],
+        n_classes=len(splits.label_map), head_kind=config.head,
+        rnn_variant=rnn_variant, bidirectional=bidirectional,
         hidden_units=config.hidden_units, d_rnn=config.d_rnn,
-        dense_units=config.dense_units, dropout=config.dropout)
-    examples = {name: _encode_split(vocab, getattr(splits, name), config.max_len)
-                for name in SPLIT_NAMES}
+        dense_units=config.dense_units, dropout=config.dropout, **source)
     return PreparedData(model_config, examples, splits, vocab)
 
 
@@ -479,10 +467,11 @@ def _grid_worker(config: RunConfig, clock=time.perf_counter) -> ResultsRow:
         rows = cmd_train(config, clock=clock)
         return next(r for r in rows if r.split == "test")
     except (SeqclsError, OSError) as exc:
-        return _failed_row(config, type(exc).__name__)
+        reason = type(exc).__name__
     except Exception as exc:
         traceback.print_exc()
-        return _failed_row(config, type(exc).__name__)
+        reason = type(exc).__name__
+    return _results_row(config, "test", status=f"error:{reason}")
 
 
 def best_rows(rows: list[ResultsRow]) -> list[tuple[str, ResultsRow]]:
@@ -531,40 +520,26 @@ def cmd_grid(base: RunConfig, lrs, dropouts, hidden_units, variants,
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--optimizer", choices=("adamw", "nadam", "rmsprop"),
-                        default="adamw")
-    parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--weight-decay", type=float, default=None)
+    parser.add_argument("--optimizer", choices=OPTIMIZERS,
+                        default=RunConfig.optimizer)
+    parser.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    parser.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--weight-decay", type=float)
     parser.add_argument("--freeze-encoder", action="store_true")
-    parser.add_argument("--head", choices=HEAD_CHOICES, default="rnn")
-    parser.add_argument("--d-rnn", type=int, default=32)
-    parser.add_argument("--dense-units", type=int, default=32)
-    parser.add_argument("--max-len", type=int, default=None)
-    parser.add_argument("--d-model", type=int, default=None)
-    parser.add_argument("--n-heads", type=int, default=None)
-    parser.add_argument("--n-layers", type=int, default=None)
-    parser.add_argument("--vocab-size", type=int, default=None)
-    parser.add_argument("--embeddings", default=None,
+    parser.add_argument("--head", choices=HEAD_CHOICES, default=RunConfig.head)
+    parser.add_argument("--d-rnn", type=int, default=RunConfig.d_rnn)
+    parser.add_argument("--dense-units", type=int,
+                        default=RunConfig.dense_units)
+    for name in _ENCODER_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), type=int)
+    parser.add_argument("--embeddings",
                         help="imported-embedding file; replaces the encoder")
 
 
 def _run_config(args, **overrides) -> RunConfig:
-    fields = dict(
-        data=args.data, out_dir=args.out_dir, schema=args.schema,
-        lr=getattr(args, "lr", 1e-4), epochs=args.epochs,
-        batch_size=args.batch_size, optimizer=args.optimizer,
-        seed=args.seed, weight_decay=args.weight_decay,
-        freeze_encoder=args.freeze_encoder, head=args.head,
-        rnn=getattr(args, "rnn", "gru"),
-        hidden_units=getattr(args, "hidden_units", 32),
-        dropout=getattr(args, "dropout", 0.1), d_rnn=args.d_rnn,
-        dense_units=args.dense_units, max_len=args.max_len,
-        d_model=args.d_model, n_heads=args.n_heads, n_layers=args.n_layers,
-        vocab_size=args.vocab_size, embeddings=args.embeddings)
-    fields.update(overrides)
-    return RunConfig(**fields)
+    settings = {**vars(args), **overrides}
+    return RunConfig(**{f.name: settings[f.name] for f in fields(RunConfig)})
 
 
 def _floats(text: str) -> list[float]:
@@ -588,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokenizer", help="train and save a BPE vocabulary")
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=("defect", "generic"), default="generic")
+    p.add_argument("--schema", choices=SCHEMAS, default="generic")
     p.add_argument("--vocab-size", type=int, default=512)
     p.add_argument("--min-frequency", type=int, default=2)
     p.add_argument("--out", required=True)
@@ -599,28 +574,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("pretrain", help="denoising pretraining; exports embeddings")
+    # an omitted flag stays out of the namespace, so cmd_pretrain's own
+    # signature supplies its default
+    p = sub.add_parser("pretrain", help="denoising pretraining; exports embeddings",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=("defect", "generic"), default="generic")
+    p.add_argument("--schema", choices=SCHEMAS, default="generic")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--vocab-size", type=int, default=512)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mask-rate", type=float, default=0.15)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--d-model", type=int)
+    p.add_argument("--n-heads", type=int)
+    p.add_argument("--n-layers", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mask-rate", type=float)
 
     p = sub.add_parser("train", help="train one classifier end to end")
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=("defect", "generic"), default="generic")
+    p.add_argument("--schema", choices=SCHEMAS, default=RunConfig.schema)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--rnn", choices=RNN_CHOICES, default="gru")
-    p.add_argument("--hidden-units", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--lr", type=float, default=RunConfig.lr)
+    p.add_argument("--rnn", choices=RNN_CHOICES, default=RunConfig.rnn)
+    p.add_argument("--hidden-units", type=int, default=RunConfig.hidden_units)
+    p.add_argument("--dropout", type=float, default=RunConfig.dropout)
     _add_model_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
@@ -628,22 +606,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None,
                    help="dataset override; defaults to the run's dataset")
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
-    p.add_argument("--schema", choices=("defect", "generic"), default=None)
+    p.add_argument("--schema", choices=SCHEMAS, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--results", default=None,
                    help="append the row to this CSV")
 
     p = sub.add_parser("grid", help="hyperparameter sweep; merged CSV + best rows")
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=("defect", "generic"), default="generic")
+    p.add_argument("--schema", choices=SCHEMAS, default=RunConfig.schema)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--lr", type=_floats, default=[1e-4],
+    p.add_argument("--lr", type=_floats, default=[RunConfig.lr],
                    help="comma-separated learning rates")
-    p.add_argument("--rnn", type=_names, default=["gru"],
+    p.add_argument("--rnn", type=_names, default=[RunConfig.rnn],
                    help="comma-separated rnn variants")
-    p.add_argument("--hidden-units", type=_ints, default=[32],
+    p.add_argument("--hidden-units", type=_ints,
+                   default=[RunConfig.hidden_units],
                    help="comma-separated hidden sizes")
-    p.add_argument("--dropout", type=_floats, default=[0.1],
+    p.add_argument("--dropout", type=_floats, default=[RunConfig.dropout],
                    help="comma-separated dropout rates")
     p.add_argument("--workers", type=int, default=1)
     _add_model_flags(p)
@@ -663,12 +642,8 @@ def main(argv=None) -> int:
                               args.out)
             print(f"wrote {count} samples to {args.out}")
         elif args.command == "pretrain":
-            path = cmd_pretrain(
-                args.data, args.schema, args.out_dir,
-                vocab_size=args.vocab_size, max_len=args.max_len,
-                d_model=args.d_model, n_heads=args.n_heads,
-                n_layers=args.n_layers, steps=args.steps, lr=args.lr,
-                seed=args.seed, mask_rate=args.mask_rate)
+            path = cmd_pretrain(**{name: value for name, value in vars(args).items()
+                                   if name != "command"})
             print(f"wrote embeddings to {path}")
         elif args.command == "train":
             rows = cmd_train(_run_config(args))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tt
-from .binfile import BinaryReader
+from .binfile import BinaryReader, replacing
 from .bpe import MASK_ID, TokenSequence
 from .errors import DataError, DimensionError, ParameterError
 from .rng import RandomSource
@@ -360,7 +360,7 @@ def save_embeddings(path, samples) -> None:
     """Write (matrix, label) pairs: magic 'SQF1', u32 count, then per sample
     u32 n, u32 d, n*d little-endian f32 row-major, u32 label."""
     samples = list(samples)
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_EMBEDDING_MAGIC)
         fh.write(struct.pack("<I", len(samples)))
         for matrix, label in samples:

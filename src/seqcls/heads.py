@@ -12,8 +12,8 @@ Each scan direction is one tape op (Appleyard, Kocisky & Blunsom, 2016):
 the gates are stacked in VARIANT_GATES order, the input projections of
 all valid positions are one GEMM, every step does one recurrent matvec
 (GRU's candidate keeps its own Q_h (r * h)), and the backward rule runs
-BPTT in numpy.  ``rnn_step`` builds the same update from elementary ops,
-one graph per step, and serves as the tests' reference.
+BPTT in numpy.  The tests keep a per-step reference built from elementary
+tape ops, one graph per step, and check the fused scan against it.
 
 Weight layouts: per-gate input maps P are (hidden x d_in), recurrent
 maps Q are (hidden x hidden), applied as P x + Q h + b on column
@@ -149,49 +149,6 @@ class ClassifierParams:
         yield f"{prefix}b_dense", self.b_dense
         yield f"{prefix}w_out", self.w_out
         yield f"{prefix}b_out", self.b_out
-
-
-def _gate(gate: GateParams, x: Tensor, h: Tensor) -> Tensor:
-    return tt.add(tt.add(tt.matvec(gate.p, x), tt.matvec(gate.q, h)), gate.b)
-
-
-def initial_state(cell: RnnCellParams):
-    zero = Tensor(np.zeros(cell.hidden))
-    return (zero, zero) if cell.variant == "lstm" else zero
-
-
-def hidden_of(state) -> Tensor:
-    return state[0] if isinstance(state, tuple) else state
-
-
-def rnn_step(cell: RnnCellParams, x_t: Tensor, state):
-    """One recurrence update; the state is (h, c) for LSTM, h otherwise."""
-    if x_t.shape != (cell.input_dim,):
-        raise DimensionError(
-            f"input width {x_t.shape} vs cell input {cell.input_dim}"
-        )
-    h = hidden_of(state)
-    if h.shape != (cell.hidden,):
-        raise DimensionError(f"state width {h.shape} vs hidden {cell.hidden}")
-    gates = cell.gates
-    if cell.variant == "vanilla":
-        return tt.tanh(_gate(gates["h"], x_t, h))
-    if cell.variant == "lstm":
-        _, c = state
-        candidate = tt.tanh(_gate(gates["c"], x_t, h))
-        forget = tt.sigmoid(_gate(gates["f"], x_t, h))
-        update = tt.sigmoid(_gate(gates["i"], x_t, h))
-        output = tt.sigmoid(_gate(gates["o"], x_t, h))
-        c_next = tt.add(tt.mul(update, candidate), tt.mul(forget, c))
-        return tt.mul(output, tt.tanh(c_next)), c_next
-    update = tt.sigmoid(_gate(gates["z"], x_t, h))
-    reset = tt.sigmoid(_gate(gates["r"], x_t, h))
-    gate = gates["h"]
-    candidate = tt.tanh(tt.add(
-        tt.add(tt.matvec(gate.p, x_t), tt.matvec(gate.q, tt.mul(reset, h))),
-        gate.b))
-    one_minus = tt.add(tt.neg(update), Tensor(np.ones(cell.hidden)))
-    return tt.add(tt.mul(one_minus, candidate), tt.mul(update, h))
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import heads as hd
-from .binfile import BinaryReader
+from .binfile import BinaryReader, replacing
 from .bpe import TokenSequence
 from .encoder import (EmbeddingSequence, EncoderConfig, EncoderParams,
                       encoder_forward, init_encoder)
@@ -125,25 +125,6 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
                        cell=cell, head=head)
 
 
-def forward_embedded(bundle: ModelBundle, embeddings: EmbeddingSequence,
-                     rng: RandomSource | None = None, training: bool = False,
-                     label: int | None = None):
-    if bundle.config.head_kind == "mean":
-        return hd.mean_pool_forward(embeddings, bundle.bridge, bundle.head,
-                                    rng, training, label)
-    return hd.pipeline_forward(embeddings, bundle.bridge, bundle.cell,
-                               bundle.head, rng, training, label)
-
-
-def forward_tokens(bundle: ModelBundle, tokens: TokenSequence,
-                   rng: RandomSource | None = None, training: bool = False,
-                   label: int | None = None):
-    if bundle.encoder is None:
-        raise ParameterError("model has no encoder; feed embeddings instead")
-    embeddings = encoder_forward(bundle.encoder, tokens, rng, training)
-    return forward_embedded(bundle, embeddings, rng, training, label)
-
-
 @dataclass(frozen=True)
 class Example:
     """One classification instance: token ids for the internal encoder,
@@ -161,19 +142,29 @@ class Example:
 def forward_example(bundle: ModelBundle, example: Example,
                     rng: RandomSource | None = None, training: bool = False,
                     with_loss: bool = False):
+    """Encoder (or the imported matrix), then the bundle's head; returns
+    (probs, loss), the loss None unless ``with_loss``."""
     label = example.label if with_loss else None
     if example.tokens is not None:
-        return forward_tokens(bundle, example.tokens, rng, training, label)
-    embeddings = EmbeddingSequence(vectors=Tensor(example.matrix),
-                                   valid_len=example.matrix.shape[0])
-    return forward_embedded(bundle, embeddings, rng, training, label)
+        if bundle.encoder is None:
+            raise ParameterError("model has no encoder; feed embeddings instead")
+        embeddings = encoder_forward(bundle.encoder, example.tokens, rng,
+                                     training)
+    else:
+        embeddings = EmbeddingSequence(vectors=Tensor(example.matrix),
+                                       valid_len=example.matrix.shape[0])
+    if bundle.config.head_kind == "mean":
+        return hd.mean_pool_forward(embeddings, bundle.bridge, bundle.head,
+                                    rng, training, label)
+    return hd.pipeline_forward(embeddings, bundle.bridge, bundle.cell,
+                               bundle.head, rng, training, label)
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
     config_blob = json.dumps(bundle.config.to_dict(), sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
     named = list(bundle.all_named_parameters())
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", _CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))

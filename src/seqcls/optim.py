@@ -1,13 +1,15 @@
 """Optimizers and the supervised training loop.
 
 Three first-order methods share one interface: AdamW (decoupled weight
-decay), NAdam (Nesterov first moment), and RMSprop.  Weight decay, when
-on, applies to every trained tensor alike, biases and layer-norm gains
-included: there is no exclusion list.  The training loop
-runs seeded-shuffle mini-batches, accumulates per-sample gradients on
-one tape per batch, scores the validation split each epoch, and keeps
-the parameters from the best-validation-accuracy epoch (earliest wins
-ties).
+decay), NAdam (Nesterov first moment), and RMSprop.  A run sets only the
+method, the learning rate and the weight decay; the moment decay rates
+(BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and the
+denominator guard EPS are module constants.  Weight decay, when on,
+applies to every trained tensor alike, biases and layer-norm gains
+included: there is no exclusion list.  The training loop runs
+seeded-shuffle mini-batches, accumulates per-sample gradients on one
+tape per batch, scores the validation split each epoch, and keeps the
+parameters from the best-validation-accuracy epoch (earliest wins ties).
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ from .tensor import Tape, Tensor
 
 OPTIMIZERS = ("adamw", "nadam", "rmsprop")
 
+BETA1 = 0.9
+BETA2 = 0.999
+RHO = 0.9
+EPS = 1e-8
+
 
 @dataclass
 class OptimizerConfig:
     algorithm: str = "adamw"
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float | None = None
-    rho: float = 0.9
 
     def __post_init__(self):
         if self.algorithm not in OPTIMIZERS:
@@ -88,32 +91,29 @@ class Optimizer:
 
 class AdamW(Optimizer):
     def _update(self, name, g):
-        c = self.config
         t = self.step_count
-        m = self.first_moment[name] = c.beta1 * self.first_moment[name] + (1 - c.beta1) * g
-        v = self.second_moment[name] = c.beta2 * self.second_moment[name] + (1 - c.beta2) * g * g
-        m_hat = m / (1.0 - c.beta1 ** t)
-        v_hat = v / (1.0 - c.beta2 ** t)
-        return c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        m = self.first_moment[name] = BETA1 * self.first_moment[name] + (1 - BETA1) * g
+        v = self.second_moment[name] = BETA2 * self.second_moment[name] + (1 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        return self.config.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class NAdam(Optimizer):
     def _update(self, name, g):
-        c = self.config
         t = self.step_count
-        m = self.first_moment[name] = c.beta1 * self.first_moment[name] + (1 - c.beta1) * g
-        v = self.second_moment[name] = c.beta2 * self.second_moment[name] + (1 - c.beta2) * g * g
-        m_hat = m / (1.0 - c.beta1 ** t)
-        v_hat = v / (1.0 - c.beta2 ** t)
-        nesterov = c.beta1 * m_hat + (1 - c.beta1) / (1.0 - c.beta1 ** t) * g
-        return c.lr * nesterov / (np.sqrt(v_hat) + c.eps)
+        m = self.first_moment[name] = BETA1 * self.first_moment[name] + (1 - BETA1) * g
+        v = self.second_moment[name] = BETA2 * self.second_moment[name] + (1 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        nesterov = BETA1 * m_hat + (1 - BETA1) / (1.0 - BETA1 ** t) * g
+        return self.config.lr * nesterov / (np.sqrt(v_hat) + EPS)
 
 
 class RMSprop(Optimizer):
     def _update(self, name, g):
-        c = self.config
-        v = self.second_moment[name] = c.rho * self.second_moment[name] + (1 - c.rho) * g * g
-        return c.lr * g / (np.sqrt(v) + c.eps)
+        v = self.second_moment[name] = RHO * self.second_moment[name] + (1 - RHO) * g * g
+        return self.config.lr * g / (np.sqrt(v) + EPS)
 
 
 _OPTIMIZER_CLASSES = {"adamw": AdamW, "nadam": NAdam, "rmsprop": RMSprop}

@@ -163,19 +163,6 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
     return _make_output(data, (a, x), build)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-D tensor, got {x.shape}")
-
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad.T)
-        return rule
-
-    return _make_output(x.data.T, (x,), build)
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 
@@ -349,13 +336,6 @@ def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
         return rule
 
     return _make_output(data, (a, b), build)
-
-
-def concat_all(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out = parts[0]
-    for p in parts[1:]:
-        out = concat(out, p, axis=axis)
-    return out
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -131,6 +131,14 @@ class TestResultsRows:
         assert fields[7:15] == [""] * 8
         assert fields[-1] == "error:DataError"
 
+    def test_header_pins_the_column_order(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_results(path, [self.row()])
+        assert path.read_text().splitlines()[0] == (
+            "model,variant,lr,optimizer,hidden_units,dropout,split,accuracy,"
+            "precision_weighted,recall_weighted,f1_weighted,precision_macro,"
+            "recall_macro,f1_macro,wall_seconds,seed,status")
+
     def test_write_appends_header_once(self, tmp_path):
         path = tmp_path / "r.csv"
         write_results(path, [self.row()])
@@ -491,6 +499,16 @@ class TestPretrainCommand:
         assert rows[2].model == "imported+gru"
         assert rows[2].status == "ok"
 
+    def test_main_uses_the_signature_defaults(self, corpus, tmp_path, capsys):
+        direct, via_main = tmp_path / "direct", tmp_path / "main"
+        cmd_pretrain(corpus, "generic", direct, steps=3)
+        assert main(["pretrain", "--data", str(corpus), "--out-dir",
+                     str(via_main), "--steps", "3"]) == 0
+        names = sorted(p.name for p in direct.iterdir())
+        assert names == sorted(p.name for p in via_main.iterdir())
+        for name in names:
+            assert (direct / name).read_bytes() == (via_main / name).read_bytes()
+
 
 class TestMainEntry:
     def test_synth_then_train_exits_zero(self, tmp_path, capsys):
@@ -542,3 +560,28 @@ class TestMainEntry:
         assert code == 0
         rows = read_results(results)
         assert len(rows) == 1 and rows[0]["split"] == "test"
+
+    @pytest.mark.parametrize("count, width, empty, named", [
+        pytest.param(0, 4, None, None, id="no-samples"),
+        pytest.param(20, 4, (0, 4), "sample 7", id="zero-rows"),
+        pytest.param(20, 0, None, "sample 0", id="zero-width"),
+    ])
+    def test_empty_imported_embeddings_give_single_line_diagnosis(
+            self, tmp_path, capsys, count, width, empty, named):
+        rng = np.random.default_rng(3)
+        samples = [(rng.uniform(-1, 1, (3, width)), i % 2) for i in range(count)]
+        if empty is not None:
+            samples[7] = (np.zeros(empty), 1)
+        path = tmp_path / "emb.sqf1"
+        save_embeddings(path, samples)
+        code = main(["train", "--data", "unused.jsonl",
+                     "--out-dir", str(tmp_path / "run"),
+                     "--embeddings", str(path), "--epochs", "1",
+                     "--hidden-units", "4", "--d-rnn", "4",
+                     "--dense-units", "4", "--batch-size", "8"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: DataError:")
+        assert len(err.strip().splitlines()) == 1
+        if named is not None:
+            assert named in err

@@ -30,6 +30,20 @@ def small_config(**overrides):
     return enc.EncoderConfig(**defaults)
 
 
+def transpose(x):
+    """2-D transpose as a tape op; only the reference attention uses it."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"transpose needs a 2-D tensor, got {x.shape}")
+
+    def build(out):
+        def rule():
+            if x.requires_grad:
+                x.accumulate_grad(out.grad.T)
+        return rule
+
+    return tt.make_output(x.data.T, (x,), build)
+
+
 def reference_attention(q, k, v, mask=None):
     """Scaled dot-product attention, softmax(QK^T/sqrt(d_k) + M)V, as a
     graph of elementary tape ops: the oracle for the fused op."""
@@ -38,7 +52,7 @@ def reference_attention(q, k, v, mask=None):
     if k.shape[0] != v.shape[0]:
         raise DimensionError(f"key rows {k.shape} vs value rows {v.shape}")
     d_k = q.shape[1]
-    scores = tt.scale(tt.matmul(q, tt.transpose(k)), 1.0 / np.sqrt(d_k))
+    scores = tt.scale(tt.matmul(q, transpose(k)), 1.0 / np.sqrt(d_k))
     if mask is not None:
         if mask.shape != scores.shape:
             raise DimensionError(f"mask {mask.shape} vs scores {scores.shape}")
@@ -52,7 +66,10 @@ def reference_multi_head_attention(params, x, mask=None):
     heads = [reference_attention(tt.matmul(x, wq), tt.matmul(x, wk),
                                  tt.matmul(x, wv), mask)
              for wq, wk, wv in zip(params.wq, params.wk, params.wv)]
-    return tt.matmul(tt.concat_all(heads, axis=1), params.wo)
+    joined = heads[0]
+    for head in heads[1:]:
+        joined = tt.concat(joined, head, axis=1)
+    return tt.matmul(joined, params.wo)
 
 
 class TestPositionalEncoding:
@@ -153,6 +170,15 @@ class TestAttention:
                 return mean_of(reference_attention(q, k, v, mask))
 
             assert tt.check_gradients(loss, [q, k, v]) < 1e-4
+
+    def test_transpose_scale_slice(self):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+
+        def loss():
+            return tt.sum_all(tt.slice_rows(tt.scale(transpose(x), 0.5), 1, 3))
+
+        assert tt.check_gradients(loss, [x]) < 1e-4
 
 
 class TestMultiHeadAttention:
@@ -562,3 +588,12 @@ class TestEmbeddingFiles:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="trailing"):
             enc.load_embeddings(path)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "emb.sqf1"
+        enc.save_embeddings(path, [(np.ones((2, 2)), 1)])
+        before = path.read_bytes()
+        with pytest.raises(DimensionError):
+            enc.save_embeddings(path, [(np.ones((2, 2)), 0), (np.ones(2), 1)])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.sqf1"]

@@ -30,29 +30,73 @@ def embed(matrix, valid_len):
                              valid_len=valid_len)
 
 
+def _gate(gate, x, h):
+    return tt.add(tt.add(tt.matvec(gate.p, x), tt.matvec(gate.q, h)), gate.b)
+
+
+def initial_state(cell):
+    zero = Tensor(np.zeros(cell.hidden))
+    return (zero, zero) if cell.variant == "lstm" else zero
+
+
+def hidden_of(state):
+    return state[0] if isinstance(state, tuple) else state
+
+
+def rnn_step(cell, x_t, state):
+    """One recurrence update from elementary tape ops, the oracle for the
+    fused scan; the state is (h, c) for LSTM, h otherwise."""
+    if x_t.shape != (cell.input_dim,):
+        raise DimensionError(
+            f"input width {x_t.shape} vs cell input {cell.input_dim}"
+        )
+    h = hidden_of(state)
+    if h.shape != (cell.hidden,):
+        raise DimensionError(f"state width {h.shape} vs hidden {cell.hidden}")
+    gates = cell.gates
+    if cell.variant == "vanilla":
+        return tt.tanh(_gate(gates["h"], x_t, h))
+    if cell.variant == "lstm":
+        _, c = state
+        candidate = tt.tanh(_gate(gates["c"], x_t, h))
+        forget = tt.sigmoid(_gate(gates["f"], x_t, h))
+        update = tt.sigmoid(_gate(gates["i"], x_t, h))
+        output = tt.sigmoid(_gate(gates["o"], x_t, h))
+        c_next = tt.add(tt.mul(update, candidate), tt.mul(forget, c))
+        return tt.mul(output, tt.tanh(c_next)), c_next
+    update = tt.sigmoid(_gate(gates["z"], x_t, h))
+    reset = tt.sigmoid(_gate(gates["r"], x_t, h))
+    gate = gates["h"]
+    candidate = tt.tanh(tt.add(
+        tt.add(tt.matvec(gate.p, x_t), tt.matvec(gate.q, tt.mul(reset, h))),
+        gate.b))
+    one_minus = tt.add(tt.neg(update), Tensor(np.ones(cell.hidden)))
+    return tt.add(tt.mul(one_minus, candidate), tt.mul(update, h))
+
+
 def reference_rnn_forward(cell, sequence, valid_len):
     """The per-step scan the fused ``rnn_forward`` replaced: one
     ``rnn_step`` graph per valid position, pad rows carry the state."""
     n = sequence.shape[0]
     if not 0 <= valid_len <= n:
         raise ParameterError(f"valid length {valid_len} outside [0, {n}]")
-    state = hd.initial_state(cell)
+    state = initial_state(cell)
     rows = []
     for t in range(n):
         if t < valid_len:
-            state = hd.rnn_step(cell, tt.row(sequence, t), state)
-        rows.append(hd.hidden_of(state))
+            state = rnn_step(cell, tt.row(sequence, t), state)
+        rows.append(hidden_of(state))
     return tt.stack_rows(rows)
 
 
 def reference_birnn_forward(params, sequence, valid_len):
     """The per-step bidirectional scan the fused ``birnn_forward`` replaced."""
     forward = reference_rnn_forward(params.fw, sequence, valid_len)
-    state = hd.initial_state(params.bw)
-    backward_rows = [hd.hidden_of(state)] * sequence.shape[0]
+    state = initial_state(params.bw)
+    backward_rows = [hidden_of(state)] * sequence.shape[0]
     for t in range(valid_len - 1, -1, -1):
-        state = hd.rnn_step(params.bw, tt.row(sequence, t), state)
-        backward_rows[t] = hd.hidden_of(state)
+        state = rnn_step(params.bw, tt.row(sequence, t), state)
+        backward_rows[t] = hidden_of(state)
     return tt.concat(forward, tt.stack_rows(backward_rows), axis=1)
 
 
@@ -73,13 +117,13 @@ def probed_gradients(scan, params, sequence, valid_len, probe):
 class TestRnnStep:
     def test_zero_lstm_maps_zero_state_to_zero(self):
         cell = zero_cell("lstm", 3, 2)
-        h, c = hd.rnn_step(cell, Tensor([1.0, -2.0, 0.5]), hd.initial_state(cell))
+        h, c = rnn_step(cell, Tensor([1.0, -2.0, 0.5]), initial_state(cell))
         assert np.array_equal(h.data, [0.0, 0.0])
         assert np.array_equal(c.data, [0.0, 0.0])
 
     def test_zero_gru_maps_zero_state_to_zero(self):
         cell = zero_cell("gru", 3, 2)
-        h = hd.rnn_step(cell, Tensor([1.0, -2.0, 0.5]), hd.initial_state(cell))
+        h = rnn_step(cell, Tensor([1.0, -2.0, 0.5]), initial_state(cell))
         assert np.array_equal(h.data, [0.0, 0.0])
 
     def test_vanilla_identity_params_tanh(self):
@@ -87,19 +131,19 @@ class TestRnnStep:
             "h": hd.GateParams(p=Tensor(np.eye(1)), q=Tensor(np.eye(1)),
                                b=Tensor(np.zeros(1))),
         })
-        h = hd.rnn_step(cell, Tensor([0.5]), hd.initial_state(cell))
+        h = rnn_step(cell, Tensor([0.5]), initial_state(cell))
         assert h.data[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
         assert h.data[0] == pytest.approx(0.4621, abs=1e-4)
 
     def test_input_width_mismatch_rejected(self):
         cell = zero_cell("vanilla", 3, 2)
         with pytest.raises(DimensionError):
-            hd.rnn_step(cell, Tensor([1.0, 2.0]), hd.initial_state(cell))
+            rnn_step(cell, Tensor([1.0, 2.0]), initial_state(cell))
 
     def test_state_width_mismatch_rejected(self):
         cell = zero_cell("vanilla", 3, 2)
         with pytest.raises(DimensionError):
-            hd.rnn_step(cell, Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0]))
+            rnn_step(cell, Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0]))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParameterError):
@@ -127,7 +171,7 @@ class TestRnnForward:
         cell = hd.init_cell("lstm", 3, 2, RandomSource(3))
         x = RandomSource(4).uniform(-1, 1, (1, 3))
         states = hd.rnn_forward(cell, Tensor(x), 1)
-        step, _ = hd.rnn_step(cell, Tensor(x[0]), hd.initial_state(cell))
+        step, _ = rnn_step(cell, Tensor(x[0]), initial_state(cell))
         assert np.array_equal(states.data[0], step.data)
 
     def test_trailing_padding_never_changes_final_state(self):
@@ -166,10 +210,8 @@ class TestBiRnnForward:
         params = hd.init_bicell("vanilla", 3, 2, RandomSource(10))
         x = RandomSource(11).uniform(-1, 1, (3, 3))
         states = hd.birnn_forward(params, Tensor(x), 1).data
-        fw_step = hd.rnn_step(params.fw, Tensor(x[0]),
-                              hd.initial_state(params.fw))
-        bw_step = hd.rnn_step(params.bw, Tensor(x[0]),
-                              hd.initial_state(params.bw))
+        fw_step = rnn_step(params.fw, Tensor(x[0]), initial_state(params.fw))
+        bw_step = rnn_step(params.bw, Tensor(x[0]), initial_state(params.bw))
         assert np.array_equal(states[0, :2], fw_step.data)
         assert np.array_equal(states[0, 2:], bw_step.data)
         assert np.array_equal(states[1, 2:], np.zeros(2))

@@ -88,8 +88,9 @@ class TestInitAndForward:
 
     def test_forward_tokens_returns_distribution(self):
         bundle = md.init_model(tiny_config(), seed=5)
-        probs, loss = md.forward_tokens(bundle, tokens([1, 5, 3, 0, 0, 0], 3),
-                                        label=1)
+        probs, loss = md.forward_example(
+            bundle, md.Example(label=1, tokens=tokens([1, 5, 3, 0, 0, 0], 3)),
+            with_loss=True)
         assert probs.shape == (2,)
         assert abs(probs.data.sum() - 1.0) < 1e-9
         assert loss.item() > 0.0
@@ -100,7 +101,7 @@ class TestInitAndForward:
                                 dense_units=3, dropout=0.0)
         bundle = md.init_model(config, seed=6)
         with pytest.raises(ParameterError):
-            md.forward_tokens(bundle, tokens([1, 2], 2))
+            md.forward_example(bundle, md.Example(label=0, tokens=tokens([1, 2], 2)))
 
     def test_example_dispatch(self):
         bundle = md.init_model(tiny_config(), seed=7)
@@ -126,7 +127,8 @@ class TestInitAndForward:
     def test_mean_head_has_no_cell(self):
         bundle = md.init_model(tiny_config(head_kind="mean"), seed=10)
         assert bundle.cell is None
-        probs, _ = md.forward_tokens(bundle, tokens([1, 5, 3, 0, 0, 0], 3))
+        probs, _ = md.forward_example(
+            bundle, md.Example(label=0, tokens=tokens([1, 5, 3, 0, 0, 0], 3)))
         assert probs.shape == (2,)
 
     def test_freeze_encoder_filters_parameters(self):
@@ -244,3 +246,15 @@ class TestCheckpoint:
         loaded = md.load_checkpoint(path)
         assert loaded.config == config
         assert loaded.cell is None
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_model(tiny_config(), seed=18))
+        before = path.read_bytes()
+        broken = md.init_model(tiny_config(), seed=19)
+        # fails at the last tensor, after the header is written
+        broken.head.b_out.data = np.array(["not", "float"])
+        with pytest.raises(ValueError):
+            md.save_checkpoint(path, broken)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

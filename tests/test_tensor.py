@@ -252,13 +252,6 @@ class TestBackwardAgainstFiniteDifferences:
         x = Tensor(rng.uniform(0.2, 1, 4), requires_grad=True)
         self.check(lambda: T.neg(T.sum_all(T.log(T.clip_min(x, 1e-12)))), [x])
 
-    def test_transpose_scale_slice(self, rng):
-        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        self.check(
-            lambda: T.sum_all(T.slice_rows(T.scale(T.transpose(x), 0.5), 1, 3)),
-            [x],
-        )
-
     def test_slice_vec_grad(self, rng):
         x = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
         self.check(lambda: T.sum_all(T.tanh(T.slice_vec(x, 2, 5))), [x])
