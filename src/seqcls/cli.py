@@ -452,9 +452,7 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
     save_vocabulary(vocab, out / "vocab.txt")
     exported = []
     for sample, seq in zip(samples, tokens):
-        states = encoder_forward(encoder, seq)
-        exported.append((states.vectors.data[:seq.length].copy(),
-                         sample.label))
+        exported.append((encoder_forward(encoder, seq).data, sample.label))
     embeddings_path = out / "embeddings.sqf1"
     save_embeddings(embeddings_path, exported)
     return embeddings_path

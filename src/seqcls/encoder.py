@@ -4,10 +4,11 @@ Builds contextual embeddings from token embeddings plus a sinusoidal
 positional table, refined by stacked layers of multi-head self-attention
 and a position-wise feed-forward network, each wrapped in residual add
 and layer normalization (post-norm by default, pre-norm behind a flag).
-Padding positions are excluded from attention via an additive mask, and
-a causal variant restricts each position to its prefix.  Multi-head
-attention is one tape op: one Q/K/V projection GEMM, a (heads, T, T)
-score array and a hand-written backward rule, over weights kept per head.
+The stack runs over the real tokens only, one output row each, and a
+causal variant restricts each position to its prefix via an additive
+mask.  Multi-head attention is one tape op: one Q/K/V projection GEMM,
+a (heads, T, T) score array and a hand-written backward rule, over
+weights kept per head.
 
 Also provides span masking and a denoising loss (vocabulary projection
 tied to the input embedding matrix) for toy pretraining, plus a small
@@ -127,14 +128,6 @@ class EncoderParams:
             yield from layer.named_parameters(f"{prefix}layer{i}.")
 
 
-@dataclass
-class EmbeddingSequence:
-    """Contextual vectors for one sequence, padded to a fixed row count."""
-
-    vectors: Tensor
-    valid_len: int
-
-
 def positional_table(max_len: int, d_model: int) -> np.ndarray:
     """Sinusoidal table: P[pos, 2i] = sin(pos/10000^(2i/d)), odd dims cos."""
     positions = np.arange(max_len, dtype=np.float64)[:, None]
@@ -228,40 +221,45 @@ def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
 
 def _layer_forward(layer: EncoderLayerParams, x: Tensor, mask: np.ndarray,
                    p: float, rng: RandomSource | None, training: bool,
-                   pre_norm: bool) -> Tensor:
+                   pre_norm: bool, rows: int) -> Tensor:
     if pre_norm:
         a = multi_head_attention(
             layer.attn, tt.layer_norm(x, layer.ln1_gain, layer.ln1_bias), mask)
-        x = tt.add(x, tt.dropout(a, p, rng, training))
+        x = tt.add(x, tt.dropout(a, p, rng, training, rows))
         f = feed_forward(
             layer.ffn, tt.layer_norm(x, layer.ln2_gain, layer.ln2_bias))
-        return tt.add(x, tt.dropout(f, p, rng, training))
-    a = tt.dropout(multi_head_attention(layer.attn, x, mask), p, rng, training)
+        return tt.add(x, tt.dropout(f, p, rng, training, rows))
+    a = tt.dropout(multi_head_attention(layer.attn, x, mask), p, rng, training,
+                   rows)
     x = tt.layer_norm(tt.add(x, a), layer.ln1_gain, layer.ln1_bias)
-    f = tt.dropout(feed_forward(layer.ffn, x), p, rng, training)
+    f = tt.dropout(feed_forward(layer.ffn, x), p, rng, training, rows)
     return tt.layer_norm(tt.add(x, f), layer.ln2_gain, layer.ln2_bias)
 
 
 def encoder_forward(model: EncoderParams, tokens: TokenSequence,
                     rng: RandomSource | None = None,
-                    training: bool = False) -> EmbeddingSequence:
-    """Embed, add positions, then run the layer stack with PADs masked out."""
+                    training: bool = False) -> Tensor:
+    """Embed, add positions, then run the layer stack over the real tokens,
+    one output row each.  Dropout masks are drawn at the padded height."""
     config = model.config
     ids = list(tokens.input_ids)
     for tid in ids:
         if not 0 <= tid < config.vocab_size:
             raise DataError(f"token id {tid} outside vocabulary of {config.vocab_size}")
-    n = len(ids)
+    n, length = len(ids), tokens.length
     if n > config.max_len:
         raise DimensionError(f"sequence length {n} exceeds max {config.max_len}")
+    if not 1 <= length <= n:
+        raise ParameterError(f"sequence length {length} outside [1, {n}]")
     if training and config.dropout > 0.0 and rng is None:
         raise ParameterError("training-mode dropout requires a random source")
-    x = tt.add(tt.gather_rows(model.embedding, ids), Tensor(model.positional[:n]))
-    mask = additive_mask(n, valid_len=tokens.length, causal=config.causal)
+    x = tt.add(tt.gather_rows(model.embedding, ids[:length]),
+               Tensor(model.positional[:length]))
+    mask = additive_mask(length, causal=config.causal)
     for layer in model.layers:
         x = _layer_forward(layer, x, mask, config.dropout, rng, training,
-                           config.pre_norm)
-    return EmbeddingSequence(vectors=x, valid_len=tokens.length)
+                           config.pre_norm, n)
+    return x
 
 
 def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:
@@ -349,7 +347,7 @@ def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
     states = encoder_forward(model, corrupted, rng, training)
     total = None
     for pos, original_id in targets:
-        logits = tt.matvec(model.embedding, tt.row(states.vectors, pos))
+        logits = tt.matvec(model.embedding, tt.row(states, pos))
         probs = tt.softmax(logits, axis=-1)
         nll = tt.neg(tt.log(tt.clip_min(tt.pick(probs, original_id), 1e-12)))
         total = nll if total is None else tt.add(total, nll)

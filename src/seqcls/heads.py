@@ -2,15 +2,15 @@
 
 The chain: embeddings -> dropout -> linear bridge -> recurrent scan
 (vanilla/LSTM/GRU, unidirectional or bidirectional) -> dropout ->
-dense+ReLU -> output layer -> softmax.  Sequences are summarized by the
-final valid hidden state; bidirectional runs concatenate the forward
-state at the last valid position with the backward state at position 0.
-An order-blind variant replaces the recurrent scan with mean pooling
-over valid positions, as a baseline for order-sensitivity comparisons.
+dense+ReLU -> output layer -> softmax.  Every input row is a real token.
+Sequences are summarized by the last hidden state; bidirectional runs
+concatenate the forward state at the last row with the backward state
+at row 0.  An order-blind variant replaces the recurrent scan with mean
+pooling over all rows, as a baseline for order-sensitivity comparisons.
 
 Each scan direction is one tape op (Appleyard, Kocisky & Blunsom, 2016):
 the gates are stacked in VARIANT_GATES order, the input projections of
-all valid positions are one GEMM, every step does one recurrent matvec
+all positions are one GEMM, every step does one recurrent matvec
 (GRU's candidate keeps its own Q_h (r * h)), and the backward rule runs
 BPTT in numpy.  The tests keep a per-step reference built from elementary
 tape ops, one graph per step, and check the fused scan against it.
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .encoder import EmbeddingSequence
 from .errors import DataError, DimensionError, ParameterError
 from .rng import RandomSource
 from .tensor import Tensor
@@ -280,20 +279,16 @@ _RECURRENCES = {
 }
 
 
-def _scan(cell: RnnCellParams, sequence: Tensor, valid_len: int,
-          reverse: bool) -> Tensor:
-    """One direction of the recurrence over the first valid_len rows, as
-    a single tape op with a hand-written backward pass through time.
+def _scan(cell: RnnCellParams, sequence: Tensor, reverse: bool) -> Tensor:
+    """One direction of the recurrence over every row, as a single tape
+    op with a hand-written backward pass through time.
 
     The gate weights are stacked on every call (they change after each
-    optimizer step), the input projections of all valid steps are one
-    GEMM, and each step does one recurrent matvec.  Forward: rows past
-    valid_len carry the last state.  Reverse: the scan starts at row
-    valid_len - 1 and rows past valid_len are zero.
+    optimizer step), the input projections of all steps are one GEMM,
+    and each step does one recurrent matvec.  Row t of the output is the
+    state after consuming row t: forward from row 0, reverse from the
+    last row.
     """
-    n = sequence.shape[0]
-    if not 0 <= valid_len <= n:
-        raise ParameterError(f"valid length {valid_len} outside [0, {n}]")
     if sequence.data.ndim != 2 or sequence.shape[1] != cell.input_dim:
         raise DimensionError(
             f"input shape {sequence.shape} vs cell input {cell.input_dim}"
@@ -302,29 +297,16 @@ def _scan(cell: RnnCellParams, sequence: Tensor, valid_len: int,
     p = np.concatenate([g.p.data for g in gates])
     q = np.concatenate([g.q.data for g in gates])
     b = np.concatenate([g.b.data for g in gates])
-    x = sequence.data[:valid_len]
-    if reverse:
-        x = x[::-1]
+    x = sequence.data[::-1] if reverse else sequence.data
     forward, backward = _RECURRENCES[cell.variant]
     hs, saved = forward(x @ p.T + b, q)
     hidden = cell.hidden
-    data = np.zeros((n, hidden))
-    if reverse:
-        data[:valid_len] = hs[:0:-1]
-    else:
-        data[:valid_len] = hs[1:]
-        data[valid_len:] = hs[-1]
+    data = hs[:0:-1] if reverse else hs[1:]
 
     def build(out: Tensor):
         def rule():
             g = out.grad
-            if reverse:
-                dh = g[:valid_len][::-1]
-            else:
-                dh = g[:valid_len].copy()
-                if valid_len:
-                    dh[-1] += g[valid_len:].sum(axis=0)
-            da, dq = backward(dh, q, hs, saved)
+            da, dq = backward(g[::-1] if reverse else g, q, hs, saved)
             dp = da.T @ x
             db = da.sum(axis=0)
             for k, gate in enumerate(gates):
@@ -333,49 +315,46 @@ def _scan(cell: RnnCellParams, sequence: Tensor, valid_len: int,
                     if param.requires_grad:
                         param.accumulate_grad(grad[rows])
             if sequence.requires_grad:
-                dx = np.zeros_like(sequence.data)
-                dx[:valid_len] = da[::-1] @ p if reverse else da @ p
-                sequence.accumulate_grad(dx)
+                sequence.accumulate_grad((da[::-1] if reverse else da) @ p)
         return rule
 
     params = [t for g in gates for t in (g.p, g.q, g.b)]
     return tt.make_output(data, [sequence, *params], build)
 
 
-def rnn_forward(cell: RnnCellParams, sequence: Tensor, valid_len: int) -> Tensor:
-    """Left-to-right scan from the zero state; positions past valid_len
-    carry the state unchanged (pad-skip).  One tape op."""
-    return _scan(cell, sequence, valid_len, reverse=False)
+def rnn_forward(cell: RnnCellParams, sequence: Tensor) -> Tensor:
+    """Left-to-right scan from the zero state: row t holds the state after
+    tokens 0..t.  One tape op."""
+    return _scan(cell, sequence, reverse=False)
 
 
-def birnn_forward(params: BiRnnParams, sequence: Tensor, valid_len: int) -> Tensor:
+def birnn_forward(params: BiRnnParams, sequence: Tensor) -> Tensor:
     """Row t holds [forward state after tokens 0..t, backward state after
-    tokens valid_len-1..t]; pad rows carry forward, zero backward.  One
-    tape op per direction."""
-    return tt.concat(_scan(params.fw, sequence, valid_len, reverse=False),
-                     _scan(params.bw, sequence, valid_len, reverse=True),
+    tokens T-1..t], T the row count.  One tape op per direction."""
+    return tt.concat(_scan(params.fw, sequence, reverse=False),
+                     _scan(params.bw, sequence, reverse=True),
                      axis=1)
 
 
-def summarize(states: Tensor, valid_len: int, bidirectional: bool) -> Tensor:
-    """Final valid hidden state; bidirectional: forward-final + backward-first."""
-    last = max(valid_len - 1, 0)
+def summarize(states: Tensor, bidirectional: bool) -> Tensor:
+    """Last hidden state; bidirectional: forward-last + backward-first."""
     if not bidirectional:
-        return tt.row(states, last)
+        return tt.row(states, -1)
     width = states.shape[1]
     if width % 2 != 0:
         raise DimensionError(f"bidirectional states must have even width, got {width}")
     h = width // 2
-    return tt.concat(tt.slice_vec(tt.row(states, last), 0, h),
+    return tt.concat(tt.slice_vec(tt.row(states, -1), 0, h),
                      tt.slice_vec(tt.row(states, 0), h, width), axis=0)
 
 
-def classify(head: ClassifierParams, states: Tensor, valid_len: int,
+def classify(head: ClassifierParams, states: Tensor,
              rng: RandomSource | None = None, training: bool = False,
-             bidirectional: bool = False) -> Tensor:
-    """Dropout, summarize, dense+ReLU, output layer, softmax."""
-    dropped = tt.dropout(states, head.dropout, rng, training)
-    summary = summarize(dropped, valid_len, bidirectional)
+             bidirectional: bool = False, rows: int | None = None) -> Tensor:
+    """Dropout (mask drawn ``rows`` high), summarize, dense+ReLU, output
+    layer, softmax."""
+    dropped = tt.dropout(states, head.dropout, rng, training, rows)
+    summary = summarize(dropped, bidirectional)
     if summary.shape != (head.w_dense.shape[1],):
         raise DimensionError(
             f"summary width {summary.shape} vs dense input {head.w_dense.shape[1]}"
@@ -408,37 +387,36 @@ def average_losses(losses: list[Tensor]) -> Tensor:
     return tt.scale(total, 1.0 / len(losses))
 
 
-def _bridge_inputs(embeddings: EmbeddingSequence, bridge: BridgeParams,
-                   dropout_rate: float, rng, training: bool) -> Tensor:
-    dropped = tt.dropout(embeddings.vectors, dropout_rate, rng, training)
+def _bridge_inputs(embeddings: Tensor, bridge: BridgeParams,
+                   dropout_rate: float, rng, training: bool,
+                   rows: int | None) -> Tensor:
+    dropped = tt.dropout(embeddings, dropout_rate, rng, training, rows)
     return tt.add(tt.matmul(dropped, bridge.w), bridge.b)
 
 
-def pipeline_forward(embeddings: EmbeddingSequence, bridge: BridgeParams,
+def pipeline_forward(embeddings: Tensor, bridge: BridgeParams,
                      cell, head: ClassifierParams,
                      rng: RandomSource | None = None, training: bool = False,
-                     label: int | None = None):
-    """Full head chain over one embedded sequence; returns (probs, loss)."""
+                     label: int | None = None, rows: int | None = None):
+    """Full head chain over one sequence, one row per real token; returns
+    (probs, loss).  Dropout masks are drawn ``rows`` high (``tt.dropout``)."""
     bidirectional = isinstance(cell, BiRnnParams)
-    z = _bridge_inputs(embeddings, bridge, head.dropout, rng, training)
+    z = _bridge_inputs(embeddings, bridge, head.dropout, rng, training, rows)
     scan = birnn_forward if bidirectional else rnn_forward
-    states = scan(cell, z, embeddings.valid_len)
-    probs = classify(head, states, embeddings.valid_len, rng, training,
-                     bidirectional)
+    probs = classify(head, scan(cell, z), rng, training, bidirectional, rows)
     loss = None if label is None else cross_entropy_loss(probs, label)
     return probs, loss
 
 
-def mean_pool_forward(embeddings: EmbeddingSequence, bridge: BridgeParams,
+def mean_pool_forward(embeddings: Tensor, bridge: BridgeParams,
                       head: ClassifierParams,
                       rng: RandomSource | None = None, training: bool = False,
-                      label: int | None = None):
+                      label: int | None = None, rows: int | None = None):
     """Order-blind baseline: the recurrent scan replaced by a mean over
-    valid positions; everything else identical to pipeline_forward."""
-    z = _bridge_inputs(embeddings, bridge, head.dropout, rng, training)
-    valid = embeddings.valid_len
-    pooled = tt.scale(tt.sum_rows(tt.slice_rows(z, 0, valid)), 1.0 / max(valid, 1))
-    probs = classify(head, tt.stack_rows([pooled]), 1, rng, training, False)
+    all rows; everything else identical to pipeline_forward."""
+    z = _bridge_inputs(embeddings, bridge, head.dropout, rng, training, rows)
+    pooled = tt.scale(tt.sum_rows(z), 1.0 / z.shape[0])
+    probs = classify(head, tt.stack_rows([pooled]), rng, training, False)
     loss = None if label is None else cross_entropy_loss(probs, label)
     return probs, loss
 

@@ -19,8 +19,8 @@ import numpy as np
 from . import heads as hd
 from .binfile import BinaryReader, replacing
 from .bpe import TokenSequence
-from .encoder import (EmbeddingSequence, EncoderConfig, EncoderParams,
-                      encoder_forward, init_encoder)
+from .encoder import (EncoderConfig, EncoderParams, encoder_forward,
+                      init_encoder)
 from .errors import DataError, DimensionError, ParameterError
 from .rng import RandomSource
 from .tensor import Tensor
@@ -143,21 +143,22 @@ def forward_example(bundle: ModelBundle, example: Example,
                     rng: RandomSource | None = None, training: bool = False,
                     with_loss: bool = False):
     """Encoder (or the imported matrix), then the bundle's head; returns
-    (probs, loss), the loss None unless ``with_loss``."""
+    (probs, loss), the loss None unless ``with_loss``.  Token input draws
+    the head's dropout masks at the padded height, as the encoder does."""
     label = example.label if with_loss else None
     if example.tokens is not None:
         if bundle.encoder is None:
             raise ParameterError("model has no encoder; feed embeddings instead")
         embeddings = encoder_forward(bundle.encoder, example.tokens, rng,
                                      training)
+        rows = len(example.tokens.input_ids)
     else:
-        embeddings = EmbeddingSequence(vectors=Tensor(example.matrix),
-                                       valid_len=example.matrix.shape[0])
+        embeddings, rows = Tensor(example.matrix), None
     if bundle.config.head_kind == "mean":
         return hd.mean_pool_forward(embeddings, bundle.bridge, bundle.head,
-                                    rng, training, label)
+                                    rng, training, label, rows)
     return hd.pipeline_forward(embeddings, bundle.bridge, bundle.cell,
-                               bundle.head, rng, training, label)
+                               bundle.head, rng, training, label, rows)
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:

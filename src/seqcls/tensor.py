@@ -379,22 +379,6 @@ def row(x: Tensor, i: int) -> Tensor:
     return _make_output(x.data[i].copy(), (x,), build)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of a 2-D tensor."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"slice_rows needs a 2-D tensor, got {x.shape}")
-
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[start:stop] = out.grad
-                x.accumulate_grad(g)
-        return rule
-
-    return _make_output(x.data[start:stop].copy(), (x,), build)
-
-
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     """Stack same-length vectors into a matrix, one per row.
 
@@ -505,17 +489,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make_output(data, (x, gain, bias), build)
 
 
-def dropout(x: Tensor, p: float, rng: RandomSource, training: bool) -> Tensor:
+def dropout(x: Tensor, p: float, rng: RandomSource, training: bool,
+            rows: int | None = None) -> Tensor:
     """Inverted dropout: keep with probability 1-p and scale by 1/(1-p).
 
     Identity in evaluation mode and for p == 0.  The sampled mask is
     captured by the backward rule, so gradients use the exact same mask.
+    Given ``rows`` >= ``len(x)``, the mask is drawn ``rows`` high and its
+    top ``len(x)`` rows are used: a sequence trimmed of its padding then
+    draws from ``rng`` exactly as its padded form would.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    keep = rng.bernoulli(1.0 - p, x.shape) / (1.0 - p)
+    if rows is None:
+        keep = rng.bernoulli(1.0 - p, x.shape) / (1.0 - p)
+    else:
+        keep = rng.bernoulli(1.0 - p, (rows, *x.shape[1:]))[:len(x.data)] / (1.0 - p)
     data = x.data * keep
 
     def build(out: Tensor):

@@ -103,20 +103,20 @@ def test_01_gradient_suite():
         for variant in ("vanilla", "lstm", "gru"):
             cell = hd.init_cell(variant, 3, 2, rng.derive(variant))
             cases[f"{variant} cell"] = (
-                lambda c=cell: _probe_loss(hd.rnn_forward(c, seq, 3),
+                lambda c=cell: _probe_loss(hd.rnn_forward(c, seq),
                                            rng.derive("p6")),
                 [t for _, t in cell.named_parameters("c.")])
         for variant in ("lstm", "gru"):
             bi = hd.init_bicell(variant, 3, 2, rng.derive("bi" + variant))
             cases[f"bi{variant} head"] = (
-                lambda b=bi: _probe_loss(hd.birnn_forward(b, seq, 3),
+                lambda b=bi: _probe_loss(hd.birnn_forward(b, seq),
                                          rng.derive("p7")),
                 [t for _, t in bi.named_parameters("bi.")])
 
         head = hd.init_classifier(3, 3, 2, 0.0, rng.derive("cls"))
         states = tt.Tensor(rng.uniform(-1.0, 1.0, (3, 3)))
         cases["classifier"] = (
-            lambda: hd.cross_entropy_loss(hd.classify(head, states, 3), 0),
+            lambda: hd.cross_entropy_loss(hd.classify(head, states), 0),
             [t for _, t in head.named_parameters("h.")])
 
         denoise = enc.init_encoder(cfg, rng.derive("den"))
@@ -215,9 +215,9 @@ def test_03_causal_masking():
         if perturbed == ids:
             perturbed[-1] = (perturbed[-1] - 5 + 1) % 27 + 5
         base = enc.encoder_forward(
-            params, TokenSequence(ids, n)).vectors.data
+            params, TokenSequence(ids, n)).data
         moved = enc.encoder_forward(
-            params, TokenSequence(perturbed, n)).vectors.data
+            params, TokenSequence(perturbed, n)).data
         if not np.array_equal(base[: i + 1], moved[: i + 1]):
             failures += 1
     _verdict(3, "causal masking", failures == 0,
@@ -418,7 +418,7 @@ def test_10_zero_parameter_fixed_points():
         for trial in range(5):
             length = int(rng.integers(1, 7))
             seq = tt.Tensor(rng.uniform(-2.0, 2.0, (length, 3)))
-            states = hd.rnn_forward(cell, seq, length)
+            states = hd.rnn_forward(cell, seq)
             if not np.all(states.data == 0.0):
                 all_zero = False
     _verdict(10, "zero-parameter fixed points", all_zero,

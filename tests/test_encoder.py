@@ -44,6 +44,22 @@ def transpose(x):
     return tt.make_output(x.data.T, (x,), build)
 
 
+def slice_rows(x, start, stop):
+    """Rows [start, stop) of a 2-D tensor as a tape op."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"slice_rows needs a 2-D tensor, got {x.shape}")
+
+    def build(out):
+        def rule():
+            if x.requires_grad:
+                g = np.zeros_like(x.data)
+                g[start:stop] = out.grad
+                x.accumulate_grad(g)
+        return rule
+
+    return tt.make_output(x.data[start:stop].copy(), (x,), build)
+
+
 def reference_attention(q, k, v, mask=None):
     """Scaled dot-product attention, softmax(QK^T/sqrt(d_k) + M)V, as a
     graph of elementary tape ops: the oracle for the fused op."""
@@ -70,6 +86,21 @@ def reference_multi_head_attention(params, x, mask=None):
     for head in heads[1:]:
         joined = tt.concat(joined, head, axis=1)
     return tt.matmul(joined, params.wo)
+
+
+def reference_encoder_forward(model, tokens, rng=None, training=False):
+    """The padded forward ``encoder_forward`` replaced: every id, PADs
+    included, is embedded, and the PAD columns are masked out of
+    attention; returns all ``len(tokens.input_ids)`` rows."""
+    config = model.config
+    n = len(tokens.input_ids)
+    x = tt.add(tt.gather_rows(model.embedding, list(tokens.input_ids)),
+               Tensor(model.positional[:n]))
+    mask = enc.additive_mask(n, valid_len=tokens.length, causal=config.causal)
+    for layer in model.layers:
+        x = enc._layer_forward(layer, x, mask, config.dropout, rng, training,
+                               config.pre_norm, n)
+    return x
 
 
 class TestPositionalEncoding:
@@ -176,7 +207,7 @@ class TestAttention:
         x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
 
         def loss():
-            return tt.sum_all(tt.slice_rows(tt.scale(transpose(x), 0.5), 1, 3))
+            return tt.sum_all(slice_rows(tt.scale(transpose(x), 0.5), 1, 3))
 
         assert tt.check_gradients(loss, [x]) < 1e-4
 
@@ -326,29 +357,36 @@ class TestEncoderForward:
         model = enc.init_encoder(config, RandomSource(11))
         tokens = make_tokens([5, 7, 3, PAD_ID], 3)
         out = enc.encoder_forward(model, tokens)
-        expected = model.embedding.data[[5, 7, 3, PAD_ID]] + model.positional[:4]
-        assert np.array_equal(out.vectors.data, expected)
-        assert out.valid_len == 3
+        expected = model.embedding.data[[5, 7, 3]] + model.positional[:3]
+        assert np.array_equal(out.data, expected)
 
     def test_output_shape_is_rows_by_d_model(self):
         config = small_config(d_model=8, n_heads=2, n_layers=2)
         model = enc.init_encoder(config, RandomSource(12))
         out = enc.encoder_forward(model, make_tokens([1, 2, 3, 0, 0], 3))
-        assert out.vectors.shape == (5, 8)
+        assert out.shape == (3, 8)
+
+    @pytest.mark.parametrize("length", [0, -1, 4])
+    def test_length_outside_ids_rejected(self, length):
+        model = enc.init_encoder(small_config(), RandomSource(12))
+        with pytest.raises(ParameterError):
+            enc.encoder_forward(model, make_tokens([1, 2, 3], length))
 
     def test_pad_identity_never_leaks_into_real_positions(self):
         config = small_config(n_layers=2)
         model = enc.init_encoder(config, RandomSource(13))
         base = make_tokens([5, 7, 3, PAD_ID, PAD_ID, PAD_ID], 3)
         swapped = make_tokens([5, 7, 3, 9, 14, 2], 3)
-        out_base = enc.encoder_forward(model, base).vectors.data
-        out_swapped = enc.encoder_forward(model, swapped).vectors.data
+        out_base = enc.encoder_forward(model, base).data
+        out_swapped = enc.encoder_forward(model, swapped).data
         assert np.array_equal(out_base[:3], out_swapped[:3])
 
     def test_token_id_out_of_range_rejected(self):
         model = enc.init_encoder(small_config(vocab_size=8), RandomSource(14))
-        with pytest.raises(DataError):
-            enc.encoder_forward(model, make_tokens([1, 8], 2))
+        # ids past the length are never embedded but are still checked
+        for ids in ([1, 8], [1, 2, 8]):
+            with pytest.raises(DataError):
+                enc.encoder_forward(model, make_tokens(ids, 2))
 
     def test_sequence_longer_than_table_rejected(self):
         model = enc.init_encoder(small_config(max_len=3), RandomSource(15))
@@ -363,10 +401,10 @@ class TestEncoderForward:
     def test_dropout_active_only_in_training(self):
         model = enc.init_encoder(small_config(dropout=0.5), RandomSource(17))
         tokens = make_tokens([1, 2, 3], 3)
-        eval_a = enc.encoder_forward(model, tokens).vectors.data
-        eval_b = enc.encoder_forward(model, tokens).vectors.data
+        eval_a = enc.encoder_forward(model, tokens).data
+        eval_b = enc.encoder_forward(model, tokens).data
         trained = enc.encoder_forward(model, tokens, rng=RandomSource(18),
-                                      training=True).vectors.data
+                                      training=True).data
         assert np.array_equal(eval_a, eval_b)
         assert not np.allclose(eval_a, trained)
 
@@ -377,11 +415,11 @@ class TestEncoderForward:
         for _ in range(20):
             ids = [int(i) for i in rng.integers(0, 16, 5)]
             i = int(rng.integers(1, 5))
-            out_full = enc.encoder_forward(model, make_tokens(ids, 5)).vectors.data
+            out_full = enc.encoder_forward(model, make_tokens(ids, 5)).data
             altered = list(ids)
             for j in range(i, 5):
                 altered[j] = (altered[j] + 1 + int(rng.integers(0, 15))) % 16
-            out_alt = enc.encoder_forward(model, make_tokens(altered, 5)).vectors.data
+            out_alt = enc.encoder_forward(model, make_tokens(altered, 5)).data
             assert np.array_equal(out_full[:i], out_alt[:i])
 
     def test_pooled_output_permutation_invariant_only_without_positions(self):
@@ -390,13 +428,13 @@ class TestEncoderForward:
         ids = [3, 9, 5, 12]
         permuted = [5, 3, 12, 9]
         with_table = [
-            enc.encoder_forward(model, make_tokens(seq, 4)).vectors.data.mean(axis=0)
+            enc.encoder_forward(model, make_tokens(seq, 4)).data.mean(axis=0)
             for seq in (ids, permuted)
         ]
         assert not np.allclose(with_table[0], with_table[1], atol=1e-6)
         model.positional = np.zeros_like(model.positional)
         without_table = [
-            enc.encoder_forward(model, make_tokens(seq, 4)).vectors.data.mean(axis=0)
+            enc.encoder_forward(model, make_tokens(seq, 4)).data.mean(axis=0)
             for seq in (ids, permuted)
         ]
         assert np.allclose(without_table[0], without_table[1], atol=1e-12)
@@ -406,8 +444,8 @@ class TestEncoderForward:
         pre = enc.init_encoder(small_config(n_layers=1, pre_norm=True),
                                RandomSource(24))
         tokens = make_tokens([1, 2, 3], 3)
-        out_post = enc.encoder_forward(post, tokens).vectors.data
-        out_pre = enc.encoder_forward(pre, tokens).vectors.data
+        out_post = enc.encoder_forward(post, tokens).data
+        out_pre = enc.encoder_forward(pre, tokens).data
         assert out_post.shape == out_pre.shape
         assert not np.allclose(out_post, out_pre)
 
@@ -423,13 +461,54 @@ class TestEncoderForward:
         # A plain mean is blind to the layer-norm output (rows of the
         # normalized matrix sum to zero), so project with fixed random
         # weights to make the loss sensitive to every direction.
-        probe = Tensor(RandomSource(27).uniform(-1, 1, (4, 4)))
+        probe = Tensor(RandomSource(27).uniform(-1, 1, (4, 4))[:3])
 
         def loss():
-            out = enc.encoder_forward(model, tokens).vectors
+            out = enc.encoder_forward(model, tokens)
             return tt.sum_all(tt.mul(out, probe))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
+
+
+class TestTrimmedForward:
+    """``encoder_forward`` against the padded oracle: the rows of real
+    tokens, and every gradient, agree; the PAD rows are never computed."""
+
+    VARIANTS = {
+        "post-norm": {},
+        "pre-norm": {"pre_norm": True},
+        "causal": {"causal": True},
+    }
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("length", [1, 3, 6])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_padded_oracle(self, variant, length, training):
+        config = small_config(d_model=8, n_heads=2, n_layers=2, max_len=6,
+                              dropout=0.3, **self.VARIANTS[variant])
+        rng = RandomSource(300 + length)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        for _, t in model.named_parameters():
+            t.data += rng.uniform(-0.1, 0.1, t.shape)
+        ids = [int(i) for i in rng.integers(0, 16, 6)]
+        tokens = make_tokens(ids, length)
+        probe = Tensor(rng.uniform(-1, 1, (length, 8)))
+        tensors = [t for _, t in model.named_parameters()]
+        results = []
+        for forward in (enc.encoder_forward, reference_encoder_forward):
+            for t in tensors:
+                t.zero_grad()
+            with tt.Tape() as tape:
+                rows = forward(model, tokens, RandomSource(7), training)
+                out = slice_rows(rows, 0, length)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            results.append((rows.shape, out.data,
+                            [t.grad.copy() for t in tensors]))
+        (shape, out, grads), (ref_shape, ref_out, ref_grads) = results
+        assert (shape, ref_shape) == ((length, 8), (6, 8))
+        assert np.abs(out - ref_out).max() <= 1e-12
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12
 
 
 class TestSpanMask:

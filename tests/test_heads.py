@@ -7,7 +7,6 @@ import pytest
 
 from seqcls import heads as hd
 from seqcls import tensor as tt
-from seqcls.encoder import EmbeddingSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
@@ -23,11 +22,6 @@ def zero_cell(variant, d_in, hidden):
         for name in hd.VARIANT_GATES[variant]
     }
     return hd.RnnCellParams(variant=variant, gates=gates)
-
-
-def embed(matrix, valid_len):
-    return EmbeddingSequence(vectors=Tensor(np.asarray(matrix, dtype=float)),
-                             valid_len=valid_len)
 
 
 def _gate(gate, x, h):
@@ -74,40 +68,36 @@ def rnn_step(cell, x_t, state):
     return tt.add(tt.mul(one_minus, candidate), tt.mul(update, h))
 
 
-def reference_rnn_forward(cell, sequence, valid_len):
+def reference_rnn_forward(cell, sequence):
     """The per-step scan the fused ``rnn_forward`` replaced: one
-    ``rnn_step`` graph per valid position, pad rows carry the state."""
-    n = sequence.shape[0]
-    if not 0 <= valid_len <= n:
-        raise ParameterError(f"valid length {valid_len} outside [0, {n}]")
+    ``rnn_step`` graph per position."""
     state = initial_state(cell)
     rows = []
-    for t in range(n):
-        if t < valid_len:
-            state = rnn_step(cell, tt.row(sequence, t), state)
+    for t in range(sequence.shape[0]):
+        state = rnn_step(cell, tt.row(sequence, t), state)
         rows.append(hidden_of(state))
     return tt.stack_rows(rows)
 
 
-def reference_birnn_forward(params, sequence, valid_len):
+def reference_birnn_forward(params, sequence):
     """The per-step bidirectional scan the fused ``birnn_forward`` replaced."""
-    forward = reference_rnn_forward(params.fw, sequence, valid_len)
+    forward = reference_rnn_forward(params.fw, sequence)
     state = initial_state(params.bw)
-    backward_rows = [hidden_of(state)] * sequence.shape[0]
-    for t in range(valid_len - 1, -1, -1):
+    backward_rows = [None] * sequence.shape[0]
+    for t in range(sequence.shape[0] - 1, -1, -1):
         state = rnn_step(params.bw, tt.row(sequence, t), state)
         backward_rows[t] = hidden_of(state)
     return tt.concat(forward, tt.stack_rows(backward_rows), axis=1)
 
 
-def probed_gradients(scan, params, sequence, valid_len, probe):
+def probed_gradients(scan, params, sequence, probe):
     """Output and the gradients of sum(output * probe) on every cell
     tensor and on the input, untouched tensors reading as zeros."""
     tensors = [t for _, t in params.named_parameters()] + [sequence]
     for t in tensors:
         t.zero_grad()
     with tt.Tape() as tape:
-        out = scan(params, sequence, valid_len)
+        out = scan(params, sequence)
         tape.backward(tt.sum_all(tt.mul(out, Tensor(probe))))
     grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
              for t in tensors]
@@ -156,52 +146,30 @@ class TestRnnStep:
             for _ in range(5):
                 n = int(rng.integers(1, 7))
                 seq = Tensor(rng.uniform(-5, 5, (n, 4)))
-                states = hd.rnn_forward(cell, seq, n)
+                states = hd.rnn_forward(cell, seq)
                 assert np.array_equal(states.data, np.zeros((n, 3)))
 
 
 class TestRnnForward:
-    def test_zero_valid_len_gives_zero_rows(self):
-        cell = hd.init_cell("gru", 3, 2, RandomSource(1))
-        seq = Tensor(RandomSource(2).uniform(-1, 1, (4, 3)))
-        states = hd.rnn_forward(cell, seq, 0)
-        assert np.array_equal(states.data, np.zeros((4, 2)))
-
     def test_single_position_reduces_to_step(self):
         cell = hd.init_cell("lstm", 3, 2, RandomSource(3))
         x = RandomSource(4).uniform(-1, 1, (1, 3))
-        states = hd.rnn_forward(cell, Tensor(x), 1)
+        states = hd.rnn_forward(cell, Tensor(x))
         step, _ = rnn_step(cell, Tensor(x[0]), initial_state(cell))
         assert np.array_equal(states.data[0], step.data)
-
-    def test_trailing_padding_never_changes_final_state(self):
-        cell = hd.init_cell("vanilla", 3, 2, RandomSource(5))
-        rng = RandomSource(6)
-        x = rng.uniform(-1, 1, (3, 3))
-        bare = hd.rnn_forward(cell, Tensor(x), 3)
-        padded_input = np.vstack([x, rng.uniform(-9, 9, (2, 3))])
-        padded = hd.rnn_forward(cell, Tensor(padded_input), 3)
-        assert np.array_equal(bare.data[2], padded.data[2])
-        assert np.array_equal(padded.data[3], padded.data[2])
-        assert np.array_equal(padded.data[4], padded.data[2])
-
-    def test_bad_valid_len_rejected(self):
-        cell = hd.init_cell("gru", 3, 2, RandomSource(7))
-        with pytest.raises(ParameterError):
-            hd.rnn_forward(cell, Tensor(np.zeros((2, 3))), 3)
 
 
 class TestBiRnnForward:
     def test_output_width_doubles(self):
         params = hd.init_bicell("gru", 3, 2, RandomSource(8))
-        states = hd.birnn_forward(params, Tensor(np.ones((4, 3))), 4)
+        states = hd.birnn_forward(params, Tensor(np.ones((4, 3))))
         assert states.shape == (4, 4)
 
     def test_palindrome_symmetry_with_shared_directions(self):
         cell = hd.init_cell("gru", 2, 3, RandomSource(9))
         params = hd.BiRnnParams(fw=cell, bw=cell)
         x = np.array([[0.3, -0.1], [1.0, 0.5], [0.3, -0.1]])
-        states = hd.birnn_forward(params, Tensor(x), 3).data
+        states = hd.birnn_forward(params, Tensor(x)).data
         h = 3
         for t in range(3):
             assert np.allclose(states[t, h:], states[2 - t, :h], atol=1e-12)
@@ -209,12 +177,12 @@ class TestBiRnnForward:
     def test_valid_len_one_directions_agree(self):
         params = hd.init_bicell("vanilla", 3, 2, RandomSource(10))
         x = RandomSource(11).uniform(-1, 1, (3, 3))
-        states = hd.birnn_forward(params, Tensor(x), 1).data
+        states = hd.birnn_forward(params, Tensor(x[:1])).data
         fw_step = rnn_step(params.fw, Tensor(x[0]), initial_state(params.fw))
         bw_step = rnn_step(params.bw, Tensor(x[0]), initial_state(params.bw))
         assert np.array_equal(states[0, :2], fw_step.data)
         assert np.array_equal(states[0, 2:], bw_step.data)
-        assert np.array_equal(states[1, 2:], np.zeros(2))
+        assert states.shape == (1, 4)
 
     def test_mismatched_directions_rejected(self):
         fw = hd.init_cell("gru", 3, 2, RandomSource(12))
@@ -228,8 +196,7 @@ class TestFusedScan:
     @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
     @pytest.mark.parametrize("bidirectional", [False, True])
     def test_matches_per_step_reference(self, variant, bidirectional):
-        n = 6
-        for seed, valid_len in ((60, 0), (61, 1), (62, 3), (63, n)):
+        for seed, n in ((61, 1), (62, 3), (63, 6)):
             rng = RandomSource(seed)
             if bidirectional:
                 params = hd.init_bicell(variant, 3, 4, rng.derive("cell"))
@@ -243,10 +210,9 @@ class TestFusedScan:
                     t.data = rng.uniform(-0.5, 0.5, t.shape)
             sequence = Tensor(rng.uniform(-2, 2, (n, 3)), requires_grad=True)
             probe = rng.uniform(-1, 1, (n, 8 if bidirectional else 4))
-            out, grads = probed_gradients(fused, params, sequence, valid_len,
-                                          probe)
+            out, grads = probed_gradients(fused, params, sequence, probe)
             ref_out, ref_grads = probed_gradients(reference, params, sequence,
-                                                  valid_len, probe)
+                                                  probe)
             assert np.abs(out - ref_out).max() <= 1e-10
             for g, ref in zip(grads, ref_grads):
                 assert np.abs(g - ref).max() <= 1e-10
@@ -261,12 +227,12 @@ class TestFusedScan:
         else:
             params = hd.init_cell(variant, 3, 2, rng.derive("cell"))
             scan = hd.rnn_forward
-        sequence = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
-        probe = Tensor(rng.uniform(-1, 1, (5, 4 if bidirectional else 2)))
+        sequence = Tensor(rng.uniform(-1, 1, (5, 3))[:3], requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, (5, 4 if bidirectional else 2))[:3])
         tensors = [t for _, t in params.named_parameters()] + [sequence]
 
         def loss():
-            return tt.sum_all(tt.mul(scan(params, sequence, 3), probe))
+            return tt.sum_all(tt.mul(scan(params, sequence), probe))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
 
@@ -274,32 +240,28 @@ class TestFusedScan:
         cell = hd.init_cell("gru", 3, 4, RandomSource(71))
         sequence = Tensor(np.ones((5, 3)), requires_grad=True)
         with tt.Tape() as tape:
-            hd.rnn_forward(cell, sequence, 4)
+            hd.rnn_forward(cell, sequence)
         assert len(tape) == 1
         bicell = hd.init_bicell("lstm", 3, 4, RandomSource(72))
         with tt.Tape() as tape:
-            hd.birnn_forward(bicell, sequence, 4)
+            hd.birnn_forward(bicell, sequence)
         assert len(tape) == 3  # two scans and their concatenation
 
     def test_input_width_mismatch_rejected(self):
         cell = hd.init_cell("gru", 3, 2, RandomSource(73))
         with pytest.raises(DimensionError):
-            hd.rnn_forward(cell, Tensor(np.zeros((4, 2))), 2)
+            hd.rnn_forward(cell, Tensor(np.zeros((4, 2))))
 
 
 class TestSummarize:
     def test_unidirectional_takes_last_valid_row(self):
-        states = Tensor(np.arange(12.0).reshape(4, 3))
-        assert np.array_equal(hd.summarize(states, 2, False).data, [3.0, 4.0, 5.0])
+        states = Tensor(np.arange(12.0).reshape(4, 3)[:2])
+        assert np.array_equal(hd.summarize(states, False).data, [3.0, 4.0, 5.0])
 
     def test_bidirectional_concatenates_ends(self):
-        states = Tensor(np.arange(16.0).reshape(4, 4))
-        summary = hd.summarize(states, 3, True).data
+        states = Tensor(np.arange(16.0).reshape(4, 4)[:3])
+        summary = hd.summarize(states, True).data
         assert np.array_equal(summary, [8.0, 9.0, 2.0, 3.0])
-
-    def test_zero_valid_uses_row_zero(self):
-        states = Tensor(np.zeros((3, 2)))
-        assert np.array_equal(hd.summarize(states, 0, False).data, [0.0, 0.0])
 
 
 class TestClassify:
@@ -310,29 +272,29 @@ class TestClassify:
         head = self.make_head(k=4)
         head.w_out.data[:] = 0.0
         head.b_out.data[:] = 0.0
-        probs = hd.classify(head, Tensor(np.ones((2, 2))), 2)
+        probs = hd.classify(head, Tensor(np.ones((2, 2))))
         assert np.array_equal(probs.data, np.full(4, 0.25))
 
     def test_bias_shift_never_changes_argmax(self):
         head = self.make_head()
         states = Tensor(RandomSource(21).uniform(-1, 1, (3, 2)))
-        before = hd.predict(hd.classify(head, states, 3))
+        before = hd.predict(hd.classify(head, states))
         head.b_out.data += 7.5
-        after = hd.predict(hd.classify(head, states, 3))
+        after = hd.predict(hd.classify(head, states))
         assert before == after
 
     def test_probabilities_sum_to_one(self):
         rng = RandomSource(22)
         head = self.make_head(k=5)
         for _ in range(10):
-            states = Tensor(rng.uniform(-3, 3, (4, 2)))
-            probs = hd.classify(head, states, int(rng.integers(1, 5)))
+            states = rng.uniform(-3, 3, (4, 2))
+            probs = hd.classify(head, Tensor(states[:int(rng.integers(1, 5))]))
             assert abs(probs.data.sum() - 1.0) < 1e-6
 
     def test_summary_width_mismatch_rejected(self):
         head = self.make_head(in_dim=4)
         with pytest.raises(DimensionError):
-            hd.classify(head, Tensor(np.ones((2, 2))), 2)
+            hd.classify(head, Tensor(np.ones((2, 2))))
 
     def test_single_class_rejected(self):
         with pytest.raises(ParameterError):
@@ -397,9 +359,9 @@ class TestPipelineForward:
     def test_loss_attached_only_with_label(self):
         bridge, cell, head = build_pipeline("lstm", False)
         matrix = RandomSource(32).uniform(-1, 1, (3, 3))
-        probs, loss = hd.pipeline_forward(embed(matrix, 3), bridge, cell, head)
+        probs, loss = hd.pipeline_forward(Tensor(matrix), bridge, cell, head)
         assert loss is None
-        probs2, loss2 = hd.pipeline_forward(embed(matrix, 3), bridge, cell,
+        probs2, loss2 = hd.pipeline_forward(Tensor(matrix), bridge, cell,
                                             head, label=1)
         assert np.array_equal(probs.data, probs2.data)
         assert loss2.item() == pytest.approx(-math.log(max(probs.data[1], 1e-12)))
@@ -408,42 +370,32 @@ class TestPipelineForward:
         bridge, cell, head = build_pipeline("gru", True, dropout=0.3)
         matrix = RandomSource(33).uniform(-1, 1, (4, 3))
         runs = [
-            hd.pipeline_forward(embed(matrix, 4), bridge, cell, head,
+            hd.pipeline_forward(Tensor(matrix), bridge, cell, head,
                                 rng=RandomSource(99), training=True)[0].data
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
-        eval_probs, _ = hd.pipeline_forward(embed(matrix, 4), bridge, cell, head)
+        eval_probs, _ = hd.pipeline_forward(Tensor(matrix), bridge, cell, head)
         assert not np.array_equal(runs[0], eval_probs.data)
-
-    def test_trailing_padding_never_changes_prediction(self):
-        bridge, cell, head = build_pipeline("lstm", True)
-        rng = RandomSource(34)
-        core = rng.uniform(-1, 1, (3, 3))
-        short = hd.pipeline_forward(embed(core, 3), bridge, cell, head)[0].data
-        padded_matrix = np.vstack([core, rng.uniform(-9, 9, (3, 3))])
-        padded = hd.pipeline_forward(embed(padded_matrix, 3), bridge, cell,
-                                     head)[0].data
-        assert np.allclose(short, padded, atol=1e-12)
 
     def test_order_sensitivity_witness(self):
         bridge, cell, head = build_pipeline("gru", False, seed=35)
         rng = RandomSource(36)
         matrix = rng.uniform(-1, 1, (4, 3))
         reordered = matrix[[2, 0, 3, 1]]
-        a = hd.pipeline_forward(embed(matrix, 4), bridge, cell, head)[0].data
-        b = hd.pipeline_forward(embed(reordered, 4), bridge, cell, head)[0].data
+        a = hd.pipeline_forward(Tensor(matrix), bridge, cell, head)[0].data
+        b = hd.pipeline_forward(Tensor(reordered), bridge, cell, head)[0].data
         assert not np.allclose(a, b, atol=1e-6)
 
     def test_gru_sample_records_far_fewer_than_100_tape_entries(self):
         bridge, cell, head = build_pipeline("gru", False, d_model=8, d_rnn=8,
                                             hidden=8, dropout=0.1)
-        matrix = Tensor(RandomSource(37).uniform(-1, 1, (64, 8)),
+        matrix = Tensor(RandomSource(37).uniform(-1, 1, (64, 8))[:45],
                         requires_grad=True)
         with tt.Tape() as tape:
-            hd.pipeline_forward(EmbeddingSequence(matrix, 45), bridge, cell,
-                                head, rng=RandomSource(38), training=True,
-                                label=1)
+            hd.pipeline_forward(matrix, bridge, cell, head,
+                                rng=RandomSource(38), training=True, label=1,
+                                rows=64)
         assert len(tape) < 100
 
     @pytest.mark.parametrize("variant,bidirectional", [
@@ -457,15 +409,14 @@ class TestPipelineForward:
         for seed in (40, 41, 42, 43, 44):
             bridge, cell, head = build_pipeline(variant, bidirectional,
                                                 seed=seed)
-            matrix = Tensor(RandomSource(seed + 500).uniform(-1, 1, (4, 3)),
+            matrix = Tensor(RandomSource(seed + 500).uniform(-1, 1, (4, 3))[:3],
                             requires_grad=True)
             tensors = [matrix]
             for params in (bridge, cell, head):
                 tensors.extend(t for _, t in params.named_parameters())
 
             def loss():
-                seq = EmbeddingSequence(vectors=matrix, valid_len=3)
-                return hd.pipeline_forward(seq, bridge, cell, head,
+                return hd.pipeline_forward(matrix, bridge, cell, head,
                                            label=1)[1]
 
             assert tt.check_gradients(loss, tensors) < 1e-4
@@ -477,19 +428,9 @@ class TestMeanPoolForward:
         bridge = hd.init_bridge(3, 3, rng.derive("bridge"))
         head = hd.init_classifier(3, 3, 2, 0.0, rng.derive("head"))
         matrix = RandomSource(51).uniform(-1, 1, (4, 3))
-        a = hd.mean_pool_forward(embed(matrix, 4), bridge, head)[0].data
-        b = hd.mean_pool_forward(embed(matrix[[3, 1, 0, 2]], 4), bridge,
+        a = hd.mean_pool_forward(Tensor(matrix), bridge, head)[0].data
+        b = hd.mean_pool_forward(Tensor(matrix[[3, 1, 0, 2]]), bridge,
                                  head)[0].data
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_padding_rows_ignored(self):
-        rng = RandomSource(52)
-        bridge = hd.init_bridge(3, 3, rng.derive("bridge"))
-        head = hd.init_classifier(3, 3, 2, 0.0, rng.derive("head"))
-        core = RandomSource(53).uniform(-1, 1, (2, 3))
-        padded = np.vstack([core, np.full((2, 3), 9.0)])
-        a = hd.mean_pool_forward(embed(core, 2), bridge, head)[0].data
-        b = hd.mean_pool_forward(embed(padded, 2), bridge, head)[0].data
         assert np.allclose(a, b, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -503,7 +444,6 @@ class TestMeanPoolForward:
             tensors.extend(t for _, t in params.named_parameters())
 
         def loss():
-            seq = EmbeddingSequence(vectors=matrix, valid_len=4)
-            return hd.mean_pool_forward(seq, bridge, head, label=0)[1]
+            return hd.mean_pool_forward(matrix, bridge, head, label=0)[1]
 
         assert tt.check_gradients(loss, tensors) < 1e-4

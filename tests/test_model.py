@@ -141,6 +141,54 @@ class TestInitAndForward:
             name for name in full if name.startswith("encoder.")}
 
 
+HEADS = {
+    "rnn": {},
+    "birnn": {"bidirectional": True},
+    "mean": {"head_kind": "mean"},
+}
+
+
+class TestForwardPadding:
+    """The head sees only real-token rows, yet PAD ids keep their place in
+    the dropout stream: masks are drawn at the padded height."""
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_ids_past_length_never_change_probabilities(self, head):
+        bundle = md.init_model(tiny_config(**HEADS[head]), seed=13)
+        rng = RandomSource(14)
+        for length in (1, 3, 5):
+            ids = [int(i) for i in rng.integers(0, 16, 6)]
+            base = md.forward_example(
+                bundle, md.Example(label=0, tokens=tokens(ids, length)))[0]
+            for _ in range(3):
+                altered = ids[:length] + [int(i) for i in
+                                          rng.integers(0, 16, 6 - length)]
+                probs = md.forward_example(
+                    bundle, md.Example(label=0, tokens=tokens(altered, length)))[0]
+                assert np.array_equal(probs.data, base.data)
+
+    @pytest.mark.parametrize("pre_norm", [False, True])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_training_draws_every_mask_at_the_padded_height(self, head,
+                                                            pre_norm):
+        encoder = EncoderConfig(d_model=8, n_heads=2, n_layers=2,
+                                vocab_size=16, max_len=6, dropout=0.5,
+                                pre_norm=pre_norm)
+        config = tiny_config(encoder=encoder, dropout=0.5, **HEADS[head])
+        bundle = md.init_model(config, seed=15)
+        rng = RandomSource(16)
+        md.forward_example(bundle, md.Example(label=1, tokens=tokens(
+            [1, 5, 3, 0, 0, 0], 3)), rng, training=True, with_loss=True)
+        # two per encoder layer, the bridge, then the classifier (the mean
+        # head drops out its one pooled row)
+        shapes = [(6, 8)] * 5 + [{"rnn": (6, 3), "birnn": (6, 6),
+                                  "mean": (1, 4)}[head]]
+        replay = RandomSource(16)
+        for shape in shapes:
+            replay.bernoulli(0.5, shape)
+        assert np.array_equal(rng.uniform(0, 1, 8), replay.uniform(0, 1, 8))
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_values_at_f32(self, tmp_path):
         bundle = md.init_model(tiny_config(bidirectional=True), seed=12)

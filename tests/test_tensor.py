@@ -151,6 +151,16 @@ class TestDropout:
         np.testing.assert_array_equal(x.grad, out.data)
 
 
+    def test_rows_draws_the_full_mask_and_keeps_its_top(self):
+        x = Tensor(np.ones((3, 4)))
+        short_rng, full_rng = RandomSource(5), RandomSource(5)
+        short = T.dropout(x, 0.5, short_rng, training=True, rows=7)
+        full = T.dropout(Tensor(np.ones((7, 4))), 0.5, full_rng, training=True)
+        np.testing.assert_array_equal(short.data, full.data[:3])
+        np.testing.assert_array_equal(short_rng.uniform(0, 1, 3),
+                                      full_rng.uniform(0, 1, 3))
+
+
 class TestStructureOps:
     def test_concat_split_round_trip(self):
         rng = np.random.default_rng(1)
