@@ -220,27 +220,36 @@ def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
 
 
 def _layer_forward(layer: EncoderLayerParams, x: Tensor, mask: np.ndarray,
-                   p: float, rng: RandomSource | None, training: bool,
-                   pre_norm: bool, rows: int) -> Tensor:
+                   keep_attn: np.ndarray | None, keep_ffn: np.ndarray | None,
+                   pre_norm: bool) -> Tensor:
     if pre_norm:
         a = multi_head_attention(
             layer.attn, tt.layer_norm(x, layer.ln1_gain, layer.ln1_bias), mask)
-        x = tt.add(x, tt.dropout(a, p, rng, training, rows))
+        x = tt.add(x, tt.dropout(a, keep_attn))
         f = feed_forward(
             layer.ffn, tt.layer_norm(x, layer.ln2_gain, layer.ln2_bias))
-        return tt.add(x, tt.dropout(f, p, rng, training, rows))
-    a = tt.dropout(multi_head_attention(layer.attn, x, mask), p, rng, training,
-                   rows)
+        return tt.add(x, tt.dropout(f, keep_ffn))
+    a = tt.dropout(multi_head_attention(layer.attn, x, mask), keep_attn)
     x = tt.layer_norm(tt.add(x, a), layer.ln1_gain, layer.ln1_bias)
-    f = tt.dropout(feed_forward(layer.ffn, x), p, rng, training, rows)
+    f = tt.dropout(feed_forward(layer.ffn, x), keep_ffn)
     return tt.layer_norm(tt.add(x, f), layer.ln2_gain, layer.ln2_bias)
 
 
+def dropout_masks(config: EncoderConfig, rows: int, rng: RandomSource | None,
+                  training: bool) -> list:
+    """Per layer, the (attention, FFN) ``tt.dropout_mask`` pair for a
+    sequence of ``rows`` ids, padding included, drawn in that order."""
+    shape = (rows, config.d_model)
+    return [(tt.dropout_mask(rng, config.dropout, shape, training),
+             tt.dropout_mask(rng, config.dropout, shape, training))
+            for _ in range(config.n_layers)]
+
+
 def encoder_forward(model: EncoderParams, tokens: TokenSequence,
-                    rng: RandomSource | None = None,
-                    training: bool = False) -> Tensor:
+                    masks: list | None = None) -> Tensor:
     """Embed, add positions, then run the layer stack over the real tokens,
-    one output row each.  Dropout masks are drawn at the padded height."""
+    one output row each.  ``masks`` are the ``dropout_masks`` pairs, drawn
+    at the padded height; None runs without dropout."""
     config = model.config
     ids = list(tokens.input_ids)
     for tid in ids:
@@ -251,14 +260,13 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
         raise DimensionError(f"sequence length {n} exceeds max {config.max_len}")
     if not 1 <= length <= n:
         raise ParameterError(f"sequence length {length} outside [1, {n}]")
-    if training and config.dropout > 0.0 and rng is None:
-        raise ParameterError("training-mode dropout requires a random source")
+    if masks is None:
+        masks = [(None, None)] * config.n_layers
     x = tt.add(tt.gather_rows(model.embedding, ids[:length]),
                Tensor(model.positional[:length]))
     mask = additive_mask(length, causal=config.causal)
-    for layer in model.layers:
-        x = _layer_forward(layer, x, mask, config.dropout, rng, training,
-                           config.pre_norm, n)
+    for layer, (keep_attn, keep_ffn) in zip(model.layers, masks):
+        x = _layer_forward(layer, x, mask, keep_attn, keep_ffn, config.pre_norm)
     return x
 
 
@@ -344,7 +352,8 @@ def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
     targets = list(targets)
     if not targets:
         raise ParameterError("denoising loss needs at least one masked position")
-    states = encoder_forward(model, corrupted, rng, training)
+    masks = dropout_masks(model.config, len(corrupted.input_ids), rng, training)
+    states = encoder_forward(model, corrupted, masks)
     total = None
     for pos, original_id in targets:
         logits = tt.matvec(model.embedding, tt.row(states, pos))

@@ -1,28 +1,36 @@
 """Recurrent classification heads over contextual embeddings.
 
-The chain: embeddings -> dropout -> linear bridge -> recurrent scan
-(vanilla/LSTM/GRU, unidirectional or bidirectional) -> dropout ->
-dense+ReLU -> output layer -> softmax.  Every input row is a real token.
-Sequences are summarized by the last hidden state; bidirectional runs
-concatenate the forward state at the last row with the backward state
-at row 0.  An order-blind variant replaces the recurrent scan with mean
-pooling over all rows, as a baseline for order-sensitivity comparisons.
+The head runs once per mini-batch.  ``pipeline_forward`` stacks the
+batch's sequences, every row a real token, into a zero-padded
+(B, T, d) array with a length vector, then runs: dropout -> linear
+bridge (one GEMM) -> recurrent scan (vanilla/LSTM/GRU, unidirectional
+or bidirectional) -> summary rows -> dropout -> dense+ReLU -> output
+layer -> softmax -> cross-entropy, each once over the batch.  A
+sequence is summarized by its last hidden state; bidirectional runs
+concatenate the forward state at its last row with the backward state
+at row 0.  An order-blind variant replaces the scan with mean pooling
+over each sequence's rows, as a baseline for order-sensitivity
+comparisons.
 
-Each scan direction is one tape op (Appleyard, Kocisky & Blunsom, 2016):
-the gates are stacked in VARIANT_GATES order, the input projections of
-all positions are one GEMM, every step does one recurrent matvec
-(GRU's candidate keeps its own Q_h (r * h)), and the backward rule runs
-BPTT in numpy.  The tests keep a per-step reference built from elementary
-tape ops, one graph per step, and check the fused scan against it.
+Each scan direction is one tape op over the batch (Appleyard, Kocisky &
+Blunsom, 2016): the gates are stacked in VARIANT_GATES order, the input
+projections of every real row are one GEMM, and every step does one
+(B, H) recurrent GEMM over the sequences still running (GRU's candidate
+keeps its own Q_h (r * h)).  The backward rule runs BPTT in numpy.  Rows
+past a sequence's length are zero and take no gradient.  The tests keep
+the per-sample head and a per-step scan built from elementary tape ops,
+and check the batched head against both.
 
 Weight layouts: per-gate input maps P are (hidden x d_in), recurrent
 maps Q are (hidden x hidden), applied as P x + Q h + b on column
-vectors; the bridge and classifier apply row-vector maps.
+vectors; the bridge applies a (d_in x d_rnn) row-vector map and the
+classifier (out x in) maps through ``tt.linear``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,119 +164,134 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
-# Each recurrence runs over the stacked input projections gx (one row per
-# step, gates in VARIANT_GATES order) and the stacked recurrent map q.  The
-# forward pass returns hs, whose row t + 1 is the hidden state after step
-# t (row 0 is the zero initial state), plus what its backward pass needs.
-# The backward pass turns dh, the gradient on hs[1:], into da, the
-# gradient on every gate pre-activation (one row per step), and dq.  The
-# factors that do not depend on the carried gradient are computed for
-# all steps before the loop, which keeps only the recurrence inside it.
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
 
 
-def _vanilla_forward(gx: np.ndarray, q: np.ndarray):
-    hs = np.zeros((len(gx) + 1, q.shape[1]))
-    h = hs[0]
-    for t in range(len(gx)):
-        h = hs[t + 1] = np.tanh(gx[t] + q @ h)
+# Each recurrence runs time-major over the stacked input projections gx
+# (step, slot, gates in VARIANT_GATES order) and the stacked recurrent map
+# q.  The slots hold the batch sorted by length, so running[t], the number
+# of sequences still running at step t, makes them the prefix [:running[t]].
+# The forward pass returns hs, whose [t + 1, j] is slot j's hidden state
+# after step t (row 0 is the zero initial state, rows past a sequence's end
+# stay zero), plus what its backward pass needs.  The backward pass turns
+# dh, the gradient on hs[1:], into da, the gradient on every gate
+# pre-activation (zero past each sequence's end), and dq.  The factors that
+# do not depend on the carried gradient are computed for all steps before
+# the loop, which keeps only the recurrence inside it.
+
+
+def _vanilla_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
+    hs = np.zeros((len(gx) + 1, gx.shape[1], q.shape[1]))
+    q_t = q.T
+    for t, n in enumerate(running):
+        hs[t + 1, :n] = np.tanh(gx[t, :n] + hs[t, :n] @ q_t)
     return hs, ()
 
 
-def _vanilla_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved):
+def _vanilla_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved,
+                      running: np.ndarray):
     slope = 1.0 - hs[1:] * hs[1:]
-    q_t = q.T
-    da = np.empty_like(dh)
-    carry = np.zeros(dh.shape[1])
+    da = np.zeros_like(dh)
+    carry = np.zeros(dh.shape[1:])
     for t in range(len(dh) - 1, -1, -1):
-        row = da[t] = (dh[t] + carry) * slope[t]
-        carry = q_t @ row
-    return da, da.T @ hs[:-1]
+        n = running[t]
+        row = da[t, :n] = (dh[t, :n] + carry[:n]) * slope[t, :n]
+        carry[:n] = row @ q
+    return da, _rows(da).T @ _rows(hs[:-1])
 
 
-def _lstm_forward(gx: np.ndarray, q: np.ndarray):
-    steps, hidden = len(gx), q.shape[1]
-    hs = np.zeros((steps + 1, hidden))
-    cs = np.zeros((steps + 1, hidden))
-    candidates = np.empty((steps, hidden))
-    gates = np.empty((steps, 3 * hidden))  # forget, update, output
-    cell_tanh = np.empty((steps, hidden))
-    h, c = hs[0], cs[0]
-    for t in range(steps):
-        a = gx[t] + q @ h
-        candidate = candidates[t] = np.tanh(a[:hidden])
-        s = gates[t] = _sigmoid(a[hidden:])
-        c = cs[t + 1] = s[hidden:2 * hidden] * candidate + s[:hidden] * c
-        tc = cell_tanh[t] = np.tanh(c)
-        h = hs[t + 1] = s[2 * hidden:] * tc
+def _lstm_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
+    steps, batch, hidden = len(gx), gx.shape[1], q.shape[1]
+    hs = np.zeros((steps + 1, batch, hidden))
+    cs = np.zeros((steps + 1, batch, hidden))
+    candidates = np.zeros((steps, batch, hidden))
+    gates = np.zeros((steps, batch, 3 * hidden))  # forget, update, output
+    cell_tanh = np.zeros((steps, batch, hidden))
+    q_t = q.T
+    for t, n in enumerate(running):
+        a = gx[t, :n] + hs[t, :n] @ q_t
+        candidate = candidates[t, :n] = np.tanh(a[:, :hidden])
+        s = gates[t, :n] = _sigmoid(a[:, hidden:])
+        c = cs[t + 1, :n] = (s[:, hidden:2 * hidden] * candidate
+                             + s[:, :hidden] * cs[t, :n])
+        tc = cell_tanh[t, :n] = np.tanh(c)
+        hs[t + 1, :n] = s[:, 2 * hidden:] * tc
     return hs, (cs, candidates, gates, cell_tanh)
 
 
-def _lstm_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved):
+def _lstm_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved,
+                   running: np.ndarray):
     cs, candidates, gates, cell_tanh = saved
-    steps, hidden = dh.shape
-    forget, update, output = (gates[:, k * hidden:(k + 1) * hidden]
+    steps, batch, hidden = dh.shape
+    forget, update, output = (gates[..., k * hidden:(k + 1) * hidden]
                               for k in range(3))
     # candidate, forget and update pre-activations per unit of d_c
     per_dc = np.stack((update * (1.0 - candidates * candidates),
                        cs[:-1] * forget * (1.0 - forget),
-                       candidates * update * (1.0 - update)), axis=1)
+                       candidates * update * (1.0 - update)), axis=2)
     per_dh = cell_tanh * output * (1.0 - output)
     dc_per_dh = output * (1.0 - cell_tanh * cell_tanh)
-    q_t = q.T
-    da = np.empty((steps, 4 * hidden))
-    da_cfi = da[:, :3 * hidden].reshape(steps, 3, hidden)
-    da_o = da[:, 3 * hidden:]
-    carry_h = np.zeros(hidden)
-    carry_c = np.zeros(hidden)
+    da = np.zeros((steps, batch, 4 * hidden))
+    da_cfi = da[..., :3 * hidden].reshape(steps, batch, 3, hidden)
+    da_o = da[..., 3 * hidden:]
+    carry_h = np.zeros((batch, hidden))
+    carry_c = np.zeros((batch, hidden))
     for t in range(steps - 1, -1, -1):
-        d_h = dh[t] + carry_h
-        d_c = carry_c + d_h * dc_per_dh[t]
-        da_cfi[t] = per_dc[t] * d_c
-        da_o[t] = d_h * per_dh[t]
-        carry_c = d_c * forget[t]
-        carry_h = q_t @ da[t]
-    return da, da.T @ hs[:-1]
+        n = running[t]
+        d_h = dh[t, :n] + carry_h[:n]
+        d_c = carry_c[:n] + d_h * dc_per_dh[t, :n]
+        da_cfi[t, :n] = per_dc[t, :n] * d_c[:, None]
+        da_o[t, :n] = d_h * per_dh[t, :n]
+        carry_c[:n] = d_c * forget[t, :n]
+        carry_h[:n] = da[t, :n] @ q
+    return da, _rows(da).T @ _rows(hs[:-1])
 
 
-def _gru_forward(gx: np.ndarray, q: np.ndarray):
-    steps, hidden = len(gx), q.shape[1]
-    q_zr, q_h = q[:2 * hidden], q[2 * hidden:]
-    gx_zr, gx_h = gx[:, :2 * hidden], gx[:, 2 * hidden:]
-    hs = np.zeros((steps + 1, hidden))
-    gates = np.empty((steps, 2 * hidden))  # update, reset
-    candidates = np.empty((steps, hidden))
-    h = hs[0]
-    for t in range(steps):
-        s = gates[t] = _sigmoid(gx_zr[t] + q_zr @ h)
-        update = s[:hidden]
-        candidate = candidates[t] = np.tanh(gx_h[t] + q_h @ (s[hidden:] * h))
-        h = hs[t + 1] = (1.0 - update) * candidate + update * h
+def _gru_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
+    steps, batch, hidden = len(gx), gx.shape[1], q.shape[1]
+    q_zr_t, q_h_t = q[:2 * hidden].T, q[2 * hidden:].T
+    gx_zr, gx_h = gx[..., :2 * hidden], gx[..., 2 * hidden:]
+    hs = np.zeros((steps + 1, batch, hidden))
+    gates = np.zeros((steps, batch, 2 * hidden))  # update, reset
+    candidates = np.zeros((steps, batch, hidden))
+    for t, n in enumerate(running):
+        h = hs[t, :n]
+        s = gates[t, :n] = _sigmoid(gx_zr[t, :n] + h @ q_zr_t)
+        update = s[:, :hidden]
+        candidate = candidates[t, :n] = np.tanh(
+            gx_h[t, :n] + (s[:, hidden:] * h) @ q_h_t)
+        hs[t + 1, :n] = (1.0 - update) * candidate + update * h
     return hs, (gates, candidates)
 
 
-def _gru_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved):
+def _gru_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved,
+                  running: np.ndarray):
     gates, candidates = saved
-    steps, hidden = dh.shape
-    update, reset = gates[:, :hidden], gates[:, hidden:]
+    steps, batch, hidden = dh.shape
+    update, reset = gates[..., :hidden], gates[..., hidden:]
     previous = hs[:-1]
     # update and candidate pre-activations per unit of d_h; reset per unit
     # of the gradient on reset * previous
     per_dh_z = (previous - candidates) * update * (1.0 - update)
     per_dh_c = (1.0 - update) * (1.0 - candidates * candidates)
     per_drh_r = previous * reset * (1.0 - reset)
-    q_zr_t, q_h_t = q[:2 * hidden].T, q[2 * hidden:].T
-    da = np.empty((steps, 3 * hidden))
-    da_z, da_r, da_c = da[:, :hidden], da[:, hidden:2 * hidden], da[:, 2 * hidden:]
-    da_zr = da[:, :2 * hidden]
-    carry = np.zeros(hidden)
+    q_zr, q_h = q[:2 * hidden], q[2 * hidden:]
+    da = np.zeros((steps, batch, 3 * hidden))
+    da_z, da_r = da[..., :hidden], da[..., hidden:2 * hidden]
+    da_zr, da_c = da[..., :2 * hidden], da[..., 2 * hidden:]
+    carry = np.zeros((batch, hidden))
     for t in range(steps - 1, -1, -1):
-        d_h = dh[t] + carry
-        d_c = da_c[t] = d_h * per_dh_c[t]
-        d_rh = q_h_t @ d_c
-        da_z[t] = d_h * per_dh_z[t]
-        da_r[t] = d_rh * per_drh_r[t]
-        carry = d_h * update[t] + d_rh * reset[t] + q_zr_t @ da_zr[t]
-    dq = np.concatenate((da_zr.T @ previous, da_c.T @ (reset * previous)))
+        n = running[t]
+        d_h = dh[t, :n] + carry[:n]
+        d_c = da_c[t, :n] = d_h * per_dh_c[t, :n]
+        d_rh = d_c @ q_h
+        da_z[t, :n] = d_h * per_dh_z[t, :n]
+        da_r[t, :n] = d_rh * per_drh_r[t, :n]
+        carry[:n] = (d_h * update[t, :n] + d_rh * reset[t, :n]
+                     + da_zr[t, :n] @ q_zr)
+    dq = np.concatenate((_rows(da_zr).T @ _rows(previous),
+                         _rows(da_c).T @ _rows(reset * previous)))
     return da, dq
 
 
@@ -279,34 +302,61 @@ _RECURRENCES = {
 }
 
 
-def _scan(cell: RnnCellParams, sequence: Tensor, reverse: bool) -> Tensor:
-    """One direction of the recurrence over every row, as a single tape
-    op with a hand-written backward pass through time.
+def _check_lengths(sequences: Tensor, lengths) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if sequences.data.ndim != 3 or lengths.shape != sequences.shape[:1]:
+        raise DimensionError(
+            f"need (batch, steps, width) input and one length per sequence, "
+            f"got {sequences.shape} and {lengths.shape}")
+    if lengths.min() < 1 or lengths.max() > sequences.shape[1]:
+        raise ParameterError(
+            f"sequence lengths must be in [1, {sequences.shape[1]}]")
+    return lengths
+
+
+def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
+          reverse: bool) -> Tensor:
+    """One direction of the recurrence over a (B, T, d) batch, sequence i
+    running over its first lengths[i] rows, as a single tape op with a
+    hand-written backward pass through time.
 
     The gate weights are stacked on every call (they change after each
-    optimizer step), the input projections of all steps are one GEMM,
-    and each step does one recurrent matvec.  Row t of the output is the
-    state after consuming row t: forward from row 0, reverse from the
-    last row.
+    optimizer step), the input projections of every real row are one GEMM,
+    and each step does one recurrent GEMM over the sequences still
+    running.  Row t of sequence i is its state after consuming row t:
+    forward from row 0, reverse from row lengths[i] - 1.  Rows past a
+    sequence's length are zero and take no gradient.
     """
-    if sequence.data.ndim != 2 or sequence.shape[1] != cell.input_dim:
+    lengths = _check_lengths(sequences, lengths)
+    if sequences.shape[2] != cell.input_dim:
         raise DimensionError(
-            f"input shape {sequence.shape} vs cell input {cell.input_dim}"
+            f"input shape {sequences.shape} vs cell input {cell.input_dim}"
         )
     gates = list(cell.gates.values())
     p = np.concatenate([g.p.data for g in gates])
     q = np.concatenate([g.q.data for g in gates])
     b = np.concatenate([g.b.data for g in gates])
-    x = sequence.data[::-1] if reverse else sequence.data
+    batch, hidden = len(lengths), cell.hidden
+    # slot j scans sequence order[j]; (step, slot) pairs read real rows
+    order = np.argsort(-lengths, kind="stable")
+    step, slot = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    sample = order[slot]
+    row = lengths[sample] - 1 - step if reverse else step
+    running = np.bincount(step)
+    x = sequences.data[sample, row]
+    gx = np.zeros((len(running), batch, len(b)))
+    gx[step, slot] = x @ p.T + b
     forward, backward = _RECURRENCES[cell.variant]
-    hs, saved = forward(x @ p.T + b, q)
-    hidden = cell.hidden
-    data = hs[:0:-1] if reverse else hs[1:]
+    hs, saved = forward(gx, q, running)
+    data = np.zeros((*sequences.shape[:2], hidden))
+    data[sample, row] = hs[step + 1, slot]
 
     def build(out: Tensor):
         def rule():
-            g = out.grad
-            da, dq = backward(g[::-1] if reverse else g, q, hs, saved)
+            dh = np.zeros((len(running), batch, hidden))
+            dh[step, slot] = out.grad[sample, row]
+            da, dq = backward(dh, q, hs, saved, running)
+            da = da[step, slot]
             dp = da.T @ x
             db = da.sum(axis=0)
             for k, gate in enumerate(gates):
@@ -314,54 +364,90 @@ def _scan(cell: RnnCellParams, sequence: Tensor, reverse: bool) -> Tensor:
                 for param, grad in ((gate.p, dp), (gate.q, dq), (gate.b, db)):
                     if param.requires_grad:
                         param.accumulate_grad(grad[rows])
-            if sequence.requires_grad:
-                sequence.accumulate_grad((da[::-1] if reverse else da) @ p)
+            if sequences.requires_grad:
+                dx = np.zeros(sequences.shape)
+                dx[sample, row] = da @ p
+                sequences.accumulate_grad(dx)
         return rule
 
     params = [t for g in gates for t in (g.p, g.q, g.b)]
-    return tt.make_output(data, [sequence, *params], build)
+    return tt.make_output(data, [sequences, *params], build)
 
 
-def rnn_forward(cell: RnnCellParams, sequence: Tensor) -> Tensor:
-    """Left-to-right scan from the zero state: row t holds the state after
-    tokens 0..t.  One tape op."""
-    return _scan(cell, sequence, reverse=False)
+def rnn_forward(cell: RnnCellParams, sequences: Tensor, lengths) -> Tensor:
+    """Left-to-right scan of each sequence from the zero state: row t of
+    sequence i holds its state after tokens 0..t.  One tape op."""
+    return _scan(cell, sequences, lengths, reverse=False)
 
 
-def birnn_forward(params: BiRnnParams, sequence: Tensor) -> Tensor:
-    """Row t holds [forward state after tokens 0..t, backward state after
-    tokens T-1..t], T the row count.  One tape op per direction."""
-    return tt.concat(_scan(params.fw, sequence, reverse=False),
-                     _scan(params.bw, sequence, reverse=True),
+def birnn_forward(params: BiRnnParams, sequences: Tensor, lengths) -> Tensor:
+    """Row t of sequence i holds [forward state after tokens 0..t, backward
+    state after tokens L-1..t], L = lengths[i].  One tape op per
+    direction."""
+    return tt.concat(_scan(params.fw, sequences, lengths, reverse=False),
+                     _scan(params.bw, sequences, lengths, reverse=True),
+                     axis=2)
+
+
+def summary_rows(lengths, width: int, bidirectional: bool) -> np.ndarray:
+    """(B, width) row that each summary entry reads: the last row, except
+    that a bidirectional state's backward half reads row 0."""
+    rows = np.repeat(np.asarray(lengths, dtype=np.intp)[:, None] - 1, width,
                      axis=1)
+    if bidirectional:
+        if width % 2 != 0:
+            raise DimensionError(
+                f"bidirectional states must have even width, got {width}")
+        rows[:, width // 2:] = 0
+    return rows
 
 
-def summarize(states: Tensor, bidirectional: bool) -> Tensor:
-    """Last hidden state; bidirectional: forward-last + backward-first."""
-    if not bidirectional:
-        return tt.row(states, -1)
-    width = states.shape[1]
-    if width % 2 != 0:
-        raise DimensionError(f"bidirectional states must have even width, got {width}")
-    h = width // 2
-    return tt.concat(tt.slice_vec(tt.row(states, -1), 0, h),
-                     tt.slice_vec(tt.row(states, 0), h, width), axis=0)
+def summarize(states: Tensor, rows: np.ndarray) -> Tensor:
+    """Summary entry (i, j) is states[i, rows[i, j], j]; one tape op."""
+    batch, width = rows.shape
+    if states.data.ndim != 3 or states.shape[::2] != (batch, width):
+        raise DimensionError(f"states {states.shape} vs summary rows {rows.shape}")
+    index = (np.arange(batch)[:, None], rows, np.arange(width))
+
+    def build(out: Tensor):
+        def rule():
+            if states.requires_grad:
+                g = np.zeros(states.shape)
+                g[index] = out.grad
+                states.accumulate_grad(g)
+        return rule
+
+    return tt.make_output(states.data[index], (states,), build)
 
 
-def classify(head: ClassifierParams, states: Tensor,
-             rng: RandomSource | None = None, training: bool = False,
-             bidirectional: bool = False, rows: int | None = None) -> Tensor:
-    """Dropout (mask drawn ``rows`` high), summarize, dense+ReLU, output
-    layer, softmax."""
-    dropped = tt.dropout(states, head.dropout, rng, training, rows)
-    summary = summarize(dropped, bidirectional)
-    if summary.shape != (head.w_dense.shape[1],):
+def mean_pool_forward(sequences: Tensor, lengths) -> Tensor:
+    """Order-blind summary replacing the scan: the mean of each sequence's
+    first lengths[i] rows.  One tape op."""
+    lengths = _check_lengths(sequences, lengths)
+    valid = (np.arange(sequences.shape[1]) < lengths[:, None])[..., None]
+    scale = 1.0 / lengths[:, None]
+
+    def build(out: Tensor):
+        def rule():
+            if sequences.requires_grad:
+                sequences.accumulate_grad((out.grad * scale)[:, None] * valid)
+        return rule
+
+    data = (sequences.data * valid).sum(axis=1) * scale
+    return tt.make_output(data, (sequences,), build)
+
+
+def classify(head: ClassifierParams, summary: Tensor,
+             keep: np.ndarray | None = None) -> Tensor:
+    """Dropout (``keep``, one mask row per summary), dense+ReLU, output
+    layer, softmax: (B, width) summaries to (B, k) probabilities."""
+    if summary.data.ndim != 2 or summary.shape[1] != head.w_dense.shape[1]:
         raise DimensionError(
-            f"summary width {summary.shape} vs dense input {head.w_dense.shape[1]}"
+            f"summary shape {summary.shape} vs dense input {head.w_dense.shape[1]}"
         )
-    dense = tt.relu(tt.add(tt.matvec(head.w_dense, summary), head.b_dense))
-    logits = tt.add(tt.matvec(head.w_out, dense), head.b_out)
-    return tt.softmax(logits, axis=-1)
+    dropped = tt.dropout(summary, keep)
+    dense = tt.relu(tt.linear(dropped, head.w_dense, head.b_dense))
+    return tt.softmax(tt.linear(dense, head.w_out, head.b_out), axis=-1)
 
 
 def predict(probabilities) -> int:
@@ -370,55 +456,89 @@ def predict(probabilities) -> int:
     return int(np.argmax(values))
 
 
-def cross_entropy_loss(predicted: Tensor, true_label: int) -> Tensor:
-    """-log predicted[label], floored at 1e-12."""
-    k = predicted.shape[0]
-    if not 0 <= true_label < k:
-        raise DataError(f"label {true_label} outside {k} classes")
-    return tt.neg(tt.log(tt.clip_min(tt.pick(predicted, true_label), LOSS_FLOOR)))
+def cross_entropy_loss(predicted: Tensor, labels) -> Tensor:
+    """Per-sample -log predicted[i, labels[i]], floored at 1e-12: (B, k)
+    probabilities to (B,) losses, one op."""
+    labels = np.asarray(labels, dtype=np.intp)
+    batch, k = predicted.shape
+    if labels.shape != (batch,):
+        raise DimensionError(f"{labels.shape} labels for {batch} predictions")
+    if labels.size and not (0 <= labels.min() and labels.max() < k):
+        raise DataError(f"label outside {k} classes: {labels.tolist()}")
+    index = (np.arange(batch), labels)
+    picked = predicted.data[index]
+    clipped = np.maximum(picked, LOSS_FLOOR)
+
+    def build(out: Tensor):
+        def rule():
+            if predicted.requires_grad:
+                g = np.zeros(predicted.shape)
+                g[index] = -out.grad / clipped * (picked >= LOSS_FLOOR)
+                predicted.accumulate_grad(g)
+        return rule
+
+    return tt.make_output(-np.log(clipped), (predicted,), build)
 
 
-def average_losses(losses: list[Tensor]) -> Tensor:
-    if not losses:
-        raise ParameterError("cannot average zero losses")
-    total = losses[0]
-    for item in losses[1:]:
-        total = tt.add(total, item)
-    return tt.scale(total, 1.0 / len(losses))
+def average_losses(losses: Tensor) -> Tensor:
+    """Mean of a (B,) loss vector, summed left to right; one op."""
+    if losses.data.ndim != 1 or losses.size == 0:
+        raise ParameterError(f"need a non-empty loss vector, got {losses.shape}")
+    scale = 1.0 / losses.size
+
+    def build(out: Tensor):
+        def rule():
+            if losses.requires_grad:
+                losses.accumulate_grad(np.full(losses.shape, float(out.grad) * scale))
+        return rule
+
+    return tt.make_output(np.cumsum(losses.data)[-1] * scale, (losses,), build)
 
 
-def _bridge_inputs(embeddings: Tensor, bridge: BridgeParams,
-                   dropout_rate: float, rng, training: bool,
-                   rows: int | None) -> Tensor:
-    dropped = tt.dropout(embeddings, dropout_rate, rng, training, rows)
-    return tt.add(tt.matmul(dropped, bridge.w), bridge.b)
+class HeadMasks(NamedTuple):
+    """One sequence's head dropout masks, drawn at its padded height."""
+
+    bridge: np.ndarray  # (rows, d_in), on the bridge input
+    classifier: np.ndarray  # (rows, width) on the states; mean head (1, width)
 
 
-def pipeline_forward(embeddings: Tensor, bridge: BridgeParams,
+def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
                      cell, head: ClassifierParams,
-                     rng: RandomSource | None = None, training: bool = False,
-                     label: int | None = None, rows: int | None = None):
-    """Full head chain over one sequence, one row per real token; returns
-    (probs, loss).  Dropout masks are drawn ``rows`` high (``tt.dropout``)."""
-    bidirectional = isinstance(cell, BiRnnParams)
-    z = _bridge_inputs(embeddings, bridge, head.dropout, rng, training, rows)
-    scan = birnn_forward if bidirectional else rnn_forward
-    probs = classify(head, scan(cell, z), rng, training, bidirectional, rows)
-    loss = None if label is None else cross_entropy_loss(probs, label)
-    return probs, loss
+                     masks: list[HeadMasks] | None = None, labels=None):
+    """The full head once over a batch of sequences, one row per real token;
+    returns ((B, k) probabilities, (B,) losses or None without ``labels``).
 
-
-def mean_pool_forward(embeddings: Tensor, bridge: BridgeParams,
-                      head: ClassifierParams,
-                      rng: RandomSource | None = None, training: bool = False,
-                      label: int | None = None, rows: int | None = None):
-    """Order-blind baseline: the recurrent scan replaced by a mean over
-    all rows; everything else identical to pipeline_forward."""
-    z = _bridge_inputs(embeddings, bridge, head.dropout, rng, training, rows)
-    pooled = tt.scale(tt.sum_rows(z), 1.0 / z.shape[0])
-    probs = classify(head, tt.stack_rows([pooled]), rng, training, False)
-    loss = None if label is None else cross_entropy_loss(probs, label)
-    return probs, loss
+    The sequences are stacked into (B, T, d) with a length vector; the
+    bridge, scan (``cell`` None: mean pooling), summary, classifier and
+    loss each run once.  ``masks`` holds each sequence's
+    :class:`HeadMasks`, or is None for no dropout; a padded sequence's
+    taller masks apply their top rows.
+    """
+    lengths = np.array([len(s.data) for s in sequences], dtype=np.intp)
+    x = tt.stack_padded(sequences)
+    bridge_keep = None
+    if masks is not None:
+        bridge_keep = np.zeros(x.shape)
+        for i, m in enumerate(masks):
+            bridge_keep[i, :lengths[i]] = m.bridge[:lengths[i]]
+    z = tt.add(tt.matmul(tt.dropout(x, bridge_keep), bridge.w), bridge.b)
+    if cell is None:
+        summary = mean_pool_forward(z, lengths)
+        rows = np.zeros(summary.shape, dtype=np.intp)
+    else:
+        bidirectional = isinstance(cell, BiRnnParams)
+        scan = birnn_forward if bidirectional else rnn_forward
+        states = scan(cell, z, lengths)
+        rows = summary_rows(lengths, states.shape[2], bidirectional)
+        summary = summarize(states, rows)
+    head_keep = None
+    if masks is not None:
+        columns = np.arange(rows.shape[1])
+        head_keep = np.stack([m.classifier[r, columns]
+                              for m, r in zip(masks, rows)])
+    probs = classify(head, summary, head_keep)
+    losses = None if labels is None else cross_entropy_loss(probs, labels)
+    return probs, losses
 
 
 def init_bridge(d_in: int, d_rnn: int, rng: RandomSource) -> BridgeParams:

@@ -17,10 +17,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import heads as hd
+from . import tensor as tt
 from .binfile import BinaryReader, replacing
 from .bpe import TokenSequence
-from .encoder import (EncoderConfig, EncoderParams, encoder_forward,
-                      init_encoder)
+from .encoder import (EncoderConfig, EncoderParams, dropout_masks,
+                      encoder_forward, init_encoder)
 from .errors import DataError, DimensionError, ParameterError
 from .rng import RandomSource
 from .tensor import Tensor
@@ -139,26 +140,66 @@ class Example:
             raise ParameterError("example needs exactly one of tokens or matrix")
 
 
-def forward_example(bundle: ModelBundle, example: Example,
+def draw_masks(bundle: ModelBundle, example: Example,
+               rng: RandomSource | None, training: bool):
+    """One sample's dropout masks, the one place their order is fixed.
+
+    Drawn from ``rng`` at the padded height of the sample's token ids (an
+    imported matrix: its rows), in this order: per encoder layer the
+    attention then the FFN mask, then the bridge input, then the
+    classifier input (every state row, or the mean head's one pooled
+    row).  Returns (encoder masks, ``hd.HeadMasks``); the encoder masks
+    are None for an imported matrix, and every mask is None where nothing
+    is dropped.
+    """
+    config = bundle.config
+    encoder_masks = None
+    if example.tokens is None:
+        rows = len(example.matrix)
+    else:
+        rows = len(example.tokens.input_ids)
+        encoder_masks = dropout_masks(config.encoder, rows, rng, training)
+    p = bundle.head.dropout
+    state_rows = 1 if bundle.cell is None else rows
+    head_masks = hd.HeadMasks(
+        bridge=tt.dropout_mask(rng, p, (rows, config.input_dim), training),
+        classifier=tt.dropout_mask(rng, p, (state_rows, config.summary_dim),
+                                   training))
+    return encoder_masks, head_masks
+
+
+def forward_example(bundle: ModelBundle, examples,
                     rng: RandomSource | None = None, training: bool = False,
                     with_loss: bool = False):
-    """Encoder (or the imported matrix), then the bundle's head; returns
-    (probs, loss), the loss None unless ``with_loss``.  Token input draws
-    the head's dropout masks at the padded height, as the encoder does."""
-    label = example.label if with_loss else None
-    if example.tokens is not None:
-        if bundle.encoder is None:
+    """Encoder (or the imported matrix) per sample, then the bundle's head
+    once over the batch; returns (probs, losses), the losses None unless
+    ``with_loss``.
+
+    ``examples`` is a list: probs is (B, k) and losses (B,).  A single
+    :class:`Example` is the batch of one: probs is its (k,) row and the
+    loss a scalar.  Each sample draws its ``draw_masks`` before the next.
+    """
+    single = isinstance(examples, Example)
+    batch = [examples] if single else list(examples)
+    sequences, head_masks = [], []
+    for example in batch:
+        if example.tokens is not None and bundle.encoder is None:
             raise ParameterError("model has no encoder; feed embeddings instead")
-        embeddings = encoder_forward(bundle.encoder, example.tokens, rng,
-                                     training)
-        rows = len(example.tokens.input_ids)
-    else:
-        embeddings, rows = Tensor(example.matrix), None
-    if bundle.config.head_kind == "mean":
-        return hd.mean_pool_forward(embeddings, bundle.bridge, bundle.head,
-                                    rng, training, label, rows)
-    return hd.pipeline_forward(embeddings, bundle.bridge, bundle.cell,
-                               bundle.head, rng, training, label, rows)
+        encoder_masks, masks = draw_masks(bundle, example, rng, training)
+        if example.tokens is None:
+            sequences.append(Tensor(example.matrix))
+        else:
+            sequences.append(encoder_forward(bundle.encoder, example.tokens,
+                                             encoder_masks))
+        head_masks.append(masks)
+    if not training or bundle.head.dropout == 0.0:
+        head_masks = None
+    labels = [example.label for example in batch] if with_loss else None
+    probs, losses = hd.pipeline_forward(sequences, bundle.bridge, bundle.cell,
+                                        bundle.head, head_masks, labels)
+    if single:
+        return tt.row(probs, 0), None if losses is None else tt.pick(losses, 0)
+    return probs, losses
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:

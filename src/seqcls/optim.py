@@ -6,15 +6,20 @@ method, the learning rate and the weight decay; the moment decay rates
 (BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and the
 denominator guard EPS are module constants.  Weight decay, when on,
 applies to every trained tensor alike, biases and layer-norm gains
-included: there is no exclusion list.  The training loop runs
-seeded-shuffle mini-batches, accumulates per-sample gradients on one
-tape per batch, scores the validation split each epoch, and keeps the
-parameters from the best-validation-accuracy epoch (earliest wins ties).
+included: there is no exclusion list.
+
+The training loop runs seeded-shuffle mini-batches: each batch is one
+``forward_example`` call (the encoder per sample, the head once over
+the batch) and one backward pass on its own tape.  It scores the
+validation split each epoch, EVAL_CHUNK samples per head call, and
+keeps the parameters from the best-validation-accuracy epoch (earliest
+wins ties).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,9 @@ BETA1 = 0.9
 BETA2 = 0.999
 RHO = 0.9
 EPS = 1e-8
+
+# Samples per head call in ``evaluate``.
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -173,12 +181,30 @@ def write_log(path, result: TrainResult) -> None:
 
 def evaluate(bundle: ModelBundle, examples: list[Example],
              n_classes: int) -> mt.MetricsReport:
-    """Forward-only pass; returns the metric report for the split."""
+    """Forward-only pass, EVAL_CHUNK samples per head call; returns the
+    metric report for the split."""
     if not examples:
         raise DataError("cannot evaluate an empty split")
     y = [ex.label for ex in examples]
-    y_hat = [predict(forward_example(bundle, ex)[0]) for ex in examples]
+    y_hat = []
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        probs = forward_example(bundle, examples[lo:lo + EVAL_CHUNK])[0]
+        y_hat.extend(predict(row) for row in probs.data)
     return mt.report(y, y_hat, n_classes)
+
+
+@contextmanager
+def _frozen(tensors):
+    """Run with ``tensors`` out of the tape: their ops record no backward
+    rule and they gather no gradient."""
+    saved = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, saved):
+            t.requires_grad = flag
 
 
 def train(bundle: ModelBundle, train_examples: list[Example],
@@ -186,12 +212,16 @@ def train(bundle: ModelBundle, train_examples: list[Example],
           clock=time.perf_counter) -> TrainResult:
     """Epoch loop with seeded shuffling and best-accuracy model retention.
 
-    The bundle is left holding the parameters of the best epoch.  ``clock``
+    Each mini-batch is one ``forward_example`` call on one tape.  A frozen
+    encoder runs outside the tape, with the same dropout draws.  The
+    bundle is left holding the parameters of the best epoch.  ``clock``
     exists so reproducibility harnesses can inject a deterministic timer.
     """
     if not train_examples or not val_examples:
         raise DataError("training needs non-empty train and validation splits")
     named = list(bundle.named_parameters(freeze_encoder=config.freeze_encoder))
+    trained = {id(p) for _, p in named}
+    frozen = [p for _, p in bundle.all_named_parameters() if id(p) not in trained]
     optimizer = make_optimizer(
         OptimizerConfig(algorithm=config.optimizer, lr=config.lr,
                         weight_decay=config.weight_decay), named)
@@ -207,17 +237,19 @@ def train(bundle: ModelBundle, train_examples: list[Example],
         order = [train_examples[i] for i in shuffle_rng.permutation(len(train_examples))]
         epoch_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo:lo + config.batch_size]
             optimizer.zero_grad()
-            with Tape() as tape:
-                losses = [
-                    forward_example(bundle, ex, dropout_rng, training=True,
-                                    with_loss=True)[1]
-                    for ex in batch
-                ]
+            with _frozen(frozen), Tape() as tape:
+                losses = forward_example(bundle, order[lo:lo + config.batch_size],
+                                         dropout_rng, training=True,
+                                         with_loss=True)[1]
                 tape.backward(average_losses(losses))
-            epoch_loss += sum(loss.item() for loss in losses)
+            epoch_loss += sum(losses.data.tolist())
             optimizer.step()
+            # free the spent graph now, not during the next batch or the
+            # validation pass; after the step, so that the step's arrays sit
+            # above it on the heap: freed before, the heap top is returned to
+            # the system and the next pass faults its pages back in
+            del tape
         val_report = evaluate(bundle, val_examples, n_classes)
         result.log.append(EpochLog(
             epoch=epoch,

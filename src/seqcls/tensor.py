@@ -128,21 +128,46 @@ make_output = _make_output
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product of ``a`` (leading batch axes allowed) and a 2-D ``b``:
+    (..., n) @ (n, m) -> (..., m), run as one GEMM."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    a2 = a.data.reshape(-1, b.shape[0])
+    data = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
+
+    def build(out: Tensor):
+        def rule():
+            g = out.grad.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                a.accumulate_grad((g @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b.accumulate_grad(a2.T @ g)
+        return rule
+
+    return _make_output(data, (a, b), build)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b: every row of ``x`` (B, n) through an (m, n) weight and
+    an (m,) bias, one op."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]
+            or b.shape != (w.shape[0],)):
+        raise DimensionError(
+            f"linear shapes incompatible: {x.shape} @ {w.shape}.T + {b.shape}")
+    data = x.data @ w.data.T + b.data
 
     def build(out: Tensor):
         def rule():
             g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
+            if x.requires_grad:
+                x.accumulate_grad(g @ w.data)
+            if w.requires_grad:
+                w.accumulate_grad(g.T @ x.data)
             if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
+                b.accumulate_grad(g.sum(axis=0))
         return rule
 
-    return _make_output(data, (a, b), build)
+    return _make_output(data, (x, w, b), build)
 
 
 def matvec(a: Tensor, x: Tensor) -> Tensor:
@@ -348,20 +373,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _make_output(np.asarray(x.data.sum()), (x,), build)
 
 
-def sum_rows(x: Tensor) -> Tensor:
-    """Sum a 2-D tensor over axis 0, yielding one row."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"sum_rows needs a 2-D tensor, got {x.shape}")
-
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(np.broadcast_to(out.grad, x.shape))
-        return rule
-
-    return _make_output(x.data.sum(axis=0), (x,), build)
-
-
 def row(x: Tensor, i: int) -> Tensor:
     """Row ``i`` of a 2-D tensor as a vector."""
     if x.data.ndim != 2:
@@ -379,25 +390,26 @@ def row(x: Tensor, i: int) -> Tensor:
     return _make_output(x.data[i].copy(), (x,), build)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack same-length vectors into a matrix, one per row.
-
-    The same tensor may appear more than once; its gradient then
-    accumulates over every occurrence.
-    """
-    width = rows[0].shape
-    for r in rows:
-        if r.data.ndim != 1 or r.shape != width:
-            raise DimensionError(f"stack_rows needs equal vectors, got {r.shape} vs {width}")
-    data = np.stack([r.data for r in rows])
-    held = list(rows)
+def stack_padded(parts: Sequence[Tensor]) -> Tensor:
+    """Stack 2-D tensors of one width into (len(parts), longest, width),
+    zero past each part's own rows; backward hands each part its rows."""
+    width = parts[0].shape[1:]
+    for p in parts:
+        if p.data.ndim != 2 or p.shape[1:] != width:
+            raise DimensionError(f"stack_padded needs 2-D tensors of one width, "
+                                 f"got {p.shape} vs {width}")
+    lengths = [len(p.data) for p in parts]
+    data = np.zeros((len(parts), max(lengths), *width))
+    for i, p in enumerate(parts):
+        data[i, :lengths[i]] = p.data
+    held = list(parts)
 
     def build(out: Tensor):
         def rule():
             g = out.grad
-            for k, r in enumerate(held):
-                if r.requires_grad:
-                    r.accumulate_grad(g[k])
+            for i, p in enumerate(held):
+                if p.requires_grad:
+                    p.accumulate_grad(g[i, :lengths[i]])
         return rule
 
     return _make_output(data, held, build)
@@ -418,22 +430,6 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         return rule
 
     return _make_output(table.data[idx].copy(), (table,), build)
-
-
-def slice_vec(x: Tensor, start: int, stop: int) -> Tensor:
-    """Elements [start, stop) of a vector."""
-    if x.data.ndim != 1:
-        raise DimensionError(f"slice_vec needs a vector, got {x.shape}")
-
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[start:stop] = out.grad
-                x.accumulate_grad(g)
-        return rule
-
-    return _make_output(x.data[start:stop].copy(), (x,), build)
 
 
 def pick(x: Tensor, i: int) -> Tensor:
@@ -489,24 +485,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make_output(data, (x, gain, bias), build)
 
 
-def dropout(x: Tensor, p: float, rng: RandomSource, training: bool,
-            rows: int | None = None) -> Tensor:
-    """Inverted dropout: keep with probability 1-p and scale by 1/(1-p).
-
-    Identity in evaluation mode and for p == 0.  The sampled mask is
-    captured by the backward rule, so gradients use the exact same mask.
-    Given ``rows`` >= ``len(x)``, the mask is drawn ``rows`` high and its
-    top ``len(x)`` rows are used: a sequence trimmed of its padding then
-    draws from ``rng`` exactly as its padded form would.
-    """
+def dropout_mask(rng: RandomSource | None, p: float, shape,
+                 training: bool) -> np.ndarray | None:
+    """Inverted-dropout mask from one ``rng.bernoulli`` draw: 0 where
+    dropped, 1/(1-p) where kept.  Outside training, and for p == 0, it is
+    None and draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ParameterError("training-mode dropout requires a random source")
+    return rng.bernoulli(1.0 - p, shape) / (1.0 - p)
+
+
+def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
+    """``x`` times a mask from ``dropout_mask``; None is the identity.
+
+    A mask taller than ``x`` applies its top ``len(x)`` rows: a sequence
+    trimmed of its padding uses the mask drawn for its padded form.  The
+    backward rule uses the same mask.
+    """
+    if keep is None:
         return x
-    if rows is None:
-        keep = rng.bernoulli(1.0 - p, x.shape) / (1.0 - p)
-    else:
-        keep = rng.bernoulli(1.0 - p, (rows, *x.shape[1:]))[:len(x.data)] / (1.0 - p)
+    if len(keep) > len(x.data):
+        keep = keep[:len(x.data)].copy()  # the rest of the mask can go
+    if keep.shape != x.shape:
+        raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
     data = x.data * keep
 
     def build(out: Tensor):

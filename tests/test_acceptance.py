@@ -99,24 +99,25 @@ def test_01_gradient_suite():
             lambda: _probe_loss(tt.matmul(x, bridge.w), rng.derive("p5")),
             [t for _, t in bridge.named_parameters("b.")])
 
-        seq = tt.Tensor(rng.uniform(-1.0, 1.0, (3, 3)))
+        seq = tt.Tensor(rng.uniform(-1.0, 1.0, (1, 3, 3)))
         for variant in ("vanilla", "lstm", "gru"):
             cell = hd.init_cell(variant, 3, 2, rng.derive(variant))
             cases[f"{variant} cell"] = (
-                lambda c=cell: _probe_loss(hd.rnn_forward(c, seq),
+                lambda c=cell: _probe_loss(hd.rnn_forward(c, seq, [3]),
                                            rng.derive("p6")),
                 [t for _, t in cell.named_parameters("c.")])
         for variant in ("lstm", "gru"):
             bi = hd.init_bicell(variant, 3, 2, rng.derive("bi" + variant))
             cases[f"bi{variant} head"] = (
-                lambda b=bi: _probe_loss(hd.birnn_forward(b, seq),
+                lambda b=bi: _probe_loss(hd.birnn_forward(b, seq, [3]),
                                          rng.derive("p7")),
                 [t for _, t in bi.named_parameters("bi.")])
 
         head = hd.init_classifier(3, 3, 2, 0.0, rng.derive("cls"))
         states = tt.Tensor(rng.uniform(-1.0, 1.0, (3, 3)))
         cases["classifier"] = (
-            lambda: hd.cross_entropy_loss(hd.classify(head, states), 0),
+            lambda: hd.average_losses(hd.cross_entropy_loss(
+                hd.classify(head, states), [0, 0, 0])),
             [t for _, t in head.named_parameters("h.")])
 
         denoise = enc.init_encoder(cfg, rng.derive("den"))
@@ -417,8 +418,8 @@ def test_10_zero_parameter_fixed_points():
             t.data = np.zeros_like(t.data)
         for trial in range(5):
             length = int(rng.integers(1, 7))
-            seq = tt.Tensor(rng.uniform(-2.0, 2.0, (length, 3)))
-            states = hd.rnn_forward(cell, seq)
+            seq = tt.Tensor(rng.uniform(-2.0, 2.0, (1, length, 3)))
+            states = hd.rnn_forward(cell, seq, [length])
             if not np.all(states.data == 0.0):
                 all_zero = False
     _verdict(10, "zero-parameter fixed points", all_zero,

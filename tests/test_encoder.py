@@ -11,6 +11,7 @@ from seqcls.bpe import MASK_ID, PAD_ID, TokenSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
+from test_tensor import separate_masks
 
 NEG_INF = float("-inf")
 
@@ -98,9 +99,18 @@ def reference_encoder_forward(model, tokens, rng=None, training=False):
                Tensor(model.positional[:n]))
     mask = enc.additive_mask(n, valid_len=tokens.length, causal=config.causal)
     for layer in model.layers:
-        x = enc._layer_forward(layer, x, mask, config.dropout, rng, training,
-                               config.pre_norm, n)
+        keep = [None, None]
+        if training and config.dropout > 0.0:
+            keep = separate_masks(rng, config.dropout, [(n, config.d_model)] * 2)
+        x = enc._layer_forward(layer, x, mask, *keep, config.pre_norm)
     return x
+
+
+def trimmed_forward(model, tokens, rng=None, training=False):
+    """``encoder_forward`` with its masks drawn as the model draws them."""
+    masks = enc.dropout_masks(model.config, len(tokens.input_ids), rng,
+                              training)
+    return enc.encoder_forward(model, tokens, masks)
 
 
 class TestPositionalEncoding:
@@ -396,15 +406,16 @@ class TestEncoderForward:
     def test_training_dropout_requires_rng(self):
         model = enc.init_encoder(small_config(dropout=0.5), RandomSource(16))
         with pytest.raises(ParameterError):
-            enc.encoder_forward(model, make_tokens([1, 2], 2), training=True)
+            enc.denoising_loss(model, make_tokens([1, 2], 2), [(0, 1)],
+                               training=True)
 
     def test_dropout_active_only_in_training(self):
         model = enc.init_encoder(small_config(dropout=0.5), RandomSource(17))
         tokens = make_tokens([1, 2, 3], 3)
         eval_a = enc.encoder_forward(model, tokens).data
         eval_b = enc.encoder_forward(model, tokens).data
-        trained = enc.encoder_forward(model, tokens, rng=RandomSource(18),
-                                      training=True).data
+        trained = trimmed_forward(model, tokens, rng=RandomSource(18),
+                                  training=True).data
         assert np.array_equal(eval_a, eval_b)
         assert not np.allclose(eval_a, trained)
 
@@ -495,7 +506,7 @@ class TestTrimmedForward:
         probe = Tensor(rng.uniform(-1, 1, (length, 8)))
         tensors = [t for _, t in model.named_parameters()]
         results = []
-        for forward in (enc.encoder_forward, reference_encoder_forward):
+        for forward in (trimmed_forward, reference_encoder_forward):
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:

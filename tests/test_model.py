@@ -5,11 +5,15 @@ import struct
 import numpy as np
 import pytest
 
+from seqcls import heads as hd
 from seqcls import model as md
+from seqcls import tensor as tt
 from seqcls.bpe import TokenSequence
 from seqcls.encoder import EncoderConfig
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
+from test_heads import reference_average_losses, reference_pipeline_forward
+from test_tensor import separate_masks
 
 
 def tiny_config(**overrides):
@@ -85,6 +89,16 @@ class TestInitAndForward:
             # (biases start at zero, layer-norm gains at one, for any seed)
             if pa.data.any() and "gain" not in name_a:
                 assert not np.array_equal(pa.data, pc.data), name_a
+
+    def test_single_example_is_the_batch_of_one(self):
+        bundle = md.init_model(tiny_config(), seed=5)
+        example = md.Example(label=1, tokens=tokens([1, 5, 3, 0, 0, 0], 3))
+        probs, loss = md.forward_example(bundle, example, with_loss=True)
+        batch_probs, losses = md.forward_example(bundle, [example],
+                                                 with_loss=True)
+        assert batch_probs.shape == (1, 2) and losses.shape == (1,)
+        assert np.array_equal(probs.data, batch_probs.data[0])
+        assert loss.shape == () and loss.item() == losses.data[0]
 
     def test_forward_tokens_returns_distribution(self):
         bundle = md.init_model(tiny_config(), seed=5)
@@ -187,6 +201,91 @@ class TestForwardPadding:
         for shape in shapes:
             replay.bernoulli(0.5, shape)
         assert np.array_equal(rng.uniform(0, 1, 8), replay.uniform(0, 1, 8))
+
+
+def reference_forward_example(bundle, example, rng=None, training=False):
+    """The per-sample forward the batched ``forward_example`` replaced: the
+    encoder draws its masks one at a time, then the per-sample head
+    chain draws the bridge and classifier masks."""
+    config = bundle.config
+    if example.tokens is None:
+        embeddings, rows = tt.Tensor(example.matrix), None
+    else:
+        rows = len(example.tokens.input_ids)
+        enc = config.encoder
+        masks = None
+        if training and enc.dropout > 0.0:
+            flat = separate_masks(rng, enc.dropout,
+                                  [(rows, enc.d_model)] * (2 * enc.n_layers))
+            masks = list(zip(flat[::2], flat[1::2]))
+        embeddings = md.encoder_forward(bundle.encoder, example.tokens, masks)
+    return reference_pipeline_forward(embeddings, bundle.bridge, bundle.cell,
+                                      bundle.head, rng, training,
+                                      example.label, rows)
+
+
+def imported_config(**overrides):
+    defaults = dict(n_classes=3, embedding_source="imported", input_dim=5,
+                    d_rnn=4, hidden_units=3, dense_units=4, dropout=0.3)
+    defaults.update(overrides)
+    return md.ModelConfig(**defaults)
+
+
+class TestBatchedForward:
+    """A batch through ``forward_example`` against the per-sample forward:
+    probabilities, losses and every parameter gradient, the encoder's
+    (which flows through the head's input rows) included, to 1e-12."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("source", ["internal", "imported"])
+    def test_matches_per_sample_forward(self, source, head, batch):
+        rng = RandomSource(40 + batch)
+        if source == "internal":
+            encoder = EncoderConfig(d_model=8, n_heads=2, n_layers=2,
+                                    vocab_size=16, max_len=6, dropout=0.2)
+            bundle = md.init_model(tiny_config(encoder=encoder, dropout=0.3,
+                                               **HEADS[head]), seed=batch)
+        else:
+            bundle = md.init_model(imported_config(**HEADS[head]), seed=batch)
+        examples = []
+        for i in range(batch):
+            length = 1 if i == 0 else int(rng.integers(1, 7))
+            label = int(rng.integers(0, bundle.config.n_classes))
+            if source == "internal":
+                ids = [int(t) for t in rng.integers(0, 16, 6)]
+                examples.append(md.Example(label, tokens=tokens(ids, length)))
+            else:
+                examples.append(md.Example(
+                    label, matrix=rng.uniform(-1, 1, (length, 5))))
+        named = list(bundle.all_named_parameters())
+
+        def gradients(run):
+            for _, p in named:
+                p.zero_grad()
+            with tt.Tape() as tape:
+                probs, losses, mean = run(RandomSource(50))
+                tape.backward(mean)
+            return probs, losses, [p.grad.copy() for _, p in named]
+
+        def batched(stream):
+            probs, losses = md.forward_example(bundle, examples, stream,
+                                               training=True, with_loss=True)
+            return probs.data, losses.data, hd.average_losses(losses)
+
+        def per_sample(stream):
+            runs = [reference_forward_example(bundle, ex, stream, True)
+                    for ex in examples]
+            return (np.stack([p.data for p, _ in runs]),
+                    np.array([loss.item() for _, loss in runs]),
+                    reference_average_losses([loss for _, loss in runs]))
+
+        probs, losses, grads = gradients(batched)
+        ref_probs, ref_losses, ref_grads = gradients(per_sample)
+        assert np.abs(probs - ref_probs).max() <= 1e-12
+        assert np.abs(losses - ref_losses).max() <= 1e-12
+        for (name, _), g, ref in zip(named, grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12, name
 
 
 class TestCheckpoint:

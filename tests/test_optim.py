@@ -27,6 +27,55 @@ def run_quadratic(algorithm, lr, steps, start=1.0):
     return theta.data
 
 
+def reference_update(algorithm, lr, decay, data, g, m, v, t):
+    """One optimizer update of one tensor, written out from the update
+    formulas; returns the new (data, m, v)."""
+    beta1, beta2, rho, eps = 0.9, 0.999, 0.9, 1e-8
+    if algorithm == "rmsprop":
+        v = rho * v + (1 - rho) * g * g
+        update = lr * g / (np.sqrt(v) + eps)
+    else:
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        if algorithm == "nadam":
+            m_hat = beta1 * m_hat + (1 - beta1) / (1.0 - beta1 ** t) * g
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    if decay > 0.0:
+        update = update + lr * decay * data
+    return data - update, m, v
+
+
+class TestUpdateOracle:
+    @pytest.mark.parametrize("decay", [0.0, 0.05])
+    @pytest.mark.parametrize("algorithm", op.OPTIMIZERS)
+    def test_bit_identical_to_the_formulas(self, algorithm, decay):
+        rng = np.random.default_rng(4)
+        # a 0-d tensor, and one without a gradient on some steps
+        shapes = [(3, 4), (40,), (), (7,)]
+        tensors = [Tensor(rng.uniform(-1, 1, s), requires_grad=True)
+                   for s in shapes]
+        named = [(f"t{i}", t) for i, t in enumerate(tensors)]
+        state = [(t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
+                 for t in tensors]
+        optimizer = op.make_optimizer(
+            op.OptimizerConfig(algorithm=algorithm, lr=0.01, weight_decay=decay),
+            named)
+        for step in range(1, 6):
+            optimizer.zero_grad()
+            for i, t in enumerate(tensors):
+                if not (i == 3 and step % 2):
+                    t.grad = rng.normal(0, 1, t.shape)
+            grads = [np.zeros(t.shape) if t.grad is None else t.grad
+                     for t in tensors]
+            state = [reference_update(algorithm, 0.01, decay, d, g, m, v, step)
+                     for (d, m, v), g in zip(state, grads)]
+            optimizer.step()
+            for t, (d, _, _) in zip(tensors, state):
+                assert np.array_equal(t.data, d)
+
+
 class TestAdamW:
     def test_zero_gradient_decay_is_geometric(self):
         theta, named = single_param([1.0, -2.0, 0.5])
@@ -269,6 +318,30 @@ class TestTrainLoop:
                    if not name.startswith("encoder.")
                    and not np.array_equal(before[name], p.data)]
         assert changed
+
+    def test_frozen_encoder_runs_outside_the_tape(self):
+        bundle = tiny_bundle(seed=7, dropout=0.1)
+        data = toy_dataset(3)
+        op.train(bundle, data, data[:4],
+                 op.TrainConfig(lr=1e-2, epochs=2, batch_size=4, seed=8,
+                                freeze_encoder=True))
+        for name, p in bundle.all_named_parameters():
+            if name.startswith("encoder."):
+                assert p.grad is None, name
+                assert p.requires_grad, name
+            else:
+                assert p.grad is not None, name
+
+    def test_frozen_encoder_keeps_the_dropout_stream(self):
+        results = []
+        for freeze in (False, True):
+            bundle = tiny_bundle(seed=7, dropout=0.1)
+            data = toy_dataset(3)
+            result = op.train(bundle, data, data[:4],
+                              op.TrainConfig(lr=0.0, epochs=2, batch_size=4,
+                                             seed=8, freeze_encoder=freeze))
+            results.append([row.train_loss for row in result.log])
+        assert results[0] == results[1]
 
     def test_bundle_holds_best_epoch_parameters(self):
         bundle = tiny_bundle(seed=9)

@@ -8,7 +8,66 @@ import pytest
 from seqcls import tensor as T
 from seqcls.errors import DimensionError, ParameterError
 from seqcls.rng import RandomSource
-from seqcls.tensor import Tape, Tensor
+from seqcls.tensor import Tape, Tensor, make_output
+
+
+# Ops the program no longer calls, kept with their gradient checks for the
+# reference heads in ``test_heads``.
+
+
+def stack_rows(rows):
+    """Stack same-length vectors into a matrix, one per row; a tensor that
+    appears more than once accumulates its gradient over every occurrence."""
+    width = rows[0].shape
+    for r in rows:
+        if r.data.ndim != 1 or r.shape != width:
+            raise DimensionError(f"stack_rows needs equal vectors, got {r.shape} vs {width}")
+    held = list(rows)
+
+    def build(out):
+        def rule():
+            for k, r in enumerate(held):
+                if r.requires_grad:
+                    r.accumulate_grad(out.grad[k])
+        return rule
+
+    return make_output(np.stack([r.data for r in held]), held, build)
+
+
+def slice_vec(x, start, stop):
+    """Elements [start, stop) of a vector."""
+    if x.data.ndim != 1:
+        raise DimensionError(f"slice_vec needs a vector, got {x.shape}")
+
+    def build(out):
+        def rule():
+            if x.requires_grad:
+                g = np.zeros_like(x.data)
+                g[start:stop] = out.grad
+                x.accumulate_grad(g)
+        return rule
+
+    return make_output(x.data[start:stop].copy(), (x,), build)
+
+
+def sum_rows(x):
+    """Sum a 2-D tensor over axis 0, yielding one row."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"sum_rows needs a 2-D tensor, got {x.shape}")
+
+    def build(out):
+        def rule():
+            if x.requires_grad:
+                x.accumulate_grad(np.broadcast_to(out.grad, x.shape))
+        return rule
+
+    return make_output(x.data.sum(axis=0), (x,), build)
+
+
+def separate_masks(rng, p, shapes):
+    """Inverted-dropout masks, one ``bernoulli`` draw per shape in order:
+    the oracle of ``dropout_mask``."""
+    return [rng.bernoulli(1.0 - p, shape) / (1.0 - p) for shape in shapes]
 
 
 def finite_diff(f, params, h=1e-6):
@@ -125,40 +184,49 @@ class TestForwardValues:
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.0, RandomSource(0), training=True) is x
+        rng = RandomSource(0)
+        keep = T.dropout_mask(rng, 0.0, (2,), training=True)
+        assert keep is None and T.dropout(x, keep) is x
+        assert np.array_equal(rng.uniform(0, 1, 3), RandomSource(0).uniform(0, 1, 3))
 
     def test_eval_mode_is_identity(self):
         x = Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.9, RandomSource(0), training=False) is x
+        keep = T.dropout_mask(RandomSource(0), 0.9, (2,), training=False)
+        assert keep is None and T.dropout(x, keep) is x
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ParameterError):
-            T.dropout(Tensor([1.0]), 1.0, RandomSource(0), training=True)
+            T.dropout_mask(RandomSource(0), 1.0, (1,), training=True)
+        with pytest.raises(ParameterError):
+            T.dropout_mask(None, 0.5, (1,), training=True)
 
     def test_expectation_preserved(self):
         # Monte-Carlo oracle: inverted scaling keeps E[output] = input.
         rng = RandomSource(7)
         x = Tensor(np.full(10_000, 2.0))
-        out = T.dropout(x, 0.5, rng, training=True)
+        out = T.dropout(x, T.dropout_mask(rng, 0.5, x.shape, training=True))
         assert abs(out.data.mean() - 2.0) / 2.0 < 0.02
 
     def test_backward_uses_same_mask(self):
         rng = RandomSource(3)
         x = Tensor(np.ones(50), requires_grad=True)
         with Tape() as tape:
-            out = T.dropout(x, 0.5, rng, training=True)
+            out = T.dropout(x, T.dropout_mask(rng, 0.5, x.shape, training=True))
             tape.backward(T.sum_all(out))
         np.testing.assert_array_equal(x.grad, out.data)
-
 
     def test_rows_draws_the_full_mask_and_keeps_its_top(self):
         x = Tensor(np.ones((3, 4)))
         short_rng, full_rng = RandomSource(5), RandomSource(5)
-        short = T.dropout(x, 0.5, short_rng, training=True, rows=7)
-        full = T.dropout(Tensor(np.ones((7, 4))), 0.5, full_rng, training=True)
-        np.testing.assert_array_equal(short.data, full.data[:3])
+        short = T.dropout(x, T.dropout_mask(short_rng, 0.5, (7, 4), True))
+        full, = separate_masks(full_rng, 0.5, [(7, 4)])
+        np.testing.assert_array_equal(short.data, full[:3])
         np.testing.assert_array_equal(short_rng.uniform(0, 1, 3),
                                       full_rng.uniform(0, 1, 3))
+
+    def test_mask_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            T.dropout(Tensor(np.ones((3, 4))), np.ones((3, 5)))
 
 
 class TestStructureOps:
@@ -172,7 +240,7 @@ class TestStructureOps:
 
     def test_stack_rows_and_row_inverse(self):
         rows = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0])]
-        m = T.stack_rows(rows)
+        m = stack_rows(rows)
         np.testing.assert_array_equal(T.row(m, 1).data, [3.0, 4.0])
 
     def test_gather_rows(self):
@@ -182,12 +250,12 @@ class TestStructureOps:
 
     def test_slice_vec(self):
         v = Tensor([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(T.slice_vec(v, 1, 3).data, [2.0, 3.0])
+        np.testing.assert_array_equal(slice_vec(v, 1, 3).data, [2.0, 3.0])
 
     def test_stack_rows_repeated_tensor_accumulates(self):
         v = Tensor([1.0, 1.0], requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.sum_all(T.stack_rows([v, v, v])))
+            tape.backward(T.sum_all(stack_rows([v, v, v])))
         np.testing.assert_array_equal(v.grad, [3.0, 3.0])
 
 
@@ -210,6 +278,31 @@ class TestBackwardAgainstFiniteDifferences:
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
         self.check(lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b])
+
+    def test_matmul_batched_left_operand(self, rng):
+        a = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+        out = T.matmul(a, b)
+        np.testing.assert_allclose(out.data, a.data @ b.data, atol=1e-15)
+        self.check(lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b])
+
+    def test_linear(self, rng):
+        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+        out = T.linear(x, w, b)
+        np.testing.assert_allclose(out.data, x.data @ w.data.T + b.data, atol=1e-15)
+        self.check(lambda: T.sum_all(T.tanh(T.linear(x, w, b))), [x, w, b])
+
+    def test_stack_padded(self, rng):
+        a = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (1, 2)), requires_grad=True)
+        out = T.stack_padded([a, b, a])
+        assert out.shape == (3, 3, 2)
+        np.testing.assert_array_equal(out.data[1, 1:], np.zeros((2, 2)))
+        w = Tensor(rng.uniform(-1, 1, (3, 3, 2)))
+        self.check(lambda: T.sum_all(T.mul(T.tanh(T.stack_padded([a, b, a])), w)),
+                   [a, b])
 
     def test_matvec(self, rng):
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
@@ -264,11 +357,11 @@ class TestBackwardAgainstFiniteDifferences:
 
     def test_slice_vec_grad(self, rng):
         x = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-        self.check(lambda: T.sum_all(T.tanh(T.slice_vec(x, 2, 5))), [x])
+        self.check(lambda: T.sum_all(T.tanh(slice_vec(x, 2, 5))), [x])
 
     def test_sum_rows_mean(self, rng):
         x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-        self.check(lambda: T.scale(T.sum_all(T.tanh(T.sum_rows(x))), 1.0 / 3), [x])
+        self.check(lambda: T.scale(T.sum_all(T.tanh(sum_rows(x))), 1.0 / 3), [x])
 
 
 class TestSoftmaxProperties:
@@ -329,8 +422,9 @@ class TestTape:
             rng = RandomSource(99)
             x = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
             with Tape() as tape:
-                out = T.dropout(T.tanh(T.matmul(x, x)), 0.3,
-                                rng.derive("drop"), training=True)
+                keep = T.dropout_mask(rng.derive("drop"), 0.3, (4, 4),
+                                      training=True)
+                out = T.dropout(T.tanh(T.matmul(x, x)), keep)
                 tape.backward(T.sum_all(out))
             return out.data.tobytes(), x.grad.tobytes()
 
