@@ -190,28 +190,25 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
     joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
     wo = params.wo
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            if wo.requires_grad:
-                wo.accumulate_grad(joined.T @ g)
-            d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
-            d_weights = d_context @ v.transpose(0, 2, 1)
-            dot = (d_weights * weights).sum(axis=-1, keepdims=True)
-            d_scores = weights * (d_weights - dot) * scale
-            d_qkv = np.stack((d_scores @ k,
-                              d_scores.transpose(0, 2, 1) @ q,
-                              weights.transpose(0, 2, 1) @ d_context))
-            d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
-            dw = x.data.T @ d_proj
-            for i, t in enumerate(projections):
-                if t.requires_grad:
-                    t.accumulate_grad(dw[:, i * d_k:(i + 1) * d_k])
-            if x.requires_grad:
-                x.accumulate_grad(d_proj @ w.T)
-        return rule
+    def backward(g):
+        if wo.requires_grad:
+            wo.accumulate_grad(joined.T @ g)
+        d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
+        d_weights = d_context @ v.transpose(0, 2, 1)
+        dot = (d_weights * weights).sum(axis=-1, keepdims=True)
+        d_scores = weights * (d_weights - dot) * scale
+        d_qkv = np.stack((d_scores @ k,
+                          d_scores.transpose(0, 2, 1) @ q,
+                          weights.transpose(0, 2, 1) @ d_context))
+        d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
+        dw = x.data.T @ d_proj
+        for i, t in enumerate(projections):
+            if t.requires_grad:
+                t.accumulate_grad(dw[:, i * d_k:(i + 1) * d_k])
+        if x.requires_grad:
+            x.accumulate_grad(d_proj @ w.T)
 
-    return tt.make_output(joined @ wo.data, [x, *projections, wo], build)
+    return tt.make_output(joined @ wo.data, [x, *projections, wo], backward)
 
 
 def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:

@@ -333,9 +333,9 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
             f"input shape {sequences.shape} vs cell input {cell.input_dim}"
         )
     gates = list(cell.gates.values())
-    p = np.concatenate([g.p.data for g in gates])
-    q = np.concatenate([g.q.data for g in gates])
-    b = np.concatenate([g.b.data for g in gates])
+    p = np.concatenate([gate.p.data for gate in gates])
+    q = np.concatenate([gate.q.data for gate in gates])
+    b = np.concatenate([gate.b.data for gate in gates])
     batch, hidden = len(lengths), cell.hidden
     # slot j scans sequence order[j]; (step, slot) pairs read real rows
     order = np.argsort(-lengths, kind="stable")
@@ -346,32 +346,30 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     x = sequences.data[sample, row]
     gx = np.zeros((len(running), batch, len(b)))
     gx[step, slot] = x @ p.T + b
-    forward, backward = _RECURRENCES[cell.variant]
-    hs, saved = forward(gx, q, running)
+    recur, recur_backward = _RECURRENCES[cell.variant]
+    hs, saved = recur(gx, q, running)
     data = np.zeros((*sequences.shape[:2], hidden))
     data[sample, row] = hs[step + 1, slot]
 
-    def build(out: Tensor):
-        def rule():
-            dh = np.zeros((len(running), batch, hidden))
-            dh[step, slot] = out.grad[sample, row]
-            da, dq = backward(dh, q, hs, saved, running)
-            da = da[step, slot]
-            dp = da.T @ x
-            db = da.sum(axis=0)
-            for k, gate in enumerate(gates):
-                rows = slice(k * hidden, (k + 1) * hidden)
-                for param, grad in ((gate.p, dp), (gate.q, dq), (gate.b, db)):
-                    if param.requires_grad:
-                        param.accumulate_grad(grad[rows])
-            if sequences.requires_grad:
-                dx = np.zeros(sequences.shape)
-                dx[sample, row] = da @ p
-                sequences.accumulate_grad(dx)
-        return rule
+    def backward(g):
+        dh = np.zeros((len(running), batch, hidden))
+        dh[step, slot] = g[sample, row]
+        da, dq = recur_backward(dh, q, hs, saved, running)
+        da = da[step, slot]
+        dp = da.T @ x
+        db = da.sum(axis=0)
+        for k, gate in enumerate(gates):
+            rows = slice(k * hidden, (k + 1) * hidden)
+            for param, grad in ((gate.p, dp), (gate.q, dq), (gate.b, db)):
+                if param.requires_grad:
+                    param.accumulate_grad(grad[rows])
+        if sequences.requires_grad:
+            dx = np.zeros(sequences.shape)
+            dx[sample, row] = da @ p
+            sequences.accumulate_grad(dx)
 
-    params = [t for g in gates for t in (g.p, g.q, g.b)]
-    return tt.make_output(data, [sequences, *params], build)
+    params = [t for gate in gates for t in (gate.p, gate.q, gate.b)]
+    return tt.make_output(data, [sequences, *params], backward)
 
 
 def rnn_forward(cell: RnnCellParams, sequences: Tensor, lengths) -> Tensor:
@@ -409,15 +407,13 @@ def summarize(states: Tensor, rows: np.ndarray) -> Tensor:
         raise DimensionError(f"states {states.shape} vs summary rows {rows.shape}")
     index = (np.arange(batch)[:, None], rows, np.arange(width))
 
-    def build(out: Tensor):
-        def rule():
-            if states.requires_grad:
-                g = np.zeros(states.shape)
-                g[index] = out.grad
-                states.accumulate_grad(g)
-        return rule
+    def backward(g):
+        if states.requires_grad:
+            d_states = np.zeros(states.shape)
+            d_states[index] = g
+            states.accumulate_grad(d_states)
 
-    return tt.make_output(states.data[index], (states,), build)
+    return tt.make_output(states.data[index], (states,), backward)
 
 
 def mean_pool_forward(sequences: Tensor, lengths) -> Tensor:
@@ -427,14 +423,12 @@ def mean_pool_forward(sequences: Tensor, lengths) -> Tensor:
     valid = (np.arange(sequences.shape[1]) < lengths[:, None])[..., None]
     scale = 1.0 / lengths[:, None]
 
-    def build(out: Tensor):
-        def rule():
-            if sequences.requires_grad:
-                sequences.accumulate_grad((out.grad * scale)[:, None] * valid)
-        return rule
+    def backward(g):
+        if sequences.requires_grad:
+            sequences.accumulate_grad((g * scale)[:, None] * valid)
 
     data = (sequences.data * valid).sum(axis=1) * scale
-    return tt.make_output(data, (sequences,), build)
+    return tt.make_output(data, (sequences,), backward)
 
 
 def classify(head: ClassifierParams, summary: Tensor,
@@ -469,15 +463,13 @@ def cross_entropy_loss(predicted: Tensor, labels) -> Tensor:
     picked = predicted.data[index]
     clipped = np.maximum(picked, LOSS_FLOOR)
 
-    def build(out: Tensor):
-        def rule():
-            if predicted.requires_grad:
-                g = np.zeros(predicted.shape)
-                g[index] = -out.grad / clipped * (picked >= LOSS_FLOOR)
-                predicted.accumulate_grad(g)
-        return rule
+    def backward(g):
+        if predicted.requires_grad:
+            d_predicted = np.zeros(predicted.shape)
+            d_predicted[index] = -g / clipped * (picked >= LOSS_FLOOR)
+            predicted.accumulate_grad(d_predicted)
 
-    return tt.make_output(-np.log(clipped), (predicted,), build)
+    return tt.make_output(-np.log(clipped), (predicted,), backward)
 
 
 def average_losses(losses: Tensor) -> Tensor:
@@ -486,13 +478,11 @@ def average_losses(losses: Tensor) -> Tensor:
         raise ParameterError(f"need a non-empty loss vector, got {losses.shape}")
     scale = 1.0 / losses.size
 
-    def build(out: Tensor):
-        def rule():
-            if losses.requires_grad:
-                losses.accumulate_grad(np.full(losses.shape, float(out.grad) * scale))
-        return rule
+    def backward(g):
+        if losses.requires_grad:
+            losses.accumulate_grad(np.full(losses.shape, float(g) * scale))
 
-    return tt.make_output(np.cumsum(losses.data)[-1] * scale, (losses,), build)
+    return tt.make_output(np.cumsum(losses.data)[-1] * scale, (losses,), backward)
 
 
 class HeadMasks(NamedTuple):

@@ -2,10 +2,13 @@
 
 Forward ops run eagerly on float64 numpy arrays.  While a :class:`Tape`
 is active, every op whose output depends on a gradient-carrying input
-appends one backward rule to the tape; ``Tape.backward`` replays the
-rules in reverse order, accumulating gradients into each tensor's
-``grad`` slot.  Ops executed with no active tape (evaluation mode) pay
-no recording cost.
+records its output with one backward rule through ``make_output``.  A
+rule is ``backward(g)``: it receives the output's gradient ``g`` and
+accumulates its inputs' gradients into their ``grad`` slots.
+``Tape.backward`` walks the records in reverse order and calls a rule
+only when its output received a gradient; an output the loss never
+reached runs no rule.  Ops executed with no active tape (evaluation
+mode) pay no recording cost.
 
 Shapes are explicit and row-major.  There is no implicit broadcasting,
 with one documented exception: ``add`` accepts a trailing-shape bias
@@ -70,12 +73,13 @@ class Tape:
     """Ordered record of ops for one backward pass.
 
     Ops are appended in execution order, which is a topological order by
-    construction; ``backward`` visits each record exactly once, in
-    reverse.  A tape is confined to one logical thread of execution.
+    construction; ``backward`` visits each record once, in reverse, and
+    skips the outputs the loss never reached.  A tape is confined to one
+    logical thread of execution.
     """
 
     def __init__(self):
-        self._records: list[Callable[[], None]] = []
+        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -84,14 +88,15 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPE_STACK.pop()
 
-    def record(self, backward: Callable[[], None]) -> None:
-        self._records.append(backward)
+    def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
+        self._records.append((out, backward))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and run every backward rule once."""
+        """Seed d(loss)/d(loss) = 1 and run, once each, the backward rules
+        of the outputs that received a gradient."""
         if loss.size != 1:
             raise DimensionError(
                 f"backward needs a scalar loss, got shape {loss.shape}"
@@ -99,28 +104,25 @@ class Tape:
         if not np.isfinite(loss.data).all():
             raise NumericError("loss is not finite")
         loss.accumulate_grad(np.ones_like(loss.data))
-        for rule in reversed(self._records):
-            rule()
+        for out, rule in reversed(self._records):
+            if out.grad is not None:
+                rule(out.grad)
 
 
 def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _make_output(data: np.ndarray, inputs: Sequence[Tensor],
-                 backward_builder) -> Tensor:
-    """Wrap op output; record a backward rule when tracing is on."""
+def make_output(data: np.ndarray, inputs: Sequence[Tensor],
+                backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap an op's output; while a tape is active and an input carries a
+    gradient, record ``backward``, which the tape calls with the output's
+    gradient.  Every op, here and in the layers, records through it."""
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(backward_builder(out))
+        tape.record(out, backward)
     return out
-
-
-# Fused ops outside this module (the recurrent scan in ``heads``, multi-head
-# attention in ``encoder``) wrap their outputs and record their hand-written
-# backward rules through the same hook.
-make_output = _make_output
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +137,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a2 = a.data.reshape(-1, b.shape[0])
     data = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                a.accumulate_grad((g @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(a2.T @ g)
-        return rule
+    def backward(g):
+        g2 = g.reshape(-1, b.shape[1])
+        if a.requires_grad:
+            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(a2.T @ g2)
 
-    return _make_output(data, (a, b), build)
+    return make_output(data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -156,18 +156,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear shapes incompatible: {x.shape} @ {w.shape}.T + {b.shape}")
     data = x.data @ w.data.T + b.data
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            if x.requires_grad:
-                x.accumulate_grad(g @ w.data)
-            if w.requires_grad:
-                w.accumulate_grad(g.T @ x.data)
-            if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=0))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data)
+        if w.requires_grad:
+            w.accumulate_grad(g.T @ x.data)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
 
-    return _make_output(data, (x, w, b), build)
+    return make_output(data, (x, w, b), backward)
 
 
 def matvec(a: Tensor, x: Tensor) -> Tensor:
@@ -176,16 +173,13 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
         raise DimensionError(f"matvec shapes incompatible: {a.shape} @ {x.shape}")
     data = a.data @ x.data
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(np.outer(g, x.data))
-            if x.requires_grad:
-                x.accumulate_grad(a.data.T @ g)
-        return rule
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.outer(g, x.data))
+        if x.requires_grad:
+            x.accumulate_grad(a.data.T @ g)
 
-    return _make_output(data, (a, x), build)
+    return make_output(data, (a, x), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +195,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}")
     data = a.data + b.data
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                if a.shape == b.shape:
-                    b.accumulate_grad(g)
-                else:
-                    axes = tuple(range(a.data.ndim - b.data.ndim))
-                    b.accumulate_grad(g.sum(axis=axes))
-        return rule
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g)
+        if b.requires_grad:
+            if a.shape == b.shape:
+                b.accumulate_grad(g)
+            else:
+                axes = tuple(range(a.data.ndim - b.data.ndim))
+                b.accumulate_grad(g.sum(axis=axes))
 
-    return _make_output(data, (a, b), build)
+    return make_output(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -223,29 +214,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul shapes incompatible: {a.shape} * {b.shape}")
     data = a.data * b.data
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(g * b.data)
-            if b.requires_grad:
-                b.accumulate_grad(g * a.data)
-        return rule
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * b.data)
+        if b.requires_grad:
+            b.accumulate_grad(g * a.data)
 
-    return _make_output(data, (a, b), build)
+    return make_output(data, (a, b), backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad * c)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * c)
 
-    return _make_output(x.data * c, (x,), build)
+    return make_output(x.data * c, (x,), backward)
 
 
 def neg(x: Tensor) -> Tensor:
@@ -255,13 +241,11 @@ def neg(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad * (1.0 - out.data * out.data))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * (1.0 - data * data))
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -270,50 +254,42 @@ def sigmoid(x: Tensor) -> Tensor:
     data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                     np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * data * (1.0 - data))
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad * (x.data > 0.0))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * (x.data > 0.0))
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
     data = np.log(x.data)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad / x.data)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g / x.data)
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 def clip_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient passes through only where x >= floor."""
     data = np.maximum(x.data, floor)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad * (x.data >= floor))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * (x.data >= floor))
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +304,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                g = out.grad
-                w = out.data
-                dot = (g * w).sum(axis=axis, keepdims=True)
-                x.accumulate_grad(w * (g - dot))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            dot = (g * data).sum(axis=axis, keepdims=True)
+            x.accumulate_grad(data * (g - dot))
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
@@ -350,27 +322,22 @@ def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
     data = np.concatenate([a.data, b.data], axis=axis)
     split = a.shape[axis % a.data.ndim]
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            ga, gb = np.split(g, [split], axis=axis)
-            if a.requires_grad:
-                a.accumulate_grad(ga)
-            if b.requires_grad:
-                b.accumulate_grad(gb)
-        return rule
+    def backward(g):
+        ga, gb = np.split(g, [split], axis=axis)
+        if a.requires_grad:
+            a.accumulate_grad(ga)
+        if b.requires_grad:
+            b.accumulate_grad(gb)
 
-    return _make_output(data, (a, b), build)
+    return make_output(data, (a, b), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(np.full_like(x.data, float(out.grad)))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.full_like(x.data, float(g)))
 
-    return _make_output(np.asarray(x.data.sum()), (x,), build)
+    return make_output(np.asarray(x.data.sum()), (x,), backward)
 
 
 def row(x: Tensor, i: int) -> Tensor:
@@ -379,15 +346,13 @@ def row(x: Tensor, i: int) -> Tensor:
         raise DimensionError(f"row needs a 2-D tensor, got {x.shape}")
     i = int(i)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[i] = out.grad
-                x.accumulate_grad(g)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[i] = g
+            x.accumulate_grad(dx)
 
-    return _make_output(x.data[i].copy(), (x,), build)
+    return make_output(x.data[i].copy(), (x,), backward)
 
 
 def stack_padded(parts: Sequence[Tensor]) -> Tensor:
@@ -404,15 +369,12 @@ def stack_padded(parts: Sequence[Tensor]) -> Tensor:
         data[i, :lengths[i]] = p.data
     held = list(parts)
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            for i, p in enumerate(held):
-                if p.requires_grad:
-                    p.accumulate_grad(g[i, :lengths[i]])
-        return rule
+    def backward(g):
+        for i, p in enumerate(held):
+            if p.requires_grad:
+                p.accumulate_grad(g[i, :lengths[i]])
 
-    return _make_output(data, held, build)
+    return make_output(data, held, backward)
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -421,15 +383,17 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise DimensionError(f"gather_rows needs a 2-D table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
 
-    def build(out: Tensor):
-        def rule():
-            if table.requires_grad:
-                g = np.zeros_like(table.data)
-                np.add.at(g, idx, out.grad)
-                table.accumulate_grad(g)
-        return rule
+    def backward(g):
+        # repeated ids sum their rows in id order, into the touched rows only
+        if table.requires_grad:
+            unique, inverse = np.unique(idx, return_inverse=True)
+            summed = np.zeros((len(unique), table.shape[1]))
+            np.add.at(summed, inverse, g)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            table.grad[unique] += summed
 
-    return _make_output(table.data[idx].copy(), (table,), build)
+    return make_output(table.data[idx].copy(), (table,), backward)
 
 
 def pick(x: Tensor, i: int) -> Tensor:
@@ -438,15 +402,13 @@ def pick(x: Tensor, i: int) -> Tensor:
         raise DimensionError(f"pick needs a vector, got {x.shape}")
     i = int(i)
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[i] = float(out.grad)
-                x.accumulate_grad(g)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[i] = float(g)
+            x.accumulate_grad(dx)
 
-    return _make_output(np.asarray(x.data[i]), (x,), build)
+    return make_output(np.asarray(x.data[i]), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +430,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
 
-    def build(out: Tensor):
-        def rule():
-            g = out.grad
-            if gain.requires_grad:
-                gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
-            if bias.requires_grad:
-                bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
-                gx = g * gain.data
-                m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-                x.accumulate_grad(inv * (gx - m1 - xhat * m2))
-        return rule
+    def backward(g):
+        if gain.requires_grad:
+            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx = g * gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            x.accumulate_grad(inv * (gx - m1 - xhat * m2))
 
-    return _make_output(data, (x, gain, bias), build)
+    return make_output(data, (x, gain, bias), backward)
 
 
 def dropout_mask(rng: RandomSource | None, p: float, shape,
@@ -514,13 +473,11 @@ def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
         raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
     data = x.data * keep
 
-    def build(out: Tensor):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad * keep)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * keep)
 
-    return _make_output(data, (x,), build)
+    return make_output(data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

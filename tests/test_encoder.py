@@ -36,13 +36,11 @@ def transpose(x):
     if x.data.ndim != 2:
         raise DimensionError(f"transpose needs a 2-D tensor, got {x.shape}")
 
-    def build(out):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad.T)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g.T)
 
-    return tt.make_output(x.data.T, (x,), build)
+    return tt.make_output(x.data.T, (x,), backward)
 
 
 def slice_rows(x, start, stop):
@@ -50,15 +48,13 @@ def slice_rows(x, start, stop):
     if x.data.ndim != 2:
         raise DimensionError(f"slice_rows needs a 2-D tensor, got {x.shape}")
 
-    def build(out):
-        def rule():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[start:stop] = out.grad
-                x.accumulate_grad(g)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[start:stop] = g
+            x.accumulate_grad(dx)
 
-    return tt.make_output(x.data[start:stop].copy(), (x,), build)
+    return tt.make_output(x.data[start:stop].copy(), (x,), backward)
 
 
 def reference_attention(q, k, v, mask=None):

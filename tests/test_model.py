@@ -287,6 +287,35 @@ class TestBatchedForward:
         for (name, _), g, ref in zip(named, grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12, name
 
+    @pytest.mark.parametrize("source", ["internal", "imported"])
+    def test_single_example_gradients_are_the_batch_of_ones(self, source):
+        """The single example's (k,) probability row takes no gradient, so
+        its rule must not run: the gradients are finite and bit-equal to
+        the batch of one's."""
+        if source == "internal":
+            bundle = md.init_model(tiny_config(), seed=5)
+            example = md.Example(label=1, tokens=tokens([1, 5, 3, 0, 0, 0], 3))
+        else:
+            bundle = md.init_model(imported_config(), seed=6)
+            example = md.Example(label=2,
+                                 matrix=RandomSource(9).uniform(-1, 1, (5, 5)))
+        named = list(bundle.all_named_parameters())
+
+        def gradients(loss_of):
+            for _, p in named:
+                p.zero_grad()
+            with tt.Tape() as tape:
+                tape.backward(loss_of())
+            return [p.grad for _, p in named]
+
+        single = gradients(lambda: md.forward_example(
+            bundle, example, with_loss=True)[1])
+        batch = gradients(lambda: hd.average_losses(md.forward_example(
+            bundle, [example], with_loss=True)[1]))
+        for (name, _), g, ref in zip(named, single, batch):
+            assert np.isfinite(g).all(), name
+            assert np.array_equal(g, ref), name
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_values_at_f32(self, tmp_path):

@@ -24,14 +24,12 @@ def stack_rows(rows):
             raise DimensionError(f"stack_rows needs equal vectors, got {r.shape} vs {width}")
     held = list(rows)
 
-    def build(out):
-        def rule():
-            for k, r in enumerate(held):
-                if r.requires_grad:
-                    r.accumulate_grad(out.grad[k])
-        return rule
+    def backward(g):
+        for k, r in enumerate(held):
+            if r.requires_grad:
+                r.accumulate_grad(g[k])
 
-    return make_output(np.stack([r.data for r in held]), held, build)
+    return make_output(np.stack([r.data for r in held]), held, backward)
 
 
 def slice_vec(x, start, stop):
@@ -39,15 +37,13 @@ def slice_vec(x, start, stop):
     if x.data.ndim != 1:
         raise DimensionError(f"slice_vec needs a vector, got {x.shape}")
 
-    def build(out):
-        def rule():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[start:stop] = out.grad
-                x.accumulate_grad(g)
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[start:stop] = g
+            x.accumulate_grad(dx)
 
-    return make_output(x.data[start:stop].copy(), (x,), build)
+    return make_output(x.data[start:stop].copy(), (x,), backward)
 
 
 def sum_rows(x):
@@ -55,13 +51,11 @@ def sum_rows(x):
     if x.data.ndim != 2:
         raise DimensionError(f"sum_rows needs a 2-D tensor, got {x.shape}")
 
-    def build(out):
-        def rule():
-            if x.requires_grad:
-                x.accumulate_grad(np.broadcast_to(out.grad, x.shape))
-        return rule
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.broadcast_to(g, x.shape))
 
-    return make_output(x.data.sum(axis=0), (x,), build)
+    return make_output(x.data.sum(axis=0), (x,), backward)
 
 
 def separate_masks(rng, p, shapes):
@@ -258,6 +252,25 @@ class TestStructureOps:
             tape.backward(T.sum_all(stack_rows([v, v, v])))
         np.testing.assert_array_equal(v.grad, [3.0, 3.0])
 
+    @pytest.mark.parametrize("prior", [False, True], ids=["fresh", "accumulated"])
+    def test_gather_rows_backward_equals_the_dense_table_rule(self, prior):
+        """Repeated ids sum in id order, as ``np.add.at`` into a zero table
+        the size of ``table`` followed by one whole-table add would."""
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            table = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+            ids = rng.integers(0, 6, int(rng.integers(0, 10)))
+            g = rng.uniform(-1, 1, (len(ids), 3))
+            dense = np.zeros((6, 3))
+            np.add.at(dense, ids, g)
+            if prior:
+                table.grad = rng.uniform(-1, 1, (6, 3))
+                dense += table.grad
+            with Tape() as tape:
+                out = T.gather_rows(table, ids)
+                tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+            assert np.array_equal(table.grad, dense)
+
 
 class TestBackwardAgainstFiniteDifferences:
     """Every op's backward rule vs the central-difference oracle."""
@@ -429,3 +442,24 @@ class TestTape:
             return out.data.tobytes(), x.grad.tobytes()
 
         assert run() == run()
+
+    @pytest.mark.parametrize("unused", [
+        lambda h: T.row(h, 0), T.relu, lambda h: T.softmax(h, axis=-1),
+    ], ids=["row", "relu", "softmax"])
+    def test_output_the_loss_never_reads_runs_no_rule(self, unused):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+
+        def run(with_unused):
+            for p in (w, x):
+                p.zero_grad()
+            with Tape() as tape:
+                hidden = T.tanh(T.matmul(x, w))
+                if with_unused:
+                    unused(hidden)
+                tape.backward(T.sum_all(T.mul(hidden, hidden)))
+            return [w.grad, x.grad]
+
+        for plain, extra in zip(run(False), run(True)):
+            assert np.array_equal(plain, extra)
