@@ -341,6 +341,8 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
              seed: int | None = None, results=None,
              clock=time.perf_counter) -> ResultsRow:
     """Forward-only evaluation of a saved run against one dataset split."""
+    if split_name not in SPLIT_NAMES:
+        raise ParameterError(f"unknown split {split_name!r}")
     checkpoint = Path(checkpoint)
     config_path = checkpoint.parent / "config.json"
     splits_path = checkpoint.parent / "splits.json"
@@ -377,8 +379,6 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
         raise DataError(
             f"dataset label map {prepared.splits.label_map} differs from the "
             f"run's label map {trained_map} in {splits_path}")
-    if split_name not in SPLIT_NAMES:
-        raise ParameterError(f"unknown split {split_name!r}")
     started = clock()
     rep = evaluate(bundle, prepared.examples[split_name],
                    bundle.config.n_classes)

@@ -7,8 +7,8 @@ and layer normalization (post-norm by default, pre-norm behind a flag).
 The stack runs over the real tokens only, one output row each, and a
 causal variant restricts each position to its prefix via an additive
 mask.  Multi-head attention is one tape op: one Q/K/V projection GEMM,
-a (heads, T, T) score array and a hand-written backward rule, over
-weights kept per head.
+a (heads, T, T) score array and a hand-written backward rule, over one
+stored (d_model x 3 d_model) Q/K/V matrix per layer.
 
 Also provides span masking and a denoising loss (vocabulary projection
 tied to the input embedding matrix) for toy pretraining, plus a small
@@ -68,18 +68,24 @@ class EncoderConfig:
 
 @dataclass
 class AttentionParams:
-    """Per-head Q/K/V projections (d_model x head_dim each) plus W_O."""
+    """The Q/K/V projections of every head as one (d_in x 3 width) matrix,
+    columns [Q heads | K heads | V heads] with width / n_heads per head,
+    plus W_O (width x d_out)."""
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    w_qkv: Tensor
     wo: Tensor
+    n_heads: int
+
+    def __post_init__(self):
+        shape = self.w_qkv.shape
+        if (self.n_heads < 1 or len(shape) != 2 or shape[1] % (3 * self.n_heads)
+                or self.wo.data.ndim != 2 or self.wo.shape[0] != shape[1] // 3):
+            raise DimensionError(
+                f"Q/K/V matrix {shape} and W_O {self.wo.shape} do not fit "
+                f"{self.n_heads} heads")
 
     def named_parameters(self, prefix: str = ""):
-        for i, (q, k, v) in enumerate(zip(self.wq, self.wk, self.wv)):
-            yield f"{prefix}h{i}.wq", q
-            yield f"{prefix}h{i}.wk", k
-            yield f"{prefix}h{i}.wv", v
+        yield f"{prefix}w_qkv", self.w_qkv
         yield f"{prefix}wo", self.wo
 
 
@@ -163,22 +169,20 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
                          mask: np.ndarray | None = None) -> Tensor:
     """All heads of softmax(QK^T/sqrt(d_k) + M)V, concatenated, then W_O.
 
-    One tape op with a hand-written backward rule.  The per-head weights
-    are stacked on every call (they change after each optimizer step)
-    into one x @ [Wq|Wk|Wv] GEMM, and the scores of every head form one
-    (heads, T, T) array.
+    One tape op with a hand-written backward rule: one x @ [Wq|Wk|Wv]
+    GEMM, and the scores of every head form one (heads, T, T) array.
     """
-    if x.shape[1] != params.wq[0].shape[0]:
+    w_qkv, wo = params.w_qkv, params.wo
+    if x.shape[1] != w_qkv.shape[0]:
         raise DimensionError(
-            f"input width {x.shape} vs projection {params.wq[0].shape}"
+            f"input width {x.shape} vs projection {w_qkv.shape}"
         )
     n = x.shape[0]
     if mask is not None and mask.shape != (n, n):
         raise DimensionError(f"mask {mask.shape} vs scores {(n, n)}")
-    heads, d_k = len(params.wq), params.wq[0].shape[1]
-    width = heads * d_k
-    projections = [*params.wq, *params.wk, *params.wv]
-    w = np.concatenate([t.data for t in projections], axis=1)
+    heads, width = params.n_heads, w_qkv.shape[1] // 3
+    d_k = width // heads
+    w = w_qkv.data
     # (3, heads, n, d_k): queries, keys and values of every head
     q, k, v = (x.data @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
     scale = 1.0 / np.sqrt(d_k)
@@ -188,7 +192,6 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
-    wo = params.wo
 
     def backward(g):
         if wo.requires_grad:
@@ -201,14 +204,12 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
                           d_scores.transpose(0, 2, 1) @ q,
                           weights.transpose(0, 2, 1) @ d_context))
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
-        dw = x.data.T @ d_proj
-        for i, t in enumerate(projections):
-            if t.requires_grad:
-                t.accumulate_grad(dw[:, i * d_k:(i + 1) * d_k])
+        if w_qkv.requires_grad:
+            w_qkv.accumulate_grad(x.data.T @ d_proj)
         if x.requires_grad:
             x.accumulate_grad(d_proj @ w.T)
 
-    return tt.make_output(joined @ wo.data, [x, *projections, wo], backward)
+    return tt.make_output(joined @ wo.data, (x, w_qkv, wo), backward)
 
 
 def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
@@ -216,7 +217,7 @@ def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
     return tt.add(tt.matmul(inner, params.w2), params.b2)
 
 
-def _layer_forward(layer: EncoderLayerParams, x: Tensor, mask: np.ndarray,
+def _layer_forward(layer: EncoderLayerParams, x: Tensor, mask: np.ndarray | None,
                    keep_attn: np.ndarray | None, keep_ffn: np.ndarray | None,
                    pre_norm: bool) -> Tensor:
     if pre_norm:
@@ -261,7 +262,7 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
         masks = [(None, None)] * config.n_layers
     x = tt.add(tt.gather_rows(model.embedding, ids[:length]),
                Tensor(model.positional[:length]))
-    mask = additive_mask(length, causal=config.causal)
+    mask = additive_mask(length, causal=True) if config.causal else None
     for layer, (keep_attn, keep_ffn) in zip(model.layers, masks):
         x = _layer_forward(layer, x, mask, keep_attn, keep_ffn, config.pre_norm)
     return x
@@ -270,20 +271,22 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
 def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:
     """Uniform [-0.1, 0.1] embeddings; +-sqrt(6/(fan_in+fan_out)) weights."""
 
-    def weight(fan_in: int, fan_out: int) -> Tensor:
+    def weight(fan_in: int, fan_out: int, parts: int = 1) -> Tensor:
+        """``parts`` draws of (fan_in x fan_out), joined column-wise."""
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)),
-                      requires_grad=True)
+        return Tensor(np.concatenate(
+            [rng.uniform(-limit, limit, (fan_in, fan_out)) for _ in range(parts)],
+            axis=1), requires_grad=True)
 
     embedding = Tensor(rng.uniform(-0.1, 0.1, (config.vocab_size, config.d_model)),
                        requires_grad=True)
     layers = []
     for _ in range(config.n_layers):
         attn = AttentionParams(
-            wq=[weight(config.d_model, config.head_dim) for _ in range(config.n_heads)],
-            wk=[weight(config.d_model, config.head_dim) for _ in range(config.n_heads)],
-            wv=[weight(config.d_model, config.head_dim) for _ in range(config.n_heads)],
+            # one draw per head block, in column order: [Q heads | K | V]
+            w_qkv=weight(config.d_model, config.head_dim, 3 * config.n_heads),
             wo=weight(config.d_model, config.d_model),
+            n_heads=config.n_heads,
         )
         ffn = FeedForwardParams(
             w1=weight(config.d_model, config.ffn_inner),

@@ -21,8 +21,10 @@ past a sequence's length are zero and take no gradient.  The tests keep
 the per-sample head and a per-step scan built from elementary tape ops,
 and check the batched head against both.
 
-Weight layouts: per-gate input maps P are (hidden x d_in), recurrent
-maps Q are (hidden x hidden), applied as P x + Q h + b on column
+Weight layouts: each scan direction stores its gates stacked in
+VARIANT_GATES order, one row block of ``hidden`` rows per gate: input
+maps P (gates*hidden x d_in), recurrent maps Q (gates*hidden x hidden)
+and biases b (gates*hidden,), applied as P x + Q h + b on column
 vectors; the bridge applies a (d_in x d_rnn) row-vector map and the
 classifier (out x in) maps through ``tt.linear``.
 """
@@ -49,46 +51,38 @@ LOSS_FLOOR = 1e-12
 
 
 @dataclass
-class GateParams:
+class RnnCellParams:
+    """One scan direction, its gates stacked in VARIANT_GATES order."""
+
+    variant: str
     p: Tensor
     q: Tensor
     b: Tensor
+
+    def __post_init__(self):
+        if self.variant not in VARIANT_GATES:
+            raise ParameterError(f"unknown rnn variant {self.variant!r}")
+        gates = len(VARIANT_GATES[self.variant])
+        if (self.q.data.ndim != 2 or self.p.data.ndim != 2
+                or self.q.shape[0] != gates * self.hidden
+                or self.p.shape[0] != self.q.shape[0]
+                or self.b.shape != self.q.shape[:1]):
+            raise DimensionError(
+                f"{self.variant} cell shapes p {self.p.shape}, q {self.q.shape}, "
+                f"b {self.b.shape} do not stack {gates} gates")
+
+    @property
+    def hidden(self) -> int:
+        return self.q.shape[1]
+
+    @property
+    def input_dim(self) -> int:
+        return self.p.shape[1]
 
     def named_parameters(self, prefix: str = ""):
         yield f"{prefix}p", self.p
         yield f"{prefix}q", self.q
         yield f"{prefix}b", self.b
-
-
-@dataclass
-class RnnCellParams:
-    variant: str
-    gates: dict[str, GateParams]
-
-    def __post_init__(self):
-        if self.variant not in VARIANT_GATES:
-            raise ParameterError(f"unknown rnn variant {self.variant!r}")
-        expected = VARIANT_GATES[self.variant]
-        if tuple(self.gates) != expected:
-            raise ParameterError(
-                f"{self.variant} needs gates {expected}, got {tuple(self.gates)}"
-            )
-        h = self.hidden
-        for name, gate in self.gates.items():
-            if gate.p.shape[0] != h or gate.q.shape != (h, h) or gate.b.shape != (h,):
-                raise DimensionError(f"gate {name!r} shapes inconsistent")
-
-    @property
-    def hidden(self) -> int:
-        return next(iter(self.gates.values())).q.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return next(iter(self.gates.values())).p.shape[1]
-
-    def named_parameters(self, prefix: str = ""):
-        for name, gate in self.gates.items():
-            yield from gate.named_parameters(f"{prefix}{name}.")
 
 
 @dataclass
@@ -159,7 +153,7 @@ class ClassifierParams:
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """``tt.sigmoid``'s values on a bare array: exp never overflows."""
+    """The logistic function on a bare array; exp never overflows."""
     e = np.exp(-np.abs(a))
     return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
@@ -320,10 +314,9 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     running over its first lengths[i] rows, as a single tape op with a
     hand-written backward pass through time.
 
-    The gate weights are stacked on every call (they change after each
-    optimizer step), the input projections of every real row are one GEMM,
-    and each step does one recurrent GEMM over the sequences still
-    running.  Row t of sequence i is its state after consuming row t:
+    The input projections of every real row are one GEMM over the stacked
+    gate weights, and each step does one recurrent GEMM over the sequences
+    still running.  Row t of sequence i is its state after consuming row t:
     forward from row 0, reverse from row lengths[i] - 1.  Rows past a
     sequence's length are zero and take no gradient.
     """
@@ -332,10 +325,7 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
         raise DimensionError(
             f"input shape {sequences.shape} vs cell input {cell.input_dim}"
         )
-    gates = list(cell.gates.values())
-    p = np.concatenate([gate.p.data for gate in gates])
-    q = np.concatenate([gate.q.data for gate in gates])
-    b = np.concatenate([gate.b.data for gate in gates])
+    p, q, b = cell.p.data, cell.q.data, cell.b.data
     batch, hidden = len(lengths), cell.hidden
     # slot j scans sequence order[j]; (step, slot) pairs read real rows
     order = np.argsort(-lengths, kind="stable")
@@ -358,18 +348,15 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
         da = da[step, slot]
         dp = da.T @ x
         db = da.sum(axis=0)
-        for k, gate in enumerate(gates):
-            rows = slice(k * hidden, (k + 1) * hidden)
-            for param, grad in ((gate.p, dp), (gate.q, dq), (gate.b, db)):
-                if param.requires_grad:
-                    param.accumulate_grad(grad[rows])
+        for param, grad in ((cell.p, dp), (cell.q, dq), (cell.b, db)):
+            if param.requires_grad:
+                param.accumulate_grad(grad)
         if sequences.requires_grad:
             dx = np.zeros(sequences.shape)
             dx[sample, row] = da @ p
             sequences.accumulate_grad(dx)
 
-    params = [t for gate in gates for t in (gate.p, gate.q, gate.b)]
-    return tt.make_output(data, [sequences, *params], backward)
+    return tt.make_output(data, (sequences, cell.p, cell.q, cell.b), backward)
 
 
 def rnn_forward(cell: RnnCellParams, sequences: Tensor, lengths) -> Tensor:
@@ -545,17 +532,16 @@ def init_cell(variant: str, d_in: int, hidden: int,
         raise ParameterError(f"unknown rnn variant {variant!r}")
     p_limit = np.sqrt(6.0 / (d_in + hidden))
     q_limit = np.sqrt(6.0 / (2 * hidden))
-    gates = {
-        name: GateParams(
-            p=Tensor(rng.uniform(-p_limit, p_limit, (hidden, d_in)),
-                     requires_grad=True),
-            q=Tensor(rng.uniform(-q_limit, q_limit, (hidden, hidden)),
-                     requires_grad=True),
-            b=Tensor(np.zeros(hidden), requires_grad=True),
-        )
-        for name in VARIANT_GATES[variant]
-    }
-    return RnnCellParams(variant=variant, gates=gates)
+    gates = len(VARIANT_GATES[variant])
+    # per gate in VARIANT_GATES order, its P block drawn before its Q block
+    p, q = zip(*[(rng.uniform(-p_limit, p_limit, (hidden, d_in)),
+                  rng.uniform(-q_limit, q_limit, (hidden, hidden)))
+                 for _ in range(gates)])
+    return RnnCellParams(
+        variant=variant,
+        p=Tensor(np.concatenate(p), requires_grad=True),
+        q=Tensor(np.concatenate(q), requires_grad=True),
+        b=Tensor(np.zeros(gates * hidden), requires_grad=True))
 
 
 def init_bicell(variant: str, d_in: int, hidden: int,

@@ -5,7 +5,10 @@ recurrent (or mean-pooling) head, and the classifier, and exposes the
 parameters as an ordered (name, tensor) sequence.  Checkpoints store a
 versioned header, the JSON-encoded configuration, and the named tensors
 as little-endian 32-bit floats, so two identical models produce
-byte-identical files.
+byte-identical files.  Version 2 stores each fused op's weights in the
+layout the op runs: one Q/K/V matrix per attention layer and one
+stacked P, Q and b per scan direction.  A version-1 file, which kept
+them per head and per gate, is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .rng import RandomSource
 from .tensor import Tensor
 
 _CHECKPOINT_MAGIC = b"SQCK"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -237,10 +240,10 @@ def load_checkpoint(path) -> ModelBundle:
     (config_len,) = reader.take("<I")
     config_text = reader.text(config_len)
     try:
-        config = ModelConfig.from_dict(json.loads(config_text))
+        bundle = init_model(ModelConfig.from_dict(json.loads(config_text)),
+                            seed=0)
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad checkpoint config: {exc}") from exc
-    bundle = init_model(config, seed=0)
     expected = dict(bundle.all_named_parameters())
     (count,) = reader.take("<I")
     if count != len(expected):

@@ -238,29 +238,6 @@ def neg(x: Tensor) -> Tensor:
     return scale(x, -1.0)
 
 
-def tanh(x: Tensor) -> Tensor:
-    data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - data * data))
-
-    return make_output(data, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # Branch on sign so exp never overflows.
-    d = x.data
-    data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * data * (1.0 - data))
-
-    return make_output(data, (x,), backward)
-
-
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
 

@@ -335,6 +335,30 @@ class TestEvalCommand:
             for name, p in saved.all_named_parameters():
                 assert np.array_equal(params[name], p.data), name
 
+    def test_unknown_split_is_rejected_before_loading(self, corpus, tmp_path,
+                                                      monkeypatch):
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+
+        def fail(*args, **kwargs):
+            raise AssertionError("loaded data for an unknown split")
+
+        monkeypatch.setattr(cli, "prepare", fail)
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        with pytest.raises(ParameterError, match="bogus"):
+            cmd_eval(Path(config.out_dir) / "model.ckpt", None, "bogus")
+
+    def test_version_one_checkpoint_exits_with_one_line(self, corpus, tmp_path,
+                                                        capsys):
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        checkpoint = Path(config.out_dir) / "model.ckpt"
+        checkpoint.write_bytes(b"SQCK" + (1).to_bytes(4, "little"))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err == "seqcls: DataError: unsupported checkpoint version 1\n"
+
     def test_missing_run_config_is_a_data_error(self, tmp_path):
         checkpoint = tmp_path / "model.ckpt"
         checkpoint.write_bytes(b"SQCK")

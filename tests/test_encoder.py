@@ -74,11 +74,22 @@ def reference_attention(q, k, v, mask=None):
     return tt.matmul(weights, v)
 
 
+def head_projections(params):
+    """Each head's (Wq, Wk, Wv), column blocks of the stacked Q/K/V
+    matrix read out through ``transpose`` and ``slice_rows``."""
+    width = params.w_qkv.shape[1] // 3
+    d_k = width // params.n_heads
+    columns = transpose(params.w_qkv)
+    return [[transpose(slice_rows(columns, start, start + d_k))
+             for start in (i * d_k, width + i * d_k, 2 * width + i * d_k)]
+            for i in range(params.n_heads)]
+
+
 def reference_multi_head_attention(params, x, mask=None):
     """The per-head composition the fused ``multi_head_attention`` replaced."""
     heads = [reference_attention(tt.matmul(x, wq), tt.matmul(x, wk),
                                  tt.matmul(x, wv), mask)
-             for wq, wk, wv in zip(params.wq, params.wk, params.wv)]
+             for wq, wk, wv in head_projections(params)]
     joined = heads[0]
     for head in heads[1:]:
         joined = tt.concat(joined, head, axis=1)
@@ -222,10 +233,21 @@ class TestMultiHeadAttention:
     def test_single_head_identity_projections_fix_point(self):
         eye = np.eye(2)
         params = enc.AttentionParams(
-            wq=[Tensor(eye)], wk=[Tensor(eye)], wv=[Tensor(eye)], wo=Tensor(eye))
+            w_qkv=Tensor(np.hstack([eye] * 3)), wo=Tensor(eye), n_heads=1)
         x = Tensor([[0.3, -1.2]])
         out = enc.multi_head_attention(params, x)
         assert np.allclose(out.data, x.data)
+
+    @pytest.mark.parametrize("w_qkv, wo, n_heads", [
+        ((4, 10), (4, 4), 2), ((4, 12), (5, 4), 2), ((4, 12), (4, 4), 3),
+        ((12,), (4, 4), 2), ((4, 12), (4, 4), 0),
+    ], ids=["width-not-three-blocks", "wo-rows", "heads-do-not-divide",
+            "not-a-matrix", "no-heads"])
+    def test_unstackable_shapes_rejected_at_construction(self, w_qkv, wo,
+                                                         n_heads):
+        with pytest.raises(DimensionError, match="Q/K/V matrix"):
+            enc.AttentionParams(w_qkv=Tensor(np.zeros(w_qkv)),
+                                wo=Tensor(np.zeros(wo)), n_heads=n_heads)
 
     def test_output_shape_is_input_shape(self):
         config = small_config(d_model=8, n_heads=4, n_layers=1)
@@ -242,7 +264,7 @@ class TestMultiHeadAttention:
         mask = enc.additive_mask(3, valid_len=2)
         combined = enc.multi_head_attention(params, x, mask)
         parts = []
-        for wq, wk, wv in zip(params.wq, params.wk, params.wv):
+        for wq, wk, wv in head_projections(params):
             head = reference_attention(tt.matmul(x, wq), tt.matmul(x, wk),
                                        tt.matmul(x, wv), mask)
             parts.append(head.data)
@@ -428,6 +450,25 @@ class TestEncoderForward:
                 altered[j] = (altered[j] + 1 + int(rng.integers(0, 15))) % 16
             out_alt = enc.encoder_forward(model, make_tokens(altered, 5)).data
             assert np.array_equal(out_full[:i], out_alt[:i])
+
+    @pytest.mark.parametrize("pre_norm", [False, True])
+    def test_non_causal_stack_adds_no_mask(self, monkeypatch, pre_norm):
+        """No mask is built, and the result is bit-equal to adding an
+        all-zero mask to every head's scores."""
+        model = enc.init_encoder(small_config(n_layers=2, pre_norm=pre_norm),
+                                 RandomSource(24))
+        tokens = make_tokens([7, 2, 11, 4, 0, 0], 4)
+        x = tt.add(tt.gather_rows(model.embedding, [7, 2, 11, 4]),
+                   Tensor(model.positional[:4]))
+        for layer in model.layers:
+            x = enc._layer_forward(layer, x, np.zeros((4, 4)), None, None,
+                                   pre_norm)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built a mask for a non-causal encoder")
+
+        monkeypatch.setattr(enc, "additive_mask", fail)
+        assert np.array_equal(enc.encoder_forward(model, tokens).data, x.data)
 
     def test_pooled_output_permutation_invariant_only_without_positions(self):
         config = small_config(d_model=4, n_heads=1, n_layers=1, vocab_size=16)

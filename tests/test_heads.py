@@ -14,23 +14,27 @@ from seqcls import tensor as tt
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
-from test_tensor import separate_masks, slice_vec, stack_rows, sum_rows
+from test_tensor import (separate_masks, sigmoid, slice_vec, stack_rows,
+                         sum_rows, tanh)
 
 
 def zero_cell(variant, d_in, hidden):
-    gates = {
-        name: hd.GateParams(
-            p=Tensor(np.zeros((hidden, d_in))),
-            q=Tensor(np.zeros((hidden, hidden))),
-            b=Tensor(np.zeros(hidden)),
-        )
-        for name in hd.VARIANT_GATES[variant]
-    }
-    return hd.RnnCellParams(variant=variant, gates=gates)
+    rows = len(hd.VARIANT_GATES[variant]) * hidden
+    return hd.RnnCellParams(variant=variant, p=Tensor(np.zeros((rows, d_in))),
+                            q=Tensor(np.zeros((rows, hidden))),
+                            b=Tensor(np.zeros(rows)))
 
 
-def _gate(gate, x, h):
-    return tt.add(tt.add(tt.matvec(gate.p, x), tt.matvec(gate.q, h)), gate.b)
+def _gate(cell, name, x, h):
+    """P x + Q h + b of gate ``name``: its row block of each stacked
+    product, read out through ``slice_vec``."""
+    k = hd.VARIANT_GATES[cell.variant].index(name)
+
+    def block(vec):
+        return slice_vec(vec, k * cell.hidden, (k + 1) * cell.hidden)
+
+    return tt.add(tt.add(block(tt.matvec(cell.p, x)), block(tt.matvec(cell.q, h))),
+                  block(cell.b))
 
 
 def initial_state(cell):
@@ -52,23 +56,19 @@ def rnn_step(cell, x_t, state):
     h = hidden_of(state)
     if h.shape != (cell.hidden,):
         raise DimensionError(f"state width {h.shape} vs hidden {cell.hidden}")
-    gates = cell.gates
     if cell.variant == "vanilla":
-        return tt.tanh(_gate(gates["h"], x_t, h))
+        return tanh(_gate(cell, "h", x_t, h))
     if cell.variant == "lstm":
         _, c = state
-        candidate = tt.tanh(_gate(gates["c"], x_t, h))
-        forget = tt.sigmoid(_gate(gates["f"], x_t, h))
-        update = tt.sigmoid(_gate(gates["i"], x_t, h))
-        output = tt.sigmoid(_gate(gates["o"], x_t, h))
+        candidate = tanh(_gate(cell, "c", x_t, h))
+        forget = sigmoid(_gate(cell, "f", x_t, h))
+        update = sigmoid(_gate(cell, "i", x_t, h))
+        output = sigmoid(_gate(cell, "o", x_t, h))
         c_next = tt.add(tt.mul(update, candidate), tt.mul(forget, c))
-        return tt.mul(output, tt.tanh(c_next)), c_next
-    update = tt.sigmoid(_gate(gates["z"], x_t, h))
-    reset = tt.sigmoid(_gate(gates["r"], x_t, h))
-    gate = gates["h"]
-    candidate = tt.tanh(tt.add(
-        tt.add(tt.matvec(gate.p, x_t), tt.matvec(gate.q, tt.mul(reset, h))),
-        gate.b))
+        return tt.mul(output, tanh(c_next)), c_next
+    update = sigmoid(_gate(cell, "z", x_t, h))
+    reset = sigmoid(_gate(cell, "r", x_t, h))
+    candidate = tanh(_gate(cell, "h", x_t, tt.mul(reset, h)))
     one_minus = tt.add(tt.neg(update), Tensor(np.ones(cell.hidden)))
     return tt.add(tt.mul(one_minus, candidate), tt.mul(update, h))
 
@@ -190,10 +190,8 @@ class TestRnnStep:
         assert np.array_equal(h.data, [0.0, 0.0])
 
     def test_vanilla_identity_params_tanh(self):
-        cell = hd.RnnCellParams(variant="vanilla", gates={
-            "h": hd.GateParams(p=Tensor(np.eye(1)), q=Tensor(np.eye(1)),
-                               b=Tensor(np.zeros(1))),
-        })
+        cell = hd.RnnCellParams(variant="vanilla", p=Tensor(np.eye(1)),
+                                q=Tensor(np.eye(1)), b=Tensor(np.zeros(1)))
         h = rnn_step(cell, Tensor([0.5]), initial_state(cell))
         assert h.data[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
         assert h.data[0] == pytest.approx(0.4621, abs=1e-4)
@@ -210,7 +208,19 @@ class TestRnnStep:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParameterError):
-            hd.RnnCellParams(variant="mystery", gates={})
+            hd.RnnCellParams(variant="mystery", p=Tensor(np.eye(1)),
+                             q=Tensor(np.eye(1)), b=Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("rows_p, rows_q, hidden, rows_b", [
+        (9, 6, 3, 9), (6, 9, 3, 9), (9, 9, 3, 6), (9, 9, 2, 9),
+    ], ids=["q-missing-a-gate", "p-missing-a-gate", "b-missing-a-gate",
+            "q-not-gates-by-hidden"])
+    def test_unstackable_shapes_rejected_at_construction(
+            self, rows_p, rows_q, hidden, rows_b):
+        with pytest.raises(DimensionError, match="gru cell shapes"):
+            hd.RnnCellParams(variant="gru", p=Tensor(np.zeros((rows_p, 4))),
+                             q=Tensor(np.zeros((rows_q, hidden))),
+                             b=Tensor(np.zeros(rows_b)))
 
     def test_zero_parameter_cells_fix_any_sequence_at_zero(self):
         rng = RandomSource(77)

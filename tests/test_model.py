@@ -42,6 +42,76 @@ def tokens(ids, valid):
     return TokenSequence(list(ids), valid)
 
 
+def drawn_per_slice(config, seed):
+    """The encoder and cell tensors drawn as separate blocks, one per head
+    and per gate in init order, then joined in the stacked layout: the
+    oracle for ``init_model``'s stacked draws."""
+    root = RandomSource(seed)
+    drawn = {}
+    e, rng = config.encoder, root.derive("encoder")
+
+    def weight(fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, (fan_in, fan_out))
+
+    drawn["encoder.embedding"] = rng.uniform(-0.1, 0.1, (e.vocab_size, e.d_model))
+    for i in range(e.n_layers):
+        prefix = f"encoder.layer{i}."
+        # every head's Wq, then every Wk, then every Wv
+        heads = [weight(e.d_model, e.head_dim) for _ in range(3 * e.n_heads)]
+        drawn[prefix + "attn.w_qkv"] = np.concatenate(heads, axis=1)
+        drawn[prefix + "attn.wo"] = weight(e.d_model, e.d_model)
+        drawn[prefix + "ffn.w1"] = weight(e.d_model, e.ffn_inner)
+        drawn[prefix + "ffn.w2"] = weight(e.ffn_inner, e.d_model)
+    if config.head_kind == "rnn":
+        rng, d_in, h = root.derive("cell"), config.d_rnn, config.hidden_units
+        p_limit, q_limit = np.sqrt(6.0 / (d_in + h)), np.sqrt(6.0 / (2 * h))
+        for direction in ("fw.", "bw.") if config.bidirectional else ("",):
+            gates = [(rng.uniform(-p_limit, p_limit, (h, d_in)),
+                      rng.uniform(-q_limit, q_limit, (h, h)))
+                     for _ in hd.VARIANT_GATES[config.rnn_variant]]
+            drawn[f"cell.{direction}p"] = np.concatenate([p for p, _ in gates])
+            drawn[f"cell.{direction}q"] = np.concatenate([q for _, q in gates])
+            drawn[f"cell.{direction}b"] = np.zeros(len(gates) * h)
+    return drawn
+
+
+def tensor_table(blob: bytes):
+    """(name, shape) of every tensor in checkpoint bytes, in file order."""
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    at = 12 + config_len
+    (count,) = struct.unpack_from("<I", blob, at)
+    at += 4
+    table = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        name = blob[at + 2:at + 2 + name_len].decode("utf-8")
+        at += 2 + name_len
+        (ndim,) = struct.unpack_from("<B", blob, at)
+        shape = struct.unpack_from(f"<{ndim}I", blob, at + 1)
+        at += 1 + 4 * ndim + 4 * int(np.prod(shape))
+        table.append((name, shape))
+    assert at == len(blob)
+    return table
+
+
+ENCODER_TABLE = [
+    ("encoder.embedding", (16, 8)),
+    ("encoder.layer0.attn.w_qkv", (8, 24)),
+    ("encoder.layer0.attn.wo", (8, 8)),
+    ("encoder.layer0.ffn.w1", (8, 32)),
+    ("encoder.layer0.ffn.b1", (32,)),
+    ("encoder.layer0.ffn.w2", (32, 8)),
+    ("encoder.layer0.ffn.b2", (8,)),
+    ("encoder.layer0.ln1.gain", (8,)),
+    ("encoder.layer0.ln1.bias", (8,)),
+    ("encoder.layer0.ln2.gain", (8,)),
+    ("encoder.layer0.ln2.bias", (8,)),
+    ("bridge.w", (8, 4)),
+    ("bridge.b", (4,)),
+]
+
+
 class TestModelConfig:
     def test_internal_defaults_input_dim_from_encoder(self):
         config = tiny_config()
@@ -144,6 +214,22 @@ class TestInitAndForward:
         probs, _ = md.forward_example(
             bundle, md.Example(label=0, tokens=tokens([1, 5, 3, 0, 0, 0], 3)))
         assert probs.shape == (2,)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"bidirectional": True}, {"rnn_variant": "lstm"},
+        {"rnn_variant": "vanilla"}, {"head_kind": "mean"},
+    ], ids=["gru", "bigru", "lstm", "vanilla", "mean"])
+    def test_init_joins_the_per_head_and_per_gate_draws(self, overrides):
+        config = tiny_config(
+            encoder=EncoderConfig(d_model=8, n_heads=2, n_layers=2,
+                                  vocab_size=16, max_len=6, dropout=0.0),
+            **overrides)
+        named = dict(md.init_model(config, seed=31).all_named_parameters())
+        drawn = drawn_per_slice(config, seed=31)
+        assert any(name.startswith("cell.") for name in drawn) == (
+            config.head_kind == "rnn")
+        for name, want in drawn.items():
+            assert np.array_equal(named[name].data, want), name
 
     def test_freeze_encoder_filters_parameters(self):
         bundle = md.init_model(tiny_config(), seed=11)
@@ -374,8 +460,9 @@ class TestCheckpoint:
         b"[2]",
         b'{"n_classes": "two"}',
         b'{"n_classes": 2, "encoder": 7}',
+        b'{"n_classes": 2, "dropout": 8.0}',
     ], ids=["bad-json", "unknown-key", "not-an-object", "wrong-type",
-            "encoder-not-an-object"])
+            "encoder-not-an-object", "dropout-out-of-range"])
     def test_bad_config_raises_data_error(self, tmp_path, config_blob):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, md.init_model(tiny_config(), seed=18))
@@ -393,13 +480,37 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="UTF-8"):
             md.load_checkpoint(path)
 
+    @pytest.mark.parametrize("bidirectional, cell_table", [
+        (False, [("cell.p", (9, 4)), ("cell.q", (9, 3)), ("cell.b", (9,)),
+                 ("head.w_dense", (4, 3))]),
+        (True, [("cell.fw.p", (9, 4)), ("cell.fw.q", (9, 3)),
+                ("cell.fw.b", (9,)), ("cell.bw.p", (9, 4)),
+                ("cell.bw.q", (9, 3)), ("cell.bw.b", (9,)),
+                ("head.w_dense", (4, 6))]),
+    ], ids=["gru", "bigru"])
+    def test_tensor_table_is_pinned(self, tmp_path, bidirectional, cell_table):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_model(
+            tiny_config(bidirectional=bidirectional), seed=22))
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, 4) == (2,)
+        assert tensor_table(blob) == ENCODER_TABLE + cell_table + [
+            ("head.b_dense", (4,)), ("head.w_out", (2, 4)), ("head.b_out", (2,))]
+
+    def test_version_one_is_refused_in_one_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"SQCK" + struct.pack("<I", 1))
+        with pytest.raises(DataError) as raised:
+            md.load_checkpoint(path)
+        assert str(raised.value) == "unsupported checkpoint version 1"
+
     def test_repeated_tensor_name_raises_data_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, md.init_model(tiny_config(), seed=20))
         blob = path.read_bytes()
         # equal-length names, so every later offset stays in place
-        assert blob.count(b"cell.r.b") == 1 and blob.count(b"cell.z.b") == 1
-        path.write_bytes(blob.replace(b"cell.r.b", b"cell.z.b"))
+        assert blob.count(b"cell.p") == 1 and blob.count(b"cell.q") == 1
+        path.write_bytes(blob.replace(b"cell.q", b"cell.p"))
         with pytest.raises(DataError, match="repeated"):
             md.load_checkpoint(path)
 
