@@ -8,7 +8,12 @@ The stack runs over the real tokens only, one output row each, and a
 causal variant restricts each position to its prefix via an additive
 mask.  Multi-head attention is one tape op: one Q/K/V projection GEMM,
 a (heads, T, T) score array and a hand-written backward rule, over one
-stored (d_model x 3 d_model) Q/K/V matrix per layer.
+stored (d_model x 3 d_model) Q/K/V matrix per layer.  The feed-forward
+network is one op too, and so is each sublayer's residual tail,
+``add_norm``: the dropout-masked residual add and, post-norm, the layer
+norm, whose math it shares with ``tt.layer_norm``.  A post-norm layer
+records 4 tape ops (attention, add-norm, FFN, add-norm); a pre-norm
+layer records 6, its two layer norms included.
 
 Also provides span masking and a denoising loss (vocabulary projection
 tied to the input embedding matrix) for toy pretraining, plus a small
@@ -213,24 +218,78 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
 
 
 def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
-    inner = tt.relu(tt.add(tt.matmul(x, params.w1), params.b1))
-    return tt.add(tt.matmul(inner, params.w2), params.b2)
+    """relu(x @ W1 + b1) @ W2 + b2 over the rows of ``x``: one tape op with
+    a hand-written backward rule that keeps only the ReLU output."""
+    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    d_in, d_inner = w1.shape
+    if (x.data.ndim != 2 or x.shape[1] != d_in or b1.shape != (d_inner,)
+            or w2.shape[0] != d_inner or b2.shape != w2.shape[1:]):
+        raise DimensionError(
+            f"feed-forward shapes incompatible: {x.shape} @ {w1.shape} + "
+            f"{b1.shape}, @ {w2.shape} + {b2.shape}")
+    inner = np.maximum(x.data @ w1.data + b1.data, 0.0)
+
+    def backward(g):
+        if w2.requires_grad:
+            w2.accumulate_grad(inner.T @ g)
+        if b2.requires_grad:
+            b2.accumulate_grad(g.sum(axis=0))
+        d_inner = (g @ w2.data.T) * (inner > 0.0)
+        if w1.requires_grad:
+            w1.accumulate_grad(x.data.T @ d_inner)
+        if b1.requires_grad:
+            b1.accumulate_grad(d_inner.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(d_inner @ w1.data.T)
+
+    return tt.make_output(inner @ w2.data + b2.data, (x, w1, b1, w2, b2),
+                          backward)
+
+
+def add_norm(x: Tensor, a: Tensor, keep: np.ndarray | None,
+             norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """A sublayer's residual tail as one tape op: ``x + keep * a``, then,
+    given ``norm`` = (gain, bias), the layer norm of the sum (post-norm);
+    with ``norm`` None (pre-norm) the sum itself.
+
+    ``keep`` is a ``tt.dropout_mask`` fitted by ``tt.fit_mask``; None
+    drops nothing.  The rule hands ``x`` its gradient before ``a``, the
+    order the unfused residual add used.
+    """
+    if a.shape != x.shape:
+        raise DimensionError(f"residual shapes incompatible: {x.shape} + {a.shape}")
+    if keep is None:
+        z = x.data + a.data
+    else:
+        keep = tt.fit_mask(keep, a.shape)
+        z = x.data + a.data * keep
+    data, norm_backward = z, None
+    if norm is not None:
+        data, norm_backward = tt.layer_norm_rule(z, *norm)
+
+    def backward(g):
+        if norm_backward is not None:
+            g = norm_backward(g, x.requires_grad or a.requires_grad)
+        if x.requires_grad:
+            x.accumulate_grad(g)
+        if a.requires_grad:
+            a.accumulate_grad(g if keep is None else g * keep)
+
+    return tt.make_output(data, (x, a, *(norm or ())), backward)
 
 
 def _layer_forward(layer: EncoderLayerParams, x: Tensor, mask: np.ndarray | None,
                    keep_attn: np.ndarray | None, keep_ffn: np.ndarray | None,
                    pre_norm: bool) -> Tensor:
+    ln1 = (layer.ln1_gain, layer.ln1_bias)
+    ln2 = (layer.ln2_gain, layer.ln2_bias)
     if pre_norm:
-        a = multi_head_attention(
-            layer.attn, tt.layer_norm(x, layer.ln1_gain, layer.ln1_bias), mask)
-        x = tt.add(x, tt.dropout(a, keep_attn))
-        f = feed_forward(
-            layer.ffn, tt.layer_norm(x, layer.ln2_gain, layer.ln2_bias))
-        return tt.add(x, tt.dropout(f, keep_ffn))
-    a = tt.dropout(multi_head_attention(layer.attn, x, mask), keep_attn)
-    x = tt.layer_norm(tt.add(x, a), layer.ln1_gain, layer.ln1_bias)
-    f = tt.dropout(feed_forward(layer.ffn, x), keep_ffn)
-    return tt.layer_norm(tt.add(x, f), layer.ln2_gain, layer.ln2_bias)
+        a = multi_head_attention(layer.attn, tt.layer_norm(x, *ln1), mask)
+        x = add_norm(x, a, keep_attn)
+        return add_norm(x, feed_forward(layer.ffn, tt.layer_norm(x, *ln2)),
+                        keep_ffn)
+    x = add_norm(x, multi_head_attention(layer.attn, x, mask), keep_attn, ln1)
+    return add_norm(x, feed_forward(layer.ffn, x), keep_ffn, ln2)
 
 
 def dropout_masks(config: EncoderConfig, rows: int, rng: RandomSource | None,

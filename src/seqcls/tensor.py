@@ -392,31 +392,53 @@ def pick(x: Tensor, i: int) -> Tensor:
 # normalization and regularization
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the last axis, then affine gain/bias."""
+def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
+                    eps: float = 1e-5):
+    """Per-row normalization of the array ``z`` over its last axis, then
+    affine gain/bias: the one copy of this math, shared by ``layer_norm``
+    and the encoder's fused add-norm op.
+
+    Returns the output and ``backward(g, wants_input)``, which
+    accumulates the gain and bias gradients and returns the gradient of
+    ``z`` when ``wants_input`` is true, else None.  The statistics are the
+    steps ``np.mean`` and ``np.var`` take, so the output matches theirs
+    bit for bit.
+    """
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
-    d = x.shape[-1]
+    d = z.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    c = z - z.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = c * inv
     data = xhat * gain.data + bias.data
 
-    def backward(g):
+    def backward(g, wants_input):
         if gain.requires_grad:
             gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+        if not wants_input:
+            return None
+        gx = g * gain.data
+        m1 = gx.sum(axis=-1, keepdims=True) / d
+        m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
+        return inv * (gx - m1 - xhat * m2)
+
+    return data, backward
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row normalization over the last axis, then affine gain/bias."""
+    data, norm_backward = layer_norm_rule(x.data, gain, bias, eps)
+
+    def backward(g):
+        dx = norm_backward(g, x.requires_grad)
         if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gx - m1 - xhat * m2))
+            x.accumulate_grad(dx)
 
     return make_output(data, (x, gain, bias), backward)
 
@@ -435,19 +457,27 @@ def dropout_mask(rng: RandomSource | None, p: float, shape,
     return rng.bernoulli(1.0 - p, shape) / (1.0 - p)
 
 
-def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
-    """``x`` times a mask from ``dropout_mask``; None is the identity.
+def fit_mask(keep: np.ndarray, shape) -> np.ndarray:
+    """A ``dropout_mask`` for an input of ``shape``.
 
-    A mask taller than ``x`` applies its top ``len(x)`` rows: a sequence
-    trimmed of its padding uses the mask drawn for its padded form.  The
-    backward rule uses the same mask.
+    A mask taller than the input applies its top ``shape[0]`` rows: a
+    sequence trimmed of its padding uses the mask drawn for its padded
+    form.  Those rows are copied, so the padded mask can be freed.  Any
+    other mismatch raises ``DimensionError``.
     """
+    if len(keep) > shape[0]:
+        keep = keep[:shape[0]].copy()
+    if keep.shape != tuple(shape):
+        raise DimensionError(f"dropout mask {keep.shape} vs input {tuple(shape)}")
+    return keep
+
+
+def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
+    """``x`` times a mask from ``dropout_mask``, fitted by ``fit_mask``;
+    None is the identity.  The backward rule uses the same mask."""
     if keep is None:
         return x
-    if len(keep) > len(x.data):
-        keep = keep[:len(x.data)].copy()  # the rest of the mask can go
-    if keep.shape != x.shape:
-        raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
+    keep = fit_mask(keep, x.shape)
     data = x.data * keep
 
     def backward(g):

@@ -1,6 +1,7 @@
 """Tests for the transformer encoder stack and its pretraining utilities."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -96,10 +97,34 @@ def reference_multi_head_attention(params, x, mask=None):
     return tt.matmul(joined, params.wo)
 
 
+def reference_feed_forward(params, x):
+    """relu(x @ W1 + b1) @ W2 + b2 as a graph of elementary tape ops: the
+    oracle for the fused ``feed_forward``."""
+    inner = tt.relu(tt.add(tt.matmul(x, params.w1), params.b1))
+    return tt.add(tt.matmul(inner, params.w2), params.b2)
+
+
+def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
+    """The layer the fused sublayers replaced: one tape op per residual
+    add, dropout, layer norm and FFN step, 12 per layer."""
+    if pre_norm:
+        a = enc.multi_head_attention(
+            layer.attn, tt.layer_norm(x, layer.ln1_gain, layer.ln1_bias), mask)
+        x = tt.add(x, tt.dropout(a, keep_attn))
+        f = reference_feed_forward(
+            layer.ffn, tt.layer_norm(x, layer.ln2_gain, layer.ln2_bias))
+        return tt.add(x, tt.dropout(f, keep_ffn))
+    a = tt.dropout(enc.multi_head_attention(layer.attn, x, mask), keep_attn)
+    x = tt.layer_norm(tt.add(x, a), layer.ln1_gain, layer.ln1_bias)
+    f = tt.dropout(reference_feed_forward(layer.ffn, x), keep_ffn)
+    return tt.layer_norm(tt.add(x, f), layer.ln2_gain, layer.ln2_bias)
+
+
 def reference_encoder_forward(model, tokens, rng=None, training=False):
     """The padded forward ``encoder_forward`` replaced: every id, PADs
-    included, is embedded, and the PAD columns are masked out of
-    attention; returns all ``len(tokens.input_ids)`` rows."""
+    included, is embedded, the PAD columns are masked out of attention,
+    and the layers are the unfused ones; returns all
+    ``len(tokens.input_ids)`` rows."""
     config = model.config
     n = len(tokens.input_ids)
     x = tt.add(tt.gather_rows(model.embedding, list(tokens.input_ids)),
@@ -109,7 +134,7 @@ def reference_encoder_forward(model, tokens, rng=None, training=False):
         keep = [None, None]
         if training and config.dropout > 0.0:
             keep = separate_masks(rng, config.dropout, [(n, config.d_model)] * 2)
-        x = enc._layer_forward(layer, x, mask, *keep, config.pre_norm)
+        x = reference_layer_forward(layer, x, mask, *keep, config.pre_norm)
     return x
 
 
@@ -372,11 +397,171 @@ class TestFeedForward:
         ffn = model.layers[0].ffn
         x = Tensor(RandomSource(32).uniform(-1, 1, (2, 4)), requires_grad=True)
         tensors = [t for _, t in ffn.named_parameters()] + [x]
+        inner = x.data @ ffn.w1.data + ffn.b1.data
+        assert (inner > 0).any() and (inner < 0).any()  # both ReLU branches
 
         def loss():
             return mean_of(enc.feed_forward(ffn, x))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
+
+    def test_matches_unfused_graph_bit_for_bit(self):
+        rng = RandomSource(34)
+        ffn = enc.init_encoder(small_config(d_model=8, n_heads=2),
+                               rng.derive("enc")).layers[0].ffn
+        for _, t in ffn.named_parameters():
+            t.data += rng.uniform(-0.1, 0.1, t.shape)
+        x = Tensor(rng.uniform(-1, 1, (5, 8)), requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, (5, 8)))
+        tensors = [t for _, t in ffn.named_parameters()] + [x]
+        results = []
+        for forward in (enc.feed_forward, reference_feed_forward):
+            for t in tensors:
+                t.zero_grad()
+            with tt.Tape() as tape:
+                out = forward(ffn, x)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            results.append([out.data] + [t.grad.copy() for t in tensors])
+        for fused, ref in zip(*results):
+            assert np.array_equal(fused, ref)
+
+    def test_width_mismatch_rejected(self):
+        ffn = enc.init_encoder(small_config(), RandomSource(36)).layers[0].ffn
+        for x in (np.ones((3, 5)), np.ones(4), np.ones((2, 3, 4))):
+            with pytest.raises(DimensionError):
+                enc.feed_forward(ffn, Tensor(x))
+
+
+class TestAddNorm:
+    """The fused residual tail, ``LN(x + keep * a)`` for post-norm and
+    ``x + keep * a`` for pre-norm, against the unfused graph."""
+
+    NORMS = {"post-norm": True, "pre-norm": False}
+
+    @staticmethod
+    def operands(seed, normed=True):
+        """x and a (3 x 4), the (gain, bias) pair or None, a keep mask
+        drawn at a padded height of 5, and a probe for the loss."""
+        rng = RandomSource(seed)
+        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        gain = Tensor(1.0 + rng.uniform(-0.2, 0.2, 4), requires_grad=True)
+        bias = Tensor(rng.uniform(-0.1, 0.1, 4), requires_grad=True)
+        keep = tt.dropout_mask(rng, 0.4, (5, 4), training=True)
+        probe = Tensor(rng.uniform(-1, 1, (3, 4)))
+        return x, a, (gain, bias) if normed else None, keep, probe
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
+    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
+    def test_gradients_match_finite_differences(self, norm_kind, dropped):
+        x, a, norm, keep, probe = self.operands(400, self.NORMS[norm_kind])
+        keep = keep if dropped else None
+        tensors = [x, a, *(norm or ())]
+
+        def loss():
+            return tt.sum_all(tt.mul(enc.add_norm(x, a, keep, norm), probe))
+
+        assert tt.check_gradients(loss, tensors) < 1e-4
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
+    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
+    def test_matches_unfused_graph_bit_for_bit(self, norm_kind, dropped):
+        x, a, norm, keep, probe = self.operands(401, self.NORMS[norm_kind])
+        keep = keep if dropped else None
+        tensors = [x, a, *(norm or ())]
+
+        def unfused(x, a, keep, norm):
+            out = tt.add(x, tt.dropout(a, keep))
+            return out if norm is None else tt.layer_norm(out, *norm)
+
+        results = []
+        for forward in (enc.add_norm, unfused):
+            for t in tensors:
+                t.zero_grad()
+            with tt.Tape() as tape:
+                out = forward(x, a, keep, norm)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            results.append([out.data] + [t.grad.copy() for t in tensors])
+        for fused, ref in zip(*results):
+            assert np.array_equal(fused, ref)
+
+    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
+    def test_padded_mask_applies_its_top_rows(self, norm_kind):
+        x, a, norm, keep, _ = self.operands(402, self.NORMS[norm_kind])
+        padded = enc.add_norm(x, a, keep, norm).data
+        exact = enc.add_norm(x, a, keep[:3].copy(), norm).data
+        assert np.array_equal(padded, exact)
+
+    def test_padded_mask_is_freed(self):
+        x, a, norm, keep, _ = self.operands(403)
+        held = weakref.ref(keep)
+        with tt.Tape():
+            out = enc.add_norm(x, a, keep, norm)
+            del keep
+            assert held() is None
+            assert out.requires_grad
+
+    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
+    def test_mask_of_wrong_width_rejected(self, norm_kind):
+        x, a, norm, _, _ = self.operands(404, self.NORMS[norm_kind])
+        for shape in ((5, 5), (3, 3), (2, 4)):
+            with pytest.raises(DimensionError, match="dropout mask"):
+                enc.add_norm(x, a, np.ones(shape), norm)
+
+    def test_residual_shape_mismatch_rejected(self):
+        x, _, norm, _, _ = self.operands(405)
+        with pytest.raises(DimensionError, match="residual"):
+            enc.add_norm(x, Tensor(np.ones((2, 4))), None, norm)
+
+
+class TestFusedLayer:
+    """``_layer_forward`` against ``reference_layer_forward``, the unfused
+    layer, through ``encoder_forward``: outputs and every parameter
+    gradient bit for bit."""
+
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["no-masks", "masks"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_matches_unfused_layer_bit_for_bit(self, monkeypatch, pre_norm,
+                                               causal, training):
+        config = small_config(d_model=8, n_heads=2, n_layers=2, max_len=8,
+                              dropout=0.3, pre_norm=pre_norm, causal=causal)
+        rng = RandomSource(500)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        for _, t in model.named_parameters():
+            t.data += rng.uniform(-0.1, 0.1, t.shape)
+        tokens = make_tokens([int(i) for i in rng.integers(0, 16, 8)], 5)
+        probe = Tensor(rng.uniform(-1, 1, (5, 8)))
+        tensors = [t for _, t in model.named_parameters()]
+        results = []
+        for layer_forward in (enc._layer_forward, reference_layer_forward):
+            monkeypatch.setattr(enc, "_layer_forward", layer_forward)
+            for t in tensors:
+                t.zero_grad()
+            with tt.Tape() as tape:
+                out = trimmed_forward(model, tokens, RandomSource(7), training)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            results.append([out.data] + [t.grad.copy() for t in tensors])
+        for fused, ref in zip(*results):
+            assert np.array_equal(fused, ref)
+
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["no-masks", "masks"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 3])
+    @pytest.mark.parametrize("pre_norm, per_layer", [(False, 4), (True, 6)],
+                             ids=["post-norm", "pre-norm"])
+    def test_records_per_layer(self, pre_norm, per_layer, n_layers, training):
+        """Embedding and positions, then attention, add-norm, FFN and
+        add-norm per post-norm layer; pre-norm adds its two layer norms."""
+        config = small_config(n_layers=n_layers, dropout=0.3,
+                              pre_norm=pre_norm)
+        model = enc.init_encoder(config, RandomSource(501))
+        with tt.Tape() as tape:
+            trimmed_forward(model, make_tokens([3, 1, 4, 1, 5, PAD_ID], 5),
+                            RandomSource(502), training)
+        assert len(tape) == 2 + per_layer * n_layers
 
 
 class TestEncoderForward:

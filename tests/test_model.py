@@ -403,6 +403,28 @@ class TestBatchedForward:
             assert np.array_equal(g, ref), name
 
 
+class TestTapeRecords:
+    def test_train_gru_batch_records_at_most_11_per_sample(self):
+        """A mini-batch of 16 training samples shaped like the benchmark's
+        train-gru workload: a two-layer post-norm encoder with dropout
+        records 10 ops per sample, the GRU head a few per batch."""
+        encoder = EncoderConfig(d_model=64, n_heads=4, n_layers=2,
+                                vocab_size=512, max_len=64, dropout=0.1)
+        bundle = md.init_model(tiny_config(encoder=encoder, hidden_units=32,
+                                           d_rnn=32, dense_units=32,
+                                           dropout=0.1), seed=1)
+        rng = RandomSource(60)
+        examples = [md.Example(i % 2, tokens=tokens(
+                        [int(t) for t in rng.integers(4, 512, 64)],
+                        int(rng.integers(30, 64))))
+                    for i in range(16)]
+        with tt.Tape() as tape:
+            losses = md.forward_example(bundle, examples, RandomSource(61),
+                                        training=True, with_loss=True)[1]
+            tape.backward(hd.average_losses(losses))
+        assert len(tape) / len(examples) <= 11
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_values_at_f32(self, tmp_path):
         bundle = md.init_model(tiny_config(bidirectional=True), seed=12)

@@ -1,6 +1,7 @@
 """Tensor op forward values, backward rules, and tape behavior."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -193,6 +194,30 @@ class TestForwardValues:
         out = T.layer_norm(x, Tensor(np.zeros(4)), bias)
         np.testing.assert_allclose(out.data, np.tile(bias.data, (3, 1)))
 
+    def test_layer_norm_matches_numpy_statistics_bit_for_bit(self):
+        """The shared normalization takes the steps ``np.mean`` and
+        ``np.var`` take: output and every gradient equal the formulas
+        written with them."""
+        rng = RandomSource(8)
+        for _ in range(200):
+            rows, d = int(rng.integers(1, 50)), int(rng.integers(1, 80))
+            x = Tensor(rng.uniform(-3, 3, (rows, d)), requires_grad=True)
+            gain = Tensor(rng.uniform(0.5, 1.5, d), requires_grad=True)
+            bias = Tensor(rng.uniform(-0.5, 0.5, d), requires_grad=True)
+            g = rng.uniform(-1, 1, (rows, d))
+            with Tape() as tape:
+                out = T.layer_norm(x, gain, bias)
+                tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+            inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-5)
+            xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+            np.testing.assert_array_equal(out.data, xhat * gain.data + bias.data)
+            gx = g * gain.data
+            expected_x = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            np.testing.assert_array_equal(x.grad, expected_x)
+            np.testing.assert_array_equal(gain.grad, (g * xhat).sum(axis=0))
+            np.testing.assert_array_equal(bias.grad, g.sum(axis=0))
+
     def test_add_bias_broadcast(self):
         out = T.add(Tensor(np.ones((3, 2))), Tensor([10.0, 20.0]))
         np.testing.assert_array_equal(out.data, [[11.0, 21.0]] * 3)
@@ -244,6 +269,14 @@ class TestDropout:
     def test_mask_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             T.dropout(Tensor(np.ones((3, 4))), np.ones((3, 5)))
+
+    def test_fitted_mask_lets_the_padded_mask_go(self):
+        padded = T.dropout_mask(RandomSource(6), 0.5, (7, 4), True)
+        held = weakref.ref(padded)
+        fitted = T.fit_mask(padded, (3, 4))
+        np.testing.assert_array_equal(fitted, padded[:3])
+        del padded
+        assert held() is None
 
 
 class TestStructureOps:
