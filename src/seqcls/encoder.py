@@ -6,14 +6,17 @@ and a position-wise feed-forward network, each wrapped in residual add
 and layer normalization (post-norm by default, pre-norm behind a flag).
 The stack runs over the real tokens only, one output row each, and a
 causal variant restricts each position to its prefix via an additive
-mask.  Multi-head attention is one tape op: one Q/K/V projection GEMM,
-a (heads, T, T) score array and a hand-written backward rule, over one
-stored (d_model x 3 d_model) Q/K/V matrix per layer.  The feed-forward
-network is one op too, and so is each sublayer's residual tail,
-``add_norm``: the dropout-masked residual add and, post-norm, the layer
-norm, whose math it shares with ``tt.layer_norm``.  A post-norm layer
-records 4 tape ops (attention, add-norm, FFN, add-norm); a pre-norm
-layer records 6, its two layer norms included.
+mask.  ``encoder_forward`` is one tape op per call.  Its forward runs
+array-level rules, each with one copy here or in ``tensor``: the
+embedding lookup (``tt.gather_rows_rule``) plus positions, then per
+layer multi-head attention (one Q/K/V projection GEMM over one stored
+d_model x 3 d_model matrix, a (heads, T, T) score array), the
+feed-forward network, and each sublayer's dropout-masked residual add
+with its layer norm (``tt.layer_norm_rule``).  Its one backward rule runs
+the rules' backward halves in reverse and keeps only the arrays they
+read; no intermediate gradient outlives the rule that reads it.
+``multi_head_attention`` and ``feed_forward`` are the same rules as
+single tape ops.
 
 Also provides span masking and a denoising loss (vocabulary projection
 tied to the input embedding matrix) for toy pretraining, plus a small
@@ -170,12 +173,15 @@ def additive_mask(n: int, valid_len: int | None = None,
     return mask
 
 
-def multi_head_attention(params: AttentionParams, x: Tensor,
-                         mask: np.ndarray | None = None) -> Tensor:
-    """All heads of softmax(QK^T/sqrt(d_k) + M)V, concatenated, then W_O.
+def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
+                              mask: np.ndarray | None = None):
+    """All heads of softmax(QK^T/sqrt(d_k) + M)V over the rows of the array
+    ``x``, concatenated, then W_O: one x @ [Wq|Wk|Wv] GEMM, and the scores
+    of every head form one (heads, T, T) array.
 
-    One tape op with a hand-written backward rule: one x @ [Wq|Wk|Wv]
-    GEMM, and the scores of every head form one (heads, T, T) array.
+    Returns the output and ``backward(g, wants_input)``, which accumulates
+    the W_QKV and W_O gradients and returns the gradient of ``x`` when
+    ``wants_input`` is true, else None.
     """
     w_qkv, wo = params.w_qkv, params.wo
     if x.shape[1] != w_qkv.shape[0]:
@@ -189,7 +195,7 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
     d_k = width // heads
     w = w_qkv.data
     # (3, heads, n, d_k): queries, keys and values of every head
-    q, k, v = (x.data @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
+    q, k, v = (x @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
     scale = 1.0 / np.sqrt(d_k)
     scores = (q @ k.transpose(0, 2, 1)) * scale
     if mask is not None:
@@ -198,7 +204,7 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
     weights = e / e.sum(axis=-1, keepdims=True)
     joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
 
-    def backward(g):
+    def backward(g, wants_input):
         if wo.requires_grad:
             wo.accumulate_grad(joined.T @ g)
         d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
@@ -210,86 +216,92 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
                           weights.transpose(0, 2, 1) @ d_context))
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
         if w_qkv.requires_grad:
-            w_qkv.accumulate_grad(x.data.T @ d_proj)
-        if x.requires_grad:
-            x.accumulate_grad(d_proj @ w.T)
+            w_qkv.accumulate_grad(x.T @ d_proj)
+        return d_proj @ w.T if wants_input else None
 
-    return tt.make_output(joined @ wo.data, (x, w_qkv, wo), backward)
+    return joined @ wo.data, backward
 
 
-def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
-    """relu(x @ W1 + b1) @ W2 + b2 over the rows of ``x``: one tape op with
-    a hand-written backward rule that keeps only the ReLU output."""
+def multi_head_attention(params: AttentionParams, x: Tensor,
+                         mask: np.ndarray | None = None) -> Tensor:
+    """``multi_head_attention_rule`` over the rows of ``x`` as one tape op."""
+    data, rule = multi_head_attention_rule(params, x.data, mask)
+    return tt.from_rule(data, rule, x, (params.w_qkv, params.wo))
+
+
+def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
+    """relu(x @ W1 + b1) @ W2 + b2 over the rows of the array ``x``.
+
+    Returns the output and ``backward(g, wants_input)``, which keeps only
+    the ReLU output, accumulates the weight and bias gradients and returns
+    the gradient of ``x`` when ``wants_input`` is true, else None.
+    """
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     d_in, d_inner = w1.shape
-    if (x.data.ndim != 2 or x.shape[1] != d_in or b1.shape != (d_inner,)
+    if (x.ndim != 2 or x.shape[1] != d_in or b1.shape != (d_inner,)
             or w2.shape[0] != d_inner or b2.shape != w2.shape[1:]):
         raise DimensionError(
             f"feed-forward shapes incompatible: {x.shape} @ {w1.shape} + "
             f"{b1.shape}, @ {w2.shape} + {b2.shape}")
-    inner = np.maximum(x.data @ w1.data + b1.data, 0.0)
+    inner = np.maximum(x @ w1.data + b1.data, 0.0)
 
-    def backward(g):
+    def backward(g, wants_input):
         if w2.requires_grad:
             w2.accumulate_grad(inner.T @ g)
         if b2.requires_grad:
             b2.accumulate_grad(g.sum(axis=0))
         d_inner = (g @ w2.data.T) * (inner > 0.0)
         if w1.requires_grad:
-            w1.accumulate_grad(x.data.T @ d_inner)
+            w1.accumulate_grad(x.T @ d_inner)
         if b1.requires_grad:
             b1.accumulate_grad(d_inner.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad(d_inner @ w1.data.T)
+        return d_inner @ w1.data.T if wants_input else None
 
-    return tt.make_output(inner @ w2.data + b2.data, (x, w1, b1, w2, b2),
-                          backward)
+    return inner @ w2.data + b2.data, backward
 
 
-def add_norm(x: Tensor, a: Tensor, keep: np.ndarray | None,
-             norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """A sublayer's residual tail as one tape op: ``x + keep * a``, then,
-    given ``norm`` = (gain, bias), the layer norm of the sum (post-norm);
-    with ``norm`` None (pre-norm) the sum itself.
+def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
+    """``feed_forward_rule`` over the rows of ``x`` as one tape op."""
+    data, rule = feed_forward_rule(params, x.data)
+    return tt.from_rule(data, rule, x, (params.w1, params.b1, params.w2,
+                                        params.b2))
 
-    ``keep`` is a ``tt.dropout_mask`` fitted by ``tt.fit_mask``; None
-    drops nothing.  The rule hands ``x`` its gradient before ``a``, the
-    order the unfused residual add used.
+
+def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
+              norm: tuple[Tensor, Tensor], pre_norm: bool, steps: list | None):
+    """One residual sublayer over the array ``x``: ``LN(x + keep * F(x))``
+    post-norm, ``x + keep * F(LN(x))`` pre-norm, with F the array rule
+    ``rule`` and LN the layer norm of ``norm`` = (gain, bias).
+
+    ``keep`` is a ``tt.dropout_mask`` fitted by ``tt.fit_mask``; None drops
+    nothing.  Returns the output.  Unless ``steps`` is None, appends the
+    sublayer's ``backward(g)``, which returns the gradient of ``x``: the
+    residual's plus the sublayer's.  With ``steps`` None each rule's
+    saved arrays go once the next rule has run.
     """
-    if a.shape != x.shape:
-        raise DimensionError(f"residual shapes incompatible: {x.shape} + {a.shape}")
-    if keep is None:
-        z = x.data + a.data
-    else:
-        keep = tt.fit_mask(keep, a.shape)
-        z = x.data + a.data * keep
-    data, norm_backward = z, None
-    if norm is not None:
-        data, norm_backward = tt.layer_norm_rule(z, *norm)
+    if keep is not None:
+        keep = tt.fit_mask(keep, x.shape)
+    inner, pre_backward = x, None
+    if pre_norm:
+        inner, pre_backward = tt.layer_norm_rule(x, *norm)
+    a, rule_backward = rule(inner)
+    z = x + a if keep is None else x + a * keep
+    out, post_backward = z, None
+    if not pre_norm:
+        out, post_backward = tt.layer_norm_rule(z, *norm)
 
     def backward(g):
-        if norm_backward is not None:
-            g = norm_backward(g, x.requires_grad or a.requires_grad)
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if a.requires_grad:
-            a.accumulate_grad(g if keep is None else g * keep)
+        if post_backward is not None:
+            g = post_backward(g, True)
+        dx = rule_backward(g if keep is None else g * keep, True)
+        if pre_backward is not None:
+            dx = pre_backward(dx, True)
+        dx += g  # a sum of two terms rounds alike in either order
+        return dx
 
-    return tt.make_output(data, (x, a, *(norm or ())), backward)
-
-
-def _layer_forward(layer: EncoderLayerParams, x: Tensor, mask: np.ndarray | None,
-                   keep_attn: np.ndarray | None, keep_ffn: np.ndarray | None,
-                   pre_norm: bool) -> Tensor:
-    ln1 = (layer.ln1_gain, layer.ln1_bias)
-    ln2 = (layer.ln2_gain, layer.ln2_bias)
-    if pre_norm:
-        a = multi_head_attention(layer.attn, tt.layer_norm(x, *ln1), mask)
-        x = add_norm(x, a, keep_attn)
-        return add_norm(x, feed_forward(layer.ffn, tt.layer_norm(x, *ln2)),
-                        keep_ffn)
-    x = add_norm(x, multi_head_attention(layer.attn, x, mask), keep_attn, ln1)
-    return add_norm(x, feed_forward(layer.ffn, x), keep_ffn, ln2)
+    if steps is not None:
+        steps.append(backward)
+    return out
 
 
 def dropout_masks(config: EncoderConfig, rows: int, rng: RandomSource | None,
@@ -306,7 +318,12 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
                     masks: list | None = None) -> Tensor:
     """Embed, add positions, then run the layer stack over the real tokens,
     one output row each.  ``masks`` are the ``dropout_masks`` pairs, drawn
-    at the padded height; None runs without dropout."""
+    at the padded height; None runs without dropout.
+
+    One tape op over every encoder parameter.  Its backward rule runs the
+    sublayers' rules in reverse, passing each layer's input gradient on as
+    a local array, and ends with the embedding's.
+    """
     config = model.config
     ids = list(tokens.input_ids)
     for tid in ids:
@@ -319,12 +336,24 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
         raise ParameterError(f"sequence length {length} outside [1, {n}]")
     if masks is None:
         masks = [(None, None)] * config.n_layers
-    x = tt.add(tt.gather_rows(model.embedding, ids[:length]),
-               Tensor(model.positional[:length]))
+    params = [t for _, t in model.named_parameters()]
+    steps = [] if tt.recording(params) else None
+    x, embed_backward = tt.gather_rows_rule(model.embedding, ids[:length])
+    x += model.positional[:length]
     mask = additive_mask(length, causal=True) if config.causal else None
     for layer, (keep_attn, keep_ffn) in zip(model.layers, masks):
-        x = _layer_forward(layer, x, mask, keep_attn, keep_ffn, config.pre_norm)
-    return x
+        x = _sublayer(
+            lambda h: multi_head_attention_rule(layer.attn, h, mask), x,
+            keep_attn, (layer.ln1_gain, layer.ln1_bias), config.pre_norm, steps)
+        x = _sublayer(lambda h: feed_forward_rule(layer.ffn, h), x, keep_ffn,
+                      (layer.ln2_gain, layer.ln2_bias), config.pre_norm, steps)
+
+    def backward(g):
+        for step in reversed(steps):
+            g = step(g)
+        embed_backward(g)
+
+    return tt.make_output(x, params, backward)
 
 
 def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:

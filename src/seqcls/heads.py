@@ -2,8 +2,8 @@
 
 The head runs once per mini-batch.  ``pipeline_forward`` stacks the
 batch's sequences, every row a real token, into a zero-padded
-(B, T, d) array with a length vector, then runs: dropout -> linear
-bridge (one GEMM) -> recurrent scan (vanilla/LSTM/GRU, unidirectional
+(B, T, d) array with a length vector, then runs: dropout and linear
+bridge (one op, one GEMM) -> recurrent scan (vanilla/LSTM/GRU, unidirectional
 or bidirectional) -> summary rows -> dropout -> dense+ReLU -> output
 layer -> softmax -> cross-entropy, each once over the batch.  A
 sequence is summarized by its last hidden state; bidirectional runs
@@ -472,6 +472,34 @@ def average_losses(losses: Tensor) -> Tensor:
     return tt.make_output(np.cumsum(losses.data)[-1] * scale, (losses,), backward)
 
 
+def bridge_forward(bridge: BridgeParams, x: Tensor,
+                   keep: np.ndarray | None) -> Tensor:
+    """``(x * keep) @ W + b`` over a (B, T, d_in) stack as one tape op;
+    ``keep`` None drops nothing.  The backward rule recomputes
+    ``x * keep`` rather than keeping it."""
+    w, b = bridge.w, bridge.b
+    d_in, d_rnn = w.shape
+    if x.data.ndim != 3 or x.shape[2] != d_in:
+        raise DimensionError(f"bridge input {x.shape} vs weight {w.shape}")
+
+    def dropped():
+        return (x.data if keep is None else x.data * keep).reshape(-1, d_in)
+
+    data = (dropped() @ w.data).reshape(*x.shape[:2], d_rnn) + b.data
+
+    def backward(g):
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=(0, 1)))
+        g2 = g.reshape(-1, d_rnn)
+        if x.requires_grad:
+            dx = (g2 @ w.data.T).reshape(x.shape)
+            x.accumulate_grad(dx if keep is None else dx * keep)
+        if w.requires_grad:
+            w.accumulate_grad(dropped().T @ g2)
+
+    return tt.make_output(data, (x, w, b), backward)
+
+
 class HeadMasks(NamedTuple):
     """One sequence's head dropout masks, drawn at its padded height."""
 
@@ -498,7 +526,7 @@ def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
         bridge_keep = np.zeros(x.shape)
         for i, m in enumerate(masks):
             bridge_keep[i, :lengths[i]] = m.bridge[:lengths[i]]
-    z = tt.add(tt.matmul(tt.dropout(x, bridge_keep), bridge.w), bridge.b)
+    z = bridge_forward(bridge, x, bridge_keep)
     if cell is None:
         summary = mean_pool_forward(z, lengths)
         rows = np.zeros(summary.shape, dtype=np.intp)

@@ -112,7 +112,21 @@ class ModelBundle:
 
 
 def init_model(config: ModelConfig, seed: int) -> ModelBundle:
-    rng = RandomSource(seed)
+    return _build_model(config, RandomSource(seed))
+
+
+class _Unfilled:
+    """A stand-in random source whose draws are uninitialized arrays, for
+    a bundle whose every tensor is about to be overwritten."""
+
+    def derive(self, tag: str) -> "_Unfilled":
+        return self
+
+    def uniform(self, low: float, high: float, shape) -> np.ndarray:
+        return np.empty(shape)
+
+
+def _build_model(config: ModelConfig, rng) -> ModelBundle:
     encoder = None
     if config.embedding_source == "internal":
         encoder = init_encoder(config.encoder, rng.derive("encoder"))
@@ -240,8 +254,10 @@ def load_checkpoint(path) -> ModelBundle:
     (config_len,) = reader.take("<I")
     config_text = reader.text(config_len)
     try:
-        bundle = init_model(ModelConfig.from_dict(json.loads(config_text)),
-                            seed=0)
+        # the count and name checks below make the file overwrite every
+        # tensor, so the bundle is built without drawing its weights
+        bundle = _build_model(ModelConfig.from_dict(json.loads(config_text)),
+                              _Unfilled())
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad checkpoint config: {exc}") from exc
     expected = dict(bundle.all_named_parameters())

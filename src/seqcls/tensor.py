@@ -8,7 +8,10 @@ accumulates its inputs' gradients into their ``grad`` slots.
 ``Tape.backward`` walks the records in reverse order and calls a rule
 only when its output received a gradient; an output the loss never
 reached runs no rule.  Ops executed with no active tape (evaluation
-mode) pay no recording cost.
+mode) pay no recording cost.  An op's array math may live in a rule that
+returns its output and ``backward(g, ...)`` (``layer_norm_rule``,
+``gather_rows_rule``); ``from_rule`` records such a rule as one op, and a
+fused op, such as the encoder's, runs several rules under one record.
 
 Shapes are explicit and row-major.  There is no implicit broadcasting,
 with one documented exception: ``add`` accepts a trailing-shape bias
@@ -123,6 +126,27 @@ def make_output(data: np.ndarray, inputs: Sequence[Tensor],
     if tape is not None and out.requires_grad:
         tape.record(out, backward)
     return out
+
+
+def recording(inputs: Iterable[Tensor]) -> bool:
+    """Whether ``make_output`` would record an op over ``inputs`` now: a
+    tape is active and an input carries a gradient."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
+def from_rule(data: np.ndarray,
+              rule: Callable[[np.ndarray, bool], np.ndarray | None],
+              x: Tensor, params: Sequence[Tensor]) -> Tensor:
+    """One op over ``x`` and ``params`` from an array rule's output and its
+    ``rule(g, wants_input)``, which accumulates the parameter gradients
+    and returns the gradient of ``x`` when ``wants_input`` is true."""
+
+    def backward(g):
+        dx = rule(g, x.requires_grad)
+        if x.requires_grad:
+            x.accumulate_grad(dx)
+
+    return make_output(data, (x, *params), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +378,13 @@ def stack_padded(parts: Sequence[Tensor]) -> Tensor:
     return make_output(data, held, backward)
 
 
-def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Select rows of ``table`` by index (embedding lookup)."""
+def gather_rows_rule(table: Tensor, ids: Sequence[int]):
+    """Rows of ``table`` by index (embedding lookup): the one copy of this
+    math, shared by ``gather_rows`` and the encoder op.
+
+    Returns the rows, a fresh array, and ``backward(g)``, which adds the
+    rows' gradient into ``table.grad``.
+    """
     if table.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a 2-D table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
@@ -370,7 +399,13 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
                 table.grad = np.zeros_like(table.data)
             table.grad[unique] += summed
 
-    return make_output(table.data[idx].copy(), (table,), backward)
+    return table.data[idx], backward
+
+
+def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Select rows of ``table`` by index (embedding lookup)."""
+    data, backward = gather_rows_rule(table, ids)
+    return make_output(data, (table,), backward)
 
 
 def pick(x: Tensor, i: int) -> Tensor:
@@ -396,7 +431,7 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
                     eps: float = 1e-5):
     """Per-row normalization of the array ``z`` over its last axis, then
     affine gain/bias: the one copy of this math, shared by ``layer_norm``
-    and the encoder's fused add-norm op.
+    and the encoder op.
 
     Returns the output and ``backward(g, wants_input)``, which
     accumulates the gain and bias gradients and returns the gradient of
@@ -433,14 +468,8 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
-    data, norm_backward = layer_norm_rule(x.data, gain, bias, eps)
-
-    def backward(g):
-        dx = norm_backward(g, x.requires_grad)
-        if x.requires_grad:
-            x.accumulate_grad(dx)
-
-    return make_output(data, (x, gain, bias), backward)
+    data, rule = layer_norm_rule(x.data, gain, bias, eps)
+    return from_rule(data, rule, x, (gain, bias))
 
 
 def dropout_mask(rng: RandomSource | None, p: float, shape,

@@ -1,5 +1,6 @@
 """Tests for the transformer encoder stack and its pretraining utilities."""
 
+import contextlib
 import math
 import weakref
 
@@ -10,6 +11,7 @@ from seqcls import encoder as enc
 from seqcls import tensor as tt
 from seqcls.bpe import MASK_ID, PAD_ID, TokenSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
+from seqcls.optim import _frozen
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
 from test_tensor import separate_masks
@@ -118,6 +120,65 @@ def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
     x = tt.layer_norm(tt.add(x, a), layer.ln1_gain, layer.ln1_bias)
     f = tt.dropout(reference_feed_forward(layer.ffn, x), keep_ffn)
     return tt.layer_norm(tt.add(x, f), layer.ln2_gain, layer.ln2_bias)
+
+
+def add_norm(x, a, keep, norm=None):
+    """A sublayer's residual tail as one tape op: ``x + keep * a``, then,
+    given ``norm`` = (gain, bias), the layer norm of the sum (post-norm);
+    with ``norm`` None (pre-norm) the sum itself.  ``keep`` is a
+    ``tt.dropout_mask`` fitted by ``tt.fit_mask``; None drops nothing.
+    The rule hands ``x`` its gradient before ``a``, the order the unfused
+    residual add used."""
+    if a.shape != x.shape:
+        raise DimensionError(f"residual shapes incompatible: {x.shape} + {a.shape}")
+    if keep is None:
+        z = x.data + a.data
+    else:
+        keep = tt.fit_mask(keep, a.shape)
+        z = x.data + a.data * keep
+    data, norm_backward = z, None
+    if norm is not None:
+        data, norm_backward = tt.layer_norm_rule(z, *norm)
+
+    def backward(g):
+        if norm_backward is not None:
+            g = norm_backward(g, x.requires_grad or a.requires_grad)
+        if x.requires_grad:
+            x.accumulate_grad(g)
+        if a.requires_grad:
+            a.accumulate_grad(g if keep is None else g * keep)
+
+    return tt.make_output(data, (x, a, *(norm or ())), backward)
+
+
+def layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
+    """The layer as a graph of tape ops, the one-op encoder's oracle:
+    attention, add-norm, FFN and add-norm per post-norm layer, 4 ops;
+    pre-norm adds its two layer norms, 6."""
+    ln1 = (layer.ln1_gain, layer.ln1_bias)
+    ln2 = (layer.ln2_gain, layer.ln2_bias)
+    if pre_norm:
+        a = enc.multi_head_attention(layer.attn, tt.layer_norm(x, *ln1), mask)
+        x = add_norm(x, a, keep_attn)
+        return add_norm(x, enc.feed_forward(layer.ffn, tt.layer_norm(x, *ln2)),
+                        keep_ffn)
+    x = add_norm(x, enc.multi_head_attention(layer.attn, x, mask), keep_attn,
+                 ln1)
+    return add_norm(x, enc.feed_forward(layer.ffn, x), keep_ffn, ln2)
+
+
+def graph_encoder_forward(model, tokens, masks=None, layer=layer_forward):
+    """``encoder_forward`` as a graph of tape ops: the embedding lookup and
+    position add, then ``layer`` per layer, over the real tokens."""
+    config, length = model.config, tokens.length
+    if masks is None:
+        masks = [(None, None)] * config.n_layers
+    x = tt.add(tt.gather_rows(model.embedding, list(tokens.input_ids[:length])),
+               Tensor(model.positional[:length]))
+    mask = enc.additive_mask(length, causal=True) if config.causal else None
+    for params, keep in zip(model.layers, masks):
+        x = layer(params, x, mask, *keep, config.pre_norm)
+    return x
 
 
 def reference_encoder_forward(model, tokens, rng=None, training=False):
@@ -459,7 +520,7 @@ class TestAddNorm:
         tensors = [x, a, *(norm or ())]
 
         def loss():
-            return tt.sum_all(tt.mul(enc.add_norm(x, a, keep, norm), probe))
+            return tt.sum_all(tt.mul(add_norm(x, a, keep, norm), probe))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
 
@@ -475,7 +536,7 @@ class TestAddNorm:
             return out if norm is None else tt.layer_norm(out, *norm)
 
         results = []
-        for forward in (enc.add_norm, unfused):
+        for forward in (add_norm, unfused):
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
@@ -488,15 +549,15 @@ class TestAddNorm:
     @pytest.mark.parametrize("norm_kind", sorted(NORMS))
     def test_padded_mask_applies_its_top_rows(self, norm_kind):
         x, a, norm, keep, _ = self.operands(402, self.NORMS[norm_kind])
-        padded = enc.add_norm(x, a, keep, norm).data
-        exact = enc.add_norm(x, a, keep[:3].copy(), norm).data
+        padded = add_norm(x, a, keep, norm).data
+        exact = add_norm(x, a, keep[:3].copy(), norm).data
         assert np.array_equal(padded, exact)
 
     def test_padded_mask_is_freed(self):
         x, a, norm, keep, _ = self.operands(403)
         held = weakref.ref(keep)
         with tt.Tape():
-            out = enc.add_norm(x, a, keep, norm)
+            out = add_norm(x, a, keep, norm)
             del keep
             assert held() is None
             assert out.requires_grad
@@ -506,26 +567,26 @@ class TestAddNorm:
         x, a, norm, _, _ = self.operands(404, self.NORMS[norm_kind])
         for shape in ((5, 5), (3, 3), (2, 4)):
             with pytest.raises(DimensionError, match="dropout mask"):
-                enc.add_norm(x, a, np.ones(shape), norm)
+                add_norm(x, a, np.ones(shape), norm)
 
     def test_residual_shape_mismatch_rejected(self):
         x, _, norm, _, _ = self.operands(405)
         with pytest.raises(DimensionError, match="residual"):
-            enc.add_norm(x, Tensor(np.ones((2, 4))), None, norm)
+            add_norm(x, Tensor(np.ones((2, 4))), None, norm)
 
 
 class TestFusedLayer:
-    """``_layer_forward`` against ``reference_layer_forward``, the unfused
-    layer, through ``encoder_forward``: outputs and every parameter
-    gradient bit for bit."""
+    """``layer_forward``, the layer graph the one-op encoder is checked
+    against, against ``reference_layer_forward``, the unfused layer:
+    outputs and every parameter gradient bit for bit."""
 
     @pytest.mark.parametrize("training", [False, True],
                              ids=["no-masks", "masks"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     @pytest.mark.parametrize("pre_norm", [False, True],
                              ids=["post-norm", "pre-norm"])
-    def test_matches_unfused_layer_bit_for_bit(self, monkeypatch, pre_norm,
-                                               causal, training):
+    def test_matches_unfused_layer_bit_for_bit(self, pre_norm, causal,
+                                               training):
         config = small_config(d_model=8, n_heads=2, n_layers=2, max_len=8,
                               dropout=0.3, pre_norm=pre_norm, causal=causal)
         rng = RandomSource(500)
@@ -536,12 +597,12 @@ class TestFusedLayer:
         probe = Tensor(rng.uniform(-1, 1, (5, 8)))
         tensors = [t for _, t in model.named_parameters()]
         results = []
-        for layer_forward in (enc._layer_forward, reference_layer_forward):
-            monkeypatch.setattr(enc, "_layer_forward", layer_forward)
+        for layer in (layer_forward, reference_layer_forward):
+            masks = enc.dropout_masks(config, 8, RandomSource(7), training)
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
-                out = trimmed_forward(model, tokens, RandomSource(7), training)
+                out = graph_encoder_forward(model, tokens, masks, layer)
                 tape.backward(tt.sum_all(tt.mul(out, probe)))
             results.append([out.data] + [t.grad.copy() for t in tensors])
         for fused, ref in zip(*results):
@@ -558,10 +619,153 @@ class TestFusedLayer:
         config = small_config(n_layers=n_layers, dropout=0.3,
                               pre_norm=pre_norm)
         model = enc.init_encoder(config, RandomSource(501))
+        masks = enc.dropout_masks(config, 6, RandomSource(502), training)
         with tt.Tape() as tape:
-            trimmed_forward(model, make_tokens([3, 1, 4, 1, 5, PAD_ID], 5),
-                            RandomSource(502), training)
+            graph_encoder_forward(
+                model, make_tokens([3, 1, 4, 1, 5, PAD_ID], 5), masks)
         assert len(tape) == 2 + per_layer * n_layers
+
+
+class TestEncoderOp:
+    """``encoder_forward``, one tape op, against ``graph_encoder_forward``,
+    the layer graph it replaced: outputs and every parameter gradient bit
+    for bit."""
+
+    @staticmethod
+    def perturbed_model(seed, **overrides):
+        config = small_config(d_model=8, n_heads=2, max_len=8, dropout=0.3,
+                              **overrides)
+        rng = RandomSource(seed)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        for _, t in model.named_parameters():
+            t.data += rng.uniform(-0.1, 0.1, t.shape)
+        return model, rng
+
+    @staticmethod
+    def outputs_and_gradients(forward, model, tokens, probe, training):
+        tensors = [t for _, t in model.named_parameters()]
+        masks = enc.dropout_masks(model.config, len(tokens.input_ids),
+                                  RandomSource(7), training)
+        for t in tensors:
+            t.zero_grad()
+        with tt.Tape() as tape:
+            out = forward(model, tokens, masks)
+            tape.backward(tt.sum_all(tt.mul(out, probe)))
+        return [out.data] + [None if t.grad is None else t.grad.copy()
+                             for t in tensors]
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 3])
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["no-masks", "masks"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_matches_layer_graph_bit_for_bit(self, pre_norm, causal, training,
+                                             n_layers):
+        model, rng = self.perturbed_model(510 + n_layers, n_layers=n_layers,
+                                          pre_norm=pre_norm, causal=causal)
+        # a repeated id sums two rows into one embedding gradient row
+        tokens = make_tokens([3, 9, 3, 14, 1, 7, PAD_ID, PAD_ID], 6)
+        probe = Tensor(rng.uniform(-1, 1, (6, 8)))
+        op, graph = (self.outputs_and_gradients(forward, model, tokens, probe,
+                                                training)
+                     for forward in (enc.encoder_forward,
+                                     graph_encoder_forward))
+        for fused, ref in zip(op, graph):
+            assert np.array_equal(fused, ref)
+
+    @pytest.mark.parametrize("frozen", ["embedding", "layer0", "attention"])
+    def test_partly_frozen_matches_layer_graph(self, frozen):
+        model, rng = self.perturbed_model(520, n_layers=2)
+        names = {"embedding": ("encoder.embedding",),
+                 "layer0": tuple(name for name, _ in model.named_parameters()
+                                 if not name.startswith("encoder.layer1")),
+                 "attention": ("encoder.layer1.attn.w_qkv",
+                               "encoder.layer1.attn.wo")}[frozen]
+        for name, t in model.named_parameters():
+            t.requires_grad = name not in names
+        tokens = make_tokens([3, 9, 3, 14, 1], 5)
+        probe = Tensor(rng.uniform(-1, 1, (5, 8)))
+        op, graph = (self.outputs_and_gradients(forward, model, tokens, probe,
+                                                True)
+                     for forward in (enc.encoder_forward,
+                                     graph_encoder_forward))
+        for (name, _), fused, ref in zip(model.named_parameters(), op[1:],
+                                         graph[1:]):
+            assert (fused is None, ref is None) == (name in names,) * 2
+            if fused is not None:
+                assert np.array_equal(fused, ref)
+
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_gradients_match_finite_differences(self, pre_norm):
+        """Every parameter, the embedding included, through two layers with
+        fixed dropout masks and a causal mask."""
+        config = small_config(d_model=4, n_heads=2, n_layers=2, vocab_size=8,
+                              max_len=5, dropout=0.3, causal=True,
+                              pre_norm=pre_norm)
+        rng = RandomSource(530)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        for _, t in model.named_parameters():
+            t.data += rng.uniform(-0.2, 0.2, t.shape)
+        tokens = make_tokens([1, 5, 2, 5, PAD_ID], 4)
+        masks = enc.dropout_masks(config, 5, rng.derive("masks"), True)
+        probe = Tensor(rng.uniform(-1, 1, (4, 4)))
+        tensors = [t for _, t in model.named_parameters()]
+
+        def loss():
+            return tt.sum_all(tt.mul(enc.encoder_forward(model, tokens, masks),
+                                     probe))
+
+        assert tt.check_gradients(loss, tensors) < 1e-4
+
+    @pytest.mark.parametrize("trains", ["all", "embedding", "one-gain"])
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_one_record_per_call(self, pre_norm, trains):
+        model, _ = self.perturbed_model(540, n_layers=3, pre_norm=pre_norm)
+        keep = {"all": None, "embedding": "encoder.embedding",
+                "one-gain": "encoder.layer2.ln1.gain"}[trains]
+        for name, t in model.named_parameters():
+            t.requires_grad = keep is None or name == keep
+        masks = enc.dropout_masks(model.config, 6, RandomSource(541), True)
+        with tt.Tape() as tape:
+            out = enc.encoder_forward(model, make_tokens([3, 1, 4, 1, 5, 9], 5),
+                                      masks)
+        assert len(tape) == 1 and out.requires_grad
+
+    @pytest.mark.parametrize("recording", [False, True],
+                             ids=["no-tape", "tape"])
+    def test_saved_arrays_go_when_nothing_records(self, monkeypatch,
+                                                  recording):
+        """Without a tape, each attention rule's backward (and the arrays
+        it saved) is gone by the time the FFN rule after it runs."""
+        model, _ = self.perturbed_model(543, n_layers=2)
+        attention, feed_forward = (enc.multi_head_attention_rule,
+                                   enc.feed_forward_rule)
+        saved, alive = [], []
+
+        def watched_attention(*args):
+            out, backward = attention(*args)
+            saved.append(weakref.ref(backward))
+            return out, backward
+
+        def watched_feed_forward(*args):
+            alive.append(sum(ref() is not None for ref in saved))
+            return feed_forward(*args)
+
+        monkeypatch.setattr(enc, "multi_head_attention_rule", watched_attention)
+        monkeypatch.setattr(enc, "feed_forward_rule", watched_feed_forward)
+        with tt.Tape() if recording else contextlib.nullcontext():
+            enc.encoder_forward(model, make_tokens([3, 1, 4, 1], 4))
+        assert alive == ([1, 2] if recording else [0, 0])
+
+    def test_no_record_when_frozen(self):
+        model, _ = self.perturbed_model(542, n_layers=2)
+        tensors = [t for _, t in model.named_parameters()]
+        with _frozen(tensors), tt.Tape() as tape:
+            out = enc.encoder_forward(model, make_tokens([3, 1, 4], 3))
+        assert len(tape) == 0 and not out.requires_grad
 
 
 class TestEncoderForward:
@@ -646,8 +850,7 @@ class TestEncoderForward:
         x = tt.add(tt.gather_rows(model.embedding, [7, 2, 11, 4]),
                    Tensor(model.positional[:4]))
         for layer in model.layers:
-            x = enc._layer_forward(layer, x, np.zeros((4, 4)), None, None,
-                                   pre_norm)
+            x = layer_forward(layer, x, np.zeros((4, 4)), None, None, pre_norm)
 
         def fail(*args, **kwargs):
             raise AssertionError("built a mask for a non-causal encoder")

@@ -601,6 +601,65 @@ class TestPipelineForward:
             assert tt.check_gradients(loss, tensors) < 1e-4
 
 
+class TestBridge:
+    """The fused bridge, ``(x * keep) @ W + b`` as one op, against the
+    dropout -> matmul -> bias-add graph it replaced."""
+
+    @staticmethod
+    def operands(seed, dropped):
+        rng = RandomSource(seed)
+        bridge = hd.init_bridge(5, 3, rng.derive("bridge"))
+        bridge.b.data += rng.uniform(-0.5, 0.5, 3)
+        x = Tensor(rng.uniform(-1, 1, (4, 6, 5)), requires_grad=True)
+        x.data[1, 2:] = 0.0  # a padded sequence
+        keep = None
+        if dropped:
+            keep = tt.dropout_mask(rng, 0.4, x.shape, training=True)
+            keep[1, 2:] = 0.0
+        probe = Tensor(rng.uniform(-1, 1, (4, 6, 3)))
+        return bridge, x, keep, probe
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
+    def test_matches_unfused_graph_bit_for_bit(self, dropped):
+        bridge, x, keep, probe = self.operands(95, dropped)
+        tensors = [x, bridge.w, bridge.b]
+
+        def unfused(bridge, x, keep):
+            return tt.add(tt.matmul(tt.dropout(x, keep), bridge.w), bridge.b)
+
+        results = []
+        for forward in (hd.bridge_forward, unfused):
+            for t in tensors:
+                t.zero_grad()
+            with tt.Tape() as tape:
+                out = forward(bridge, x, keep)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            results.append([out.data] + [t.grad.copy() for t in tensors])
+        for fused, ref in zip(*results):
+            assert np.array_equal(fused, ref)
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
+    def test_gradients_match_finite_differences(self, dropped):
+        bridge, x, keep, probe = self.operands(96, dropped)
+
+        def loss():
+            return tt.sum_all(tt.mul(hd.bridge_forward(bridge, x, keep), probe))
+
+        assert tt.check_gradients(loss, [x, bridge.w, bridge.b]) < 1e-4
+
+    def test_one_tape_record(self):
+        bridge, x, keep, _ = self.operands(97, True)
+        with tt.Tape() as tape:
+            hd.bridge_forward(bridge, x, keep)
+        assert len(tape) == 1
+
+    def test_width_mismatch_rejected(self):
+        bridge, _, _, _ = self.operands(98, False)
+        for shape in ((4, 6, 4), (6, 5)):
+            with pytest.raises(DimensionError, match="bridge"):
+                hd.bridge_forward(bridge, Tensor(np.ones(shape)), None)
+
+
 class TestMeanPoolForward:
     def test_permutation_invariance(self):
         bridge, _, head = build_pipeline(None, False, seed=50)
