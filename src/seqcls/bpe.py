@@ -26,6 +26,13 @@ list finds each round's pair without rescanning the text, and pairs a
 round creates enter the heap only after it, so the rounds stay exact even
 for a merge list that is not in training order.
 
+The fit ends with every corpus line merged into its final tokens, and
+hands that segmentation back on request (``segments=``), so a caller
+that fits on a corpus need not encode it again.  It is what ``encode``
+gives each line under the trained merge list: every merge creates a
+token that did not exist before, so no pair merged earlier forms again,
+and encoding's rank-ordered rounds replay the fit's merges one by one.
+
 Vocabulary file format (UTF-8 text, bit-exact round trip):
   line 1            version tag
   token<TAB>id      one per token, ascending id
@@ -131,12 +138,15 @@ def _pop_best(heap: list, counts: dict[tuple[str, str], int]):
     return None, 0
 
 
-def train_bpe(corpus, vocab_size: int, min_frequency: int = 2) -> BpeVocabulary:
+def train_bpe(corpus, vocab_size: int, min_frequency: int = 2, *,
+              segments: list | None = None) -> BpeVocabulary:
     """Learn merges greedily by highest pair frequency.
 
     Stops when the vocabulary reaches ``vocab_size`` or no pair occurs
     at least ``min_frequency`` times.  ``corpus`` is any iterable of
-    strings.
+    strings.  Given a list as ``segments``, appends each corpus line's
+    final tokens to it, in corpus order: what ``encode`` gives that line
+    under the returned vocabulary.
     """
     base = _base_vocabulary()
     if vocab_size <= len(base):
@@ -206,6 +216,18 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = 2) -> BpeVocabulary:
         for new in born:
             if new in counts:
                 heapq.heappush(heap, (-counts[new], new))
+    if segments is not None:
+        # walk the live slots only; each separator closes one line
+        tokens: list[str] = []
+        i = nxt[0]
+        while i < len(symbols):
+            symbol = symbols[i]
+            if symbol is None:
+                segments.append(tokens)
+                tokens = []
+            else:
+                tokens.append(symbol)
+            i = nxt[i]
     return BpeVocabulary(vocab, merges)
 
 
@@ -250,18 +272,24 @@ def _apply_merges(vocab: BpeVocabulary, symbols: list[str]) -> list[str]:
     return [s for s in seq if s is not None]
 
 
-def encode(vocab: BpeVocabulary, text: str, max_len: int) -> TokenSequence:
-    """Tokenize, map to ids, then pad with PAD / truncate to ``max_len``.
+def to_sequence(vocab: BpeVocabulary, tokens: list[str],
+                max_len: int) -> TokenSequence:
+    """Map tokens to ids, then pad with PAD / truncate to ``max_len``.
 
-    Truncation keeps the head of the sequence.  Symbols missing from the
+    Truncation keeps the head of the sequence.  Tokens missing from the
     vocabulary map to UNK.
     """
     if max_len < 2:
         raise ParameterError(f"max_len must be >= 2, got {max_len}")
-    tokens = _apply_merges(vocab, _to_symbols(text))
-    ids = [vocab.token_to_id.get(tok, UNK_ID) for tok in tokens][:max_len]
+    lookup = vocab.token_to_id.get
+    ids = [lookup(tok, UNK_ID) for tok in tokens[:max_len]]
     length = len(ids)
     return TokenSequence(ids + [PAD_ID] * (max_len - length), length)
+
+
+def encode(vocab: BpeVocabulary, text: str, max_len: int) -> TokenSequence:
+    """Tokenize, then map to ids padded / truncated by ``to_sequence``."""
+    return to_sequence(vocab, _apply_merges(vocab, _to_symbols(text)), max_len)
 
 
 def decode(vocab: BpeVocabulary, ids) -> str:

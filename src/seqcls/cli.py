@@ -25,7 +25,8 @@ import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .bpe import BpeVocabulary, encode, load_vocabulary, save_vocabulary, train_bpe
+from .bpe import (BpeVocabulary, encode, load_vocabulary, save_vocabulary,
+                  to_sequence, train_bpe)
 from .data import (DatasetSplits, LabeledSample, dedupe, load_jsonl, split,
                    synth_corpus, write_manifest)
 from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
@@ -263,17 +264,27 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
         loaded = load_jsonl(config.data, schema=config.schema)
         samples, _ = dedupe(loaded.samples)
         splits = split(samples, config.seed, label_map=loaded.label_map)
+        segments = None
         if vocab is None:
-            vocab = train_bpe((s.code for s in splits.train), config.vocab_size)
+            segments = []
+            vocab = train_bpe((s.code for s in splits.train), config.vocab_size,
+                              segments=segments)
         encoder = EncoderConfig(
             d_model=config.d_model, n_heads=config.n_heads,
             n_layers=config.n_layers, vocab_size=len(vocab),
             max_len=config.max_len, dropout=config.dropout)
         source = dict(embedding_source="internal", encoder=encoder)
-        examples = {
-            name: _encode_split(vocab, getattr(splits, name), config.max_len)
-            for name in SPLIT_NAMES
-        }
+        examples = {}
+        if segments is not None:
+            # the fit has already segmented every training line
+            examples["train"] = [
+                Example(label=s.label,
+                        tokens=to_sequence(vocab, tokens, config.max_len))
+                for s, tokens in zip(splits.train, segments)]
+        for name in SPLIT_NAMES:
+            if name not in examples:
+                examples[name] = _encode_split(vocab, getattr(splits, name),
+                                               config.max_len)
     rnn_variant, bidirectional = _variant_parts(config.rnn)
     model_config = ModelConfig(
         n_classes=len(splits.label_map), head_kind=config.head,
@@ -423,7 +434,8 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
     out.mkdir(parents=True, exist_ok=True)
     loaded = load_jsonl(data, schema=schema)
     samples, _ = dedupe(loaded.samples)
-    vocab = train_bpe((s.code for s in samples), vocab_size)
+    segments: list[list[str]] = []
+    vocab = train_bpe((s.code for s in samples), vocab_size, segments=segments)
     config = EncoderConfig(d_model=d_model, n_heads=n_heads,
                            n_layers=n_layers, vocab_size=len(vocab),
                            max_len=max_len, dropout=0.0)
@@ -434,7 +446,7 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
                                named)
     mask_rng = root.derive("mask")
     order_rng = root.derive("order")
-    tokens = [encode(vocab, s.code, max_len) for s in samples]
+    tokens = [to_sequence(vocab, line, max_len) for line in segments]
     log_lines = ["step\tloss"]
     for step in range(1, steps + 1):
         index = int(order_rng.integers(0, len(tokens)))

@@ -14,19 +14,19 @@ marker order, so order-blind models cannot separate them.
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from dataclasses import dataclass, field
 
 from .errors import DataError, ParameterError
 from .rng import RandomSource
 
-_WS_RUN = re.compile(r"\s+")
-
 
 def normalize_code(code: str) -> str:
-    """Whitespace-insensitive comparison key: collapse runs, strip ends."""
-    return _WS_RUN.sub(" ", code).strip()
+    """Whitespace-insensitive comparison key: collapse runs, strip ends.
+
+    Whitespace is what ``str.isspace`` accepts, the same code points as
+    the regex class ``\\s``."""
+    return " ".join(code.split())
 
 
 @dataclass(frozen=True)

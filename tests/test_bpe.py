@@ -276,6 +276,49 @@ class TestReferenceEquivalence:
                 assert seq.input_ids[:seq.length] == reference_ids(vocab, text)
 
 
+class TestFitSegments:
+    """train_bpe's segments equal what encoding each corpus line gives."""
+
+    def check(self, corpus, vocab_size, min_frequency):
+        segments = []
+        vocab = bpe.train_bpe(corpus, vocab_size, min_frequency,
+                              segments=segments)
+        assert vocab == bpe.train_bpe(corpus, vocab_size, min_frequency)
+        assert len(segments) == len(corpus)
+        for text, tokens in zip(corpus, segments):
+            symbols = bpe._to_symbols(text)
+            assert tokens == bpe._apply_merges(vocab, symbols), text
+            assert tokens == reference_apply_merges(vocab, symbols), text
+        return vocab, segments
+
+    @pytest.mark.parametrize("min_frequency", [1, 2, 3])
+    def test_random_corpora(self, min_frequency):
+        rng = np.random.default_rng(200 + min_frequency)
+        for trial in range(60):
+            alphabet = TestReferenceEquivalence.ALPHABETS[
+                trial % len(TestReferenceEquivalence.ALPHABETS)]
+            corpus = random_corpus(rng, alphabet)
+            self.check(corpus, 261 + int(rng.integers(1, 120)), min_frequency)
+
+    def test_runs_empty_lines_and_multibyte_text(self):
+        corpus = ["aaaa", "", "aaaaa", "é日𝄞 é日𝄞", "", "aaaa é日"]
+        _, segments = self.check(corpus, 261 + 40, 1)
+        assert segments[1] == segments[4] == []
+        assert "".join(segments[0]) == "".join(bpe._to_symbols("aaaa"))
+
+    def test_vocabulary_cap_stops_the_fit_early(self):
+        corpus = ["def add(a, b): return a + b"] * 3 + ["int main() { }"]
+        for extra in (1, 2, 5):
+            vocab, _ = self.check(corpus, 261 + extra, 2)
+            assert len(vocab.merges) == extra
+
+    def test_no_pair_reaches_min_frequency(self):
+        corpus = ["abc", "def", ""]
+        vocab, segments = self.check(corpus, 261 + 10, 2)
+        assert vocab.merges == []
+        assert segments == [bpe._to_symbols(text) for text in corpus]
+
+
 class TestVocabularyFile:
     def test_save_load_round_trip(self, tmp_path):
         vocab = train_small(["the quick brown fox " * 3], extra_tokens=25)

@@ -186,6 +186,48 @@ class TestSynthCommand:
         assert loaded.label_map == {"0": 0, "1": 1}
 
 
+class TestPrepare:
+    @pytest.fixture
+    def config(self, tmp_path):
+        """Lines of 1-24 words, some multi-byte: max_len 16 cuts some."""
+        rng = np.random.default_rng(4)
+        words = ["int", "x", "=", "0;", "return", "é日", "{", "}", "f(a,b)"]
+        path = tmp_path / "lines.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(40):
+                code = " ".join(rng.choice(words, size=int(rng.integers(1, 25))))
+                fh.write(json.dumps({"code": code, "label": i % 2}) + "\n")
+        return small_config(path, tmp_path / "run", max_len=16, vocab_size=290)
+
+    def test_fitted_and_given_vocabulary_give_the_same_tokens(self, config):
+        prepared = prepare(config)
+        again = prepare(config, vocab=prepared.vocab)
+        lengths = set()
+        for name in cli.SPLIT_NAMES:
+            fitted = [ex.tokens for ex in prepared.examples[name]]
+            given = [ex.tokens for ex in again.examples[name]]
+            assert fitted == given, name
+            lengths.update(t.length for t in fitted)
+        assert config.max_len in lengths and min(lengths) < config.max_len
+
+    def test_fitting_prepare_encodes_only_val_and_test(self, config,
+                                                       monkeypatch):
+        calls = []
+        encode = cli.encode
+
+        def counting(vocab, text, max_len):
+            calls.append(text)
+            return encode(vocab, text, max_len)
+
+        monkeypatch.setattr(cli, "encode", counting)
+        prepared = prepare(config)
+        held_out = [s.code for s in prepared.splits.val + prepared.splits.test]
+        assert calls == held_out
+        calls.clear()
+        prepare(config, vocab=prepared.vocab)
+        assert len(calls) == sum(map(len, prepared.examples.values()))
+
+
 class TestTrainCommand:
     def test_run_directory_artifacts(self, corpus, tmp_path):
         config = small_config(corpus, tmp_path / "run", epochs=1)

@@ -1,7 +1,10 @@
 """Tests for JSONL loading, dedupe, stratified splits, synthetic data."""
 
 import json
+import re
+import sys
 
+import numpy as np
 import pytest
 
 from seqcls.data import (
@@ -147,6 +150,34 @@ class TestDedupe:
         assert kept == rows
         assert removed == 0
         assert normalize_code("a\tb\n") == "a b"
+
+
+def regex_normalize(code):
+    """The regex form normalize_code replaced, kept as its oracle."""
+    return re.sub(r"\s+", " ", code).strip()
+
+
+class TestNormalizeCode:
+    ALL = "".join(map(chr, range(sys.maxunicode + 1)))
+    # every code point that either str.isspace or the regex \s accepts
+    SPACES = sorted(set(re.findall(r"\s", ALL)) | {c for c in ALL if c.isspace()})
+
+    def test_whitespace_sets_agree(self):
+        assert set(re.findall(r"\s", self.ALL)) == set(self.SPACES)
+        assert all(ch.isspace() for ch in self.SPACES)
+        assert len(self.SPACES) == 29
+
+    def test_each_whitespace_code_point_matches_the_regex_form(self):
+        for ch in self.SPACES:
+            for text in (ch, f"a{ch}b", f"{ch}a{ch * 3}b{ch}", f"a {ch}\t{ch}b"):
+                assert normalize_code(text) == regex_normalize(text), repr(text)
+
+    def test_random_strings_match_the_regex_form(self):
+        rng = np.random.default_rng(5)
+        alphabet = self.SPACES + list("ab{};\u00e9\u65e5\U0001d11e")
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 24))))
+            assert normalize_code(text) == regex_normalize(text), repr(text)
 
 
 class TestSplit:
