@@ -191,11 +191,6 @@ def write_results(path, rows, append: bool = True) -> None:
             writer.writerow(row.as_fields())
 
 
-def read_results(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

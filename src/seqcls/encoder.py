@@ -18,10 +18,12 @@ read; no intermediate gradient outlives the rule that reads it.
 ``multi_head_attention`` and ``feed_forward`` are the same rules as
 single tape ops.
 
-Also provides span masking and a denoising loss (vocabulary projection
-tied to the input embedding matrix) for toy pretraining, plus a small
-binary format for importing precomputed per-token embeddings produced
-by any external encoder.
+Also provides span masking and a denoising loss for toy pretraining:
+the masked positions' rows go through a vocabulary projection tied to
+the input embedding matrix, then the classifier's softmax, per-row
+cross-entropy and mean from ``heads``, six tape ops however many
+positions are masked.  A small binary format imports precomputed
+per-token embeddings produced by any external encoder.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import heads as hd
 from . import tensor as tt
 from .binfile import BinaryReader, replacing
 from .bpe import MASK_ID, TokenSequence
@@ -436,19 +439,24 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
 def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
                    rng: RandomSource | None = None,
                    training: bool = False) -> Tensor:
-    """Mean NLL of the original ids at masked positions, logits tied to the embedding."""
+    """Mean NLL of the original ids at masked positions: the masked rows
+    through the projection tied to the embedding, then the classifier's
+    row-wise softmax, cross-entropy and mean; a fixed number of tape ops
+    however many positions are masked."""
     targets = list(targets)
     if not targets:
         raise ParameterError("denoising loss needs at least one masked position")
+    positions, ids = zip(*targets)
+    for pos in positions:
+        if not 0 <= pos < corrupted.length:
+            raise ParameterError(
+                f"masked position {pos} outside the {corrupted.length} real tokens")
     masks = dropout_masks(model.config, len(corrupted.input_ids), rng, training)
     states = encoder_forward(model, corrupted, masks)
-    total = None
-    for pos, original_id in targets:
-        logits = tt.matvec(model.embedding, tt.row(states, pos))
-        probs = tt.softmax(logits, axis=-1)
-        nll = tt.neg(tt.log(tt.clip_min(tt.pick(probs, original_id), 1e-12)))
-        total = nll if total is None else tt.add(total, nll)
-    return tt.scale(total, 1.0 / len(targets))
+    rows = tt.gather_rows(states, positions)
+    no_bias = Tensor(np.zeros(model.config.vocab_size))
+    probs = tt.softmax(tt.linear(rows, model.embedding, no_bias), axis=-1)
+    return hd.average_losses(hd.cross_entropy_loss(probs, ids))
 
 
 def save_embeddings(path, samples) -> None:

@@ -13,10 +13,9 @@ returns its output and ``backward(g, ...)`` (``layer_norm_rule``,
 ``gather_rows_rule``); ``from_rule`` records such a rule as one op, and a
 fused op, such as the encoder's, runs several rules under one record.
 
-Shapes are explicit and row-major.  There is no implicit broadcasting,
-with one documented exception: ``add`` accepts a trailing-shape bias
-operand and broadcasts it over the leading axis (the usual ``Wx + b``
-pattern); its backward rule sums the gradient over the broadcast axis.
+Shapes are explicit and row-major, and there is no implicit
+broadcasting: a bias is an operand of the op that adds it (``linear``,
+``layer_norm``), whose backward rule sums its gradient over the rows.
 
 ``check_gradients`` compares tape gradients against central finite
 differences and is the verification path for every layer built on top
@@ -191,45 +190,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return make_output(data, (x, w, b), backward)
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product: (m, n) @ (n,) -> (m,)."""
-    if a.data.ndim != 2 or x.data.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise DimensionError(f"matvec shapes incompatible: {a.shape} @ {x.shape}")
-    data = a.data @ x.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.outer(g, x.data))
-        if x.requires_grad:
-            x.accumulate_grad(a.data.T @ g)
-
-    return make_output(data, (a, x), backward)
-
-
 # ---------------------------------------------------------------------------
 # elementwise
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may be a bias broadcast over leading axes."""
-    if a.shape != b.shape:
-        # bias-add: b's shape must be a suffix of a's.
-        k = b.data.ndim
-        if k == 0 or a.data.ndim <= k or a.shape[a.data.ndim - k:] != b.shape:
-            raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}")
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            if a.shape == b.shape:
-                b.accumulate_grad(g)
-            else:
-                axes = tuple(range(a.data.ndim - b.data.ndim))
-                b.accumulate_grad(g.sum(axis=axes))
-
-    return make_output(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -247,48 +209,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_output(data, (a, b), backward)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    c = float(c)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * c)
-
-    return make_output(x.data * c, (x,), backward)
-
-
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g * (x.data > 0.0))
-
-    return make_output(data, (x,), backward)
-
-
-def log(x: Tensor) -> Tensor:
-    data = np.log(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / x.data)
-
-    return make_output(data, (x,), backward)
-
-
-def clip_min(x: Tensor, floor: float) -> Tensor:
-    """max(x, floor); gradient passes through only where x >= floor."""
-    data = np.maximum(x.data, floor)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (x.data >= floor))
 
     return make_output(data, (x,), backward)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: configs, rows, train/eval/grid."""
 
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -23,7 +24,6 @@ from seqcls.cli import (
     cmd_train,
     main,
     prepare,
-    read_results,
     write_results,
 )
 from seqcls.data import LabeledSample, load_jsonl, split, write_manifest
@@ -32,6 +32,12 @@ from seqcls.errors import DataError, ParameterError
 from seqcls.model import (ModelConfig, init_model, load_checkpoint,
                           save_checkpoint)
 from seqcls.optim import evaluate
+
+
+def read_results(path):
+    """The rows of a results or grid CSV as dicts, every value a string."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class FakeClock:

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from seqcls import encoder as enc
+from seqcls import heads as hd
 from seqcls import tensor as tt
 from seqcls.bpe import MASK_ID, PAD_ID, TokenSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.optim import _frozen
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
-from test_tensor import separate_masks
+from test_tensor import (add, clip_min, log, matvec, neg, scale,
+                         separate_masks)
 
 NEG_INF = float("-inf")
 
@@ -24,7 +26,7 @@ def make_tokens(ids, valid_len):
 
 
 def mean_of(x):
-    return tt.scale(tt.sum_all(x), 1.0 / x.size)
+    return scale(tt.sum_all(x), 1.0 / x.size)
 
 
 def small_config(**overrides):
@@ -68,11 +70,11 @@ def reference_attention(q, k, v, mask=None):
     if k.shape[0] != v.shape[0]:
         raise DimensionError(f"key rows {k.shape} vs value rows {v.shape}")
     d_k = q.shape[1]
-    scores = tt.scale(tt.matmul(q, transpose(k)), 1.0 / np.sqrt(d_k))
+    scores = scale(tt.matmul(q, transpose(k)), 1.0 / np.sqrt(d_k))
     if mask is not None:
         if mask.shape != scores.shape:
             raise DimensionError(f"mask {mask.shape} vs scores {scores.shape}")
-        scores = tt.add(scores, Tensor(mask))
+        scores = add(scores, Tensor(mask))
     weights = tt.softmax(scores, axis=-1)
     return tt.matmul(weights, v)
 
@@ -102,8 +104,8 @@ def reference_multi_head_attention(params, x, mask=None):
 def reference_feed_forward(params, x):
     """relu(x @ W1 + b1) @ W2 + b2 as a graph of elementary tape ops: the
     oracle for the fused ``feed_forward``."""
-    inner = tt.relu(tt.add(tt.matmul(x, params.w1), params.b1))
-    return tt.add(tt.matmul(inner, params.w2), params.b2)
+    inner = tt.relu(add(tt.matmul(x, params.w1), params.b1))
+    return add(tt.matmul(inner, params.w2), params.b2)
 
 
 def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
@@ -112,14 +114,14 @@ def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
     if pre_norm:
         a = enc.multi_head_attention(
             layer.attn, tt.layer_norm(x, layer.ln1_gain, layer.ln1_bias), mask)
-        x = tt.add(x, tt.dropout(a, keep_attn))
+        x = add(x, tt.dropout(a, keep_attn))
         f = reference_feed_forward(
             layer.ffn, tt.layer_norm(x, layer.ln2_gain, layer.ln2_bias))
-        return tt.add(x, tt.dropout(f, keep_ffn))
+        return add(x, tt.dropout(f, keep_ffn))
     a = tt.dropout(enc.multi_head_attention(layer.attn, x, mask), keep_attn)
-    x = tt.layer_norm(tt.add(x, a), layer.ln1_gain, layer.ln1_bias)
+    x = tt.layer_norm(add(x, a), layer.ln1_gain, layer.ln1_bias)
     f = tt.dropout(reference_feed_forward(layer.ffn, x), keep_ffn)
-    return tt.layer_norm(tt.add(x, f), layer.ln2_gain, layer.ln2_bias)
+    return tt.layer_norm(add(x, f), layer.ln2_gain, layer.ln2_bias)
 
 
 def add_norm(x, a, keep, norm=None):
@@ -173,8 +175,8 @@ def graph_encoder_forward(model, tokens, masks=None, layer=layer_forward):
     config, length = model.config, tokens.length
     if masks is None:
         masks = [(None, None)] * config.n_layers
-    x = tt.add(tt.gather_rows(model.embedding, list(tokens.input_ids[:length])),
-               Tensor(model.positional[:length]))
+    x = add(tt.gather_rows(model.embedding, list(tokens.input_ids[:length])),
+            Tensor(model.positional[:length]))
     mask = enc.additive_mask(length, causal=True) if config.causal else None
     for params, keep in zip(model.layers, masks):
         x = layer(params, x, mask, *keep, config.pre_norm)
@@ -188,8 +190,8 @@ def reference_encoder_forward(model, tokens, rng=None, training=False):
     ``len(tokens.input_ids)`` rows."""
     config = model.config
     n = len(tokens.input_ids)
-    x = tt.add(tt.gather_rows(model.embedding, list(tokens.input_ids)),
-               Tensor(model.positional[:n]))
+    x = add(tt.gather_rows(model.embedding, list(tokens.input_ids)),
+            Tensor(model.positional[:n]))
     mask = enc.additive_mask(n, valid_len=tokens.length, causal=config.causal)
     for layer in model.layers:
         keep = [None, None]
@@ -204,6 +206,31 @@ def trimmed_forward(model, tokens, rng=None, training=False):
     masks = enc.dropout_masks(model.config, len(tokens.input_ids), rng,
                               training)
     return enc.encoder_forward(model, tokens, masks)
+
+
+def reference_denoising_loss(model, corrupted, targets, rng=None,
+                             training=False):
+    """The per-position loop ``denoising_loss`` replaced: each masked row
+    through one tied-embedding matvec, softmax and floored log, the
+    negated terms summed and scaled by the target count."""
+    masks = enc.dropout_masks(model.config, len(corrupted.input_ids), rng,
+                              training)
+    states = enc.encoder_forward(model, corrupted, masks)
+    total = None
+    for pos, original_id in targets:
+        logits = matvec(model.embedding, tt.row(states, pos))
+        probs = tt.softmax(logits, axis=-1)
+        nll = neg(log(clip_min(tt.pick(probs, original_id), hd.LOSS_FLOOR)))
+        total = nll if total is None else add(total, nll)
+    return scale(total, 1.0 / len(targets))
+
+
+def masked(ids, valid_len, positions):
+    """``ids`` with MASK at ``positions``, and the (position, original id)
+    targets ``span_mask`` would return for them."""
+    corrupted = [MASK_ID if i in positions else t for i, t in enumerate(ids)]
+    return (make_tokens(corrupted, valid_len),
+            [(pos, ids[pos]) for pos in sorted(positions)])
 
 
 class TestPositionalEncoding:
@@ -310,7 +337,7 @@ class TestAttention:
         x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
 
         def loss():
-            return tt.sum_all(slice_rows(tt.scale(transpose(x), 0.5), 1, 3))
+            return tt.sum_all(slice_rows(scale(transpose(x), 0.5), 1, 3))
 
         assert tt.check_gradients(loss, [x]) < 1e-4
 
@@ -532,7 +559,7 @@ class TestAddNorm:
         tensors = [x, a, *(norm or ())]
 
         def unfused(x, a, keep, norm):
-            out = tt.add(x, tt.dropout(a, keep))
+            out = add(x, tt.dropout(a, keep))
             return out if norm is None else tt.layer_norm(out, *norm)
 
         results = []
@@ -847,8 +874,8 @@ class TestEncoderForward:
         model = enc.init_encoder(small_config(n_layers=2, pre_norm=pre_norm),
                                  RandomSource(24))
         tokens = make_tokens([7, 2, 11, 4, 0, 0], 4)
-        x = tt.add(tt.gather_rows(model.embedding, [7, 2, 11, 4]),
-                   Tensor(model.positional[:4]))
+        x = add(tt.gather_rows(model.embedding, [7, 2, 11, 4]),
+                Tensor(model.positional[:4]))
         for layer in model.layers:
             x = layer_forward(layer, x, np.zeros((4, 4)), None, None, pre_norm)
 
@@ -1043,6 +1070,78 @@ class TestDenoisingLoss:
             return enc.denoising_loss(model, corrupted, targets)
 
         assert tt.check_gradients(loss, tensors) < 1e-4
+
+    @pytest.mark.parametrize("pos", [-1, 3, 7])
+    def test_position_outside_real_tokens_rejected(self, pos):
+        """-1 would score the last real token and 3 a PAD row; 7 is past
+        the sequence."""
+        model = enc.init_encoder(small_config(), RandomSource(46))
+        tokens = make_tokens([1, MASK_ID, 2, PAD_ID], 3)
+        with pytest.raises(ParameterError, match=rf"position {pos} outside"):
+            enc.denoising_loss(model, tokens, [(1, 5), (pos, 5)])
+
+    @pytest.mark.parametrize("original_id", [-1, 16])
+    def test_original_id_outside_vocabulary_rejected(self, original_id):
+        model = enc.init_encoder(small_config(vocab_size=16), RandomSource(47))
+        tokens = make_tokens([1, MASK_ID, 2], 3)
+        with pytest.raises(DataError, match="outside 16"):
+            enc.denoising_loss(model, tokens, [(1, original_id)])
+
+    @staticmethod
+    def loss_and_gradients(loss_fn, model, corrupted, targets, training):
+        tensors = [t for _, t in model.named_parameters()]
+        for t in tensors:
+            t.zero_grad()
+        with tt.Tape() as tape:
+            loss = loss_fn(model, corrupted, targets, rng=RandomSource(48),
+                           training=training)
+            tape.backward(loss)
+        return loss.item(), [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("positions", [
+        {4}, {0, 1, 3, 5, 6, 8, 9}, {0, 1, 2, 8, 9},
+    ], ids=["one", "many", "shared-ids"])
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_matches_per_position_loop(self, pre_norm, causal, training,
+                                       positions):
+        """Loss and every parameter gradient, the tied embedding's included,
+        against ``reference_denoising_loss``; the GEMM over the masked rows
+        rounds unlike one matvec per row, so they agree to rounding."""
+        config = small_config(d_model=8, n_heads=2, n_layers=2, max_len=12,
+                              dropout=0.3, causal=causal, pre_norm=pre_norm)
+        rng = RandomSource(49)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        for _, t in model.named_parameters():
+            t.data += rng.uniform(-0.3, 0.3, t.shape)
+        # positions 0, 2 and 9 share id 3, and 1 and 8 share id 9
+        ids = [3, 9, 3, 14, 1, 7, 12, 5, 9, 3, PAD_ID, PAD_ID]
+        corrupted, targets = masked(ids, 10, positions)
+        loss, grads = self.loss_and_gradients(enc.denoising_loss, model,
+                                              corrupted, targets, training)
+        ref_loss, ref_grads = self.loss_and_gradients(
+            reference_denoising_loss, model, corrupted, targets, training)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("count", [1, 7, 23])
+    def test_records_do_not_grow_with_targets(self, count):
+        """The encoder op, the row gather, the tied projection, the softmax,
+        the cross-entropy and the mean: six records for any count."""
+        config = small_config(d_model=8, n_heads=2, n_layers=2, vocab_size=32,
+                              max_len=24, dropout=0.3)
+        model = enc.init_encoder(config, RandomSource(50))
+        ids = [int(t) for t in RandomSource(51).integers(5, 32, 24)]
+        positions = set(RandomSource(52).permutation(24)[:count].tolist())
+        corrupted, targets = masked(ids, 24, positions)
+        with tt.Tape() as tape:
+            enc.denoising_loss(model, corrupted, targets, rng=RandomSource(53),
+                               training=True)
+        assert len(targets) == count and len(tape) == 6
 
 
 class TestEmbeddingFiles:

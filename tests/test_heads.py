@@ -14,8 +14,8 @@ from seqcls import tensor as tt
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
-from test_tensor import (separate_masks, sigmoid, slice_vec, stack_rows,
-                         sum_rows, tanh)
+from test_tensor import (add, clip_min, log, matvec, neg, scale, separate_masks,
+                         sigmoid, slice_vec, stack_rows, sum_rows, tanh)
 
 
 def zero_cell(variant, d_in, hidden):
@@ -33,8 +33,8 @@ def _gate(cell, name, x, h):
     def block(vec):
         return slice_vec(vec, k * cell.hidden, (k + 1) * cell.hidden)
 
-    return tt.add(tt.add(block(tt.matvec(cell.p, x)), block(tt.matvec(cell.q, h))),
-                  block(cell.b))
+    return add(add(block(matvec(cell.p, x)), block(matvec(cell.q, h))),
+               block(cell.b))
 
 
 def initial_state(cell):
@@ -64,13 +64,13 @@ def rnn_step(cell, x_t, state):
         forget = sigmoid(_gate(cell, "f", x_t, h))
         update = sigmoid(_gate(cell, "i", x_t, h))
         output = sigmoid(_gate(cell, "o", x_t, h))
-        c_next = tt.add(tt.mul(update, candidate), tt.mul(forget, c))
+        c_next = add(tt.mul(update, candidate), tt.mul(forget, c))
         return tt.mul(output, tanh(c_next)), c_next
     update = sigmoid(_gate(cell, "z", x_t, h))
     reset = sigmoid(_gate(cell, "r", x_t, h))
     candidate = tanh(_gate(cell, "h", x_t, tt.mul(reset, h)))
-    one_minus = tt.add(tt.neg(update), Tensor(np.ones(cell.hidden)))
-    return tt.add(tt.mul(one_minus, candidate), tt.mul(update, h))
+    one_minus = add(neg(update), Tensor(np.ones(cell.hidden)))
+    return add(tt.mul(one_minus, candidate), tt.mul(update, h))
 
 
 def reference_rnn_forward(cell, sequence):
@@ -129,19 +129,19 @@ def reference_classify(head, states, rng=None, training=False,
     summary = reference_summarize(
         reference_dropout(states, head.dropout, rng, training, rows),
         bidirectional)
-    dense = tt.relu(tt.add(tt.matvec(head.w_dense, summary), head.b_dense))
-    return tt.softmax(tt.add(tt.matvec(head.w_out, dense), head.b_out))
+    dense = tt.relu(add(matvec(head.w_dense, summary), head.b_dense))
+    return tt.softmax(add(matvec(head.w_out, dense), head.b_out))
 
 
 def reference_cross_entropy_loss(predicted, label):
-    return tt.neg(tt.log(tt.clip_min(tt.pick(predicted, label), hd.LOSS_FLOOR)))
+    return neg(log(clip_min(tt.pick(predicted, label), hd.LOSS_FLOOR)))
 
 
 def reference_average_losses(losses):
     total = losses[0]
     for item in losses[1:]:
-        total = tt.add(total, item)
-    return tt.scale(total, 1.0 / len(losses))
+        total = add(total, item)
+    return scale(total, 1.0 / len(losses))
 
 
 def reference_pipeline_forward(embeddings, bridge, cell, head, rng=None,
@@ -150,9 +150,9 @@ def reference_pipeline_forward(embeddings, bridge, cell, head, rng=None,
     over one sequence, with the per-step reference scan; ``cell`` None is
     the mean head.  Returns (probs, loss)."""
     dropped = reference_dropout(embeddings, head.dropout, rng, training, rows)
-    z = tt.add(tt.matmul(dropped, bridge.w), bridge.b)
+    z = add(tt.matmul(dropped, bridge.w), bridge.b)
     if cell is None:
-        pooled = tt.scale(sum_rows(z), 1.0 / z.shape[0])
+        pooled = scale(sum_rows(z), 1.0 / z.shape[0])
         probs = reference_classify(head, stack_rows([pooled]), rng, training)
     else:
         bidirectional = isinstance(cell, hd.BiRnnParams)
@@ -625,7 +625,7 @@ class TestBridge:
         tensors = [x, bridge.w, bridge.b]
 
         def unfused(bridge, x, keep):
-            return tt.add(tt.matmul(tt.dropout(x, keep), bridge.w), bridge.b)
+            return add(tt.matmul(tt.dropout(x, keep), bridge.w), bridge.b)
 
         results = []
         for forward in (hd.bridge_forward, unfused):
