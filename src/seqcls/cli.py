@@ -446,8 +446,6 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
     for step in range(1, steps + 1):
         index = int(order_rng.integers(0, len(tokens)))
         corrupted, targets = span_mask(tokens[index], mask_rng, mask_rate)
-        if not targets:
-            continue
         optimizer.zero_grad()
         with Tape() as tape:
             loss = denoising_loss(encoder, corrupted, targets)

@@ -276,14 +276,14 @@ def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
     post-norm, ``x + keep * F(LN(x))`` pre-norm, with F the array rule
     ``rule`` and LN the layer norm of ``norm`` = (gain, bias).
 
-    ``keep`` is a ``tt.dropout_mask`` fitted by ``tt.fit_mask``; None drops
-    nothing.  Returns the output.  Unless ``steps`` is None, appends the
-    sublayer's ``backward(g)``, which returns the gradient of ``x``: the
-    residual's plus the sublayer's.  With ``steps`` None each rule's
+    ``keep`` is a ``tt.dropout_mask`` in the shape applied, ``x``'s own;
+    None drops nothing.  Returns the output.  Unless ``steps`` is None,
+    appends the sublayer's ``backward(g)``, which returns the gradient of
+    ``x``: the residual's plus the sublayer's.  With ``steps`` None each rule's
     saved arrays go once the next rule has run.
     """
-    if keep is not None:
-        keep = tt.fit_mask(keep, x.shape)
+    if keep is not None and keep.shape != x.shape:
+        raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
     inner, pre_backward = x, None
     if pre_norm:
         inner, pre_backward = tt.layer_norm_rule(x, *norm)
@@ -307,21 +307,26 @@ def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
     return out
 
 
-def dropout_masks(config: EncoderConfig, rows: int, rng: RandomSource | None,
-                  training: bool) -> list:
-    """Per layer, the (attention, FFN) ``tt.dropout_mask`` pair for a
-    sequence of ``rows`` ids, padding included, drawn in that order."""
-    shape = (rows, config.d_model)
-    return [(tt.dropout_mask(rng, config.dropout, shape, training),
-             tt.dropout_mask(rng, config.dropout, shape, training))
-            for _ in range(config.n_layers)]
+def dropout_masks(config: EncoderConfig, tokens: TokenSequence,
+                  rng: RandomSource | None, training: bool) -> list:
+    """Per layer, the (attention, FFN) ``tt.dropout_mask`` pair for
+    ``tokens``, in the shape applied.  Each is drawn in that order at the
+    padded height, one row per id, PADs included, and returned as a copy
+    of its top ``tokens.length`` rows, so the padded draw can go."""
+    shape = (len(tokens.input_ids), config.d_model)
+
+    def draw():
+        keep = tt.dropout_mask(rng, config.dropout, shape, training)
+        return None if keep is None else keep[:tokens.length].copy()
+
+    return [(draw(), draw()) for _ in range(config.n_layers)]
 
 
 def encoder_forward(model: EncoderParams, tokens: TokenSequence,
                     masks: list | None = None) -> Tensor:
     """Embed, add positions, then run the layer stack over the real tokens,
-    one output row each.  ``masks`` are the ``dropout_masks`` pairs, drawn
-    at the padded height; None runs without dropout.
+    one output row each.  ``masks`` are the ``dropout_masks`` pairs, in the
+    shape applied; None runs without dropout.
 
     One tape op over every encoder parameter.  Its backward rule runs the
     sublayers' rules in reverse, passing each layer's input gradient on as
@@ -406,8 +411,9 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
     """Corrupt ~mask_rate of the real tokens with non-overlapping MASK spans.
 
     Span lengths are geometric with the given mean; the total number of
-    masked positions is exactly round(mask_rate * valid_len).  Returns
-    the corrupted sequence and (position, original id) targets.
+    masked positions is exactly max(1, round(mask_rate * valid_len)), and
+    0 at rate 0 or with no real token.  Returns the corrupted sequence and
+    (position, original id) targets.
     """
     if not 0.0 <= mask_rate < 1.0:
         raise ParameterError(f"mask rate must be in [0, 1), got {mask_rate}")
@@ -415,6 +421,8 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
         raise ParameterError(f"mean span must be >= 1, got {mean_span}")
     valid = tokens.length
     budget = int(round(mask_rate * valid))
+    if mask_rate > 0.0 and valid > 0:
+        budget = max(budget, 1)
     ids = list(tokens.input_ids)
     chosen: set[int] = set()
     attempts = 0
@@ -451,7 +459,7 @@ def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
         if not 0 <= pos < corrupted.length:
             raise ParameterError(
                 f"masked position {pos} outside the {corrupted.length} real tokens")
-    masks = dropout_masks(model.config, len(corrupted.input_ids), rng, training)
+    masks = dropout_masks(model.config, corrupted, rng, training)
     states = encoder_forward(model, corrupted, masks)
     rows = tt.gather_rows(states, positions)
     no_bias = Tensor(np.zeros(model.config.vocab_size))

@@ -501,10 +501,10 @@ def bridge_forward(bridge: BridgeParams, x: Tensor,
 
 
 class HeadMasks(NamedTuple):
-    """One sequence's head dropout masks, drawn at its padded height."""
+    """One sequence's head dropout masks, in the shape applied."""
 
-    bridge: np.ndarray  # (rows, d_in), on the bridge input
-    classifier: np.ndarray  # (rows, width) on the states; mean head (1, width)
+    bridge: np.ndarray  # (rows, d_in): one per row of the sequence
+    classifier: np.ndarray  # (width,): the sequence's summary row
 
 
 def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
@@ -516,31 +516,28 @@ def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
     The sequences are stacked into (B, T, d) with a length vector; the
     bridge, scan (``cell`` None: mean pooling), summary, classifier and
     loss each run once.  ``masks`` holds each sequence's
-    :class:`HeadMasks`, or is None for no dropout; a padded sequence's
-    taller masks apply their top rows.
+    :class:`HeadMasks`, in the shape applied, or is None for no dropout.
     """
     lengths = np.array([len(s.data) for s in sequences], dtype=np.intp)
     x = tt.stack_padded(sequences)
-    bridge_keep = None
+    bridge_keep = head_keep = None
     if masks is not None:
         bridge_keep = np.zeros(x.shape)
-        for i, m in enumerate(masks):
-            bridge_keep[i, :lengths[i]] = m.bridge[:lengths[i]]
+        for i, (s, m) in enumerate(zip(sequences, masks)):
+            if m.bridge.shape != s.shape:
+                raise DimensionError(
+                    f"bridge mask {m.bridge.shape} vs sequence {s.shape}")
+            bridge_keep[i, :lengths[i]] = m.bridge
+        head_keep = np.stack([m.classifier for m in masks])
     z = bridge_forward(bridge, x, bridge_keep)
     if cell is None:
         summary = mean_pool_forward(z, lengths)
-        rows = np.zeros(summary.shape, dtype=np.intp)
     else:
         bidirectional = isinstance(cell, BiRnnParams)
         scan = birnn_forward if bidirectional else rnn_forward
         states = scan(cell, z, lengths)
-        rows = summary_rows(lengths, states.shape[2], bidirectional)
-        summary = summarize(states, rows)
-    head_keep = None
-    if masks is not None:
-        columns = np.arange(rows.shape[1])
-        head_keep = np.stack([m.classifier[r, columns]
-                              for m, r in zip(masks, rows)])
+        summary = summarize(states, summary_rows(lengths, states.shape[2],
+                                                 bidirectional))
     probs = classify(head, summary, head_keep)
     losses = None if labels is None else cross_entropy_loss(probs, labels)
     return probs, losses

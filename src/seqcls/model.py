@@ -159,30 +159,39 @@ class Example:
 
 def draw_masks(bundle: ModelBundle, example: Example,
                rng: RandomSource | None, training: bool):
-    """One sample's dropout masks, the one place their order is fixed.
+    """One sample's dropout masks in the shape applied, the one place their
+    order and the padded height they are drawn at are fixed.
 
     Drawn from ``rng`` at the padded height of the sample's token ids (an
     imported matrix: its rows), in this order: per encoder layer the
-    attention then the FFN mask, then the bridge input, then the
-    classifier input (every state row, or the mean head's one pooled
-    row).  Returns (encoder masks, ``hd.HeadMasks``); the encoder masks
-    are None for an imported matrix, and every mask is None where nothing
-    is dropped.
+    attention then the FFN mask (``dropout_masks``), then the bridge
+    input, then the classifier input (every state row, or the mean head's
+    one pooled row).  Returns (encoder masks, ``hd.HeadMasks``): the
+    bridge mask cut to the sample's real rows, the classifier mask to the
+    summary row that ``hd.summary_rows`` reads.  The encoder masks are
+    None for an imported matrix, and the head masks None, like every
+    encoder mask, where nothing is dropped.
     """
     config = bundle.config
     encoder_masks = None
     if example.tokens is None:
-        rows = len(example.matrix)
+        rows = length = len(example.matrix)
     else:
-        rows = len(example.tokens.input_ids)
-        encoder_masks = dropout_masks(config.encoder, rows, rng, training)
-    p = bundle.head.dropout
-    state_rows = 1 if bundle.cell is None else rows
-    head_masks = hd.HeadMasks(
-        bridge=tt.dropout_mask(rng, p, (rows, config.input_dim), training),
-        classifier=tt.dropout_mask(rng, p, (state_rows, config.summary_dim),
-                                   training))
-    return encoder_masks, head_masks
+        rows, length = len(example.tokens.input_ids), example.tokens.length
+        encoder_masks = dropout_masks(config.encoder, example.tokens, rng,
+                                      training)
+    p, width = bundle.head.dropout, config.summary_dim
+    # the mean head has one pooled row, which its summary reads
+    state_rows, last = (1, 1) if bundle.cell is None else (rows, length)
+    bridge = tt.dropout_mask(rng, p, (rows, config.input_dim), training)
+    classifier = tt.dropout_mask(rng, p, (state_rows, width), training)
+    if bridge is None:
+        return encoder_masks, None
+    read = hd.summary_rows([last], width,
+                           isinstance(bundle.cell, hd.BiRnnParams))[0]
+    return encoder_masks, hd.HeadMasks(
+        bridge=bridge[:length].copy(),
+        classifier=classifier[read, np.arange(width)])
 
 
 def forward_example(bundle: ModelBundle, examples,
@@ -209,13 +218,14 @@ def forward_example(bundle: ModelBundle, examples,
             sequences.append(encoder_forward(bundle.encoder, example.tokens,
                                              encoder_masks))
         head_masks.append(masks)
-    if not training or bundle.head.dropout == 0.0:
+    if None in head_masks:  # the head drops nothing
         head_masks = None
     labels = [example.label for example in batch] if with_loss else None
     probs, losses = hd.pipeline_forward(sequences, bundle.bridge, bundle.cell,
                                         bundle.head, head_masks, labels)
     if single:
-        return tt.row(probs, 0), None if losses is None else tt.pick(losses, 0)
+        return (tt.row(probs, 0),
+                None if losses is None else hd.average_losses(losses))
     return probs, losses
 
 

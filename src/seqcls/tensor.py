@@ -334,21 +334,6 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return make_output(data, (table,), backward)
 
 
-def pick(x: Tensor, i: int) -> Tensor:
-    """Element ``i`` of a vector as a scalar tensor."""
-    if x.data.ndim != 1:
-        raise DimensionError(f"pick needs a vector, got {x.shape}")
-    i = int(i)
-
-    def backward(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[i] = float(g)
-            x.accumulate_grad(dx)
-
-    return make_output(np.asarray(x.data[i]), (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # normalization and regularization
 
@@ -412,27 +397,13 @@ def dropout_mask(rng: RandomSource | None, p: float, shape,
     return rng.bernoulli(1.0 - p, shape) / (1.0 - p)
 
 
-def fit_mask(keep: np.ndarray, shape) -> np.ndarray:
-    """A ``dropout_mask`` for an input of ``shape``.
-
-    A mask taller than the input applies its top ``shape[0]`` rows: a
-    sequence trimmed of its padding uses the mask drawn for its padded
-    form.  Those rows are copied, so the padded mask can be freed.  Any
-    other mismatch raises ``DimensionError``.
-    """
-    if len(keep) > shape[0]:
-        keep = keep[:shape[0]].copy()
-    if keep.shape != tuple(shape):
-        raise DimensionError(f"dropout mask {keep.shape} vs input {tuple(shape)}")
-    return keep
-
-
 def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
-    """``x`` times a mask from ``dropout_mask``, fitted by ``fit_mask``;
+    """``x`` times a ``dropout_mask`` in the shape applied, ``x``'s own;
     None is the identity.  The backward rule uses the same mask."""
     if keep is None:
         return x
-    keep = fit_mask(keep, x.shape)
+    if keep.shape != x.shape:
+        raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
     data = x.data * keep
 
     def backward(g):

@@ -581,6 +581,24 @@ class TestPretrainCommand:
         for name in names:
             assert (direct / name).read_bytes() == (via_main / name).read_bytes()
 
+    def test_short_lines_log_every_step(self, tmp_path):
+        """The synthetic corpus's lines are a few tokens long; at the default
+        mask rate each still masks one, so every one of the 200 default
+        steps trains and is logged."""
+        data = tmp_path / "synth.jsonl"
+        cmd_synth(2, 30, seed=1, out=data)
+        cmd_pretrain(data, "generic", tmp_path / "pre")
+        log = (tmp_path / "pre" / "pretrain_log.tsv").read_text().splitlines()
+        assert [int(line.split("\t")[0]) for line in log[1:]] == list(
+            range(1, 201))
+
+    def test_zero_mask_rate_stops_in_one_line(self, corpus, tmp_path, capsys):
+        assert main(["pretrain", "--data", str(corpus), "--out-dir",
+                     str(tmp_path / "pre"), "--mask-rate", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ParameterError" in err and "masked position" in err
+
 
 class TestMainEntry:
     def test_synth_then_train_exits_zero(self, tmp_path, capsys):

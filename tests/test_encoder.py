@@ -15,8 +15,8 @@ from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.optim import _frozen
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
-from test_tensor import (add, clip_min, log, matvec, neg, scale,
-                         separate_masks)
+from test_tensor import (add, clip_min, fit_mask, log, matvec, neg, pick,
+                         scale, separate_masks)
 
 NEG_INF = float("-inf")
 
@@ -128,7 +128,8 @@ def add_norm(x, a, keep, norm=None):
     """A sublayer's residual tail as one tape op: ``x + keep * a``, then,
     given ``norm`` = (gain, bias), the layer norm of the sum (post-norm);
     with ``norm`` None (pre-norm) the sum itself.  ``keep`` is a
-    ``tt.dropout_mask`` fitted by ``tt.fit_mask``; None drops nothing.
+    ``tt.dropout_mask``, a taller one applying its top rows
+    (``fit_mask``); None drops nothing.
     The rule hands ``x`` its gradient before ``a``, the order the unfused
     residual add used."""
     if a.shape != x.shape:
@@ -136,7 +137,7 @@ def add_norm(x, a, keep, norm=None):
     if keep is None:
         z = x.data + a.data
     else:
-        keep = tt.fit_mask(keep, a.shape)
+        keep = fit_mask(keep, a.shape)
         z = x.data + a.data * keep
     data, norm_backward = z, None
     if norm is not None:
@@ -171,7 +172,8 @@ def layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
 
 def graph_encoder_forward(model, tokens, masks=None, layer=layer_forward):
     """``encoder_forward`` as a graph of tape ops: the embedding lookup and
-    position add, then ``layer`` per layer, over the real tokens."""
+    position add, then ``layer`` per layer, over the real tokens.  Masks
+    drawn at the padded height (``padded_masks``) apply their top rows."""
     config, length = model.config, tokens.length
     if masks is None:
         masks = [(None, None)] * config.n_layers
@@ -201,10 +203,18 @@ def reference_encoder_forward(model, tokens, rng=None, training=False):
     return x
 
 
+def padded_masks(config, tokens, rng, training):
+    """Per layer, the (attention, FFN) masks ``enc.dropout_masks`` draws,
+    in its order and at the padded height, uncut: the oracles' masks."""
+    shape = (len(tokens.input_ids), config.d_model)
+    return [(tt.dropout_mask(rng, config.dropout, shape, training),
+             tt.dropout_mask(rng, config.dropout, shape, training))
+            for _ in range(config.n_layers)]
+
+
 def trimmed_forward(model, tokens, rng=None, training=False):
     """``encoder_forward`` with its masks drawn as the model draws them."""
-    masks = enc.dropout_masks(model.config, len(tokens.input_ids), rng,
-                              training)
+    masks = enc.dropout_masks(model.config, tokens, rng, training)
     return enc.encoder_forward(model, tokens, masks)
 
 
@@ -213,14 +223,13 @@ def reference_denoising_loss(model, corrupted, targets, rng=None,
     """The per-position loop ``denoising_loss`` replaced: each masked row
     through one tied-embedding matvec, softmax and floored log, the
     negated terms summed and scaled by the target count."""
-    masks = enc.dropout_masks(model.config, len(corrupted.input_ids), rng,
-                              training)
+    masks = enc.dropout_masks(model.config, corrupted, rng, training)
     states = enc.encoder_forward(model, corrupted, masks)
     total = None
     for pos, original_id in targets:
         logits = matvec(model.embedding, tt.row(states, pos))
         probs = tt.softmax(logits, axis=-1)
-        nll = neg(log(clip_min(tt.pick(probs, original_id), hd.LOSS_FLOOR)))
+        nll = neg(log(clip_min(pick(probs, original_id), hd.LOSS_FLOOR)))
         total = nll if total is None else add(total, nll)
     return scale(total, 1.0 / len(targets))
 
@@ -529,13 +538,14 @@ class TestAddNorm:
     @staticmethod
     def operands(seed, normed=True):
         """x and a (3 x 4), the (gain, bias) pair or None, a keep mask
-        drawn at a padded height of 5, and a probe for the loss."""
+        drawn at a padded height of 5 and cut to its top 3 rows, and a
+        probe for the loss."""
         rng = RandomSource(seed)
         x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         gain = Tensor(1.0 + rng.uniform(-0.2, 0.2, 4), requires_grad=True)
         bias = Tensor(rng.uniform(-0.1, 0.1, 4), requires_grad=True)
-        keep = tt.dropout_mask(rng, 0.4, (5, 4), training=True)
+        keep = tt.dropout_mask(rng, 0.4, (5, 4), training=True)[:3]
         probe = Tensor(rng.uniform(-1, 1, (3, 4)))
         return x, a, (gain, bias) if normed else None, keep, probe
 
@@ -573,21 +583,49 @@ class TestAddNorm:
         for fused, ref in zip(*results):
             assert np.array_equal(fused, ref)
 
+    @staticmethod
+    def cut_and_padded(config, tokens, seed):
+        """``enc.dropout_masks`` in training, and ``padded_masks`` from the
+        same seed; asserts each cut mask is a copy of its padded draw's
+        top rows and that both streams end at the same place."""
+        rng, replay = RandomSource(seed), RandomSource(seed)
+        cut = enc.dropout_masks(config, tokens, rng, True)
+        padded = padded_masks(config, tokens, replay, True)
+        for pair, padded_pair in zip(cut, padded):
+            for keep, full in zip(pair, padded_pair):
+                assert np.array_equal(keep, full[:tokens.length])
+                assert keep.base is None
+        assert np.array_equal(rng.uniform(0, 1, 3), replay.uniform(0, 1, 3))
+        return cut, padded
+
     @pytest.mark.parametrize("norm_kind", sorted(NORMS))
     def test_padded_mask_applies_its_top_rows(self, norm_kind):
-        x, a, norm, keep, _ = self.operands(402, self.NORMS[norm_kind])
-        padded = add_norm(x, a, keep, norm).data
-        exact = add_norm(x, a, keep[:3].copy(), norm).data
-        assert np.array_equal(padded, exact)
+        """``enc.dropout_masks`` cuts each mask to the 3 real rows, and the
+        encoder applies the cut masks as the layer graph applies the
+        padded ones."""
+        config = small_config(n_layers=2, dropout=0.4,
+                              pre_norm=not self.NORMS[norm_kind])
+        tokens = make_tokens([3, 1, 4, PAD_ID, PAD_ID], 3)
+        cut, padded = self.cut_and_padded(config, tokens, 402)
+        model = enc.init_encoder(config, RandomSource(403))
+        assert np.array_equal(enc.encoder_forward(model, tokens, cut).data,
+                              graph_encoder_forward(model, tokens, padded).data)
 
-    def test_padded_mask_is_freed(self):
-        x, a, norm, keep, _ = self.operands(403)
-        held = weakref.ref(keep)
-        with tt.Tape():
-            out = add_norm(x, a, keep, norm)
-            del keep
-            assert held() is None
-            assert out.requires_grad
+    def test_padded_mask_is_freed(self, monkeypatch):
+        """No padded draw outlives ``enc.dropout_masks``."""
+        draws = []
+        dropout_mask = tt.dropout_mask
+
+        def watched(*args):
+            keep = dropout_mask(*args)
+            draws.append(weakref.ref(keep))
+            return keep
+
+        monkeypatch.setattr(tt, "dropout_mask", watched)
+        tokens = make_tokens([3, 1, 4, 1, PAD_ID, PAD_ID], 4)
+        self.cut_and_padded(small_config(n_layers=2, dropout=0.4), tokens, 404)
+        # the first four draws are dropout_masks'; the oracle's follow
+        assert len(draws) == 8 and all(ref() is None for ref in draws[:4])
 
     @pytest.mark.parametrize("norm_kind", sorted(NORMS))
     def test_mask_of_wrong_width_rejected(self, norm_kind):
@@ -625,7 +663,8 @@ class TestFusedLayer:
         tensors = [t for _, t in model.named_parameters()]
         results = []
         for layer in (layer_forward, reference_layer_forward):
-            masks = enc.dropout_masks(config, 8, RandomSource(7), training)
+            masks = enc.dropout_masks(config, tokens, RandomSource(7),
+                                      training)
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
@@ -646,10 +685,10 @@ class TestFusedLayer:
         config = small_config(n_layers=n_layers, dropout=0.3,
                               pre_norm=pre_norm)
         model = enc.init_encoder(config, RandomSource(501))
-        masks = enc.dropout_masks(config, 6, RandomSource(502), training)
+        tokens = make_tokens([3, 1, 4, 1, 5, PAD_ID], 5)
+        masks = enc.dropout_masks(config, tokens, RandomSource(502), training)
         with tt.Tape() as tape:
-            graph_encoder_forward(
-                model, make_tokens([3, 1, 4, 1, 5, PAD_ID], 5), masks)
+            graph_encoder_forward(model, tokens, masks)
         assert len(tape) == 2 + per_layer * n_layers
 
 
@@ -670,9 +709,12 @@ class TestEncoderOp:
 
     @staticmethod
     def outputs_and_gradients(forward, model, tokens, probe, training):
+        """The op draws its masks cut to shape, the layer graph at the
+        padded height, both from one seed."""
         tensors = [t for _, t in model.named_parameters()]
-        masks = enc.dropout_masks(model.config, len(tokens.input_ids),
-                                  RandomSource(7), training)
+        draw = (enc.dropout_masks if forward is enc.encoder_forward
+                else padded_masks)
+        masks = draw(model.config, tokens, RandomSource(7), training)
         for t in tensors:
             t.zero_grad()
         with tt.Tape() as tape:
@@ -736,7 +778,7 @@ class TestEncoderOp:
         for _, t in model.named_parameters():
             t.data += rng.uniform(-0.2, 0.2, t.shape)
         tokens = make_tokens([1, 5, 2, 5, PAD_ID], 4)
-        masks = enc.dropout_masks(config, 5, rng.derive("masks"), True)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
         probe = Tensor(rng.uniform(-1, 1, (4, 4)))
         tensors = [t for _, t in model.named_parameters()]
 
@@ -755,10 +797,10 @@ class TestEncoderOp:
                 "one-gain": "encoder.layer2.ln1.gain"}[trains]
         for name, t in model.named_parameters():
             t.requires_grad = keep is None or name == keep
-        masks = enc.dropout_masks(model.config, 6, RandomSource(541), True)
+        tokens = make_tokens([3, 1, 4, 1, 5, 9], 5)
+        masks = enc.dropout_masks(model.config, tokens, RandomSource(541), True)
         with tt.Tape() as tape:
-            out = enc.encoder_forward(model, make_tokens([3, 1, 4, 1, 5, 9], 5),
-                                      masks)
+            out = enc.encoder_forward(model, tokens, masks)
         assert len(tape) == 1 and out.requires_grad
 
     @pytest.mark.parametrize("recording", [False, True],
@@ -836,6 +878,14 @@ class TestEncoderForward:
         model = enc.init_encoder(small_config(max_len=3), RandomSource(15))
         with pytest.raises(DimensionError):
             enc.encoder_forward(model, make_tokens([1, 2, 3, 4], 4))
+
+    def test_mask_at_the_padded_height_rejected(self):
+        config = small_config(dropout=0.5)
+        model = enc.init_encoder(config, RandomSource(16))
+        tokens = make_tokens([1, 2, 3, PAD_ID], 3)
+        masks = padded_masks(config, tokens, RandomSource(17), True)
+        with pytest.raises(DimensionError, match=r"dropout mask \(4, 4\)"):
+            enc.encoder_forward(model, tokens, masks)
 
     def test_training_dropout_requires_rng(self):
         model = enc.init_encoder(small_config(dropout=0.5), RandomSource(16))
@@ -1021,10 +1071,21 @@ class TestSpanMask:
                 [int(t) for t in rng.integers(5, 50, total)], valid)
             corrupted, targets = enc.span_mask(
                 tokens, rng.derive("case"), rate, mean_span=2.0)
-            assert len(targets) == int(round(rate * valid))
+            assert len(targets) == max(1, int(round(rate * valid)))
             untouched = set(range(total)) - {pos for pos, _ in targets}
             for pos in untouched:
                 assert corrupted.input_ids[pos] == tokens.input_ids[pos]
+
+    @pytest.mark.parametrize("valid", [1, 2, 3])
+    def test_short_line_masks_one_token(self, valid):
+        """round(0.15 * valid) is 0 for these lengths; one token is
+        masked all the same."""
+        tokens = make_tokens(list(range(5, 5 + valid)) + [PAD_ID], valid)
+        corrupted, targets = enc.span_mask(tokens, RandomSource(8), 0.15)
+        assert len(targets) == 1
+        pos, original = targets[0]
+        assert pos < valid and corrupted.input_ids[pos] == MASK_ID
+        assert original == tokens.input_ids[pos]
 
     def test_bad_rate_rejected(self):
         tokens = make_tokens([5, 6], 2)

@@ -14,8 +14,9 @@ from seqcls import tensor as tt
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
-from test_tensor import (add, clip_min, log, matvec, neg, scale, separate_masks,
-                         sigmoid, slice_vec, stack_rows, sum_rows, tanh)
+from test_tensor import (add, clip_min, fit_mask, log, matvec, neg, pick, scale,
+                         separate_masks, sigmoid, slice_vec, stack_rows,
+                         summary_mask_row, sum_rows, tanh)
 
 
 def zero_cell(variant, d_in, hidden):
@@ -110,7 +111,7 @@ def reference_dropout(x, p, rng, training, rows=None):
     if not training or p == 0.0:
         return x
     keep, = separate_masks(rng, p, [(rows or len(x.data), *x.shape[1:])])
-    return tt.dropout(x, keep)
+    return tt.dropout(x, fit_mask(keep, x.shape))
 
 
 def reference_summarize(states, bidirectional):
@@ -134,7 +135,7 @@ def reference_classify(head, states, rng=None, training=False,
 
 
 def reference_cross_entropy_loss(predicted, label):
-    return neg(log(clip_min(tt.pick(predicted, label), hd.LOSS_FLOOR)))
+    return neg(log(clip_min(pick(predicted, label), hd.LOSS_FLOOR)))
 
 
 def reference_average_losses(losses):
@@ -506,17 +507,24 @@ def build_pipeline(variant, bidirectional, d_model=3, d_rnn=3, hidden=2,
     return bridge, cell, head
 
 
-def draw_head_masks(bridge, cell, head, rows, rng, training=True):
-    """Each sequence's head masks, drawn as the model draws them; None
-    where the head drops nothing."""
+def draw_head_masks(bridge, cell, head, lengths, rows, rng, training=True):
+    """Each sequence's head masks as the model draws them, at the padded
+    heights ``rows``, then applied as the per-sample head applies them to
+    ``lengths`` real rows: the bridge mask's top rows and the classifier
+    mask's summary row.  None where the head drops nothing."""
     if not training or head.dropout == 0.0:
         return None
     p, width = head.dropout, head.w_dense.shape[1]
-    return [hd.HeadMasks(
-        bridge=tt.dropout_mask(rng, p, (n, bridge.w.shape[0]), training),
-        classifier=tt.dropout_mask(rng, p, (1 if cell is None else n, width),
-                                   training))
-        for n in rows]
+    kind = ("mean" if cell is None
+            else "bi" if isinstance(cell, hd.BiRnnParams) else "uni")
+    masks = []
+    for length, n in zip(lengths, rows):
+        keep_bridge, keep_states = separate_masks(
+            rng, p, [(n, bridge.w.shape[0]), (1 if cell is None else n, width)])
+        masks.append(hd.HeadMasks(
+            bridge=fit_mask(keep_bridge, (length, bridge.w.shape[0])),
+            classifier=summary_mask_row(keep_states, length, kind)))
+    return masks
 
 
 class TestPipelineForward:
@@ -536,13 +544,26 @@ class TestPipelineForward:
         matrix = RandomSource(33).uniform(-1, 1, (4, 3))
         runs = [
             hd.pipeline_forward([Tensor(matrix)], bridge, cell, head,
-                                draw_head_masks(bridge, cell, head, [4],
+                                draw_head_masks(bridge, cell, head, [4], [4],
                                                 RandomSource(99)))[0].data
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
         eval_probs, _ = hd.pipeline_forward([Tensor(matrix)], bridge, cell, head)
         assert not np.array_equal(runs[0], eval_probs.data)
+
+    def test_masks_at_the_padded_height_rejected(self):
+        """Masks must come in the shape applied: a bridge mask with PAD
+        rows, or a classifier mask with every state row, is refused."""
+        bridge, cell, head = build_pipeline("gru", False, dropout=0.3)
+        sequences = [Tensor(np.ones((4, 3)))]
+        mask, = draw_head_masks(bridge, cell, head, [4], [4], RandomSource(97))
+        with pytest.raises(DimensionError, match=r"bridge mask \(6, 3\)"):
+            hd.pipeline_forward(sequences, bridge, cell, head,
+                                [mask._replace(bridge=np.ones((6, 3)))])
+        with pytest.raises(DimensionError, match="dropout mask"):
+            hd.pipeline_forward(sequences, bridge, cell, head,
+                                [mask._replace(classifier=np.ones((4, 2)))])
 
     def test_order_sensitivity_witness(self):
         bridge, cell, head = build_pipeline("gru", False, seed=35)
@@ -558,7 +579,8 @@ class TestPipelineForward:
                                             hidden=8, dropout=0.1)
         matrix = Tensor(RandomSource(37).uniform(-1, 1, (64, 8))[:45],
                         requires_grad=True)
-        masks = draw_head_masks(bridge, cell, head, [64], RandomSource(38))
+        masks = draw_head_masks(bridge, cell, head, [45], [64],
+                                RandomSource(38))
         with tt.Tape() as tape:
             hd.pipeline_forward([matrix], bridge, cell, head, masks, labels=[1])
         assert len(tape) < 100
@@ -569,7 +591,8 @@ class TestPipelineForward:
         for batch in ([5], [5, 1, 3, 4] * 4):
             sequences = [Tensor(np.ones((n, 3)), requires_grad=True)
                          for n in batch]
-            masks = draw_head_masks(bridge, cell, head, batch, RandomSource(39))
+            masks = draw_head_masks(bridge, cell, head, batch, batch,
+                                    RandomSource(39))
             with tt.Tape() as tape:
                 hd.pipeline_forward(sequences, bridge, cell, head, masks,
                                     labels=[0] * len(batch))
@@ -732,7 +755,7 @@ class TestBatchedHeadOracle:
             tensors.extend(t for _, t in params.named_parameters())
 
         def batched():
-            masks = draw_head_masks(bridge, cell, head, padded,
+            masks = draw_head_masks(bridge, cell, head, lengths, padded,
                                     RandomSource(9), training)
             probs, losses = hd.pipeline_forward(sequences, bridge, cell, head,
                                                 masks, labels)

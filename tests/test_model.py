@@ -13,7 +13,7 @@ from seqcls.encoder import EncoderConfig
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from test_heads import reference_average_losses, reference_pipeline_forward
-from test_tensor import separate_masks
+from test_tensor import fit_mask, separate_masks
 
 
 def tiny_config(**overrides):
@@ -291,8 +291,9 @@ class TestForwardPadding:
 
 def reference_forward_example(bundle, example, rng=None, training=False):
     """The per-sample forward the batched ``forward_example`` replaced: the
-    encoder draws its masks one at a time, then the per-sample head
-    chain draws the bridge and classifier masks."""
+    encoder draws its masks one at a time at the padded height and applies
+    their top rows, then the per-sample head chain draws the bridge and
+    classifier masks."""
     config = bundle.config
     if example.tokens is None:
         embeddings, rows = tt.Tensor(example.matrix), None
@@ -301,8 +302,10 @@ def reference_forward_example(bundle, example, rng=None, training=False):
         enc = config.encoder
         masks = None
         if training and enc.dropout > 0.0:
-            flat = separate_masks(rng, enc.dropout,
-                                  [(rows, enc.d_model)] * (2 * enc.n_layers))
+            flat = [fit_mask(keep, (example.tokens.length, enc.d_model))
+                    for keep in separate_masks(
+                        rng, enc.dropout,
+                        [(rows, enc.d_model)] * (2 * enc.n_layers))]
             masks = list(zip(flat[::2], flat[1::2]))
         embeddings = md.encoder_forward(bundle.encoder, example.tokens, masks)
     return reference_pipeline_forward(embeddings, bundle.bridge, bundle.cell,

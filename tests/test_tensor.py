@@ -6,7 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
+from seqcls import model as md
 from seqcls import tensor as T
+from seqcls.bpe import PAD_ID, TokenSequence
+from seqcls.encoder import EncoderConfig
 from seqcls.errors import DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tape, Tensor, make_output
@@ -90,6 +93,21 @@ def clip_min(x, floor):
     return make_output(data, (x,), backward)
 
 
+def pick(x, i):
+    """Element ``i`` of a vector as a scalar tensor."""
+    if x.data.ndim != 1:
+        raise DimensionError(f"pick needs a vector, got {x.shape}")
+    i = int(i)
+
+    def backward(g):
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[i] = float(g)
+            x.accumulate_grad(dx)
+
+    return make_output(np.asarray(x.data[i]), (x,), backward)
+
+
 def stack_rows(rows):
     """Stack same-length vectors into a matrix, one per row; a tensor that
     appears more than once accumulates its gradient over every occurrence."""
@@ -160,6 +178,31 @@ def separate_masks(rng, p, shapes):
     """Inverted-dropout masks, one ``bernoulli`` draw per shape in order:
     the oracle of ``dropout_mask``."""
     return [rng.bernoulli(1.0 - p, shape) / (1.0 - p) for shape in shapes]
+
+
+def fit_mask(keep, shape):
+    """A mask drawn at a padded height, for an input of ``shape``: a taller
+    mask applies its top ``shape[0]`` rows, as the reference paths apply
+    the masks the model draws.  Any other mismatch raises
+    ``DimensionError``."""
+    keep = keep[:shape[0]]
+    if keep.shape != tuple(shape):
+        raise DimensionError(f"dropout mask {keep.shape} vs input {tuple(shape)}")
+    return keep
+
+
+def summary_mask_row(keep, length, cell_kind):
+    """The row of a classifier mask drawn at a padded height that the
+    summary of a ``length``-row sequence reads: the last row; the backward
+    half of a bidirectional state reads row 0, and the mean head its one
+    pooled row.  ``cell_kind`` is "mean", "uni" or "bi"."""
+    if cell_kind == "mean":
+        return keep[0]
+    row = keep[length - 1].copy()
+    if cell_kind == "bi":
+        half = len(row) // 2
+        row[half:] = keep[0, half:]
+    return row
 
 
 def finite_diff(f, params, h=1e-6):
@@ -331,26 +374,71 @@ class TestDropout:
             tape.backward(T.sum_all(out))
         np.testing.assert_array_equal(x.grad, out.data)
 
+    @staticmethod
+    def drawn(bundle, example, seed, shapes):
+        """``md.draw_masks`` for ``example`` in training, its flat list of
+        masks (the encoder's, the bridge's, the classifier row), and
+        ``separate_masks`` over ``shapes`` from the same seed; asserts both
+        streams end at the same place."""
+        rng, replay = RandomSource(seed), RandomSource(seed)
+        encoder, head = md.draw_masks(bundle, example, rng, True)
+        cut = [keep for pair in encoder or () for keep in pair] + list(head)
+        padded = separate_masks(replay, 0.5, shapes)
+        np.testing.assert_array_equal(rng.uniform(0, 1, 3),
+                                      replay.uniform(0, 1, 3))
+        return cut, padded
+
     def test_rows_draws_the_full_mask_and_keeps_its_top(self):
-        x = Tensor(np.ones((3, 4)))
-        short_rng, full_rng = RandomSource(5), RandomSource(5)
-        short = T.dropout(x, T.dropout_mask(short_rng, 0.5, (7, 4), True))
-        full, = separate_masks(full_rng, 0.5, [(7, 4)])
-        np.testing.assert_array_equal(short.data, full[:3])
-        np.testing.assert_array_equal(short_rng.uniform(0, 1, 3),
-                                      full_rng.uniform(0, 1, 3))
+        """Every mask is drawn at the 7-id padded height; the encoder and
+        bridge masks keep their 3 top rows, as copies."""
+        encoder = EncoderConfig(d_model=4, n_heads=2, n_layers=1,
+                                vocab_size=16, max_len=7, dropout=0.5)
+        bundle = md.init_model(md.ModelConfig(
+            n_classes=2, encoder=encoder, hidden_units=3, d_rnn=4,
+            dense_units=4, dropout=0.5), seed=5)
+        example = md.Example(1, tokens=TokenSequence([3, 1, 4] + [PAD_ID] * 4,
+                                                     3))
+        cut, padded = self.drawn(bundle, example, 5, [(7, 4)] * 3 + [(7, 3)])
+        for keep, full in zip(cut[:3], padded):
+            np.testing.assert_array_equal(keep, full[:3])
+            assert keep.base is None
+        np.testing.assert_array_equal(cut[3], padded[3][2])
+        assert cut[3].base is None
 
     def test_mask_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            T.dropout(Tensor(np.ones((3, 4))), np.ones((3, 5)))
+        for shape in ((3, 5), (7, 4)):
+            with pytest.raises(DimensionError, match="dropout mask"):
+                T.dropout(Tensor(np.ones((3, 4))), np.ones(shape))
 
-    def test_fitted_mask_lets_the_padded_mask_go(self):
-        padded = T.dropout_mask(RandomSource(6), 0.5, (7, 4), True)
-        held = weakref.ref(padded)
-        fitted = T.fit_mask(padded, (3, 4))
-        np.testing.assert_array_equal(fitted, padded[:3])
-        del padded
-        assert held() is None
+    def test_fitted_mask_lets_the_padded_mask_go(self, monkeypatch):
+        """An imported 5-row matrix: the bridge mask is the padded draw,
+        copied, and the classifier row the one the summary reads, for a
+        bidirectional and a mean head; no padded draw outlives
+        ``draw_masks``."""
+        draws = []
+        dropout_mask = T.dropout_mask
+
+        def watched(*args):
+            keep = dropout_mask(*args)
+            draws.append(weakref.ref(keep))
+            return keep
+
+        monkeypatch.setattr(T, "dropout_mask", watched)
+        example = md.Example(0, matrix=np.ones((5, 3)))
+        for kind, state_rows in (("bi", 5), ("mean", 1)):
+            bundle = md.init_model(md.ModelConfig(
+                n_classes=2, embedding_source="imported", input_dim=3,
+                head_kind="mean" if kind == "mean" else "rnn",
+                bidirectional=True, hidden_units=2, d_rnn=4, dense_units=4,
+                dropout=0.5), seed=6)
+            draws.clear()
+            cut, padded = self.drawn(bundle, example, 6,
+                                     [(5, 3), (state_rows, 4)])
+            assert len(draws) == 2 and all(ref() is None for ref in draws)
+            np.testing.assert_array_equal(cut[0], padded[0])
+            np.testing.assert_array_equal(
+                cut[1], summary_mask_row(padded[1], 5, kind))
+            assert cut[0].base is None and cut[1].base is None
 
 
 class TestStructureOps:
@@ -490,7 +578,7 @@ class TestBackwardAgainstFiniteDifferences:
     def test_gather_and_pick(self, rng):
         table = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
         self.check(
-            lambda: T.pick(T.row(tanh(T.gather_rows(table, [1, 4, 1])), 0), 2),
+            lambda: pick(T.row(tanh(T.gather_rows(table, [1, 4, 1])), 0), 2),
             [table],
         )
 
