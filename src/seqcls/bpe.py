@@ -21,10 +21,19 @@ around them.  The best pair comes from a lazy max-heap keyed
 
 Encoding merges in rounds: each round merges every occurrence of the
 adjacent pair whose merge comes first in the merge list, left to right,
-then looks again.  A heap keyed on (rank, position) over a linked symbol
-list finds each round's pair without rescanning the text, and pairs a
-round creates enter the heap only after it, so the rounds stay exact even
-for a merge list that is not in training order.
+then looks again.  It runs on integer symbol ids, not strings: each
+vocabulary numbers its tokens, then any byte symbol, merge part or merge
+result that the token table lacks, and keeps one table from the pair key
+``left_id * stride + right_id`` to the pair's rank (a repeated merge
+takes its last rank) and the ``(left, right, joined)`` ids of each rank.
+The text's UTF-8 bytes map straight to symbol ids.  A heap keyed
+``rank * length + position`` over a linked symbol list finds each
+round's pair without rescanning the text, and a pair a round creates
+that ranks at or before it enters the heap only after it, so the rounds
+stay exact even for a merge list that is not in training order.  Each
+final symbol id turns back into its token once; ``to_sequence`` is then
+the one step that looks tokens up, maps the missing ones to UNK,
+truncates and pads.
 
 The fit ends with every corpus line merged into its final tokens, and
 hands that segmentation back on request (``segments=``), so a caller
@@ -85,13 +94,34 @@ class BpeVocabulary:
     token_to_id: dict[str, int]
     merges: list[tuple[str, str]]
     id_to_token: list[str] = field(init=False)
-    _ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
+    # encoding's integer tables: symbol id -> string, with the token ids
+    # first; the symbol id of each byte; pair key -> rank; the
+    # (left, right, joined) symbol ids of each rank
+    _symbols: list[str] = field(init=False, repr=False)
+    _byte_ids: tuple[int, ...] = field(init=False, repr=False)
+    _pair_ranks: dict[int, int] = field(init=False, repr=False)
+    _rules: list[tuple[int, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.id_to_token = [""] * len(self.token_to_id)
         for tok, i in self.token_to_id.items():
             self.id_to_token[i] = tok
-        self._ranks = {pair: r for r, pair in enumerate(self.merges)}
+        self._symbols = list(self.id_to_token)
+        ids = dict(self.token_to_id)
+
+        def symbol_id(symbol: str) -> int:
+            if symbol not in ids:
+                ids[symbol] = len(self._symbols)
+                self._symbols.append(symbol)
+            return ids[symbol]
+
+        self._byte_ids = tuple(map(symbol_id, _BYTE_SYMBOLS))
+        self._rules = [(symbol_id(left), symbol_id(right),
+                        symbol_id(left + right)) for left, right in self.merges]
+        stride = len(self._symbols)
+        # a later rank overwrites an earlier one for a repeated pair
+        self._pair_ranks = {left * stride + right: rank
+                            for rank, (left, right, _) in enumerate(self._rules)}
 
     def __len__(self) -> int:
         return len(self.token_to_id)
@@ -231,45 +261,61 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = 2, *,
     return BpeVocabulary(vocab, merges)
 
 
-def _apply_merges(vocab: BpeVocabulary, symbols: list[str]) -> list[str]:
-    """Merge in rounds: each round merges every occurrence of the adjacent
-    pair with the lowest rank, left to right without overlap."""
-    ranks, merges = vocab._ranks, vocab.merges
-    # None at both ends and in every slot a merge has emptied
-    seq: list[str | None] = [None, *symbols, None]
-    stride = len(seq)
-    nxt = list(range(1, stride + 1))
-    prv = list(range(-1, stride - 1))
-    # key rank * stride + position: pops rank by rank, each left to right
-    heap = [ranks[pair] * stride + i
-            for i, pair in enumerate(zip(symbols, symbols[1:]), 1)
-            if pair in ranks]
+def _apply_merges(vocab: BpeVocabulary, text: str) -> list[str]:
+    """Split ``text`` into its tokens: merge in rounds, each round merging
+    every occurrence of the adjacent pair with the lowest rank, left to
+    right without overlap."""
+    rank_of, rules = vocab._pair_ranks.get, vocab._rules
+    stride = len(vocab._symbols)
+    ids = [vocab._byte_ids[b] for b in text.encode("utf-8")]
+    # at both ends and in every slot a merge has emptied; any pair key it
+    # is part of is negative, so no rank matches it
+    empty = -stride * stride
+    seq = [empty, *ids, empty]
+    size = len(seq)
+    nxt = list(range(1, size + 1))
+    prv = list(range(-1, size - 1))
+    # key rank * size + position: pops rank by rank, each left to right
+    heap = [rank * size + i
+            for i, key in enumerate(map(stride.__mul__, ids), 1)
+            if (rank := rank_of(key + seq[i + 1])) is not None]
     heapq.heapify(heap)
+    # pairs a round creates that rank at or before it (only a hand-edited
+    # merge list has them) wait for the round to end; the others enter the
+    # heap at once, above every key the round pops, and a pop that finds
+    # its pair changed since skips it
+    late: list[int] = []
     while heap:
-        rank = heap[0] // stride
-        base = rank * stride
-        left, right = merges[rank]
-        joined = left + right
-        merged = []
-        while heap and heap[0] < base + stride:
+        rank = heap[0] // size
+        base = rank * size
+        top = base + size
+        left, right, joined = rules[rank]
+        while heap and heap[0] < top:
             i = heapq.heappop(heap) - base
             if seq[i] != left:
                 continue
             j = nxt[i]
             if seq[j] != right:
                 continue
-            after = nxt[j]
-            seq[i], seq[j] = joined, None
+            before, after = prv[i], nxt[j]
+            seq[i], seq[j] = joined, empty
             nxt[i], prv[after] = after, i
-            merged.append(i)
-        # pairs this round created wait for the next round, even when a
-        # hand-edited merge list ranks them below the pair just merged
-        for i in merged:
-            for at, pair in ((prv[i], (seq[prv[i]], joined)),
-                             (i, (joined, seq[nxt[i]]))):
-                if pair in ranks:
-                    heapq.heappush(heap, ranks[pair] * stride + at)
-    return [s for s in seq if s is not None]
+            if (new := rank_of(seq[before] * stride + joined)) is not None:
+                if new > rank:
+                    heapq.heappush(heap, new * size + before)
+                else:
+                    late.append(new * size + before)
+            if (new := rank_of(joined * stride + seq[after])) is not None:
+                if new > rank:
+                    heapq.heappush(heap, new * size + i)
+                else:
+                    late.append(new * size + i)
+        if late:
+            for key in late:
+                heapq.heappush(heap, key)
+            late.clear()
+    symbols = vocab._symbols
+    return [symbols[s] for s in seq if s != empty]
 
 
 def to_sequence(vocab: BpeVocabulary, tokens: list[str],
@@ -289,7 +335,7 @@ def to_sequence(vocab: BpeVocabulary, tokens: list[str],
 
 def encode(vocab: BpeVocabulary, text: str, max_len: int) -> TokenSequence:
     """Tokenize, then map to ids padded / truncated by ``to_sequence``."""
-    return to_sequence(vocab, _apply_merges(vocab, _to_symbols(text)), max_len)
+    return to_sequence(vocab, _apply_merges(vocab, text), max_len)
 
 
 def decode(vocab: BpeVocabulary, ids) -> str:
@@ -343,9 +389,15 @@ def load_vocabulary(path) -> BpeVocabulary:
             raise DataError(
                 f"token line {line!r} in {path} needs a tab and an integer id")
         token_to_id[tok] = int(idx)
-    merges = [tuple(line.split(" ")) for line in body[cut + 1:]]
-    if any(len(pair) != 2 for pair in merges):
-        raise DataError(f"a merge line in {path} lacks exactly one space")
+    merges = []
+    for line in body[cut + 1:]:
+        pair = tuple(line.split(" "))
+        if len(pair) != 2:
+            raise DataError(
+                f"merge line {line!r} in {path} lacks exactly one space")
+        if not all(pair):
+            raise DataError(f"merge line {line!r} in {path} has an empty part")
+        merges.append(pair)
     # decode maps every character of a non-reserved token back to a byte
     for tok in token_to_id:
         if tok not in RESERVED and not _BYTE_ALPHABET.issuperset(tok):

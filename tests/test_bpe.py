@@ -200,7 +200,7 @@ class TestProperties:
         vocab = train_small(["aabbaabb"], extra_tokens=8)
         for text, max_len in [("aabb", 16), ("aabbaabbaabbaabb", 4), ("", 6)]:
             seq = bpe.encode(vocab, text, max_len)
-            raw = len(bpe._apply_merges(vocab, bpe._to_symbols(text)))
+            raw = len(bpe._apply_merges(vocab, text))
             assert seq.length == min(raw, max_len)
 
     def test_encoding_independent_of_batching(self):
@@ -256,7 +256,7 @@ class TestReferenceEquivalence:
             assert fast == slow
             assert len(fast) < 261 + 5000
             for text in corpus:
-                assert len(bpe._apply_merges(fast, bpe._to_symbols(text))) <= 1
+                assert len(bpe._apply_merges(fast, text)) <= 1
 
     def test_shuffled_merge_list_encodes_like_the_reference(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -275,6 +275,67 @@ class TestReferenceEquivalence:
                 seq = bpe.encode(vocab, text, max_len=512)
                 assert seq.input_ids[:seq.length] == reference_ids(vocab, text)
 
+    def test_repeated_merge_takes_its_last_rank(self, tmp_path):
+        a, b, c = bpe._to_symbols("abc")
+        vocab = bpe.BpeVocabulary(bpe._base_vocabulary(),
+                                  [(a, b), (b, c), (a, b)])
+        # ("a","b") ranks 2, after ("b","c")
+        assert bpe._apply_merges(vocab, "abc") == [a, b + c]
+        rng = np.random.default_rng(9)
+        for trial in range(30):
+            alphabet = self.ALPHABETS[trial % len(self.ALPHABETS)]
+            corpus = random_corpus(rng, alphabet)
+            trained = bpe.train_bpe(corpus, 261 + 60, min_frequency=1)
+            merges = list(trained.merges)
+            for _ in range(len(merges)):
+                merges.insert(int(rng.integers(0, len(merges) + 1)),
+                              merges[int(rng.integers(0, len(merges)))])
+            path = tmp_path / "repeated.txt"
+            bpe.save_vocabulary(bpe.BpeVocabulary(trained.token_to_id, merges),
+                                path)
+            vocab = bpe.load_vocabulary(path)
+            assert vocab.merges == merges
+            for text in corpus + random_corpus(rng, alphabet):
+                seq = bpe.encode(vocab, text, max_len=512)
+                assert seq.input_ids[:seq.length] == reference_ids(vocab, text)
+
+    def check_stripped(self, seed, strip):
+        """Encode like the reference under a trained merge list whose token
+        table lacks the tokens ``strip`` picks; returns the UNK count."""
+        rng = np.random.default_rng(seed)
+        unks = 0
+        for trial in range(30):
+            alphabet = self.ALPHABETS[trial % len(self.ALPHABETS)]
+            corpus = random_corpus(rng, alphabet)
+            trained = bpe.train_bpe(corpus, 261 + 60, min_frequency=1)
+            dropped = strip(trained, rng)
+            kept = [t for t in trained.id_to_token if t not in dropped]
+            vocab = bpe.BpeVocabulary({t: i for i, t in enumerate(kept)},
+                                      trained.merges)
+            for text in corpus + random_corpus(rng, alphabet):
+                seq = bpe.encode(vocab, text, max_len=512)
+                ids = seq.input_ids[:seq.length]
+                assert ids == reference_ids(vocab, text)
+                unks += ids.count(bpe.UNK_ID)
+        return unks
+
+    def test_merges_missing_from_the_token_table_encode_to_unk(self):
+        def strip(trained, rng):
+            # about half of the merge results; a dropped result that is a
+            # later merge's part leaves that part missing too
+            return {left + right for left, right in trained.merges
+                    if rng.random() < 0.5}
+        assert self.check_stripped(10, strip) > 0
+
+    def test_vocabulary_without_a_byte_symbol(self):
+        def strip(trained, rng):
+            used = sorted({s for pair in trained.merges for s in pair}
+                          & set(bpe._BYTE_SYMBOLS))
+            # half of the byte symbols the merges use, rounded up
+            picks = rng.permutation(len(used))[:(len(used) + 1) // 2]
+            return {used[k] for k in picks}
+        assert self.check_stripped(11, strip) > 0
+
 
 class TestFitSegments:
     """train_bpe's segments equal what encoding each corpus line gives."""
@@ -287,7 +348,7 @@ class TestFitSegments:
         assert len(segments) == len(corpus)
         for text, tokens in zip(corpus, segments):
             symbols = bpe._to_symbols(text)
-            assert tokens == bpe._apply_merges(vocab, symbols), text
+            assert tokens == bpe._apply_merges(vocab, text), text
             assert tokens == reference_apply_merges(vocab, symbols), text
         return vocab, segments
 
@@ -344,9 +405,13 @@ class TestVocabularyFile:
         lambda lines: lines[:3] + ["tok\tx7"] + lines[3:],
         lambda lines: lines + ["one two three"],
         lambda lines: lines + ["nospace"],
+        lambda lines: lines + [bpe._to_symbols("a")[0] + " "],
+        lambda lines: lines + [" " + bpe._to_symbols("a")[0]],
+        lambda lines: lines + [" "],
         lambda lines: [lines[0], lines[1].replace("\t0", "\t900")] + lines[2:],
         lambda lines: [lines[0], lines[1].replace("\t0", "\t1")] + lines[2:],
     ], ids=["no-tab", "non-int-id", "merge-two-spaces", "merge-no-space",
+            "merge-empty-right", "merge-empty-left", "merge-both-empty",
             "id-gap", "id-repeated"])
     def test_malformed_lines_raise_data_error(self, tmp_path, edit):
         vocab = train_small(["alpha beta alpha beta"], extra_tokens=4)
