@@ -30,13 +30,13 @@ The text's UTF-8 bytes map straight to symbol ids.  A heap keyed
 ``rank * length + position`` over a linked symbol list finds each
 round's pair without rescanning the text, and a pair a round creates
 that ranks at or before it enters the heap only after it, so the rounds
-stay exact even for a merge list that is not in training order.  Each
-final symbol id turns back into its token once; ``to_sequence`` is then
-the one step that looks tokens up, maps the missing ones to UNK,
-truncates and pads.
+stay exact even for a merge list that is not in training order.  Every
+symbol id below the vocabulary size is its token id, and every other one
+(a byte symbol, merge part or merge result the token table lacks)
+encodes as UNK, so ``to_sequence`` only truncates and pads.
 
 The fit ends with every corpus line merged into its final tokens, and
-hands that segmentation back on request (``segments=``), so a caller
+hands their ids back on request (``segments=``), so a caller
 that fits on a corpus need not encode it again.  It is what ``encode``
 gives each line under the trained merge list: every merge creates a
 token that did not exist before, so no pair merged earlier forms again,
@@ -94,10 +94,11 @@ class BpeVocabulary:
     token_to_id: dict[str, int]
     merges: list[tuple[str, str]]
     id_to_token: list[str] = field(init=False)
-    # encoding's integer tables: symbol id -> string, with the token ids
-    # first; the symbol id of each byte; pair key -> rank; the
-    # (left, right, joined) symbol ids of each rank
-    _symbols: list[str] = field(init=False, repr=False)
+    # encoding's integer tables: the symbol id count (the token ids, then
+    # any byte symbol, merge part or merge result the token table lacks);
+    # the symbol id of each byte; pair key -> rank; the (left, right,
+    # joined) symbol ids of each rank
+    _stride: int = field(init=False, repr=False)
     _byte_ids: tuple[int, ...] = field(init=False, repr=False)
     _pair_ranks: dict[int, int] = field(init=False, repr=False)
     _rules: list[tuple[int, int, int]] = field(init=False, repr=False)
@@ -106,19 +107,15 @@ class BpeVocabulary:
         self.id_to_token = [""] * len(self.token_to_id)
         for tok, i in self.token_to_id.items():
             self.id_to_token[i] = tok
-        self._symbols = list(self.id_to_token)
         ids = dict(self.token_to_id)
 
         def symbol_id(symbol: str) -> int:
-            if symbol not in ids:
-                ids[symbol] = len(self._symbols)
-                self._symbols.append(symbol)
-            return ids[symbol]
+            return ids.setdefault(symbol, len(ids))
 
         self._byte_ids = tuple(map(symbol_id, _BYTE_SYMBOLS))
         self._rules = [(symbol_id(left), symbol_id(right),
                         symbol_id(left + right)) for left, right in self.merges]
-        stride = len(self._symbols)
+        stride = self._stride = len(ids)
         # a later rank overwrites an earlier one for a repeated pair
         self._pair_ranks = {left * stride + right: rank
                             for rank, (left, right, _) in enumerate(self._rules)}
@@ -175,8 +172,8 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = 2, *,
     Stops when the vocabulary reaches ``vocab_size`` or no pair occurs
     at least ``min_frequency`` times.  ``corpus`` is any iterable of
     strings.  Given a list as ``segments``, appends each corpus line's
-    final tokens to it, in corpus order: what ``encode`` gives that line
-    under the returned vocabulary.
+    final token ids to it, in corpus order: what ``encode`` gives that
+    line under the returned vocabulary, before truncation and padding.
     """
     base = _base_vocabulary()
     if vocab_size <= len(base):
@@ -248,7 +245,7 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = 2, *,
                 heapq.heappush(heap, (-counts[new], new))
     if segments is not None:
         # walk the live slots only; each separator closes one line
-        tokens: list[str] = []
+        tokens: list[int] = []
         i = nxt[0]
         while i < len(symbols):
             symbol = symbols[i]
@@ -256,17 +253,17 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = 2, *,
                 segments.append(tokens)
                 tokens = []
             else:
-                tokens.append(symbol)
+                tokens.append(vocab[symbol])
             i = nxt[i]
     return BpeVocabulary(vocab, merges)
 
 
-def _apply_merges(vocab: BpeVocabulary, text: str) -> list[str]:
-    """Split ``text`` into its tokens: merge in rounds, each round merging
-    every occurrence of the adjacent pair with the lowest rank, left to
-    right without overlap."""
+def _apply_merges(vocab: BpeVocabulary, text: str) -> list[int]:
+    """Split ``text`` into its token ids: merge in rounds, each round
+    merging every occurrence of the adjacent pair with the lowest rank,
+    left to right without overlap.  A symbol the token table lacks is UNK."""
     rank_of, rules = vocab._pair_ranks.get, vocab._rules
-    stride = len(vocab._symbols)
+    stride = vocab._stride
     ids = [vocab._byte_ids[b] for b in text.encode("utf-8")]
     # at both ends and in every slot a merge has emptied; any pair key it
     # is part of is negative, so no rank matches it
@@ -314,28 +311,25 @@ def _apply_merges(vocab: BpeVocabulary, text: str) -> list[str]:
             for key in late:
                 heapq.heappush(heap, key)
             late.clear()
-    symbols = vocab._symbols
-    return [symbols[s] for s in seq if s != empty]
+    n_tokens = len(vocab)
+    return [s if s < n_tokens else UNK_ID for s in seq if s != empty]
 
 
-def to_sequence(vocab: BpeVocabulary, tokens: list[str],
-                max_len: int) -> TokenSequence:
-    """Map tokens to ids, then pad with PAD / truncate to ``max_len``.
+def to_sequence(ids: list[int], max_len: int) -> TokenSequence:
+    """Pad ``ids`` with PAD / truncate them to ``max_len``.
 
-    Truncation keeps the head of the sequence.  Tokens missing from the
-    vocabulary map to UNK.
+    Truncation keeps the head of the sequence.
     """
     if max_len < 2:
         raise ParameterError(f"max_len must be >= 2, got {max_len}")
-    lookup = vocab.token_to_id.get
-    ids = [lookup(tok, UNK_ID) for tok in tokens[:max_len]]
+    ids = ids[:max_len]
     length = len(ids)
     return TokenSequence(ids + [PAD_ID] * (max_len - length), length)
 
 
 def encode(vocab: BpeVocabulary, text: str, max_len: int) -> TokenSequence:
-    """Tokenize, then map to ids padded / truncated by ``to_sequence``."""
-    return to_sequence(vocab, _apply_merges(vocab, text), max_len)
+    """Tokenize to ids, padded / truncated by ``to_sequence``."""
+    return to_sequence(_apply_merges(vocab, text), max_len)
 
 
 def decode(vocab: BpeVocabulary, ids) -> str:

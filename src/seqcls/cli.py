@@ -274,8 +274,8 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
             # the fit has already segmented every training line
             examples["train"] = [
                 Example(label=s.label,
-                        tokens=to_sequence(vocab, tokens, config.max_len))
-                for s, tokens in zip(splits.train, segments)]
+                        tokens=to_sequence(ids, config.max_len))
+                for s, ids in zip(splits.train, segments)]
         for name in SPLIT_NAMES:
             if name not in examples:
                 examples[name] = _encode_split(vocab, getattr(splits, name),
@@ -429,7 +429,7 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
     out.mkdir(parents=True, exist_ok=True)
     loaded = load_jsonl(data, schema=schema)
     samples, _ = dedupe(loaded.samples)
-    segments: list[list[str]] = []
+    segments: list[list[int]] = []
     vocab = train_bpe((s.code for s in samples), vocab_size, segments=segments)
     config = EncoderConfig(d_model=d_model, n_heads=n_heads,
                            n_layers=n_layers, vocab_size=len(vocab),
@@ -441,7 +441,7 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
                                named)
     mask_rng = root.derive("mask")
     order_rng = root.derive("order")
-    tokens = [to_sequence(vocab, line, max_len) for line in segments]
+    tokens = [to_sequence(ids, max_len) for ids in segments]
     log_lines = ["step\tloss"]
     for step in range(1, steps + 1):
         index = int(order_rng.integers(0, len(tokens)))

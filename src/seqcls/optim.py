@@ -1,12 +1,15 @@
 """Optimizers and the supervised training loop.
 
-Three first-order methods share one interface: AdamW (decoupled weight
-decay), NAdam (Nesterov first moment), and RMSprop.  A run sets only the
-method, the learning rate and the weight decay; the moment decay rates
-(BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and the
-denominator guard EPS are module constants.  Weight decay, when on,
-applies to every trained tensor alike, biases and layer-norm gains
-included: there is no exclusion list.
+One ``Optimizer`` class runs three first-order methods: AdamW (decoupled
+weight decay), NAdam (Nesterov first moment), and RMSprop.  A run sets
+only the method, the learning rate and the weight decay; the moment
+decay rates (BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and
+the denominator guard EPS are module constants.  Each parameter's two
+moment arrays are updated in place, and a step checks every gradient
+before it touches anything, so a step that raises on a non-finite
+gradient changes nothing.  Weight decay, when on, applies to every
+trained tensor alike, biases and layer-norm gains included: there is no
+exclusion list.
 
 The training loop runs seeded-shuffle mini-batches: each batch is one
 ``forward_example`` call (the encoder per sample, the head once over
@@ -29,7 +32,7 @@ from .errors import DataError, NumericError, ParameterError
 from .heads import average_losses, predict
 from .model import Example, ModelBundle, forward_example
 from .rng import RandomSource
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 OPTIMIZERS = ("adamw", "nadam", "rmsprop")
 
@@ -58,77 +61,51 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """First-order update over named parameters with per-slot moments."""
+    """The configured method's update, applied to each named parameter;
+    ``moments`` holds each one's (first, second) moment, aligned with
+    ``params``."""
 
     def __init__(self, config: OptimizerConfig, named_params):
         self.config = config
         self.params = list(named_params)
         self.step_count = 0
-        self.first_moment = {
-            name: np.zeros_like(p.data) for name, p in self.params
-        }
-        self.second_moment = {
-            name: np.zeros_like(p.data) for name, p in self.params
-        }
-
-    def _gradient(self, name: str, tensor: Tensor) -> np.ndarray:
-        g = tensor.grad
-        if g is None:
-            return np.zeros_like(tensor.data)
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        return g
+        self.moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
+                        for _, p in self.params]
 
     def step(self) -> None:
+        grads = [tensor.grad for _, tensor in self.params]
+        for (name, _), g in zip(self.params, grads):
+            if g is not None and not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
-        c = self.config
-        for name, tensor in self.params:
-            g = self._gradient(name, tensor)
-            update = self._update(name, g)
+        c, t = self.config, self.step_count
+        for (_, tensor), g, (m, v) in zip(self.params, grads, self.moments):
+            if g is None:
+                g = np.zeros_like(tensor.data)
+            if c.algorithm == "rmsprop":
+                v *= RHO
+                v += (1 - RHO) * g * g
+                update = c.lr * g / (np.sqrt(v) + EPS)
+            else:
+                m *= BETA1
+                m += (1 - BETA1) * g
+                v *= BETA2
+                v += (1 - BETA2) * g * g
+                m_hat = m / (1.0 - BETA1 ** t)
+                if c.algorithm == "nadam":
+                    m_hat = BETA1 * m_hat + (1 - BETA1) / (1.0 - BETA1 ** t) * g
+                update = c.lr * m_hat / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
             if c.weight_decay > 0.0:
                 update = update + c.lr * c.weight_decay * tensor.data
             tensor.data = tensor.data - update
-
-    def _update(self, name: str, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def zero_grad(self) -> None:
         for _, tensor in self.params:
             tensor.zero_grad()
 
 
-class AdamW(Optimizer):
-    def _update(self, name, g):
-        t = self.step_count
-        m = self.first_moment[name] = BETA1 * self.first_moment[name] + (1 - BETA1) * g
-        v = self.second_moment[name] = BETA2 * self.second_moment[name] + (1 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        return self.config.lr * m_hat / (np.sqrt(v_hat) + EPS)
-
-
-class NAdam(Optimizer):
-    def _update(self, name, g):
-        t = self.step_count
-        m = self.first_moment[name] = BETA1 * self.first_moment[name] + (1 - BETA1) * g
-        v = self.second_moment[name] = BETA2 * self.second_moment[name] + (1 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        nesterov = BETA1 * m_hat + (1 - BETA1) / (1.0 - BETA1 ** t) * g
-        return self.config.lr * nesterov / (np.sqrt(v_hat) + EPS)
-
-
-class RMSprop(Optimizer):
-    def _update(self, name, g):
-        v = self.second_moment[name] = RHO * self.second_moment[name] + (1 - RHO) * g * g
-        return self.config.lr * g / (np.sqrt(v) + EPS)
-
-
-_OPTIMIZER_CLASSES = {"adamw": AdamW, "nadam": NAdam, "rmsprop": RMSprop}
-
-
 def make_optimizer(config: OptimizerConfig, named_params) -> Optimizer:
-    return _OPTIMIZER_CLASSES[config.algorithm](config, named_params)
+    return Optimizer(config, named_params)
 
 
 @dataclass

@@ -279,8 +279,9 @@ class TestReferenceEquivalence:
         a, b, c = bpe._to_symbols("abc")
         vocab = bpe.BpeVocabulary(bpe._base_vocabulary(),
                                   [(a, b), (b, c), (a, b)])
-        # ("a","b") ranks 2, after ("b","c")
-        assert bpe._apply_merges(vocab, "abc") == [a, b + c]
+        # ("a","b") ranks 2, after ("b","c"); the base table lacks "bc"
+        assert bpe._apply_merges(vocab, "abc") == [vocab.token_to_id[a],
+                                                   bpe.UNK_ID]
         rng = np.random.default_rng(9)
         for trial in range(30):
             alphabet = self.ALPHABETS[trial % len(self.ALPHABETS)]
@@ -346,10 +347,9 @@ class TestFitSegments:
                               segments=segments)
         assert vocab == bpe.train_bpe(corpus, vocab_size, min_frequency)
         assert len(segments) == len(corpus)
-        for text, tokens in zip(corpus, segments):
-            symbols = bpe._to_symbols(text)
-            assert tokens == bpe._apply_merges(vocab, text), text
-            assert tokens == reference_apply_merges(vocab, symbols), text
+        for text, ids in zip(corpus, segments):
+            assert ids == bpe._apply_merges(vocab, text), text
+            assert ids == reference_ids(vocab, text), text
         return vocab, segments
 
     @pytest.mark.parametrize("min_frequency", [1, 2, 3])
@@ -363,9 +363,9 @@ class TestFitSegments:
 
     def test_runs_empty_lines_and_multibyte_text(self):
         corpus = ["aaaa", "", "aaaaa", "é日𝄞 é日𝄞", "", "aaaa é日"]
-        _, segments = self.check(corpus, 261 + 40, 1)
+        vocab, segments = self.check(corpus, 261 + 40, 1)
         assert segments[1] == segments[4] == []
-        assert "".join(segments[0]) == "".join(bpe._to_symbols("aaaa"))
+        assert bpe.decode(vocab, segments[0]) == "aaaa"
 
     def test_vocabulary_cap_stops_the_fit_early(self):
         corpus = ["def add(a, b): return a + b"] * 3 + ["int main() { }"]
@@ -377,7 +377,8 @@ class TestFitSegments:
         corpus = ["abc", "def", ""]
         vocab, segments = self.check(corpus, 261 + 10, 2)
         assert vocab.merges == []
-        assert segments == [bpe._to_symbols(text) for text in corpus]
+        assert segments == [[vocab.token_to_id[s] for s in bpe._to_symbols(text)]
+                            for text in corpus]
 
 
 class TestVocabularyFile:

@@ -31,7 +31,7 @@ from seqcls.encoder import save_embeddings
 from seqcls.errors import DataError, ParameterError
 from seqcls.model import (ModelConfig, init_model, load_checkpoint,
                           save_checkpoint)
-from seqcls.optim import evaluate
+from seqcls.optim import OPTIMIZERS, evaluate
 
 
 def read_results(path):
@@ -270,9 +270,11 @@ class TestTrainCommand:
         assert test_row.accuracy == baseline.accuracy
         assert test_row.f1_weighted == baseline.f1_weighted
 
-    def test_same_seed_reruns_are_byte_identical(self, corpus, tmp_path):
-        config_a = small_config(corpus, tmp_path / "a")
-        config_b = small_config(corpus, tmp_path / "b")
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_same_seed_reruns_are_byte_identical(self, corpus, tmp_path,
+                                                 optimizer):
+        config_a = small_config(corpus, tmp_path / "a", optimizer=optimizer)
+        config_b = small_config(corpus, tmp_path / "b", optimizer=optimizer)
         rows_a = cmd_train(config_a, clock=FakeClock())
         rows_b = cmd_train(config_b, clock=FakeClock())
         assert rows_a == rows_b

@@ -209,12 +209,21 @@ class TestOptimizerCommon:
 
     @pytest.mark.parametrize("algorithm", op.OPTIMIZERS)
     def test_non_finite_gradient_names_the_parameter(self, algorithm):
-        theta, named = single_param([1.0])
+        # an earlier parameter with a finite gradient: a step that raises
+        # must leave it, its moments and the step count as they were
+        first = Tensor(np.array([1.0]), requires_grad=True)
+        theta = Tensor(np.array([1.0]), requires_grad=True)
         optimizer = op.make_optimizer(
-            op.OptimizerConfig(algorithm=algorithm, lr=0.01), named)
+            op.OptimizerConfig(algorithm=algorithm, lr=0.1),
+            [("first", first), ("theta", theta)])
+        first.grad = np.array([1.0])
         theta.grad = np.array([np.nan])
         with pytest.raises(NumericError, match="theta"):
             optimizer.step()
+        assert optimizer.step_count == 0
+        assert np.array_equal(first.data, [1.0])
+        for moment in optimizer.moments[0]:
+            assert np.array_equal(moment, [0.0])
 
     def test_missing_gradient_treated_as_zero(self):
         theta, named = single_param([1.0])
