@@ -236,6 +236,9 @@ def _imported_samples(path):
     widths = {matrix.shape[1] for matrix, _ in rows}
     if len(widths) > 1:
         raise DataError(f"embedding widths differ: {sorted(widths)}")
+    labels = sorted({int(label) for _, label in rows})
+    if labels != list(range(len(labels))):
+        raise DataError(f"embedding labels in {path} are not 0..K-1: {labels}")
     placeholders = [LabeledSample(code=f"<imported {i}>", label=int(label),
                                   source_id=str(i))
                     for i, (_, label) in enumerate(rows)]

@@ -1,16 +1,16 @@
 """Recurrent classification heads over contextual embeddings.
 
-The head runs once per mini-batch.  ``pipeline_forward`` stacks the
-batch's sequences, every row a real token, into a zero-padded
-(B, T, d) array with a length vector, then runs: dropout and linear
-bridge (one op, one GEMM) -> recurrent scan (vanilla/LSTM/GRU, unidirectional
-or bidirectional) -> summary rows -> dropout -> dense+ReLU -> output
-layer -> softmax -> cross-entropy, each once over the batch.  A
-sequence is summarized by its last hidden state; bidirectional runs
-concatenate the forward state at its last row with the backward state
-at row 0.  An order-blind variant replaces the scan with mean pooling
-over each sequence's rows, as a baseline for order-sensitivity
-comparisons.
+The head runs once per mini-batch over the batch's sequences, every row
+a real token, and their length vector.  ``pipeline_forward`` runs: the
+bridge, which stacks, masks and projects the batch into a zero-padded
+(B, T, d_rnn) array as one op (one GEMM) -> recurrent scan
+(vanilla/LSTM/GRU, unidirectional or bidirectional) -> summary rows ->
+dropout -> dense+ReLU -> output layer -> softmax -> cross-entropy, each
+once over the batch.  A sequence is summarized by its last hidden state;
+bidirectional runs concatenate the forward state at its last row with
+the backward state at row 0.  An order-blind variant replaces the scan
+with mean pooling over each sequence's rows, as a baseline for
+order-sensitivity comparisons.
 
 Each scan direction is one tape op over the batch (Appleyard, Kocisky &
 Blunsom, 2016): the gates are stacked in VARIANT_GATES order, the input
@@ -472,32 +472,43 @@ def average_losses(losses: Tensor) -> Tensor:
     return tt.make_output(np.cumsum(losses.data)[-1] * scale, (losses,), backward)
 
 
-def bridge_forward(bridge: BridgeParams, x: Tensor,
-                   keep: np.ndarray | None) -> Tensor:
-    """``(x * keep) @ W + b`` over a (B, T, d_in) stack as one tape op;
-    ``keep`` None drops nothing.  The backward rule recomputes
-    ``x * keep`` rather than keeping it."""
+def bridge_forward(bridge: BridgeParams, sequences: list[Tensor],
+                   keeps: list[np.ndarray] | None = None) -> Tensor:
+    """``(x * keep) @ W + b`` over a batch of (rows, d_in) sequences as one
+    tape op, returning (B, T, d_rnn).  Each sequence times its bridge mask
+    (``keeps`` None drops nothing) is written into one zero-padded
+    (B, T, d_in) array, which one GEMM projects and the backward rule
+    reuses for W's gradient; each sequence gets its own rows of the
+    input gradient, masked."""
     w, b = bridge.w, bridge.b
     d_in, d_rnn = w.shape
-    if x.data.ndim != 3 or x.shape[2] != d_in:
-        raise DimensionError(f"bridge input {x.shape} vs weight {w.shape}")
-
-    def dropped():
-        return (x.data if keep is None else x.data * keep).reshape(-1, d_in)
-
-    data = (dropped() @ w.data).reshape(*x.shape[:2], d_rnn) + b.data
+    for i, s in enumerate(sequences):
+        if s.data.ndim != 2 or s.shape[1] != d_in:
+            raise DimensionError(f"bridge input {s.shape} vs weight {w.shape}")
+        if keeps is not None and keeps[i].shape != s.shape:
+            raise DimensionError(
+                f"bridge mask {keeps[i].shape} vs sequence {s.shape}")
+    lengths = [len(s.data) for s in sequences]
+    x = np.zeros((len(sequences), max(lengths), d_in))
+    for i, s in enumerate(sequences):
+        x[i, :lengths[i]] = s.data if keeps is None else s.data * keeps[i]
+    flat = x.reshape(-1, d_in)
+    data = (flat @ w.data).reshape(*x.shape[:2], d_rnn) + b.data
 
     def backward(g):
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 1)))
         g2 = g.reshape(-1, d_rnn)
-        if x.requires_grad:
+        if any(s.requires_grad for s in sequences):
             dx = (g2 @ w.data.T).reshape(x.shape)
-            x.accumulate_grad(dx if keep is None else dx * keep)
+            for i, s in enumerate(sequences):
+                if s.requires_grad:
+                    rows = dx[i, :lengths[i]]
+                    s.accumulate_grad(rows if keeps is None else rows * keeps[i])
         if w.requires_grad:
-            w.accumulate_grad(dropped().T @ g2)
+            w.accumulate_grad(flat.T @ g2)
 
-    return tt.make_output(data, (x, w, b), backward)
+    return tt.make_output(data, (*sequences, w, b), backward)
 
 
 class HeadMasks(NamedTuple):
@@ -513,23 +524,18 @@ def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
     """The full head once over a batch of sequences, one row per real token;
     returns ((B, k) probabilities, (B,) losses or None without ``labels``).
 
-    The sequences are stacked into (B, T, d) with a length vector; the
-    bridge, scan (``cell`` None: mean pooling), summary, classifier and
-    loss each run once.  ``masks`` holds each sequence's
-    :class:`HeadMasks`, in the shape applied, or is None for no dropout.
+    The bridge stacks, masks and projects the batch as one op into
+    (B, T, d_rnn); it, the scan (``cell`` None: mean pooling), summary,
+    classifier and loss each run once, with a length vector.  ``masks``
+    holds each sequence's :class:`HeadMasks`, in the shape applied, or is
+    None for no dropout.
     """
     lengths = np.array([len(s.data) for s in sequences], dtype=np.intp)
-    x = tt.stack_padded(sequences)
-    bridge_keep = head_keep = None
+    bridge_keeps = head_keep = None
     if masks is not None:
-        bridge_keep = np.zeros(x.shape)
-        for i, (s, m) in enumerate(zip(sequences, masks)):
-            if m.bridge.shape != s.shape:
-                raise DimensionError(
-                    f"bridge mask {m.bridge.shape} vs sequence {s.shape}")
-            bridge_keep[i, :lengths[i]] = m.bridge
+        bridge_keeps = [m.bridge for m in masks]
         head_keep = np.stack([m.classifier for m in masks])
-    z = bridge_forward(bridge, x, bridge_keep)
+    z = bridge_forward(bridge, sequences, bridge_keeps)
     if cell is None:
         summary = mean_pool_forward(z, lengths)
     else:

@@ -4,12 +4,12 @@ One ``Optimizer`` class runs three first-order methods: AdamW (decoupled
 weight decay), NAdam (Nesterov first moment), and RMSprop.  A run sets
 only the method, the learning rate and the weight decay; the moment
 decay rates (BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and
-the denominator guard EPS are module constants.  Each parameter's two
-moment arrays are updated in place, and a step checks every gradient
-before it touches anything, so a step that raises on a non-finite
-gradient changes nothing.  Weight decay, when on, applies to every
-trained tensor alike, biases and layer-norm gains included: there is no
-exclusion list.
+the denominator guard EPS are module constants.  Each parameter's
+moment arrays (two under AdamW and NAdam, one under RMSprop) are
+updated in place, and a step checks every gradient before it touches
+anything, so a step that raises on a non-finite gradient changes
+nothing.  Weight decay, when on, applies to every trained tensor alike,
+biases and layer-norm gains included: there is no exclusion list.
 
 The training loop runs seeded-shuffle mini-batches: each batch is one
 ``forward_example`` call (the encoder per sample, the head once over
@@ -62,14 +62,15 @@ class OptimizerConfig:
 
 class Optimizer:
     """The configured method's update, applied to each named parameter;
-    ``moments`` holds each one's (first, second) moment, aligned with
-    ``params``."""
+    ``moments`` holds each one's moments, aligned with ``params``: (first,
+    second) under AdamW and NAdam, (second,) under RMSprop."""
 
     def __init__(self, config: OptimizerConfig, named_params):
         self.config = config
         self.params = list(named_params)
         self.step_count = 0
-        self.moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
+        count = 1 if config.algorithm == "rmsprop" else 2
+        self.moments = [tuple(np.zeros_like(p.data) for _ in range(count))
                         for _, p in self.params]
 
     def step(self) -> None:
@@ -79,14 +80,16 @@ class Optimizer:
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         c, t = self.config, self.step_count
-        for (_, tensor), g, (m, v) in zip(self.params, grads, self.moments):
+        for (_, tensor), g, moments in zip(self.params, grads, self.moments):
             if g is None:
                 g = np.zeros_like(tensor.data)
             if c.algorithm == "rmsprop":
+                v, = moments
                 v *= RHO
                 v += (1 - RHO) * g * g
                 update = c.lr * g / (np.sqrt(v) + EPS)
             else:
+                m, v = moments
                 m *= BETA1
                 m += (1 - BETA1) * g
                 v *= BETA2
@@ -205,7 +208,6 @@ def train(bundle: ModelBundle, train_examples: list[Example],
     n_classes = bundle.config.n_classes
     root = RandomSource(config.seed)
     result = TrainResult(best_epoch=0, best_val_accuracy=-1.0)
-    best_state = {name: p.data.copy() for name, p in bundle.all_named_parameters()}
 
     for epoch in range(1, config.epochs + 1):
         start = clock()
@@ -235,12 +237,14 @@ def train(bundle: ModelBundle, train_examples: list[Example],
             val_f1_weighted=val_report.f1_weighted,
             wall_seconds=clock() - start,
         ))
+        # the first epoch always beats -1.0, so it takes the first snapshot
         if val_report.accuracy > result.best_val_accuracy:
             result.best_val_accuracy = val_report.accuracy
             result.best_epoch = epoch
             best_state = {name: p.data.copy()
                           for name, p in bundle.all_named_parameters()}
 
+    # the snapshot's arrays are held nowhere else: no copy needed
     for name, p in bundle.all_named_parameters():
-        p.data = best_state[name].copy()
+        p.data = best_state[name]
     return result

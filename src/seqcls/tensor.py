@@ -282,28 +282,6 @@ def row(x: Tensor, i: int) -> Tensor:
     return make_output(x.data[i].copy(), (x,), backward)
 
 
-def stack_padded(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors of one width into (len(parts), longest, width),
-    zero past each part's own rows; backward hands each part its rows."""
-    width = parts[0].shape[1:]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1:] != width:
-            raise DimensionError(f"stack_padded needs 2-D tensors of one width, "
-                                 f"got {p.shape} vs {width}")
-    lengths = [len(p.data) for p in parts]
-    data = np.zeros((len(parts), max(lengths), *width))
-    for i, p in enumerate(parts):
-        data[i, :lengths[i]] = p.data
-    held = list(parts)
-
-    def backward(g):
-        for i, p in enumerate(held):
-            if p.requires_grad:
-                p.accumulate_grad(g[i, :lengths[i]])
-
-    return make_output(data, held, backward)
-
-
 def gather_rows_rule(table: Tensor, ids: Sequence[int]):
     """Rows of ``table`` by index (embedding lookup): the one copy of this
     math, shared by ``gather_rows`` and the encoder op.

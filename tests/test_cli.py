@@ -233,6 +233,17 @@ class TestPrepare:
         prepare(config, vocab=prepared.vocab)
         assert len(calls) == sum(map(len, prepared.examples.values()))
 
+    def test_imported_labels_outside_0_to_k_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "gap.sqf1"
+        save_embeddings(path, [(rng.uniform(-1, 1, (3, 4)), 2 * (i % 2))
+                               for i in range(20)])
+        config = RunConfig(data="unused.jsonl", out_dir=str(tmp_path / "run"),
+                           embeddings=str(path))
+        with pytest.raises(DataError, match=r"gap\.sqf1 are not 0\.\.K-1: "
+                                            r"\[0, 2\]"):
+            prepare(config)
+
 
 class TestTrainCommand:
     def test_run_directory_artifacts(self, corpus, tmp_path):

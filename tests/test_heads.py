@@ -624,38 +624,57 @@ class TestPipelineForward:
             assert tt.check_gradients(loss, tensors) < 1e-4
 
 
+def stack_padded(parts):
+    """The batch as one zero-padded (B, T, d) tape op; the backward rule
+    hands each part its own rows."""
+    stacked, lengths = batch_of([p.data for p in parts])
+
+    def backward(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                p.accumulate_grad(g[i, :lengths[i]])
+
+    return tt.make_output(stacked.data, parts, backward)
+
+
 class TestBridge:
-    """The fused bridge, ``(x * keep) @ W + b`` as one op, against the
-    dropout -> matmul -> bias-add graph it replaced."""
+    """The fused bridge, each sequence stacked, masked and projected as
+    one op, against the stack -> dropout -> matmul -> bias-add graph it
+    replaced."""
 
     @staticmethod
     def operands(seed, dropped):
+        """A ragged batch that holds one tensor twice, each place with its
+        own mask."""
         rng = RandomSource(seed)
         bridge = hd.init_bridge(5, 3, rng.derive("bridge"))
         bridge.b.data += rng.uniform(-0.5, 0.5, 3)
-        x = Tensor(rng.uniform(-1, 1, (4, 6, 5)), requires_grad=True)
-        x.data[1, 2:] = 0.0  # a padded sequence
-        keep = None
+        a, b = (Tensor(rng.uniform(-1, 1, (n, 5)), requires_grad=True)
+                for n in (4, 2))
+        sequences = [a, b, a]
+        keeps = None
         if dropped:
-            keep = tt.dropout_mask(rng, 0.4, x.shape, training=True)
-            keep[1, 2:] = 0.0
-        probe = Tensor(rng.uniform(-1, 1, (4, 6, 3)))
-        return bridge, x, keep, probe
+            keeps = [tt.dropout_mask(rng, 0.4, s.shape, training=True)
+                     for s in sequences]
+        probe = Tensor(rng.uniform(-1, 1, (3, 4, 3)))
+        return bridge, sequences, keeps, probe
 
     @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
     def test_matches_unfused_graph_bit_for_bit(self, dropped):
-        bridge, x, keep, probe = self.operands(95, dropped)
-        tensors = [x, bridge.w, bridge.b]
+        bridge, sequences, keeps, probe = self.operands(95, dropped)
+        tensors = [sequences[0], sequences[1], bridge.w, bridge.b]
 
-        def unfused(bridge, x, keep):
-            return add(tt.matmul(tt.dropout(x, keep), bridge.w), bridge.b)
+        def unfused(bridge, sequences, keeps):
+            keep = None if keeps is None else batch_of(keeps)[0].data
+            return add(tt.matmul(tt.dropout(stack_padded(sequences), keep),
+                                 bridge.w), bridge.b)
 
         results = []
         for forward in (hd.bridge_forward, unfused):
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
-                out = forward(bridge, x, keep)
+                out = forward(bridge, sequences, keeps)
                 tape.backward(tt.sum_all(tt.mul(out, probe)))
             results.append([out.data] + [t.grad.copy() for t in tensors])
         for fused, ref in zip(*results):
@@ -663,24 +682,42 @@ class TestBridge:
 
     @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
     def test_gradients_match_finite_differences(self, dropped):
-        bridge, x, keep, probe = self.operands(96, dropped)
+        bridge, sequences, keeps, probe = self.operands(96, dropped)
 
         def loss():
-            return tt.sum_all(tt.mul(hd.bridge_forward(bridge, x, keep), probe))
+            out = hd.bridge_forward(bridge, sequences, keeps)
+            return tt.sum_all(tt.mul(out, probe))
 
-        assert tt.check_gradients(loss, [x, bridge.w, bridge.b]) < 1e-4
+        assert tt.check_gradients(
+            loss, [*sequences[:2], bridge.w, bridge.b]) < 1e-4
 
     def test_one_tape_record(self):
-        bridge, x, keep, _ = self.operands(97, True)
+        bridge, sequences, keeps, _ = self.operands(97, True)
         with tt.Tape() as tape:
-            hd.bridge_forward(bridge, x, keep)
+            hd.bridge_forward(bridge, sequences, keeps)
         assert len(tape) == 1
 
+    def test_sequences_without_gradient_take_none(self):
+        bridge, sequences, keeps, probe = self.operands(99, True)
+        frozen = [Tensor(s.data) for s in sequences]
+        with tt.Tape() as tape:
+            out = hd.bridge_forward(bridge, frozen, keeps)
+            tape.backward(tt.sum_all(tt.mul(out, probe)))
+        assert all(s.grad is None for s in frozen)
+        assert bridge.w.grad is not None
+
     def test_width_mismatch_rejected(self):
-        bridge, _, _, _ = self.operands(98, False)
-        for shape in ((4, 6, 4), (6, 5)):
-            with pytest.raises(DimensionError, match="bridge"):
-                hd.bridge_forward(bridge, Tensor(np.ones(shape)), None)
+        bridge, sequences, _, _ = self.operands(98, False)
+        for shape in ((2, 4), (2, 5, 1), (5,)):
+            with pytest.raises(DimensionError, match="bridge input"):
+                hd.bridge_forward(bridge, [sequences[0], Tensor(np.ones(shape))])
+
+    def test_mask_shape_mismatch_rejected(self):
+        bridge, sequences, keeps, _ = self.operands(98, True)
+        for shape in ((4, 5), (2, 4)):
+            keeps[1] = np.ones(shape)
+            with pytest.raises(DimensionError, match=r"bridge mask"):
+                hd.bridge_forward(bridge, sequences, keeps)
 
 
 class TestMeanPoolForward:

@@ -194,6 +194,17 @@ class TestRMSprop:
         final = run_quadratic("rmsprop", lr=0.01, steps=200)
         assert np.abs(final).max() < 0.05
 
+    @pytest.mark.parametrize("algorithm,count",
+                             [("rmsprop", 1), ("adamw", 2), ("nadam", 2)])
+    def test_holds_only_the_moments_it_reads(self, algorithm, count):
+        shapes = [(3, 2), (4,), ()]
+        named = [(f"t{i}", Tensor(np.ones(s), requires_grad=True))
+                 for i, s in enumerate(shapes)]
+        optimizer = op.make_optimizer(
+            op.OptimizerConfig(algorithm=algorithm, lr=0.01), named)
+        for moments, shape in zip(optimizer.moments, shapes):
+            assert [m.shape for m in moments] == [shape] * count
+
 
 class TestOptimizerCommon:
     @pytest.mark.parametrize("algorithm", op.OPTIMIZERS)

@@ -525,16 +525,6 @@ class TestBackwardAgainstFiniteDifferences:
         np.testing.assert_allclose(out.data, x.data @ w.data.T + b.data, atol=1e-15)
         self.check(lambda: T.sum_all(tanh(T.linear(x, w, b))), [x, w, b])
 
-    def test_stack_padded(self, rng):
-        a = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, (1, 2)), requires_grad=True)
-        out = T.stack_padded([a, b, a])
-        assert out.shape == (3, 3, 2)
-        np.testing.assert_array_equal(out.data[1, 1:], np.zeros((2, 2)))
-        w = Tensor(rng.uniform(-1, 1, (3, 3, 2)))
-        self.check(lambda: T.sum_all(T.mul(tanh(T.stack_padded([a, b, a])), w)),
-                   [a, b])
-
     def test_matvec(self, rng):
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         x = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
