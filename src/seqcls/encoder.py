@@ -14,7 +14,12 @@ d_model x 3 d_model matrix, a (heads, T, T) score array), the
 feed-forward network, and each sublayer's dropout-masked residual add
 with its layer norm (``tt.layer_norm_rule``).  Its one backward rule runs
 the rules' backward halves in reverse and keeps only the arrays they
-read; no intermediate gradient outlives the rule that reads it.
+read; no intermediate gradient outlives the rule that reads it.  The
+attention backward keeps Q, K and V, not the (heads, T, T) weights, and
+recomputes the weights from them.  Every rule runs in place on the
+arrays it allocated and never writes an array it was given (input,
+gradient, mask or parameter), with the same operations in the same
+order as out of place, so the bits are the same.
 ``multi_head_attention`` and ``feed_forward`` are the same rules as
 single tape ops.
 
@@ -180,10 +185,12 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
                               mask: np.ndarray | None = None):
     """All heads of softmax(QK^T/sqrt(d_k) + M)V over the rows of the array
     ``x``, concatenated, then W_O: one x @ [Wq|Wk|Wv] GEMM, and the scores
-    of every head form one (heads, T, T) array.
+    of every head form one (heads, T, T) array, softmaxed in place.
 
-    Returns the output and ``backward(g, wants_input)``, which accumulates
-    the W_QKV and W_O gradients and returns the gradient of ``x`` when
+    Returns the output and ``backward(g, wants_input)``, which keeps Q, K
+    and V (the one x @ W_QKV array), not the weights or the joined heads:
+    it recomputes both as the forward did, bit for bit, accumulates the
+    W_QKV and W_O gradients and returns the gradient of ``x`` when
     ``wants_input`` is true, else None.
     """
     w_qkv, wo = params.w_qkv, params.wo
@@ -200,29 +207,40 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
     # (3, heads, n, d_k): queries, keys and values of every head
     q, k, v = (x @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
     scale = 1.0 / np.sqrt(d_k)
-    scores = (q @ k.transpose(0, 2, 1)) * scale
-    if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
+
+    def attend():
+        """The (heads, n, n) weights and the joined head outputs."""
+        weights = q @ k.transpose(0, 2, 1)
+        weights *= scale
+        if mask is not None:
+            weights += mask
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        return weights, (weights @ v).transpose(1, 0, 2).reshape(n, width)
 
     def backward(g, wants_input):
+        weights, joined = attend()
         if wo.requires_grad:
             wo.accumulate_grad(joined.T @ g)
         d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
-        d_weights = d_context @ v.transpose(0, 2, 1)
-        dot = (d_weights * weights).sum(axis=-1, keepdims=True)
-        d_scores = weights * (d_weights - dot) * scale
-        d_qkv = np.stack((d_scores @ k,
-                          d_scores.transpose(0, 2, 1) @ q,
-                          weights.transpose(0, 2, 1) @ d_context))
+        d_qkv = np.empty((3, heads, n, d_k))
+        np.matmul(weights.transpose(0, 2, 1), d_context, out=d_qkv[2])
+        # the weights' gradient, turned into the scores' in place
+        d_scores = d_context @ v.transpose(0, 2, 1)
+        dot = (d_scores * weights).sum(axis=-1, keepdims=True)
+        d_scores -= dot
+        d_scores *= weights
+        d_scores *= scale
+        del weights
+        np.matmul(d_scores, k, out=d_qkv[0])
+        np.matmul(d_scores.transpose(0, 2, 1), q, out=d_qkv[1])
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
         if w_qkv.requires_grad:
             w_qkv.accumulate_grad(x.T @ d_proj)
         return d_proj @ w.T if wants_input else None
 
-    return joined @ wo.data, backward
+    return attend()[1] @ wo.data, backward
 
 
 def multi_head_attention(params: AttentionParams, x: Tensor,
@@ -237,7 +255,9 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
 
     Returns the output and ``backward(g, wants_input)``, which keeps only
     the ReLU output, accumulates the weight and bias gradients and returns
-    the gradient of ``x`` when ``wants_input`` is true, else None.
+    the gradient of ``x`` when ``wants_input`` is true, else None.  The
+    bias add, the ReLU and the ReLU's backward run in place on arrays the
+    rule allocated; ``x`` and ``g`` are only read.
     """
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     d_in, d_inner = w1.shape
@@ -246,21 +266,26 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
         raise DimensionError(
             f"feed-forward shapes incompatible: {x.shape} @ {w1.shape} + "
             f"{b1.shape}, @ {w2.shape} + {b2.shape}")
-    inner = np.maximum(x @ w1.data + b1.data, 0.0)
+    inner = x @ w1.data
+    inner += b1.data
+    np.maximum(inner, 0.0, out=inner)
 
     def backward(g, wants_input):
         if w2.requires_grad:
             w2.accumulate_grad(inner.T @ g)
         if b2.requires_grad:
             b2.accumulate_grad(g.sum(axis=0))
-        d_inner = (g @ w2.data.T) * (inner > 0.0)
+        d_inner = g @ w2.data.T
+        d_inner *= inner > 0.0
         if w1.requires_grad:
             w1.accumulate_grad(x.T @ d_inner)
         if b1.requires_grad:
             b1.accumulate_grad(d_inner.sum(axis=0))
         return d_inner @ w1.data.T if wants_input else None
 
-    return inner @ w2.data + b2.data, backward
+    out = inner @ w2.data
+    out += b2.data
+    return out, backward
 
 
 def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
@@ -274,7 +299,8 @@ def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
               norm: tuple[Tensor, Tensor], pre_norm: bool, steps: list | None):
     """One residual sublayer over the array ``x``: ``LN(x + keep * F(x))``
     post-norm, ``x + keep * F(LN(x))`` pre-norm, with F the array rule
-    ``rule`` and LN the layer norm of ``norm`` = (gain, bias).
+    ``rule`` and LN the layer norm of ``norm`` = (gain, bias).  F's output
+    is a fresh array, so the masked residual runs in place on it.
 
     ``keep`` is a ``tt.dropout_mask`` in the shape applied, ``x``'s own;
     None drops nothing.  Returns the output.  Unless ``steps`` is None,
@@ -287,8 +313,10 @@ def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
     inner, pre_backward = x, None
     if pre_norm:
         inner, pre_backward = tt.layer_norm_rule(x, *norm)
-    a, rule_backward = rule(inner)
-    z = x + a if keep is None else x + a * keep
+    z, rule_backward = rule(inner)
+    if keep is not None:
+        z *= keep
+    z += x
     out, post_backward = z, None
     if not pre_norm:
         out, post_backward = tt.layer_norm_rule(z, *norm)
@@ -326,7 +354,7 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
                     masks: list | None = None) -> Tensor:
     """Embed, add positions, then run the layer stack over the real tokens,
     one output row each.  ``masks`` are the ``dropout_masks`` pairs, in the
-    shape applied; None runs without dropout.
+    shape applied, one per layer; None runs without dropout.
 
     One tape op over every encoder parameter.  Its backward rule runs the
     sublayers' rules in reverse, passing each layer's input gradient on as
@@ -344,6 +372,9 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
         raise ParameterError(f"sequence length {length} outside [1, {n}]")
     if masks is None:
         masks = [(None, None)] * config.n_layers
+    if len(masks) != config.n_layers:
+        raise DimensionError(
+            f"{len(masks)} dropout mask pairs for {config.n_layers} layers")
     params = [t for _, t in model.named_parameters()]
     steps = [] if tt.recording(params) else None
     x, embed_backward = tt.gather_rows_rule(model.embedding, ids[:length])

@@ -326,7 +326,8 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
     accumulates the gain and bias gradients and returns the gradient of
     ``z`` when ``wants_input`` is true, else None.  The statistics are the
     steps ``np.mean`` and ``np.var`` take, so the output matches theirs
-    bit for bit.
+    bit for bit.  Both halves run in place on arrays the rule allocated;
+    ``z``, ``g``, the gain and the bias are only read.
     """
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
@@ -335,10 +336,11 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    c = z - z.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + eps)
-    xhat = c * inv
-    data = xhat * gain.data + bias.data
+    xhat = z - z.sum(axis=-1, keepdims=True) / d  # centred, then scaled
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def backward(g, wants_input):
         if gain.requires_grad:
@@ -350,7 +352,10 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
         gx = g * gain.data
         m1 = gx.sum(axis=-1, keepdims=True) / d
         m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
-        return inv * (gx - m1 - xhat * m2)
+        gx -= m1
+        gx -= xhat * m2
+        gx *= inv
+        return gx
 
     return data, backward
 

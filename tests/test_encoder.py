@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -106,6 +107,109 @@ def reference_feed_forward(params, x):
     oracle for the fused ``feed_forward``."""
     inner = tt.relu(add(tt.matmul(x, params.w1), params.b1))
     return add(tt.matmul(inner, params.w2), params.b2)
+
+
+def out_of_place_attention_rule(params, x, mask=None):
+    """``enc.multi_head_attention_rule`` as it was before it ran in place
+    and recomputed its weights: the backward holds the (heads, T, T)
+    weights and the joined head outputs."""
+    w_qkv, wo = params.w_qkv, params.wo
+    n = x.shape[0]
+    heads, width = params.n_heads, w_qkv.shape[1] // 3
+    d_k = width // heads
+    w = w_qkv.data
+    q, k, v = (x @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
+    scale = 1.0 / np.sqrt(d_k)
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
+
+    def backward(g, wants_input):
+        if wo.requires_grad:
+            wo.accumulate_grad(joined.T @ g)
+        d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
+        d_weights = d_context @ v.transpose(0, 2, 1)
+        dot = (d_weights * weights).sum(axis=-1, keepdims=True)
+        d_scores = weights * (d_weights - dot) * scale
+        d_qkv = np.stack((d_scores @ k,
+                          d_scores.transpose(0, 2, 1) @ q,
+                          weights.transpose(0, 2, 1) @ d_context))
+        d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
+        if w_qkv.requires_grad:
+            w_qkv.accumulate_grad(x.T @ d_proj)
+        return d_proj @ w.T if wants_input else None
+
+    return joined @ wo.data, backward
+
+
+def out_of_place_feed_forward_rule(params, x):
+    """``enc.feed_forward_rule`` as it was before it ran in place."""
+    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    inner = np.maximum(x @ w1.data + b1.data, 0.0)
+
+    def backward(g, wants_input):
+        if w2.requires_grad:
+            w2.accumulate_grad(inner.T @ g)
+        if b2.requires_grad:
+            b2.accumulate_grad(g.sum(axis=0))
+        d_inner = (g @ w2.data.T) * (inner > 0.0)
+        if w1.requires_grad:
+            w1.accumulate_grad(x.T @ d_inner)
+        if b1.requires_grad:
+            b1.accumulate_grad(d_inner.sum(axis=0))
+        return d_inner @ w1.data.T if wants_input else None
+
+    return inner @ w2.data + b2.data, backward
+
+
+def out_of_place_layer_norm_rule(z, gain, bias, eps=1e-5):
+    """``tt.layer_norm_rule`` as it was before it ran in place."""
+    d = z.shape[-1]
+    c = z - z.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = c * inv
+    data = xhat * gain.data + bias.data
+
+    def backward(g, wants_input):
+        if gain.requires_grad:
+            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+        if not wants_input:
+            return None
+        gx = g * gain.data
+        m1 = gx.sum(axis=-1, keepdims=True) / d
+        m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
+        return inv * (gx - m1 - xhat * m2)
+
+    return data, backward
+
+
+def out_of_place_sublayer(rule, x, keep, norm, pre_norm):
+    """``enc._sublayer`` over the out-of-place layer norm, with its masked
+    residual out of place; returns the output and ``backward(g)``."""
+    inner, pre_backward = x, None
+    if pre_norm:
+        inner, pre_backward = out_of_place_layer_norm_rule(x, *norm)
+    a, rule_backward = rule(inner)
+    z = x + a if keep is None else x + a * keep
+    out, post_backward = z, None
+    if not pre_norm:
+        out, post_backward = out_of_place_layer_norm_rule(z, *norm)
+
+    def backward(g):
+        if post_backward is not None:
+            g = post_backward(g, True)
+        dx = rule_backward(g if keep is None else g * keep, True)
+        if pre_backward is not None:
+            dx = pre_backward(dx, True)
+        dx += g
+        return dx
+
+    return out, backward
 
 
 def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
@@ -837,6 +941,144 @@ class TestEncoderOp:
         assert len(tape) == 0 and not out.requires_grad
 
 
+class TestInPlaceRules:
+    """The encoder's array rules, which run in place and recompute the
+    attention weights in the backward, against their out-of-place copies:
+    outputs and every gradient bit for bit, and no array a rule was given
+    (input, gradient, mask or parameter) written to."""
+
+    @staticmethod
+    def perturbed_layer(seed):
+        rng = RandomSource(seed)
+        model = enc.init_encoder(small_config(d_model=8, n_heads=4),
+                                 rng.derive("enc"))
+        for _, t in model.named_parameters():
+            t.data += rng.uniform(-0.1, 0.1, t.shape)
+        return model.layers[0], rng
+
+    @staticmethod
+    def run(forward, backward_args, given, tensors):
+        """``forward()`` -> (output, backward); then ``backward(*backward_args)``.
+        Returns the output, the backward's result and every gradient, and
+        asserts that the ``given`` arrays and the tensors' data are
+        unchanged after the forward and after the backward."""
+        before = [a.copy() for a in given] + [t.data.copy() for t in tensors]
+
+        def untouched():
+            now = list(given) + [t.data for t in tensors]
+            return all(np.array_equal(a, b) for a, b in zip(now, before))
+
+        for t in tensors:
+            t.zero_grad()
+        out, backward = forward()
+        assert untouched()
+        result = backward(*backward_args)
+        assert untouched()
+        return [out, result] + [t.grad for t in tensors]
+
+    @staticmethod
+    def assert_all_equal(results, ref_results):
+        for got, ref in zip(results, ref_results):
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("wants_input", [False, True],
+                             ids=["no-dx", "dx"])
+    @pytest.mark.parametrize("mask_kind", sorted(TestFusedAttention.MASKS))
+    def test_attention_matches_out_of_place(self, mask_kind, wants_input):
+        layer, rng = self.perturbed_layer(600)
+        x = rng.uniform(-1, 1, (5, 8))
+        g = rng.uniform(-1, 1, (5, 8))
+        mask = TestFusedAttention.MASKS[mask_kind](5)
+        given = [x, g] + ([] if mask is None else [mask])
+        tensors = [t for _, t in layer.attn.named_parameters()]
+        results = [self.run(lambda: rule(layer.attn, x, mask),
+                            (g, wants_input), given, tensors)
+                   for rule in (enc.multi_head_attention_rule,
+                                out_of_place_attention_rule)]
+        self.assert_all_equal(*results)
+
+    @pytest.mark.parametrize("wants_input", [False, True],
+                             ids=["no-dx", "dx"])
+    def test_feed_forward_matches_out_of_place(self, wants_input):
+        layer, rng = self.perturbed_layer(601)
+        x = rng.uniform(-1, 1, (5, 8))
+        g = rng.uniform(-1, 1, (5, 8))
+        tensors = [t for _, t in layer.ffn.named_parameters()]
+        results = [self.run(lambda: rule(layer.ffn, x), (g, wants_input),
+                            [x, g], tensors)
+                   for rule in (enc.feed_forward_rule,
+                                out_of_place_feed_forward_rule)]
+        self.assert_all_equal(*results)
+
+    @pytest.mark.parametrize("wants_input", [False, True],
+                             ids=["no-dx", "dx"])
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 3, 8)], ids=["2d", "3d"])
+    def test_layer_norm_matches_out_of_place(self, shape, wants_input):
+        layer, rng = self.perturbed_layer(602)
+        z = rng.uniform(-1, 1, shape)
+        g = rng.uniform(-1, 1, shape)
+        tensors = [layer.ln1_gain, layer.ln1_bias]
+        results = [self.run(lambda: rule(z, *tensors), (g, wants_input),
+                            [z, g], tensors)
+                   for rule in (tt.layer_norm_rule,
+                                out_of_place_layer_norm_rule)]
+        self.assert_all_equal(*results)
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
+    @pytest.mark.parametrize("sublayer", ["attention", "ffn"])
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_sublayer_matches_out_of_place(self, pre_norm, sublayer, dropped):
+        layer, rng = self.perturbed_layer(603)
+        x = rng.uniform(-1, 1, (5, 8))
+        g = rng.uniform(-1, 1, (5, 8))
+        keep = tt.dropout_mask(rng, 0.4, (5, 8), training=dropped)
+        mask = enc.additive_mask(5, causal=True)
+        norm = (layer.ln1_gain, layer.ln1_bias)
+        params = layer.attn if sublayer == "attention" else layer.ffn
+        rules = {"attention": (
+                     lambda h: enc.multi_head_attention_rule(params, h, mask),
+                     lambda h: out_of_place_attention_rule(params, h, mask)),
+                 "ffn": (lambda h: enc.feed_forward_rule(params, h),
+                         lambda h: out_of_place_feed_forward_rule(params, h))}
+        rule, ref_rule = rules[sublayer]
+
+        def in_place():
+            steps = []
+            return enc._sublayer(rule, x, keep, norm, pre_norm, steps), steps[0]
+
+        given = [x, g, mask] + ([] if keep is None else [keep])
+        tensors = [t for _, t in params.named_parameters()] + list(norm)
+        results = [self.run(forward, (g,), given, tensors) for forward in (
+            in_place,
+            lambda: out_of_place_sublayer(ref_rule, x, keep, norm, pre_norm))]
+        self.assert_all_equal(*results)
+
+    def test_recorded_op_holds_no_weights(self):
+        """One recorded ``encoder_forward`` at T = 256 holds less than one
+        (heads, T, T) float64 array: no layer keeps its attention weights
+        for the backward."""
+        config = enc.EncoderConfig(d_model=16, n_heads=4, n_layers=2,
+                                   vocab_size=64, max_len=256, dropout=0.1)
+        rng = RandomSource(604)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        tokens = make_tokens([int(i) for i in rng.integers(0, 64, 256)], 256)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        weights_bytes = config.n_heads * 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            with tt.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = enc.encoder_forward(model, tokens, masks)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == (256, 16)
+        assert held < weights_bytes
+
+
 class TestEncoderForward:
     def test_zero_layers_is_embedding_plus_positions(self):
         config = small_config(n_layers=0)
@@ -886,6 +1128,16 @@ class TestEncoderForward:
         masks = padded_masks(config, tokens, RandomSource(17), True)
         with pytest.raises(DimensionError, match=r"dropout mask \(4, 4\)"):
             enc.encoder_forward(model, tokens, masks)
+
+    @pytest.mark.parametrize("pairs", [0, 1, 3])
+    def test_mask_pair_per_layer_required(self, pairs):
+        """A mask list that does not have one pair per layer is refused,
+        never zipped short."""
+        model = enc.init_encoder(small_config(n_layers=2), RandomSource(16))
+        with pytest.raises(DimensionError, match=f"{pairs} dropout mask pairs "
+                                                 "for 2 layers"):
+            enc.encoder_forward(model, make_tokens([1, 2, 3], 3),
+                                [(None, None)] * pairs)
 
     def test_training_dropout_requires_rng(self):
         model = enc.init_encoder(small_config(dropout=0.5), RandomSource(16))
