@@ -168,10 +168,7 @@ def additive_mask(n: int, valid_len: int | None = None,
     Rows left with no allowed position are redirected to position 0 so
     the downstream softmax stays well defined.
     """
-    mask = np.zeros((n, n), dtype=np.float64)
-    if causal:
-        rows, cols = np.indices((n, n))
-        mask[cols > rows] = NEG_INF
+    mask = np.triu(np.full((n, n), NEG_INF), 1) if causal else np.zeros((n, n))
     if valid_len is not None:
         if not 0 <= valid_len <= n:
             raise ParameterError(f"valid length {valid_len} outside [0, {n}]")

@@ -13,21 +13,23 @@ biases and layer-norm gains included: there is no exclusion list.
 
 The training loop runs seeded-shuffle mini-batches: each batch is one
 ``forward_example`` call (the encoder per sample, the head once over
-the batch) and one backward pass on its own tape.  It scores the
-validation split each epoch, EVAL_CHUNK samples per head call, and
-keeps the parameters from the best-validation-accuracy epoch (earliest
-wins ties).
+the batch) and one backward pass on its own tape.  A frozen encoder is
+a feature extractor: each train and validation line is encoded once,
+in inference mode, and the head trains on those rows as it trains on
+imported embeddings.  The loop scores the validation split each epoch,
+EVAL_CHUNK samples per head call, and keeps the parameters from the
+best-validation-accuracy epoch (earliest wins ties).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as mt
+from .encoder import encoder_forward
 from .errors import DataError, NumericError, ParameterError
 from .heads import average_losses, predict
 from .model import Example, ModelBundle, forward_example
@@ -173,18 +175,13 @@ def evaluate(bundle: ModelBundle, examples: list[Example],
     return mt.report(y, y_hat, n_classes)
 
 
-@contextmanager
-def _frozen(tensors):
-    """Run with ``tensors`` out of the tape: their ops record no backward
-    rule and they gather no gradient."""
-    saved = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t, flag in zip(tensors, saved):
-            t.requires_grad = flag
+def _encoded(bundle: ModelBundle, examples: list[Example]) -> list[Example]:
+    """Each token example as its encoder's output rows, computed outside
+    any tape and without dropout; a matrix example as it is."""
+    return [example if example.tokens is None else
+            Example(label=example.label,
+                    matrix=encoder_forward(bundle.encoder, example.tokens).data)
+            for example in examples]
 
 
 def train(bundle: ModelBundle, train_examples: list[Example],
@@ -192,16 +189,18 @@ def train(bundle: ModelBundle, train_examples: list[Example],
           clock=time.perf_counter) -> TrainResult:
     """Epoch loop with seeded shuffling and best-accuracy model retention.
 
-    Each mini-batch is one ``forward_example`` call on one tape.  A frozen
-    encoder runs outside the tape, with the same dropout draws.  The
-    bundle is left holding the parameters of the best epoch.  ``clock``
-    exists so reproducibility harnesses can inject a deterministic timer.
+    Each mini-batch is one ``forward_example`` call on one tape.  With a
+    frozen encoder, each train and validation line is encoded once, in
+    inference mode, before the first epoch.  The bundle is left holding
+    the parameters of the best epoch.  ``clock`` exists so
+    reproducibility harnesses can inject a deterministic timer.
     """
     if not train_examples or not val_examples:
         raise DataError("training needs non-empty train and validation splits")
+    if config.freeze_encoder:
+        train_examples = _encoded(bundle, train_examples)
+        val_examples = _encoded(bundle, val_examples)
     named = list(bundle.named_parameters(freeze_encoder=config.freeze_encoder))
-    trained = {id(p) for _, p in named}
-    frozen = [p for _, p in bundle.all_named_parameters() if id(p) not in trained]
     optimizer = make_optimizer(
         OptimizerConfig(algorithm=config.optimizer, lr=config.lr,
                         weight_decay=config.weight_decay), named)
@@ -217,7 +216,7 @@ def train(bundle: ModelBundle, train_examples: list[Example],
         epoch_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
             optimizer.zero_grad()
-            with _frozen(frozen), Tape() as tape:
+            with Tape() as tape:
                 losses = forward_example(bundle, order[lo:lo + config.batch_size],
                                          dropout_rng, training=True,
                                          with_loss=True)[1]
@@ -241,10 +240,9 @@ def train(bundle: ModelBundle, train_examples: list[Example],
         if val_report.accuracy > result.best_val_accuracy:
             result.best_val_accuracy = val_report.accuracy
             result.best_epoch = epoch
-            best_state = {name: p.data.copy()
-                          for name, p in bundle.all_named_parameters()}
+            best_state = [p.data.copy() for _, p in named]
 
     # the snapshot's arrays are held nowhere else: no copy needed
-    for name, p in bundle.all_named_parameters():
-        p.data = best_state[name]
+    for (_, p), data in zip(named, best_state):
+        p.data = data
     return result

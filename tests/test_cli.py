@@ -281,11 +281,16 @@ class TestTrainCommand:
         assert test_row.accuracy == baseline.accuracy
         assert test_row.f1_weighted == baseline.f1_weighted
 
-    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    # a frozen encoder at small_config's dropout 0.1: its rows are encoded
+    # once, with no dropout masks
+    @pytest.mark.parametrize("optimizer, freeze_encoder", [
+        *(pytest.param(name, False, id=name) for name in OPTIMIZERS),
+        pytest.param("adamw", True, id="adamw-frozen")])
     def test_same_seed_reruns_are_byte_identical(self, corpus, tmp_path,
-                                                 optimizer):
-        config_a = small_config(corpus, tmp_path / "a", optimizer=optimizer)
-        config_b = small_config(corpus, tmp_path / "b", optimizer=optimizer)
+                                                 optimizer, freeze_encoder):
+        config_a, config_b = (
+            small_config(corpus, tmp_path / name, optimizer=optimizer,
+                         freeze_encoder=freeze_encoder) for name in "ab")
         rows_a = cmd_train(config_a, clock=FakeClock())
         rows_b = cmd_train(config_b, clock=FakeClock())
         assert rows_a == rows_b
@@ -304,8 +309,14 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
-    def test_eval_reproduces_train_test_row(self, corpus, tmp_path):
-        config = small_config(corpus, tmp_path / "run")
+    # frozen, the train loop scores its own encoded rows, but the results
+    # rows come from the encoder that model.ckpt holds, rounded to float32
+    @pytest.mark.parametrize("freeze_encoder", [False, True],
+                             ids=["trained", "frozen"])
+    def test_eval_reproduces_train_test_row(self, corpus, tmp_path,
+                                            freeze_encoder):
+        config = small_config(corpus, tmp_path / "run",
+                              freeze_encoder=freeze_encoder)
         rows = cmd_train(config, clock=FakeClock())
         row = cmd_eval(Path(config.out_dir) / "model.ckpt", None, "test",
                        clock=FakeClock())

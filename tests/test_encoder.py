@@ -13,7 +13,6 @@ from seqcls import heads as hd
 from seqcls import tensor as tt
 from seqcls.bpe import MASK_ID, PAD_ID, TokenSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
-from seqcls.optim import _frozen
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
 from test_tensor import (add, clip_min, fit_mask, log, matvec, neg, pick,
@@ -361,14 +360,31 @@ class TestPositionalEncoding:
         assert table.min() >= -1.0 and table.max() <= 1.0
 
 
+def index_mask(n, valid_len=None, causal=False):
+    """``additive_mask`` as it was built from two ``np.indices`` arrays: the
+    oracle for the ``np.triu`` causal part."""
+    mask = np.zeros((n, n))
+    if causal:
+        rows, cols = np.indices((n, n))
+        mask[cols > rows] = NEG_INF
+    if valid_len is not None:
+        mask[:, valid_len:] = NEG_INF
+    mask[np.all(mask == NEG_INF, axis=1), 0] = 0.0
+    return mask
+
+
 class TestAdditiveMask:
-    def test_causal_three_by_three(self):
-        expected = np.array([
-            [0.0, NEG_INF, NEG_INF],
-            [0.0, 0.0, NEG_INF],
-            [0.0, 0.0, 0.0],
-        ])
-        assert np.array_equal(enc.additive_mask(3, causal=True), expected)
+    @pytest.mark.parametrize("n, valid_len", [
+        (n, valid_len) for n in (1, 2, 3, 7)
+        for valid_len in (None, *range(n + 1))])
+    def test_causal_matches_index_oracle(self, n, valid_len):
+        mask = enc.additive_mask(n, valid_len, causal=True)
+        # the bytes compare the sign bits of the zeros too
+        assert mask.tobytes() == index_mask(n, valid_len, True).tobytes()
+        if (n, valid_len) == (3, None):
+            assert np.array_equal(mask, [[0.0, NEG_INF, NEG_INF],
+                                         [0.0, 0.0, NEG_INF],
+                                         [0.0, 0.0, 0.0]])
 
     def test_pad_columns_blocked(self):
         mask = enc.additive_mask(3, valid_len=2)
@@ -935,8 +951,9 @@ class TestEncoderOp:
 
     def test_no_record_when_frozen(self):
         model, _ = self.perturbed_model(542, n_layers=2)
-        tensors = [t for _, t in model.named_parameters()]
-        with _frozen(tensors), tt.Tape() as tape:
+        for _, t in model.named_parameters():
+            t.requires_grad = False
+        with tt.Tape() as tape:
             out = enc.encoder_forward(model, make_tokens([3, 1, 4], 3))
         assert len(tape) == 0 and not out.requires_grad
 

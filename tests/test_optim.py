@@ -6,7 +6,7 @@ import pytest
 from seqcls import model as md
 from seqcls import optim as op
 from seqcls.bpe import TokenSequence
-from seqcls.encoder import EncoderConfig
+from seqcls.encoder import EncoderConfig, encoder_forward
 from seqcls.errors import DataError, NumericError, ParameterError
 from seqcls.tensor import Tensor
 
@@ -352,16 +352,51 @@ class TestTrainLoop:
             else:
                 assert p.grad is not None, name
 
-    def test_frozen_encoder_keeps_the_dropout_stream(self):
+    def test_frozen_encoder_logs_the_unfrozen_losses_at_dropout_zero(self):
         results = []
         for freeze in (False, True):
-            bundle = tiny_bundle(seed=7, dropout=0.1)
+            bundle = tiny_bundle(seed=7)
             data = toy_dataset(3)
             result = op.train(bundle, data, data[:4],
                               op.TrainConfig(lr=0.0, epochs=2, batch_size=4,
                                              seed=8, freeze_encoder=freeze))
             results.append([row.train_loss for row in result.log])
         assert results[0] == results[1]
+
+    def test_frozen_run_trains_on_rows_encoded_without_dropout(self):
+        """At dropout 0.1 a frozen run equals a plain run on matrix examples
+        that the same encoder computed with no masks: the encoder draws
+        none, and each matrix draws its bridge mask at its real height."""
+        data = toy_dataset(3)
+        config = dict(lr=1e-2, epochs=3, batch_size=4, seed=8,
+                      weight_decay=0.0)
+        frozen = tiny_bundle(seed=7, dropout=0.1)
+        frozen_log = op.train(frozen, data, data[:4],
+                              op.TrainConfig(freeze_encoder=True, **config),
+                              clock=lambda: 0.0).log
+        plain = tiny_bundle(seed=7, dropout=0.1)
+        rows = [md.Example(label=ex.label, matrix=encoder_forward(
+                    plain.encoder, ex.tokens).data) for ex in data]
+        plain_log = op.train(plain, rows, rows[:4], op.TrainConfig(**config),
+                             clock=lambda: 0.0).log
+        assert frozen_log == plain_log
+        for (name, a), (_, b) in zip(frozen.all_named_parameters(),
+                                     plain.all_named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
+    def test_frozen_encoder_runs_once_per_line(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return encoder_forward(*args)
+
+        monkeypatch.setattr(op, "encoder_forward", counted)
+        data = toy_dataset(3)
+        op.train(tiny_bundle(seed=7, dropout=0.1), data, data[:4],
+                 op.TrainConfig(lr=1e-2, epochs=3, batch_size=4, seed=8,
+                                freeze_encoder=True))
+        assert len(calls) == len(data) + 4
 
     def test_bundle_holds_best_epoch_parameters(self):
         bundle = tiny_bundle(seed=9)
