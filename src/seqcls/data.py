@@ -4,7 +4,7 @@ Two JSONL schemas are accepted: the defect-detection shape
 (func/target/idx, target 0 or 1) and a generic shape (code/label with
 string or integer labels, mapped to dense indices in sorted order).
 Malformed lines are skipped and counted, never fatal unless nothing
-parses.  Splitting is stratified 80/10/10 by label with a seeded
+parses; a file that is not UTF-8 is a ``DataError``.  Splitting is stratified 80/10/10 by label with a seeded
 shuffle; classes with fewer than 3 samples go wholly to train.  The
 synthetic corpus generator produces an order-sensitive class pair:
 paired samples share the exact same token multiset and differ only in
@@ -82,31 +82,35 @@ def load_jsonl(path, schema: str = "defect") -> LoadedData:
     parser = _PARSERS[schema]
     rows = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                code, raw_label, source_id = parser(record)
-                if not normalize_code(code):
-                    raise ValueError("empty code")
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
-                continue
-            if source_id is None:
-                source_id = f"line-{line_no}"
-            rows.append((code, raw_label, str(source_id)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    code, raw_label, source_id = parser(record)
+                    if not normalize_code(code):
+                        raise ValueError("empty code")
+                except (ValueError, KeyError, TypeError):
+                    skipped += 1
+                    continue
+                if source_id is None:
+                    source_id = f"line-{line_no}"
+                rows.append((code, raw_label, str(source_id)))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"data file {path} is not UTF-8: {exc}") from exc
     if not rows:
         raise DataError(f"no parseable records in {path}")
     if skipped:
         warnings.warn(f"skipped {skipped} malformed line(s) in {path}")
-    # integer labels sort numerically so "10" lands after "2"
+    # integer labels sort numerically so "10" lands after "2"; a mix of
+    # types sorts the distinct string forms, so 1 and "1" are one class
     raw_labels = {r[1] for r in rows}
     if all(isinstance(v, int) for v in raw_labels):
         ordered = sorted(raw_labels)
     else:
-        ordered = sorted(str(v) for v in raw_labels)
+        ordered = sorted({str(v) for v in raw_labels})
     label_map = {str(v): i for i, v in enumerate(ordered)}
     samples = [LabeledSample(code=code, label=label_map[str(raw)], source_id=sid)
                for code, raw, sid in rows]

@@ -6,22 +6,27 @@ and a position-wise feed-forward network, each wrapped in residual add
 and layer normalization (post-norm by default, pre-norm behind a flag).
 The stack runs over the real tokens only, one output row each, and a
 causal variant restricts each position to its prefix via an additive
-mask.  ``encoder_forward`` is one tape op per call.  Its forward runs
+mask, built once per model and read as a (T, T) view.
+``encoder_forward`` is one tape op per call.  Its forward runs
 array-level rules, each with one copy here or in ``tensor``: the
 embedding lookup (``tt.gather_rows_rule``) plus positions, then per
 layer multi-head attention (one Q/K/V projection GEMM over one stored
 d_model x 3 d_model matrix, a (heads, T, T) score array), the
 feed-forward network, and each sublayer's dropout-masked residual add
 with its layer norm (``tt.layer_norm_rule``).  Its one backward rule runs
-the rules' backward halves in reverse and keeps only the arrays they
-read; no intermediate gradient outlives the rule that reads it.  The
-attention backward keeps Q, K and V, not the (heads, T, T) weights, and
-recomputes the weights from them.  Every rule runs in place on the
-arrays it allocated and never writes an array it was given (input,
-gradient, mask or parameter), with the same operations in the same
-order as out of place, so the bits are the same.
-``multi_head_attention`` and ``feed_forward`` are the same rules as
-single tape ops.
+the rules' backward halves in reverse; no intermediate gradient
+outlives the rule that reads it.  The tape holds each array once, and
+only what the backward cannot rebuild bit for bit: per layer the two
+layer norms' normalized rows, the FFN's ReLU output and the two dropout
+masks, one byte per entry (``tt.held_mask``).  A rule is handed its
+input again at backward time, rebuilt with the forward's own operations
+from the layer norm that produced it or from the embedding rows plus
+positions, and the attention backward recomputes Q, K, V and the
+(heads, T, T) weights from it.  Every rule runs in place on the arrays
+it allocated and never writes an array it was given (input, gradient,
+mask or parameter), with the same operations in the same order as out
+of place, so the bits are the same.  ``multi_head_attention`` and
+``feed_forward`` are the same rules as single tape ops.
 
 Also provides span masking and a denoising loss for toy pretraining:
 the masked positions' rows go through a vocabulary projection tied to
@@ -139,10 +144,16 @@ class EncoderLayerParams:
 
 @dataclass
 class EncoderParams:
+    """The encoder's tensors, plus two constant tables built once: the
+    positional table and, for a causal encoder, the (max_len, max_len)
+    ``additive_mask`` whose top-left (T, T) view every length-T call
+    reads."""
+
     config: EncoderConfig
     embedding: Tensor
     positional: np.ndarray
     layers: list[EncoderLayerParams] = field(default_factory=list)
+    causal_mask: np.ndarray | None = None
 
     def named_parameters(self, prefix: str = "encoder."):
         yield f"{prefix}embedding", self.embedding
@@ -184,11 +195,12 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
     ``x``, concatenated, then W_O: one x @ [Wq|Wk|Wv] GEMM, and the scores
     of every head form one (heads, T, T) array, softmaxed in place.
 
-    Returns the output and ``backward(g, wants_input)``, which keeps Q, K
-    and V (the one x @ W_QKV array), not the weights or the joined heads:
-    it recomputes both as the forward did, bit for bit, accumulates the
-    W_QKV and W_O gradients and returns the gradient of ``x`` when
-    ``wants_input`` is true, else None.
+    Returns the output and ``backward(g, x, wants_input)``, which is handed
+    ``x`` again and keeps nothing of its own, only ``mask``: it recomputes
+    Q, K and V (the one x @ W_QKV GEMM), the weights and the joined heads
+    as the forward did, bit for bit, accumulates the W_QKV and W_O
+    gradients and returns the gradient of ``x`` when ``wants_input`` is
+    true, else None.
     """
     w_qkv, wo = params.w_qkv, params.wo
     if x.shape[1] != w_qkv.shape[0]:
@@ -201,11 +213,13 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
     heads, width = params.n_heads, w_qkv.shape[1] // 3
     d_k = width // heads
     w = w_qkv.data
-    # (3, heads, n, d_k): queries, keys and values of every head
-    q, k, v = (x @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
     scale = 1.0 / np.sqrt(d_k)
 
-    def attend():
+    def project(x):
+        """(3, heads, n, d_k): the queries, keys and values of every head."""
+        return (x @ w).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)
+
+    def attend(q, k, v):
         """The (heads, n, n) weights and the joined head outputs."""
         weights = q @ k.transpose(0, 2, 1)
         weights *= scale
@@ -216,8 +230,9 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
         weights /= weights.sum(axis=-1, keepdims=True)
         return weights, (weights @ v).transpose(1, 0, 2).reshape(n, width)
 
-    def backward(g, wants_input):
-        weights, joined = attend()
+    def backward(g, x, wants_input):
+        q, k, v = project(x)
+        weights, joined = attend(q, k, v)
         if wo.requires_grad:
             wo.accumulate_grad(joined.T @ g)
         d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
@@ -237,7 +252,7 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
             w_qkv.accumulate_grad(x.T @ d_proj)
         return d_proj @ w.T if wants_input else None
 
-    return attend()[1] @ wo.data, backward
+    return attend(*project(x))[1] @ wo.data, backward
 
 
 def multi_head_attention(params: AttentionParams, x: Tensor,
@@ -250,11 +265,12 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
 def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
     """relu(x @ W1 + b1) @ W2 + b2 over the rows of the array ``x``.
 
-    Returns the output and ``backward(g, wants_input)``, which keeps only
-    the ReLU output, accumulates the weight and bias gradients and returns
-    the gradient of ``x`` when ``wants_input`` is true, else None.  The
-    bias add, the ReLU and the ReLU's backward run in place on arrays the
-    rule allocated; ``x`` and ``g`` are only read.
+    Returns the output and ``backward(g, x, wants_input)``, which is
+    handed ``x`` again and keeps only the ReLU output: it accumulates the
+    weight and bias gradients and returns the gradient of ``x`` when
+    ``wants_input`` is true, else None.  The bias add, the ReLU and the
+    ReLU's backward run in place on arrays the rule allocated; ``x`` and
+    ``g`` are only read.
     """
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     d_in, d_inner = w1.shape
@@ -267,7 +283,7 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
     inner += b1.data
     np.maximum(inner, 0.0, out=inner)
 
-    def backward(g, wants_input):
+    def backward(g, x, wants_input):
         if w2.requires_grad:
             w2.accumulate_grad(inner.T @ g)
         if b2.requires_grad:
@@ -292,7 +308,7 @@ def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
                                         params.b2))
 
 
-def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
+def _sublayer(rule, x: np.ndarray, rebuild, keep: np.ndarray | None,
               norm: tuple[Tensor, Tensor], pre_norm: bool, steps: list | None):
     """One residual sublayer over the array ``x``: ``LN(x + keep * F(x))``
     post-norm, ``x + keep * F(LN(x))`` pre-norm, with F the array rule
@@ -300,28 +316,38 @@ def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
     is a fresh array, so the masked residual runs in place on it.
 
     ``keep`` is a ``tt.dropout_mask`` in the shape applied, ``x``'s own;
-    None drops nothing.  Returns the output.  Unless ``steps`` is None,
-    appends the sublayer's ``backward(g)``, which returns the gradient of
-    ``x``: the residual's plus the sublayer's.  With ``steps`` None each rule's
-    saved arrays go once the next rule has run.
+    None drops nothing.  ``rebuild()`` returns a new array with the bits
+    of ``x``.  Returns the output and the same kind of rebuild for it:
+    post-norm the layer norm's ``output``; pre-norm None, because the next
+    sublayer's rule reads its own layer norm's output, not this one.
+
+    Unless ``steps`` is None, appends the sublayer's ``backward(g)``,
+    which returns the gradient of ``x``: the residual's plus the
+    sublayer's.  It keeps the layer norm's ``xhat`` and what F keeps, and
+    the mask as a ``tt.held_mask``; it hands F its input again, rebuilt
+    by ``rebuild()`` post-norm and by the layer norm's ``output()``
+    pre-norm.  With ``steps`` None each rule's saved arrays go once the
+    next rule has run.
     """
     if keep is not None and keep.shape != x.shape:
         raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
-    inner, pre_backward = x, None
+    inner, pre_backward, rule_input = x, None, rebuild
     if pre_norm:
-        inner, pre_backward = tt.layer_norm_rule(x, *norm)
+        inner, pre_backward, rule_input = tt.layer_norm_rule(x, *norm)
     z, rule_backward = rule(inner)
     if keep is not None:
         z *= keep
     z += x
-    out, post_backward = z, None
+    out, post_backward, rebuild_out = z, None, None
     if not pre_norm:
-        out, post_backward = tt.layer_norm_rule(z, *norm)
+        out, post_backward, rebuild_out = tt.layer_norm_rule(z, *norm)
+    times_keep = tt.held_mask(keep)
 
     def backward(g):
         if post_backward is not None:
             g = post_backward(g, True)
-        dx = rule_backward(g if keep is None else g * keep, True)
+        dx = rule_backward(g if times_keep is None else times_keep(g),
+                           rule_input(), True)
         if pre_backward is not None:
             dx = pre_backward(dx, True)
         dx += g  # a sum of two terms rounds alike in either order
@@ -329,7 +355,7 @@ def _sublayer(rule, x: np.ndarray, keep: np.ndarray | None,
 
     if steps is not None:
         steps.append(backward)
-    return out
+    return out, rebuild_out
 
 
 def dropout_masks(config: EncoderConfig, tokens: TokenSequence,
@@ -355,7 +381,11 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
 
     One tape op over every encoder parameter.  Its backward rule runs the
     sublayers' rules in reverse, passing each layer's input gradient on as
-    a local array, and ends with the embedding's.
+    a local array, and ends with the embedding's.  It holds no rule's
+    input: a post-norm sublayer's is rebuilt from the layer norm before it
+    or, in the first layer, from the embedding gather plus positions.  A
+    causal encoder attends through a view of the model's one
+    ``causal_mask``.
     """
     config = model.config
     ids = list(tokens.input_ids)
@@ -374,15 +404,25 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
             f"{len(masks)} dropout mask pairs for {config.n_layers} layers")
     params = [t for _, t in model.named_parameters()]
     steps = [] if tt.recording(params) else None
-    x, embed_backward = tt.gather_rows_rule(model.embedding, ids[:length])
-    x += model.positional[:length]
-    mask = additive_mask(length, causal=True) if config.causal else None
+
+    def embed():
+        """The first layer's input, the embedding rows plus positions, and
+        the lookup's backward."""
+        rows, rows_backward = tt.gather_rows_rule(model.embedding, ids[:length])
+        rows += model.positional[:length]
+        return rows, rows_backward
+
+    x, embed_backward = embed()
+    rebuild = lambda: embed()[0]
+    mask = model.causal_mask[:length, :length] if config.causal else None
     for layer, (keep_attn, keep_ffn) in zip(model.layers, masks):
-        x = _sublayer(
+        x, rebuild = _sublayer(
             lambda h: multi_head_attention_rule(layer.attn, h, mask), x,
-            keep_attn, (layer.ln1_gain, layer.ln1_bias), config.pre_norm, steps)
-        x = _sublayer(lambda h: feed_forward_rule(layer.ffn, h), x, keep_ffn,
-                      (layer.ln2_gain, layer.ln2_bias), config.pre_norm, steps)
+            rebuild, keep_attn, (layer.ln1_gain, layer.ln1_bias),
+            config.pre_norm, steps)
+        x, rebuild = _sublayer(
+            lambda h: feed_forward_rule(layer.ffn, h), x, rebuild, keep_ffn,
+            (layer.ln2_gain, layer.ln2_bias), config.pre_norm, steps)
 
     def backward(g):
         for step in reversed(steps):
@@ -431,6 +471,8 @@ def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:
         embedding=embedding,
         positional=positional_table(config.max_len, config.d_model),
         layers=layers,
+        causal_mask=(additive_mask(config.max_len, causal=True)
+                     if config.causal else None),
     )
 
 

@@ -318,7 +318,9 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     gate weights, and each step does one recurrent GEMM over the sequences
     still running.  Row t of sequence i is its state after consuming row t:
     forward from row 0, reverse from row lengths[i] - 1.  Rows past a
-    sequence's length are zero and take no gradient.
+    sequence's length are zero and take no gradient.  The backward keeps
+    the hidden states and the gates, not the real rows of the input: it
+    gathers them from ``sequences`` again for P's gradient.
     """
     lengths = _check_lengths(sequences, lengths)
     if sequences.shape[2] != cell.input_dim:
@@ -333,9 +335,8 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     sample = order[slot]
     row = lengths[sample] - 1 - step if reverse else step
     running = np.bincount(step)
-    x = sequences.data[sample, row]
     gx = np.zeros((len(running), batch, len(b)))
-    gx[step, slot] = x @ p.T + b
+    gx[step, slot] = sequences.data[sample, row] @ p.T + b
     recur, recur_backward = _RECURRENCES[cell.variant]
     hs, saved = recur(gx, q, running)
     data = np.zeros((*sequences.shape[:2], hidden))
@@ -346,7 +347,7 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
         dh[step, slot] = g[sample, row]
         da, dq = recur_backward(dh, q, hs, saved, running)
         da = da[step, slot]
-        dp = da.T @ x
+        dp = da.T @ sequences.data[sample, row]
         db = da.sum(axis=0)
         for param, grad in ((cell.p, dp), (cell.q, dq), (cell.b, db)):
             if param.requires_grad:
@@ -477,9 +478,10 @@ def bridge_forward(bridge: BridgeParams, sequences: list[Tensor],
     """``(x * keep) @ W + b`` over a batch of (rows, d_in) sequences as one
     tape op, returning (B, T, d_rnn).  Each sequence times its bridge mask
     (``keeps`` None drops nothing) is written into one zero-padded
-    (B, T, d_in) array, which one GEMM projects and the backward rule
-    reuses for W's gradient; each sequence gets its own rows of the
-    input gradient, masked."""
+    (B, T, d_in) array, which one GEMM projects; each sequence gets its
+    own rows of the input gradient, masked.  The backward keeps each mask
+    as a ``tt.held_mask``, not the padded array: it writes that array
+    again, bit for bit, for W's gradient."""
     w, b = bridge.w, bridge.b
     d_in, d_rnn = w.shape
     for i, s in enumerate(sequences):
@@ -489,24 +491,32 @@ def bridge_forward(bridge: BridgeParams, sequences: list[Tensor],
             raise DimensionError(
                 f"bridge mask {keeps[i].shape} vs sequence {s.shape}")
     lengths = [len(s.data) for s in sequences]
-    x = np.zeros((len(sequences), max(lengths), d_in))
-    for i, s in enumerate(sequences):
-        x[i, :lengths[i]] = s.data if keeps is None else s.data * keeps[i]
-    flat = x.reshape(-1, d_in)
-    data = (flat @ w.data).reshape(*x.shape[:2], d_rnn) + b.data
+    times_keep = [None] * len(sequences) if keeps is None else [
+        tt.held_mask(keep) for keep in keeps]
+
+    def padded():
+        """The masked sequences, zero-padded, as (B * T, d_in) rows."""
+        x = np.zeros((len(sequences), max(lengths), d_in))
+        for i, s in enumerate(sequences):
+            x[i, :lengths[i]] = (s.data if times_keep[i] is None
+                                 else times_keep[i](s.data))
+        return x.reshape(-1, d_in)
+
+    data = (padded() @ w.data).reshape(len(sequences), -1, d_rnn) + b.data
 
     def backward(g):
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 1)))
         g2 = g.reshape(-1, d_rnn)
+        if w.requires_grad:
+            w.accumulate_grad(padded().T @ g2)
         if any(s.requires_grad for s in sequences):
-            dx = (g2 @ w.data.T).reshape(x.shape)
+            dx = (g2 @ w.data.T).reshape(g.shape[:2] + (d_in,))
             for i, s in enumerate(sequences):
                 if s.requires_grad:
                     rows = dx[i, :lengths[i]]
-                    s.accumulate_grad(rows if keeps is None else rows * keeps[i])
-        if w.requires_grad:
-            w.accumulate_grad(flat.T @ g2)
+                    s.accumulate_grad(rows if times_keep[i] is None
+                                      else times_keep[i](rows))
 
     return tt.make_output(data, (*sequences, w, b), backward)
 

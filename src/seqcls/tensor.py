@@ -12,6 +12,9 @@ mode) pay no recording cost.  An op's array math may live in a rule that
 returns its output and ``backward(g, ...)`` (``layer_norm_rule``,
 ``gather_rows_rule``); ``from_rule`` records such a rule as one op, and a
 fused op, such as the encoder's, runs several rules under one record.
+A backward holds what it cannot rebuild bit for bit and rebuilds the
+rest: a rule that reads its input is handed it at backward time, and a
+``held_mask`` keeps a dropout mask as one byte per entry.
 
 Shapes are explicit and row-major, and there is no implicit
 broadcasting: a bias is an operand of the op that adds it (``linear``,
@@ -134,14 +137,15 @@ def recording(inputs: Iterable[Tensor]) -> bool:
 
 
 def from_rule(data: np.ndarray,
-              rule: Callable[[np.ndarray, bool], np.ndarray | None],
+              rule: Callable[[np.ndarray, np.ndarray, bool], np.ndarray | None],
               x: Tensor, params: Sequence[Tensor]) -> Tensor:
     """One op over ``x`` and ``params`` from an array rule's output and its
-    ``rule(g, wants_input)``, which accumulates the parameter gradients
-    and returns the gradient of ``x`` when ``wants_input`` is true."""
+    ``rule(g, x, wants_input)``, which is handed ``x.data``, accumulates
+    the parameter gradients and returns the gradient of ``x`` when
+    ``wants_input`` is true."""
 
     def backward(g):
-        dx = rule(g, x.requires_grad)
+        dx = rule(g, x.data, x.requires_grad)
         if x.requires_grad:
             x.accumulate_grad(dx)
 
@@ -322,12 +326,17 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
     affine gain/bias: the one copy of this math, shared by ``layer_norm``
     and the encoder op.
 
-    Returns the output and ``backward(g, wants_input)``, which
-    accumulates the gain and bias gradients and returns the gradient of
-    ``z`` when ``wants_input`` is true, else None.  The statistics are the
-    steps ``np.mean`` and ``np.var`` take, so the output matches theirs
-    bit for bit.  Both halves run in place on arrays the rule allocated;
-    ``z``, ``g``, the gain and the bias are only read.
+    Returns the output, ``backward(g, wants_input)`` and ``output()``.
+    Both keep only the normalized rows ``xhat`` and their (rows, 1)
+    inverse deviations, not ``z`` or the output.  ``backward`` accumulates
+    the gain and bias gradients and returns the gradient of ``z`` when
+    ``wants_input`` is true, else None.  ``output()`` rebuilds the output
+    as a new array with the forward's two ops, ``xhat * gain`` then
+    ``+= bias``, so its bits are the output's: a rule that reads this
+    output can be handed it again at backward time.  The statistics are
+    the steps ``np.mean`` and ``np.var`` take, so the output matches
+    theirs bit for bit.  Every step runs in place on arrays the rule
+    allocated; ``z``, ``g``, the gain and the bias are only read.
     """
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
@@ -339,8 +348,11 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
     xhat = z - z.sum(axis=-1, keepdims=True) / d  # centred, then scaled
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
-    data = xhat * gain.data
-    data += bias.data
+
+    def output():
+        data = xhat * gain.data
+        data += bias.data
+        return data
 
     def backward(g, wants_input):
         if gain.requires_grad:
@@ -357,13 +369,14 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
         gx *= inv
         return gx
 
-    return data, backward
+    return output(), backward, output
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
-    data, rule = layer_norm_rule(x.data, gain, bias, eps)
-    return from_rule(data, rule, x, (gain, bias))
+    data, rule, _ = layer_norm_rule(x.data, gain, bias, eps)
+    return from_rule(data, lambda g, _, wants_input: rule(g, wants_input), x,
+                     (gain, bias))
 
 
 def dropout_mask(rng: RandomSource | None, p: float, shape,
@@ -378,6 +391,26 @@ def dropout_mask(rng: RandomSource | None, p: float, shape,
     if rng is None:
         raise ParameterError("training-mode dropout requires a random source")
     return rng.bernoulli(1.0 - p, shape) / (1.0 - p)
+
+
+def held_mask(keep: np.ndarray | None):
+    """A ``dropout_mask`` as a backward holds it: ``keep != 0``, one byte
+    per entry, and the one value its kept entries hold, 1/(1-p).  Returns
+    ``times_keep(a)``, a new array with the bits of ``a * keep``, because
+    it runs ``(a * kept) * scale``: ``a * 1`` is ``a`` exactly, ``±0``
+    times the positive scale is the same ``±0``, and a NaN stays the same
+    NaN.  None, the mask that drops nothing, stays None."""
+    if keep is None:
+        return None
+    kept = keep != 0.0
+    scale = keep.max(initial=0.0)
+
+    def times_keep(a):
+        out = a * kept
+        out *= scale
+        return out
+
+    return times_keep
 
 
 def dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:

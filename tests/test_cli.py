@@ -648,6 +648,17 @@ class TestMainEntry:
         assert err.startswith("seqcls:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_data_that_is_not_utf8_gives_single_line_diagnosis(self, tmp_path,
+                                                               capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(b'{"code": "y = \xff", "label": 1}\n')
+        code = main(["train", "--data", str(data),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: DataError: data file")
+        assert str(data) in err and len(err.strip().splitlines()) == 1
+
     def test_conflicting_flags_give_single_line_diagnosis(self, tmp_path,
                                                           capsys):
         code = main(["train", "--data", "x.jsonl",

@@ -120,6 +120,24 @@ class TestLoadJsonl:
         with pytest.raises(ParameterError):
             load_jsonl(tmp_path / "x.jsonl", schema="mystery")
 
+    def test_file_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"code": "x = 1", "label": 0}\n'
+                         b'{"code": "y = \xff", "label": 1}\n')
+        with pytest.raises(DataError, match=r"latin1\.jsonl is not UTF-8"):
+            load_jsonl(path, schema="generic")
+
+    def test_mixed_int_and_string_labels_map_densely(self, tmp_path):
+        path = write_lines(tmp_path / "g.jsonl", [
+            {"code": "a = 0", "label": 0},
+            {"code": "b = 1", "label": 1},
+            {"code": "c = 1", "label": "1"},
+            {"code": "d = 0", "label": 0},
+        ])
+        loaded = load_jsonl(path, schema="generic")
+        assert loaded.label_map == {"0": 0, "1": 1}
+        assert [s.label for s in loaded.samples] == [0, 1, 1, 0]
+
 
 class TestDedupe:
     def test_trailing_blank_lines_collapse_to_one_sample(self):

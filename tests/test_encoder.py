@@ -211,6 +211,81 @@ def out_of_place_sublayer(rule, x, keep, norm, pre_norm):
     return out, backward
 
 
+def handed_input(rule):
+    """An out-of-place rule, whose backward holds its input, called as the
+    in-place rules are: its ``backward(g, x, wants_input)`` is handed the
+    input too, and ignores it."""
+
+    def handed(*args):
+        out, backward = rule(*args)
+        return out, lambda g, _, wants_input: backward(g, wants_input)
+
+    return handed
+
+
+def out_of_place_bridge_forward(bridge, sequences, keeps=None):
+    """``hd.bridge_forward`` as it was before its backward held masks as
+    bytes: it holds the float masks and the masked, zero-padded input."""
+    w, b = bridge.w, bridge.b
+    d_in, d_rnn = w.shape
+    lengths = [len(s.data) for s in sequences]
+    x = np.zeros((len(sequences), max(lengths), d_in))
+    for i, s in enumerate(sequences):
+        x[i, :lengths[i]] = s.data if keeps is None else s.data * keeps[i]
+    flat = x.reshape(-1, d_in)
+    data = (flat @ w.data).reshape(*x.shape[:2], d_rnn) + b.data
+
+    def backward(g):
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=(0, 1)))
+        g2 = g.reshape(-1, d_rnn)
+        dx = (g2 @ w.data.T).reshape(x.shape)
+        for i, s in enumerate(sequences):
+            if s.requires_grad:
+                rows = dx[i, :lengths[i]]
+                s.accumulate_grad(rows if keeps is None else rows * keeps[i])
+        if w.requires_grad:
+            w.accumulate_grad(flat.T @ g2)
+
+    return tt.make_output(data, (*sequences, w, b), backward)
+
+
+def out_of_place_scan(cell, sequences, lengths, reverse):
+    """``hd._scan`` as it was before its backward gathered the input rows
+    again: it holds them."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    p, q, b = cell.p.data, cell.q.data, cell.b.data
+    batch, hidden = len(lengths), cell.hidden
+    order = np.argsort(-lengths, kind="stable")
+    step, slot = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    sample = order[slot]
+    row = lengths[sample] - 1 - step if reverse else step
+    running = np.bincount(step)
+    x = sequences.data[sample, row]
+    gx = np.zeros((len(running), batch, len(b)))
+    gx[step, slot] = x @ p.T + b
+    recur, recur_backward = hd._RECURRENCES[cell.variant]
+    hs, saved = recur(gx, q, running)
+    data = np.zeros((*sequences.shape[:2], hidden))
+    data[sample, row] = hs[step + 1, slot]
+
+    def backward(g):
+        dh = np.zeros((len(running), batch, hidden))
+        dh[step, slot] = g[sample, row]
+        da, dq = recur_backward(dh, q, hs, saved, running)
+        da = da[step, slot]
+        for param, grad in ((cell.p, da.T @ x), (cell.q, dq),
+                            (cell.b, da.sum(axis=0))):
+            if param.requires_grad:
+                param.accumulate_grad(grad)
+        if sequences.requires_grad:
+            dx = np.zeros(sequences.shape)
+            dx[sample, row] = da @ p
+            sequences.accumulate_grad(dx)
+
+    return tt.make_output(data, (sequences, cell.p, cell.q, cell.b), backward)
+
+
 def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
     """The layer the fused sublayers replaced: one tape op per residual
     add, dropout, layer norm and FFN step, 12 per layer."""
@@ -244,7 +319,7 @@ def add_norm(x, a, keep, norm=None):
         z = x.data + a.data * keep
     data, norm_backward = z, None
     if norm is not None:
-        data, norm_backward = tt.layer_norm_rule(z, *norm)
+        data, norm_backward, _ = tt.layer_norm_rule(z, *norm)
 
     def backward(g):
         if norm_backward is not None:
@@ -959,10 +1034,12 @@ class TestEncoderOp:
 
 
 class TestInPlaceRules:
-    """The encoder's array rules, which run in place and recompute the
-    attention weights in the backward, against their out-of-place copies:
-    outputs and every gradient bit for bit, and no array a rule was given
-    (input, gradient, mask or parameter) written to."""
+    """The encoder's array rules, which run in place, are handed their
+    input again at backward time and recompute Q, K, V and the attention
+    weights there, and the bridge and scan, which rebuild their inputs in
+    the backward, against their out-of-place copies: outputs and every
+    gradient bit for bit, and no array a rule was given (input, gradient,
+    mask or parameter) written to."""
 
     @staticmethod
     def perturbed_layer(seed):
@@ -1011,9 +1088,9 @@ class TestInPlaceRules:
         given = [x, g] + ([] if mask is None else [mask])
         tensors = [t for _, t in layer.attn.named_parameters()]
         results = [self.run(lambda: rule(layer.attn, x, mask),
-                            (g, wants_input), given, tensors)
+                            (g, x, wants_input), given, tensors)
                    for rule in (enc.multi_head_attention_rule,
-                                out_of_place_attention_rule)]
+                                handed_input(out_of_place_attention_rule))]
         self.assert_all_equal(*results)
 
     @pytest.mark.parametrize("wants_input", [False, True],
@@ -1023,10 +1100,10 @@ class TestInPlaceRules:
         x = rng.uniform(-1, 1, (5, 8))
         g = rng.uniform(-1, 1, (5, 8))
         tensors = [t for _, t in layer.ffn.named_parameters()]
-        results = [self.run(lambda: rule(layer.ffn, x), (g, wants_input),
+        results = [self.run(lambda: rule(layer.ffn, x), (g, x, wants_input),
                             [x, g], tensors)
                    for rule in (enc.feed_forward_rule,
-                                out_of_place_feed_forward_rule)]
+                                handed_input(out_of_place_feed_forward_rule))]
         self.assert_all_equal(*results)
 
     @pytest.mark.parametrize("wants_input", [False, True],
@@ -1037,40 +1114,130 @@ class TestInPlaceRules:
         z = rng.uniform(-1, 1, shape)
         g = rng.uniform(-1, 1, shape)
         tensors = [layer.ln1_gain, layer.ln1_bias]
-        results = [self.run(lambda: rule(z, *tensors), (g, wants_input),
+        results = [self.run(lambda: rule(z, *tensors)[:2], (g, wants_input),
                             [z, g], tensors)
                    for rule in (tt.layer_norm_rule,
                                 out_of_place_layer_norm_rule)]
         self.assert_all_equal(*results)
 
+    def test_layer_norm_output_rebuilds_its_output(self):
+        layer, rng = self.perturbed_layer(605)
+        z = rng.uniform(-1, 1, (5, 8))
+        out, _, output = tt.layer_norm_rule(z, layer.ln1_gain, layer.ln1_bias)
+        again = output()
+        assert again is not out and np.array_equal(again, out)
+
     @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
-    @pytest.mark.parametrize("sublayer", ["attention", "ffn"])
+    @pytest.mark.parametrize("sublayer",
+                             ["attention", "unmasked-attention", "ffn"])
     @pytest.mark.parametrize("pre_norm", [False, True],
                              ids=["post-norm", "pre-norm"])
     def test_sublayer_matches_out_of_place(self, pre_norm, sublayer, dropped):
+        """The sublayer hands its rule the input at backward time, rebuilt
+        (here a copy of ``x``) post-norm and from its layer norm pre-norm;
+        "attention" attends through the causal mask."""
         layer, rng = self.perturbed_layer(603)
         x = rng.uniform(-1, 1, (5, 8))
         g = rng.uniform(-1, 1, (5, 8))
         keep = tt.dropout_mask(rng, 0.4, (5, 8), training=dropped)
-        mask = enc.additive_mask(5, causal=True)
+        mask = (enc.additive_mask(5, causal=True) if sublayer == "attention"
+                else None)
         norm = (layer.ln1_gain, layer.ln1_bias)
-        params = layer.attn if sublayer == "attention" else layer.ffn
-        rules = {"attention": (
-                     lambda h: enc.multi_head_attention_rule(params, h, mask),
-                     lambda h: out_of_place_attention_rule(params, h, mask)),
-                 "ffn": (lambda h: enc.feed_forward_rule(params, h),
-                         lambda h: out_of_place_feed_forward_rule(params, h))}
-        rule, ref_rule = rules[sublayer]
+        params = layer.ffn if sublayer == "ffn" else layer.attn
+        if sublayer == "ffn":
+            rule = lambda h: enc.feed_forward_rule(params, h)
+            ref_rule = lambda h: out_of_place_feed_forward_rule(params, h)
+        else:
+            rule = lambda h: enc.multi_head_attention_rule(params, h, mask)
+            ref_rule = lambda h: out_of_place_attention_rule(params, h, mask)
+        rebuilds = []
 
         def in_place():
             steps = []
-            return enc._sublayer(rule, x, keep, norm, pre_norm, steps), steps[0]
+            out, rebuild = enc._sublayer(rule, x, lambda: x.copy(), keep, norm,
+                                         pre_norm, steps)
+            rebuilds.append(rebuild)
+            return out, steps[0]
 
-        given = [x, g, mask] + ([] if keep is None else [keep])
+        given = [x, g] + [a for a in (mask, keep) if a is not None]
         tensors = [t for _, t in params.named_parameters()] + list(norm)
         results = [self.run(forward, (g,), given, tensors) for forward in (
             in_place,
             lambda: out_of_place_sublayer(ref_rule, x, keep, norm, pre_norm))]
+        self.assert_all_equal(*results)
+        # post-norm, the next sublayer's input is rebuilt from this layer norm
+        rebuild, = rebuilds
+        assert (rebuild is None) == pre_norm
+        if not pre_norm:
+            assert np.array_equal(rebuild(), results[0][0])
+
+    @pytest.mark.parametrize("keep_kind", ["drawn", "all-dropped", "all-kept"])
+    def test_held_mask_gives_the_bits_of_the_mask_product(self, keep_kind):
+        """``(g * kept) * scale`` against ``g * keep``, sign and NaN bits
+        included, on kept and dropped entries of -0.0, +-inf and NaN."""
+        rng = RandomSource(606)
+        keep = tt.dropout_mask(rng, 0.4, (8, 6), training=True)
+        if keep_kind != "drawn":
+            keep = np.where(keep_kind == "all-kept", 1.0 / 0.6, 0.0 * keep)
+        g = rng.uniform(-1, 1, (8, 6))
+        specials = np.array([-0.0, np.inf, -np.inf, np.nan, -np.nan])
+        which = (np.arange(8)[:, None] + np.arange(5)) % 5
+        g[:, :5] = specials[which]
+        if keep_kind == "drawn":  # every special value meets both mask values
+            for k in range(5):
+                assert len(set(keep[:, :5][which == k] == 0)) == 2
+        given = [keep.copy(), g.copy()]
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, on purpose
+            got = tt.held_mask(keep)(g)
+            ref = g * keep
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(keep, given[0]) and np.array_equal(
+            g.view(np.uint64), given[1].view(np.uint64))
+        assert tt.held_mask(None) is None
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
+    @pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bi"])
+    @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
+    def test_bridge_and_scan_match_out_of_place(self, variant, bidirectional,
+                                                dropped):
+        """A masked bridge into a scan: the bridge rebuilds its padded
+        input and the scan gathers its rows again in the backward."""
+        rng = RandomSource(607)
+        bridge = hd.init_bridge(8, 5, rng.derive("bridge"))
+        maker = hd.init_bicell if bidirectional else hd.init_cell
+        cell = maker(variant, 5, 3, rng.derive("cell"))
+        for _, t in [*bridge.named_parameters(), *cell.named_parameters()]:
+            t.data += rng.uniform(-0.3, 0.3, t.shape)
+        lengths = [4, 6, 2, 4]
+        sequences = [Tensor(rng.uniform(-1, 1, (n, 8)), requires_grad=True)
+                     for n in lengths]
+        keeps = None
+        if dropped:
+            keeps = [tt.dropout_mask(rng, 0.4, s.shape, training=True)
+                     for s in sequences]
+        cells = (cell.fw, cell.bw) if bidirectional else (cell,)
+        probe = Tensor(rng.uniform(-1, 1, (4, 6, 3 * len(cells))))
+        tensors = [*sequences, bridge.w, bridge.b,
+                   *(t for _, t in cell.named_parameters())]
+        given = [s.data for s in sequences] + list(keeps or ())
+
+        def forward(bridge_op, scan):
+            z = bridge_op(bridge, sequences, keeps)
+            states = [scan(c, z, lengths, reverse) for c, reverse in
+                      zip(cells, (False, True))]
+            return states[0] if len(states) == 1 else tt.concat(*states, axis=2)
+
+        results = []
+        for bridge_op, scan in ((hd.bridge_forward, hd._scan),
+                                (out_of_place_bridge_forward, out_of_place_scan)):
+            before = [a.copy() for a in given]
+            for t in tensors:
+                t.zero_grad()
+            with tt.Tape() as tape:
+                states = forward(bridge_op, scan)
+                tape.backward(tt.sum_all(tt.mul(states, probe)))
+            assert all(np.array_equal(a, b) for a, b in zip(given, before))
+            results.append([states.data] + [t.grad.copy() for t in tensors])
         self.assert_all_equal(*results)
 
     def test_recorded_op_holds_no_weights(self):
@@ -1094,6 +1261,47 @@ class TestInPlaceRules:
             tracemalloc.stop()
         assert len(tape) == 1 and out.shape == (256, 16)
         assert held < weights_bytes
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("pre_norm", [False, True],
+                             ids=["post-norm", "pre-norm"])
+    def test_recorded_op_holds_each_array_once(self, pre_norm, causal):
+        """One recorded ``encoder_forward`` at T = 256 holds, per layer, two
+        layer norms' ``xhat``, the ReLU output and two 1-byte dropout masks,
+        besides its output and the layer norms' (T, 1) statistics: no Q, K
+        or V, no rule input, no float mask and, causal, no (T, T) mask.
+        Its output and gradients stay those of the layer graph, which
+        builds the mask on every call."""
+        t, d = 256, 16
+        config = enc.EncoderConfig(d_model=d, n_heads=4, n_layers=2,
+                                   vocab_size=64, max_len=t, dropout=0.1,
+                                   causal=causal, pre_norm=pre_norm)
+        rng = RandomSource(608)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        tokens = make_tokens([int(i) for i in rng.integers(0, 64, t)], t)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        probe = Tensor(rng.uniform(-1, 1, (t, d)))
+        per_layer = 2 * t * d * 8 + t * 4 * d * 8 + 2 * t * d
+        budget = (config.n_layers * (per_layer + 2 * t * 8) + t * d * 8
+                  + 32 * 1024)  # Python objects: closures, lists, tensors
+        tensors = [p for _, p in model.named_parameters()]
+        results = []
+        for forward in (enc.encoder_forward, graph_encoder_forward):
+            for p in tensors:
+                p.zero_grad()
+            tracemalloc.start()
+            try:
+                with tt.Tape() as tape:
+                    before = tracemalloc.get_traced_memory()[0]
+                    out = forward(model, tokens, masks)
+                    held = tracemalloc.get_traced_memory()[0] - before
+                    tape.backward(tt.sum_all(tt.mul(out, probe)))
+            finally:
+                tracemalloc.stop()
+            if forward is enc.encoder_forward:
+                assert held <= budget < t * t * 8
+            results.append([out.data] + [p.grad for p in tensors])
+        self.assert_all_equal(*results)
 
 
 class TestEncoderForward:
