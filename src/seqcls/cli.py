@@ -35,7 +35,7 @@ from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
 from .errors import DataError, ParameterError, SeqclsError
 from .metrics import MetricsReport
 from .model import (Example, ModelConfig, init_model, load_checkpoint,
-                    round_to_checkpoint, save_checkpoint)
+                    save_checkpoint)
 from .optim import (OPTIMIZERS, OptimizerConfig, TrainConfig, evaluate,
                     make_optimizer, train, write_log)
 from .rng import RandomSource
@@ -49,12 +49,6 @@ SCHEMAS = ("defect", "generic")
 _ENCODER_FIELDS = ("max_len", "d_model", "n_heads", "n_layers", "vocab_size")
 
 
-def _variant_parts(rnn: str) -> tuple[str, bool]:
-    if rnn.startswith("bi"):
-        return rnn[2:], True
-    return rnn, False
-
-
 @dataclass
 class RunConfig:
     """One training run: data source, model shape, optimizer settings.
@@ -66,19 +60,19 @@ class RunConfig:
     data: str
     out_dir: str
     schema: str = "generic"
-    lr: float = 1e-4
-    epochs: int = 5
-    batch_size: int = 32
-    optimizer: str = "adamw"
-    seed: int = 0
-    weight_decay: float | None = None
-    freeze_encoder: bool = False
-    head: str = "rnn"
-    rnn: str = "gru"
-    hidden_units: int = 32
-    d_rnn: int = 32
-    dense_units: int = 32
-    dropout: float = 0.1
+    lr: float = TrainConfig.lr
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    optimizer: str = TrainConfig.optimizer
+    seed: int = TrainConfig.seed
+    weight_decay: float | None = TrainConfig.weight_decay
+    freeze_encoder: bool = TrainConfig.freeze_encoder
+    head: str = ModelConfig.head_kind
+    rnn: str = ModelConfig.rnn_variant
+    hidden_units: int = ModelConfig.hidden_units
+    d_rnn: int = ModelConfig.d_rnn
+    dense_units: int = ModelConfig.dense_units
+    dropout: float = ModelConfig.dropout
     max_len: int | None = None
     d_model: int | None = None
     n_heads: int | None = None
@@ -283,17 +277,18 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
             if name not in examples:
                 examples[name] = _encode_split(vocab, getattr(splits, name),
                                                config.max_len)
-    rnn_variant, bidirectional = _variant_parts(config.rnn)
     model_config = ModelConfig(
         n_classes=len(splits.label_map), head_kind=config.head,
-        rnn_variant=rnn_variant, bidirectional=bidirectional,
+        rnn_variant=config.rnn.removeprefix("bi"),
+        bidirectional=config.rnn.startswith("bi"),
         hidden_units=config.hidden_units, d_rnn=config.d_rnn,
         dense_units=config.dense_units, dropout=config.dropout, **source)
     return PreparedData(model_config, examples, splits, vocab)
 
 
 def _write_run_artifacts(config: RunConfig, prepared: PreparedData,
-                         bundle, result, rows) -> None:
+                         bundle, result) -> Path:
+    """Every artifact but results.csv, which scores the saved checkpoint."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -310,32 +305,31 @@ def _write_run_artifacts(config: RunConfig, prepared: PreparedData,
         encoding="utf-8")
     write_log(out / "log.tsv", result)
     save_checkpoint(out / "model.ckpt", bundle)
-    write_results(out / "results.csv", rows)
+    return out
 
 
 def cmd_train(config: RunConfig, clock=time.perf_counter) -> list[ResultsRow]:
-    """Full pipeline: data, tokenizer, training, per-split results rows."""
+    """Full pipeline: data, tokenizer, training, per-split results rows.
+    Bad settings fail before the data loads; the rows score the reloaded
+    model.ckpt, as `seqcls eval` does, so eval reproduces each of them."""
+    train_config = TrainConfig(**{f.name: getattr(config, f.name)
+                                  for f in fields(TrainConfig)})
     prepared = prepare(config)
     bundle = init_model(prepared.model_config, config.seed)
-    train_config = TrainConfig(
-        lr=config.lr, epochs=config.epochs, batch_size=config.batch_size,
-        optimizer=config.optimizer, seed=config.seed,
-        weight_decay=config.weight_decay,
-        freeze_encoder=config.freeze_encoder)
     started = clock()
     result = train(bundle, prepared.examples["train"], prepared.examples["val"],
                    train_config, clock=clock)
     wall = clock() - started
-    # score what model.ckpt will hold, so `seqcls eval` reproduces each row
-    round_to_checkpoint(bundle)
-    n_classes = prepared.model_config.n_classes
+    out = _write_run_artifacts(config, prepared, bundle, result)
+    saved = load_checkpoint(out / "model.ckpt")
     rows = [
         _results_row(config, name,
-                     evaluate(bundle, prepared.examples[name], n_classes),
+                     evaluate(saved, prepared.examples[name],
+                              saved.config.n_classes),
                      wall)
         for name in SPLIT_NAMES
     ]
-    _write_run_artifacts(config, prepared, bundle, result, rows)
+    write_results(out / "results.csv", rows)
     return rows
 
 
@@ -420,28 +414,34 @@ def cmd_synth(n_classes: int, per_class: int, seed: int, out) -> int:
     return len(samples)
 
 
-def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
-                 max_len: int = 64, d_model: int = 64, n_heads: int = 4,
-                 n_layers: int = 2, steps: int = 200, lr: float = 1e-3,
-                 seed: int = 0, mask_rate: float = 0.15):
+def cmd_pretrain(data, schema: str, out_dir,
+                 vocab_size: int = EncoderConfig.vocab_size,
+                 max_len: int = EncoderConfig.max_len,
+                 d_model: int = EncoderConfig.d_model,
+                 n_heads: int = EncoderConfig.n_heads,
+                 n_layers: int = EncoderConfig.n_layers, steps: int = 200,
+                 lr: float = 1e-3, seed: int = 0, mask_rate: float = 0.15):
     """Span-mask denoising over the corpus; exports contextual embeddings.
 
-    The resulting .sqf1 file plugs straight into `train --embeddings`.
+    The settings are checked before the corpus loads.  Zero steps export
+    the randomly initialized encoder's embeddings.  The resulting .sqf1
+    file plugs straight into `train --embeddings`.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if steps < 0:
+        raise ParameterError(f"step count must be >= 0, got {steps}")
+    config = EncoderConfig(d_model=d_model, n_heads=n_heads,
+                           n_layers=n_layers, vocab_size=vocab_size,
+                           max_len=max_len, dropout=0.0)
+    optimizer_config = OptimizerConfig(algorithm="adamw", lr=lr)
     loaded = load_jsonl(data, schema=schema)
     samples, _ = dedupe(loaded.samples)
     segments: list[list[int]] = []
     vocab = train_bpe((s.code for s in samples), vocab_size, segments=segments)
-    config = EncoderConfig(d_model=d_model, n_heads=n_heads,
-                           n_layers=n_layers, vocab_size=len(vocab),
-                           max_len=max_len, dropout=0.0)
+    config = replace(config, vocab_size=len(vocab))
     root = RandomSource(seed)
     encoder = init_encoder(config, root.derive("encoder"))
     named = list(encoder.named_parameters())
-    optimizer = make_optimizer(OptimizerConfig(algorithm="adamw", lr=lr),
-                               named)
+    optimizer = make_optimizer(optimizer_config, named)
     mask_rng = root.derive("mask")
     order_rng = root.derive("order")
     tokens = [to_sequence(ids, max_len) for ids in segments]
@@ -455,6 +455,8 @@ def cmd_pretrain(data, schema: str, out_dir, vocab_size: int = 512,
             tape.backward(loss)
         optimizer.step()
         log_lines.append(f"{step}\t{loss.item():.6f}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "pretrain_log.tsv").write_text("\n".join(log_lines) + "\n",
                                           encoding="utf-8")
     save_vocabulary(vocab, out / "vocab.txt")
@@ -525,6 +527,11 @@ def cmd_grid(base: RunConfig, lrs, dropouts, hidden_units, variants,
     return merged, winners, failed
 
 
+def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
+    for name in _ENCODER_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), type=int)
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--optimizer", choices=OPTIMIZERS,
                         default=RunConfig.optimizer)
@@ -537,8 +544,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d-rnn", type=int, default=RunConfig.d_rnn)
     parser.add_argument("--dense-units", type=int,
                         default=RunConfig.dense_units)
-    for name in _ENCODER_FIELDS:
-        parser.add_argument("--" + name.replace("_", "-"), type=int)
+    _add_encoder_flags(parser)
     parser.add_argument("--embeddings",
                         help="imported-embedding file; replaces the encoder")
 
@@ -548,16 +554,12 @@ def _run_config(args, **overrides) -> RunConfig:
     return RunConfig(**{f.name: settings[f.name] for f in fields(RunConfig)})
 
 
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
-def _names(text: str) -> list[str]:
-    return [part for part in text.split(",") if part]
+def _comma_list(kind):
+    """An argparse type: comma-separated ``kind`` values, empty parts skipped."""
+    def parse(text: str) -> list:
+        return [kind(part) for part in text.split(",") if part]
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,11 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequence classifiers over code: BPE + toy transformer "
                     "encoder + recurrent heads.")
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--data", required=True)
+    source.add_argument("--schema", choices=SCHEMAS, default=RunConfig.schema)
+    run = argparse.ArgumentParser(add_help=False, parents=[source])
+    run.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("tokenizer", help="train and save a BPE vocabulary")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=SCHEMAS, default="generic")
-    p.add_argument("--vocab-size", type=int, default=512)
+    p = sub.add_parser("tokenizer", parents=[source],
+                       help="train and save a BPE vocabulary")
+    p.add_argument("--vocab-size", type=int, default=EncoderConfig.vocab_size)
     p.add_argument("--min-frequency", type=int, default=2)
     p.add_argument("--out", required=True)
 
@@ -582,25 +588,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     # an omitted flag stays out of the namespace, so cmd_pretrain's own
     # signature supplies its default
-    p = sub.add_parser("pretrain", help="denoising pretraining; exports embeddings",
+    p = sub.add_parser("pretrain", parents=[run],
+                       help="denoising pretraining; exports embeddings",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=SCHEMAS, default="generic")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--d-model", type=int)
-    p.add_argument("--n-heads", type=int)
-    p.add_argument("--n-layers", type=int)
+    _add_encoder_flags(p)
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--mask-rate", type=float)
 
-    p = sub.add_parser("train", help="train one classifier end to end")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=SCHEMAS, default=RunConfig.schema)
-    p.add_argument("--out-dir", required=True)
+    p = sub.add_parser("train", parents=[run],
+                       help="train one classifier end to end")
     p.add_argument("--lr", type=float, default=RunConfig.lr)
     p.add_argument("--rnn", choices=RNN_CHOICES, default=RunConfig.rnn)
     p.add_argument("--hidden-units", type=int, default=RunConfig.hidden_units)
@@ -617,18 +615,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", default=None,
                    help="append the row to this CSV")
 
-    p = sub.add_parser("grid", help="hyperparameter sweep; merged CSV + best rows")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=SCHEMAS, default=RunConfig.schema)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--lr", type=_floats, default=[RunConfig.lr],
+    p = sub.add_parser("grid", parents=[run],
+                       help="hyperparameter sweep; merged CSV + best rows")
+    p.add_argument("--lr", type=_comma_list(float), default=[RunConfig.lr],
                    help="comma-separated learning rates")
-    p.add_argument("--rnn", type=_names, default=[RunConfig.rnn],
+    p.add_argument("--rnn", type=_comma_list(str), default=[RunConfig.rnn],
                    help="comma-separated rnn variants")
-    p.add_argument("--hidden-units", type=_ints,
+    p.add_argument("--hidden-units", type=_comma_list(int),
                    default=[RunConfig.hidden_units],
                    help="comma-separated hidden sizes")
-    p.add_argument("--dropout", type=_floats, default=[RunConfig.dropout],
+    p.add_argument("--dropout", type=_comma_list(float),
+                   default=[RunConfig.dropout],
                    help="comma-separated dropout rates")
     p.add_argument("--workers", type=int, default=1)
     _add_model_flags(p)

@@ -249,13 +249,6 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
 
 
-def round_to_checkpoint(bundle: ModelBundle) -> None:
-    """Round every parameter in place to the float32 value a checkpoint
-    stores, so the bundle predicts exactly as its saved checkpoint will."""
-    for _, tensor in bundle.all_named_parameters():
-        tensor.data = tensor.data.astype(np.float32).astype(np.float64)
-
-
 def load_checkpoint(path) -> ModelBundle:
     reader = BinaryReader(path, _CHECKPOINT_MAGIC, "checkpoint")
     (version,) = reader.take("<I")

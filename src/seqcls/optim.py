@@ -2,9 +2,11 @@
 
 One ``Optimizer`` class runs three first-order methods: AdamW (decoupled
 weight decay), NAdam (Nesterov first moment), and RMSprop.  A run sets
-only the method, the learning rate and the weight decay; the moment
-decay rates (BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and
-the denominator guard EPS are module constants.  Each parameter's
+only the method, the learning rate and the weight decay, and
+``OptimizerConfig`` is the one check of them: a known method, and a
+finite learning rate and weight decay, each >= 0.  The moment decay
+rates (BETA1 and BETA2 for AdamW and NAdam, RHO for RMSprop) and the
+denominator guard EPS are module constants.  Each parameter's
 moment arrays (two under AdamW and NAdam, one under RMSprop) are
 updated in place, and a step checks every gradient before it touches
 anything, so a step that raises on a non-finite gradient changes
@@ -23,6 +25,7 @@ best-validation-accuracy epoch (earliest wins ties).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -56,10 +59,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.algorithm!r}")
-        if self.lr < 0:
-            raise ParameterError(f"learning rate must be >= 0, got {self.lr}")
         if self.weight_decay is None:
             self.weight_decay = 0.01 if self.algorithm == "adamw" else 0.0
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
 
 class Optimizer:
@@ -115,21 +120,22 @@ def make_optimizer(config: OptimizerConfig, named_params) -> Optimizer:
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-4
+    lr: float = OptimizerConfig.lr
     epochs: int = 5
     batch_size: int = 32
-    optimizer: str = "adamw"
+    optimizer: str = OptimizerConfig.algorithm
     seed: int = 0
-    weight_decay: float | None = None
+    weight_decay: float | None = OptimizerConfig.weight_decay
     freeze_encoder: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch size must be >= 1")
-        if self.lr < 0:
-            raise ParameterError(f"learning rate must be >= 0, got {self.lr}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
+        self.optimizer_config()  # raises on a bad method, lr or weight decay
+
+    def optimizer_config(self) -> OptimizerConfig:
+        return OptimizerConfig(algorithm=self.optimizer, lr=self.lr,
+                               weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -201,9 +207,7 @@ def train(bundle: ModelBundle, train_examples: list[Example],
         train_examples = _encoded(bundle, train_examples)
         val_examples = _encoded(bundle, val_examples)
     named = list(bundle.named_parameters(freeze_encoder=config.freeze_encoder))
-    optimizer = make_optimizer(
-        OptimizerConfig(algorithm=config.optimizer, lr=config.lr,
-                        weight_decay=config.weight_decay), named)
+    optimizer = make_optimizer(config.optimizer_config(), named)
     n_classes = bundle.config.n_classes
     root = RandomSource(config.seed)
     result = TrainResult(best_epoch=0, best_val_accuracy=-1.0)

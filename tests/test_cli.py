@@ -27,7 +27,7 @@ from seqcls.cli import (
     write_results,
 )
 from seqcls.data import LabeledSample, load_jsonl, split, write_manifest
-from seqcls.encoder import save_embeddings
+from seqcls.encoder import EncoderConfig, save_embeddings
 from seqcls.errors import DataError, ParameterError
 from seqcls.model import (ModelConfig, init_model, load_checkpoint,
                           save_checkpoint)
@@ -299,6 +299,13 @@ class TestTrainCommand:
         assert (Path(config_a.out_dir) / "results.csv").read_bytes() == \
             (Path(config_b.out_dir) / "results.csv").read_bytes()
 
+    def test_bad_settings_fail_before_the_data_loads(self, tmp_path):
+        config = RunConfig(data=str(tmp_path / "missing.jsonl"),
+                           out_dir=str(tmp_path / "run"), lr=-1.0)
+        with pytest.raises(ParameterError, match="lr must be"):
+            cmd_train(config)
+        assert not (tmp_path / "run").exists()
+
     def test_different_seed_changes_the_checkpoint(self, corpus, tmp_path):
         config_a = small_config(corpus, tmp_path / "a", epochs=1)
         config_b = small_config(corpus, tmp_path / "b", epochs=1, seed=3)
@@ -309,23 +316,22 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
-    # frozen, the train loop scores its own encoded rows, but the results
-    # rows come from the encoder that model.ckpt holds, rounded to float32
+    # at small_config's dropout 0.1; frozen, the train loop scores its own
+    # encoded rows, but the results rows, like eval, score the reloaded
+    # model.ckpt through the token examples
     @pytest.mark.parametrize("freeze_encoder", [False, True],
                              ids=["trained", "frozen"])
-    def test_eval_reproduces_train_test_row(self, corpus, tmp_path,
-                                            freeze_encoder):
+    def test_eval_reproduces_each_results_row(self, corpus, tmp_path,
+                                              freeze_encoder):
         config = small_config(corpus, tmp_path / "run",
                               freeze_encoder=freeze_encoder)
         rows = cmd_train(config, clock=FakeClock())
-        row = cmd_eval(Path(config.out_dir) / "model.ckpt", None, "test",
-                       clock=FakeClock())
-        train_test = rows[2]
-        for name in ("model", "variant", "lr", "optimizer", "hidden_units",
-                     "dropout", "split", "accuracy", "precision_weighted",
-                     "recall_weighted", "f1_weighted", "precision_macro",
-                     "recall_macro", "f1_macro", "seed", "status"):
-            assert getattr(row, name) == getattr(train_test, name), name
+        assert [row.split for row in rows] == list(cli.SPLIT_NAMES)
+        for trained in rows:
+            evaluated = cmd_eval(Path(config.out_dir) / "model.ckpt", None,
+                                 trained.split, clock=FakeClock())
+            assert replace(evaluated, wall_seconds=None) == \
+                replace(trained, wall_seconds=None), trained.split
 
     def test_eval_twice_is_identical(self, corpus, tmp_path, capsys):
         config = small_config(corpus, tmp_path / "run", epochs=1)
@@ -566,6 +572,16 @@ class TestGridCommand:
         saved = read_results(tmp_path / "grid" / "grid.csv")
         assert len(saved) == 144
 
+    def test_each_cell_checks_its_settings_before_the_data_loads(
+            self, tmp_path):
+        base = RunConfig(data=str(tmp_path / "missing.jsonl"),
+                         out_dir=str(tmp_path / "grid"))
+        rows, _, failed = cmd_grid(base, [-1.0, 1e-2], [0.1], [4], ["gru"])
+        assert failed == 2
+        by_lr = {r.lr: r.status for r in rows}
+        assert by_lr == {-1.0: "error:ParameterError",
+                         1e-2: "error:FileNotFoundError"}
+
     def test_parallel_workers_match_serial_rows(self, corpus, tmp_path):
         base_serial = small_config(corpus, tmp_path / "serial", epochs=1)
         base_parallel = small_config(corpus, tmp_path / "parallel", epochs=1)
@@ -605,6 +621,38 @@ class TestPretrainCommand:
         for name in names:
             assert (direct / name).read_bytes() == (via_main / name).read_bytes()
 
+    def test_main_takes_every_encoder_flag(self, corpus, tmp_path, capsys):
+        sizes = dict(vocab_size=300, max_len=12, d_model=8, n_heads=2,
+                     n_layers=1)
+        direct, via_main = tmp_path / "direct", tmp_path / "main"
+        cmd_pretrain(corpus, "generic", direct, steps=2, **sizes)
+        flags = [part for name, value in sizes.items()
+                 for part in ("--" + name.replace("_", "-"), str(value))]
+        assert main(["pretrain", "--data", str(corpus), "--out-dir",
+                     str(via_main), "--steps", "2", *flags]) == 0
+        for name in ("vocab.txt", "pretrain_log.tsv", "embeddings.sqf1"):
+            assert (direct / name).read_bytes() == (via_main / name).read_bytes()
+
+    def test_zero_steps_export_the_untrained_encoder(self, corpus, tmp_path):
+        out = tmp_path / "pre"
+        path = cmd_pretrain(corpus, "generic", out, vocab_size=300,
+                            max_len=12, d_model=8, n_heads=2, n_layers=1,
+                            steps=0)
+        assert (out / "pretrain_log.tsv").read_text() == "step\tloss\n"
+        assert path.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--steps", "-1"), ("--lr", "nan"), ("--n-heads", "3")])
+    def test_bad_settings_fail_before_the_corpus_loads(self, tmp_path, capsys,
+                                                       flag, value):
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--data", str(tmp_path / "missing.jsonl"),
+                     "--out-dir", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: ParameterError:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_short_lines_log_every_step(self, tmp_path):
         """The synthetic corpus's lines are a few tokens long; at the default
         mask rate each still masks one, so every one of the 200 default
@@ -622,6 +670,7 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "ParameterError" in err and "masked position" in err
+        assert not (tmp_path / "pre").exists()
 
 
 class TestMainEntry:
@@ -667,6 +716,33 @@ class TestMainEntry:
         assert code == 1
         err = capsys.readouterr().err
         assert "ParameterError" in err
+
+    # each exits before the data file opens: the file does not exist
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+        ("--weight-decay", "-0.01"), ("--weight-decay", "nan"),
+        ("--epochs", "0"), ("--batch-size", "0")])
+    def test_bad_settings_give_one_line_before_the_data_loads(
+            self, tmp_path, capsys, flag, value):
+        run_dir = tmp_path / "run"
+        code = main(["train", "--data", str(tmp_path / "missing.jsonl"),
+                     "--out-dir", str(run_dir), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: ParameterError:")
+        assert err.count("\n") == 1
+        assert not run_dir.exists()
+
+    def test_parsers_take_defaults_and_lists_from_one_place(self):
+        parser = cli.build_parser()
+        tokenizer = parser.parse_args(["tokenizer", "--data", "d", "--out", "v"])
+        assert tokenizer.vocab_size == EncoderConfig.vocab_size
+        grid = parser.parse_args([
+            "grid", "--data", "d", "--out-dir", "o", "--lr", "1e-2,,3e-3",
+            "--rnn", "gru,lstm", "--hidden-units", "4,8"])
+        assert (grid.lr, grid.rnn, grid.hidden_units, grid.dropout) == (
+            [1e-2, 3e-3], ["gru", "lstm"], [4, 8], [RunConfig.dropout])
+        assert grid.schema == RunConfig.schema
 
     def test_tokenizer_entry_round_trips(self, corpus, tmp_path, capsys):
         out = tmp_path / "vocab.txt"

@@ -248,6 +248,33 @@ class TestOptimizerCommon:
         with pytest.raises(ParameterError):
             op.OptimizerConfig(algorithm="sgd", lr=0.1)
 
+    # step decays only when weight_decay > 0, so a negative or NaN decay
+    # must be refused here, not run as no decay
+    @pytest.mark.parametrize("setting", [
+        {"lr": float("nan")}, {"lr": float("inf")}, {"lr": -1.0},
+        {"weight_decay": -0.01}, {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")}], ids=repr)
+    def test_non_finite_or_negative_settings_rejected(self, setting):
+        with pytest.raises(ParameterError, match="must be finite and >= 0"):
+            op.OptimizerConfig(**setting)
+        # TrainConfig keeps no check of its own: it builds an OptimizerConfig
+        with pytest.raises(ParameterError, match="must be finite and >= 0"):
+            op.TrainConfig(**setting)
+
+
+class TestTrainConfig:
+    def test_builds_the_optimizer_config_it_names(self):
+        config = op.TrainConfig(lr=0.02, optimizer="nadam", epochs=2)
+        assert config.optimizer_config() == op.OptimizerConfig(
+            algorithm="nadam", lr=0.02, weight_decay=0.0)
+        assert op.TrainConfig().optimizer_config() == op.OptimizerConfig()
+
+    @pytest.mark.parametrize("setting", [
+        {"epochs": 0}, {"batch_size": 0}, {"optimizer": "sgd"}], ids=repr)
+    def test_bad_settings_rejected(self, setting):
+        with pytest.raises(ParameterError):
+            op.TrainConfig(**setting)
+
 
 def tiny_bundle(seed=1, dropout=0.0, head_kind="rnn"):
     config = md.ModelConfig(
