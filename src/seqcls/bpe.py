@@ -62,6 +62,7 @@ from .errors import DataError, ParameterError
 PAD, UNK, MASK, BOS, EOS = "<pad>", "<unk>", "<mask>", "<bos>", "<eos>"
 RESERVED = (PAD, UNK, MASK, BOS, EOS)
 PAD_ID, UNK_ID, MASK_ID, BOS_ID, EOS_ID = range(5)
+MIN_FREQUENCY = 2  # a pair seen fewer times is never merged
 
 _BYTE_OFFSET = 0x100
 # built once: CPython caches no one-character strings at or above U+0100
@@ -165,8 +166,8 @@ def _pop_best(heap: list, counts: dict[tuple[str, str], int]):
     return None, 0
 
 
-def train_bpe(corpus, vocab_size: int, min_frequency: int = 2, *,
-              segments: list | None = None) -> BpeVocabulary:
+def train_bpe(corpus, vocab_size: int, min_frequency: int = MIN_FREQUENCY,
+              *, segments: list | None = None) -> BpeVocabulary:
     """Learn merges greedily by highest pair frequency.
 
     Stops when the vocabulary reaches ``vocab_size`` or no pair occurs

@@ -25,8 +25,8 @@ import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .bpe import (BpeVocabulary, encode, load_vocabulary, save_vocabulary,
-                  to_sequence, train_bpe)
+from .bpe import (MIN_FREQUENCY, BpeVocabulary, encode, load_vocabulary,
+                  save_vocabulary, to_sequence, train_bpe)
 from .data import (DatasetSplits, LabeledSample, dedupe, load_jsonl, split,
                    synth_corpus, write_manifest)
 from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
@@ -34,15 +34,14 @@ from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
                       span_mask)
 from .errors import DataError, ParameterError, SeqclsError
 from .metrics import MetricsReport
-from .model import (Example, ModelConfig, init_model, load_checkpoint,
-                    save_checkpoint)
+from .model import (HEAD_KINDS, Example, ModelConfig, init_model,
+                    load_checkpoint, save_checkpoint)
 from .optim import (OPTIMIZERS, OptimizerConfig, TrainConfig, evaluate,
                     make_optimizer, train, write_log)
 from .rng import RandomSource
 from .tensor import Tape
 
 RNN_CHOICES = ("vanilla", "lstm", "bilstm", "gru", "bigru")
-HEAD_CHOICES = ("rnn", "mean")
 SPLIT_NAMES = ("train", "val", "test")
 SCHEMAS = ("defect", "generic")
 
@@ -81,7 +80,7 @@ class RunConfig:
     embeddings: str | None = None
 
     def __post_init__(self):
-        if self.head not in HEAD_CHOICES:
+        if self.head not in HEAD_KINDS:
             raise ParameterError(f"unknown head {self.head!r}")
         if self.rnn not in RNN_CHOICES:
             raise ParameterError(f"unknown rnn variant {self.rnn!r}")
@@ -394,7 +393,7 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
 
 
 def cmd_tokenizer(data, schema: str, vocab_size: int, out,
-                  min_frequency: int = 2):
+                  min_frequency: int = MIN_FREQUENCY):
     """Train a byte-pair vocabulary from a dataset file and save it."""
     loaded = load_jsonl(data, schema=schema)
     vocab = train_bpe((s.code for s in loaded.samples), vocab_size,
@@ -540,7 +539,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--weight-decay", type=float)
     parser.add_argument("--freeze-encoder", action="store_true")
-    parser.add_argument("--head", choices=HEAD_CHOICES, default=RunConfig.head)
+    parser.add_argument("--head", choices=HEAD_KINDS, default=RunConfig.head)
     parser.add_argument("--d-rnn", type=int, default=RunConfig.d_rnn)
     parser.add_argument("--dense-units", type=int,
                         default=RunConfig.dense_units)
@@ -577,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenizer", parents=[source],
                        help="train and save a BPE vocabulary")
     p.add_argument("--vocab-size", type=int, default=EncoderConfig.vocab_size)
-    p.add_argument("--min-frequency", type=int, default=2)
+    p.add_argument("--min-frequency", type=int, default=MIN_FREQUENCY)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="write the order-sensitive synthetic corpus")

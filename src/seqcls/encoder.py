@@ -17,12 +17,12 @@ with its layer norm (``tt.layer_norm_rule``).  Its one backward rule runs
 the rules' backward halves in reverse; no intermediate gradient
 outlives the rule that reads it.  The tape holds each array once, and
 only what the backward cannot rebuild bit for bit: per layer the two
-layer norms' normalized rows, the FFN's ReLU output and the two dropout
-masks, one byte per entry (``tt.held_mask``).  A rule is handed its
-input again at backward time, rebuilt with the forward's own operations
-from the layer norm that produced it or from the embedding rows plus
-positions, and the attention backward recomputes Q, K, V and the
-(heads, T, T) weights from it.  Every rule runs in place on the arrays
+layer norms' normalized rows and the two dropout masks, one byte per
+entry (``tt.held_mask``).  A rule is handed its input again at backward
+time, rebuilt with the forward's own operations from the layer norm that
+produced it or from the embedding rows plus positions; the attention
+backward recomputes Q, K, V and the (heads, T, T) weights from it, and
+the FFN backward its ReLU output.  Every rule runs in place on the arrays
 it allocated and never writes an array it was given (input, gradient,
 mask or parameter), with the same operations in the same order as out
 of place, so the bits are the same.  ``multi_head_attention`` and
@@ -266,7 +266,8 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
     """relu(x @ W1 + b1) @ W2 + b2 over the rows of the array ``x``.
 
     Returns the output and ``backward(g, x, wants_input)``, which is
-    handed ``x`` again and keeps only the ReLU output: it accumulates the
+    handed ``x`` again and keeps nothing: it recomputes the ReLU output
+    from ``x`` with the forward's own ops, bit for bit, accumulates the
     weight and bias gradients and returns the gradient of ``x`` when
     ``wants_input`` is true, else None.  The bias add, the ReLU and the
     ReLU's backward run in place on arrays the rule allocated; ``x`` and
@@ -279,11 +280,15 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
         raise DimensionError(
             f"feed-forward shapes incompatible: {x.shape} @ {w1.shape} + "
             f"{b1.shape}, @ {w2.shape} + {b2.shape}")
-    inner = x @ w1.data
-    inner += b1.data
-    np.maximum(inner, 0.0, out=inner)
+
+    def hidden(x):
+        """The (rows, inner) ReLU output."""
+        inner = x @ w1.data
+        inner += b1.data
+        return np.maximum(inner, 0.0, out=inner)
 
     def backward(g, x, wants_input):
+        inner = hidden(x)
         if w2.requires_grad:
             w2.accumulate_grad(inner.T @ g)
         if b2.requires_grad:
@@ -296,7 +301,7 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
             b1.accumulate_grad(d_inner.sum(axis=0))
         return d_inner @ w1.data.T if wants_input else None
 
-    out = inner @ w2.data
+    out = hidden(x) @ w2.data
     out += b2.data
     return out, backward
 

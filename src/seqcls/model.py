@@ -31,6 +31,7 @@ from .tensor import Tensor
 
 _CHECKPOINT_MAGIC = b"SQCK"
 _CHECKPOINT_VERSION = 2
+HEAD_KINDS = ("rnn", "mean")
 
 
 @dataclass
@@ -65,7 +66,7 @@ class ModelConfig:
                 raise ParameterError("imported embeddings cannot carry an encoder")
             if self.input_dim is None:
                 raise ParameterError("imported embeddings need input_dim")
-        if self.head_kind not in ("rnn", "mean"):
+        if self.head_kind not in HEAD_KINDS:
             raise ParameterError(f"unknown head kind {self.head_kind!r}")
         if self.head_kind == "rnn" and self.rnn_variant not in hd.VARIANT_GATES:
             raise ParameterError(f"unknown rnn variant {self.rnn_variant!r}")

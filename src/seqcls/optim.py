@@ -227,11 +227,6 @@ def train(bundle: ModelBundle, train_examples: list[Example],
                 tape.backward(average_losses(losses))
             epoch_loss += sum(losses.data.tolist())
             optimizer.step()
-            # free the spent graph now, not during the next batch or the
-            # validation pass; after the step, so that the step's arrays sit
-            # above it on the heap: freed before, the heap top is returned to
-            # the system and the next pass faults its pages back in
-            del tape
         val_report = evaluate(bundle, val_examples, n_classes)
         result.log.append(EpochLog(
             epoch=epoch,

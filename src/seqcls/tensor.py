@@ -7,7 +7,10 @@ rule is ``backward(g)``: it receives the output's gradient ``g`` and
 accumulates its inputs' gradients into their ``grad`` slots.
 ``Tape.backward`` walks the records in reverse order and calls a rule
 only when its output received a gradient; an output the loss never
-reached runs no rule.  Ops executed with no active tape (evaluation
+reached runs no rule.  The backward spends the tape: it releases each
+record, the rule with every array it holds and the output, as soon as
+the rule has run or been skipped, so the graph is gone when the
+backward returns.  Ops executed with no active tape (evaluation
 mode) pay no recording cost.  An op's array math may live in a rule that
 returns its output and ``backward(g, ...)`` (``layer_norm_rule``,
 ``gather_rows_rule``); ``from_rule`` records such a rule as one op, and a
@@ -79,12 +82,16 @@ class Tape:
 
     Ops are appended in execution order, which is a topological order by
     construction; ``backward`` visits each record once, in reverse, and
-    skips the outputs the loss never reached.  A tape is confined to one
-    logical thread of execution.
+    skips the outputs the loss never reached.  The backward spends the
+    tape: each record is released once its rule has run or been skipped,
+    and a second backward is an error.  ``len`` counts the ops recorded,
+    spent or not.  A tape is confined to one logical thread of execution.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._count = 0
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -95,21 +102,28 @@ class Tape:
 
     def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         self._records.append((out, backward))
+        self._count += 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and run, once each, the backward rules
-        of the outputs that received a gradient."""
+        of the outputs that received a gradient, releasing each record as
+        its turn passes."""
+        if self._spent:
+            raise ParameterError("this tape's backward has already run")
         if loss.size != 1:
             raise DimensionError(
                 f"backward needs a scalar loss, got shape {loss.shape}"
             )
         if not np.isfinite(loss.data).all():
             raise NumericError("loss is not finite")
+        self._spent = True
         loss.accumulate_grad(np.ones_like(loss.data))
-        for out, rule in reversed(self._records):
+        records = self._records
+        while records:
+            out, rule = records.pop()
             if out.grad is not None:
                 rule(out.grad)
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqcls import cli
-from seqcls.bpe import load_vocabulary
+from seqcls import bpe, cli
+from seqcls.bpe import MIN_FREQUENCY, load_vocabulary
 from seqcls.cli import (
     RESULTS_FIELDS,
     ResultsRow,
@@ -29,8 +30,8 @@ from seqcls.cli import (
 from seqcls.data import LabeledSample, load_jsonl, split, write_manifest
 from seqcls.encoder import EncoderConfig, save_embeddings
 from seqcls.errors import DataError, ParameterError
-from seqcls.model import (ModelConfig, init_model, load_checkpoint,
-                          save_checkpoint)
+from seqcls.model import (HEAD_KINDS, ModelConfig, init_model,
+                          load_checkpoint, save_checkpoint)
 from seqcls.optim import OPTIMIZERS, evaluate
 
 
@@ -743,6 +744,27 @@ class TestMainEntry:
         assert (grid.lr, grid.rnn, grid.hidden_units, grid.dropout) == (
             [1e-2, 3e-3], ["gru", "lstm"], [4, 8], [RunConfig.dropout])
         assert grid.schema == RunConfig.schema
+
+    def test_every_head_choice_builds_a_model_config(self):
+        parser = cli.build_parser()
+        for command in ("train", "grid"):
+            choices = next(action.choices for action in
+                           parser._subparsers._group_actions[0]
+                           .choices[command]._actions
+                           if action.dest == "head")
+            assert tuple(choices) == HEAD_KINDS
+        for head in HEAD_KINDS:
+            args = parser.parse_args(["train", "--data", "d", "--out-dir", "o",
+                                      "--head", head])
+            assert ModelConfig(n_classes=2, head_kind=args.head).head_kind == head
+
+    def test_tokenizer_min_frequency_has_one_default(self):
+        args = cli.build_parser().parse_args(
+            ["tokenizer", "--data", "d", "--out", "v"])
+        assert args.min_frequency == MIN_FREQUENCY
+        for fn in (cmd_tokenizer, bpe.train_bpe):
+            parameter = inspect.signature(fn).parameters["min_frequency"]
+            assert parameter.default == MIN_FREQUENCY
 
     def test_tokenizer_entry_round_trips(self, corpus, tmp_path, capsys):
         out = tmp_path / "vocab.txt"

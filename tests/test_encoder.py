@@ -145,7 +145,8 @@ def out_of_place_attention_rule(params, x, mask=None):
 
 
 def out_of_place_feed_forward_rule(params, x):
-    """``enc.feed_forward_rule`` as it was before it ran in place."""
+    """``enc.feed_forward_rule`` as it was before it ran in place and
+    recomputed its ReLU output: its backward holds that output."""
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     inner = np.maximum(x @ w1.data + b1.data, 0.0)
 
@@ -1267,11 +1268,11 @@ class TestInPlaceRules:
                              ids=["post-norm", "pre-norm"])
     def test_recorded_op_holds_each_array_once(self, pre_norm, causal):
         """One recorded ``encoder_forward`` at T = 256 holds, per layer, two
-        layer norms' ``xhat``, the ReLU output and two 1-byte dropout masks,
-        besides its output and the layer norms' (T, 1) statistics: no Q, K
-        or V, no rule input, no float mask and, causal, no (T, T) mask.
-        Its output and gradients stay those of the layer graph, which
-        builds the mask on every call."""
+        layer norms' ``xhat`` and two 1-byte dropout masks, besides its
+        output and the layer norms' (T, 1) statistics: no Q, K or V, no
+        ReLU output, no rule input, no float mask and, causal, no (T, T)
+        mask.  Its output and gradients stay those of the layer graph,
+        which builds the mask on every call."""
         t, d = 256, 16
         config = enc.EncoderConfig(d_model=d, n_heads=4, n_layers=2,
                                    vocab_size=64, max_len=t, dropout=0.1,
@@ -1281,7 +1282,7 @@ class TestInPlaceRules:
         tokens = make_tokens([int(i) for i in rng.integers(0, 64, t)], t)
         masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
         probe = Tensor(rng.uniform(-1, 1, (t, d)))
-        per_layer = 2 * t * d * 8 + t * 4 * d * 8 + 2 * t * d
+        per_layer = 2 * t * d * 8 + 2 * t * d
         budget = (config.n_layers * (per_layer + 2 * t * 8) + t * d * 8
                   + 32 * 1024)  # Python objects: closures, lists, tensors
         tensors = [p for _, p in model.named_parameters()]
@@ -1302,6 +1303,36 @@ class TestInPlaceRules:
                 assert held <= budget < t * t * 8
             results.append([out.data] + [p.grad for p in tensors])
         self.assert_all_equal(*results)
+
+    def test_backward_frees_what_the_records_held(self):
+        """After the backward of a tape that recorded two ``encoder_forward``
+        calls at T = 256, one of them unread by the loss, only the read
+        output, its gradient and the parameter gradients are left: the
+        layer norms' rows and the masks both records held are freed."""
+        t, d = 256, 16
+        config = enc.EncoderConfig(d_model=d, n_heads=4, n_layers=2,
+                                   vocab_size=64, max_len=t, dropout=0.1)
+        rng = RandomSource(610)
+        model = enc.init_encoder(config, rng.derive("enc"))
+        tokens = make_tokens([int(i) for i in rng.integers(0, 64, t)], t)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        probe = Tensor(rng.uniform(-1, 1, (t, d)))
+        held_per_call = config.n_layers * (2 * t * d * 8 + 2 * t * d)
+        tracemalloc.start()
+        try:
+            with tt.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                enc.encoder_forward(model, tokens, masks)
+                out = enc.encoder_forward(model, tokens, masks)
+                recorded = tracemalloc.get_traced_memory()[0] - before
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+                left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        grads = sum(p.grad.nbytes for _, p in model.named_parameters())
+        assert len(tape) == 4
+        assert recorded > 2 * held_per_call
+        assert left - grads - out.data.nbytes - out.grad.nbytes < 32 * 1024
 
 
 class TestEncoderForward:

@@ -10,7 +10,7 @@ from seqcls import model as md
 from seqcls import tensor as T
 from seqcls.bpe import PAD_ID, TokenSequence
 from seqcls.encoder import EncoderConfig
-from seqcls.errors import DimensionError, ParameterError
+from seqcls.errors import DimensionError, NumericError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tape, Tensor, make_output
 
@@ -671,3 +671,53 @@ class TestTape:
 
         for plain, extra in zip(run(False), run(True)):
             assert np.array_equal(plain, extra)
+
+    @staticmethod
+    def doubled(a, name, refs, alive):
+        """``a * 2`` as an op whose rule captures its factor array, watched
+        through ``refs[name]``; the rule appends the names of the factors
+        still alive to ``alive``."""
+        factor = np.full(a.shape, 2.0)
+        refs[name] = weakref.ref(factor)
+
+        def backward(g):
+            alive.append(sorted(n for n, ref in refs.items() if ref() is not None))
+            if a.requires_grad:
+                a.accumulate_grad(g * factor)
+
+        return make_output(a.data * factor, (a,), backward)
+
+    def test_backward_spends_the_tape(self):
+        """Each record goes once its turn passes, whether its rule ran or,
+        its output unread by the loss, was skipped; ``len`` still counts
+        every recorded op, and a held intermediate keeps its gradient."""
+        x = Tensor([1.0, -3.0], requires_grad=True)
+        refs, alive = {}, []
+        with Tape() as tape:
+            first = self.doubled(x, "first", refs, alive)
+            self.doubled(first, "unread", refs, alive)
+            second = self.doubled(first, "second", refs, alive)
+            tape.backward(T.sum_all(second))
+            assert len(tape) == 4
+        assert alive == [["first", "second", "unread"], ["first"]]
+        assert all(ref() is None for ref in refs.values())
+        assert np.array_equal(first.grad, [2.0, 2.0])
+        assert np.array_equal(x.grad, [4.0, 4.0])
+
+    def test_second_backward_is_refused(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(tanh(x))
+            tape.backward(loss)
+            with pytest.raises(ParameterError):
+                tape.backward(loss)
+        assert len(tape) == 2
+
+    def test_a_loss_refused_as_not_finite_leaves_the_tape_unspent(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.mul(x, x)
+            with pytest.raises(NumericError):
+                tape.backward(T.sum_all(T.mul(y, Tensor([np.inf]))))
+            tape.backward(T.sum_all(y))
+        assert np.array_equal(x.grad, [2.0])
