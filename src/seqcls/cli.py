@@ -249,7 +249,7 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
                    for s in getattr(splits, name)]
             for name in SPLIT_NAMES
         }
-        source = dict(embedding_source="imported", input_dim=width)
+        source = dict(encoder=None, input_dim=width)
         vocab = None
     else:
         loaded = load_jsonl(config.data, schema=config.schema)
@@ -264,7 +264,7 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
             d_model=config.d_model, n_heads=config.n_heads,
             n_layers=config.n_layers, vocab_size=len(vocab),
             max_len=config.max_len, dropout=config.dropout)
-        source = dict(embedding_source="internal", encoder=encoder)
+        source = dict(encoder=encoder)
         examples = {}
         if segments is not None:
             # the fit has already segmented every training line
@@ -340,9 +340,9 @@ def _report_lines(split_name: str, rep: MetricsReport) -> list[str]:
 
 
 def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
-             seed: int | None = None, results=None,
-             clock=time.perf_counter) -> ResultsRow:
-    """Forward-only evaluation of a saved run against one dataset split."""
+             results=None, clock=time.perf_counter) -> ResultsRow:
+    """Forward-only evaluation of a saved run against one dataset split,
+    the split that the run's splits.json records."""
     if split_name not in SPLIT_NAMES:
         raise ParameterError(f"unknown split {split_name!r}")
     checkpoint = Path(checkpoint)
@@ -357,8 +357,6 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
         raise DataError(f"unreadable run config {config_path}: {exc!r}") from exc
     if schema is not None:
         config = replace(config, schema=schema)
-    if seed is not None:
-        config = replace(config, seed=seed)
     if data is not None:
         config = replace(
             config,
@@ -366,7 +364,7 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
                {"data": str(data)}))
     bundle = load_checkpoint(checkpoint)
     vocab = None
-    if bundle.config.embedding_source == "internal":
+    if bundle.config.encoder is not None:
         vocab = load_vocabulary(checkpoint.parent / "vocab.txt")
     prepared = prepare(config, vocab=vocab)
     if prepared.model_config.n_classes != bundle.config.n_classes:
@@ -610,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset override; defaults to the run's dataset")
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--schema", choices=SCHEMAS, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--results", default=None,
                    help="append the row to this CSV")
 
@@ -653,8 +650,7 @@ def main(argv=None) -> int:
                 print(",".join(row.as_fields()))
         elif args.command == "eval":
             cmd_eval(args.checkpoint, args.data, args.split,
-                     schema=args.schema, seed=args.seed,
-                     results=args.results)
+                     schema=args.schema, results=args.results)
         elif args.command == "grid":
             base = _run_config(args, lr=args.lr[0], rnn=args.rnn[0],
                                hidden_units=args.hidden_units[0],

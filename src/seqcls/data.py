@@ -4,11 +4,12 @@ Two JSONL schemas are accepted: the defect-detection shape
 (func/target/idx, target 0 or 1) and a generic shape (code/label with
 string or integer labels, mapped to dense indices in sorted order).
 Malformed lines are skipped and counted, never fatal unless nothing
-parses; a file that is not UTF-8 is a ``DataError``.  Splitting is stratified 80/10/10 by label with a seeded
-shuffle; classes with fewer than 3 samples go wholly to train.  The
-synthetic corpus generator produces an order-sensitive class pair:
-paired samples share the exact same token multiset and differ only in
-marker order, so order-blind models cannot separate them.
+parses; a file that is not UTF-8 is a ``DataError``.  Splitting is
+stratified 80/10/10 by label with a seeded shuffle; classes with fewer
+than 3 samples go wholly to train.  The synthetic corpus generator
+produces an order-sensitive class pair: paired samples share the exact
+same token multiset and differ only in marker order, so order-blind
+models cannot separate them.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _parse_generic(record: dict):
 _PARSERS = {"defect": _parse_defect, "generic": _parse_generic}
 
 
-def load_jsonl(path, schema: str = "defect") -> LoadedData:
+def load_jsonl(path, schema: str) -> LoadedData:
     """Parse one JSON record per line; skip and count malformed lines."""
     if schema not in _PARSERS:
         raise ParameterError(f"unknown schema {schema!r}")

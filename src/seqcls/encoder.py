@@ -3,7 +3,7 @@
 Builds contextual embeddings from token embeddings plus a sinusoidal
 positional table, refined by stacked layers of multi-head self-attention
 and a position-wise feed-forward network, each wrapped in residual add
-and layer normalization (post-norm by default, pre-norm behind a flag).
+and then layer normalization (post-norm, as in RoBERTa and CodeBERT).
 The stack runs over the real tokens only, one output row each, and a
 causal variant restricts each position to its prefix via an additive
 mask, built once per model and read as a (T, T) view.
@@ -64,7 +64,6 @@ class EncoderConfig:
     max_len: int = 64
     dropout: float = 0.1
     causal: bool = False
-    pre_norm: bool = False
 
     def __post_init__(self):
         if min(self.d_model, self.n_heads, self.vocab_size, self.max_len) < 1:
@@ -314,47 +313,37 @@ def feed_forward(params: FeedForwardParams, x: Tensor) -> Tensor:
 
 
 def _sublayer(rule, x: np.ndarray, rebuild, keep: np.ndarray | None,
-              norm: tuple[Tensor, Tensor], pre_norm: bool, steps: list | None):
-    """One residual sublayer over the array ``x``: ``LN(x + keep * F(x))``
-    post-norm, ``x + keep * F(LN(x))`` pre-norm, with F the array rule
-    ``rule`` and LN the layer norm of ``norm`` = (gain, bias).  F's output
-    is a fresh array, so the masked residual runs in place on it.
+              norm: tuple[Tensor, Tensor], steps: list | None):
+    """One post-norm residual sublayer over the array ``x``:
+    ``LN(x + keep * F(x))``, with F the array rule ``rule`` and LN the
+    layer norm of ``norm`` = (gain, bias).  F's output is a fresh array,
+    so the masked residual runs in place on it.
 
     ``keep`` is a ``tt.dropout_mask`` in the shape applied, ``x``'s own;
     None drops nothing.  ``rebuild()`` returns a new array with the bits
-    of ``x``.  Returns the output and the same kind of rebuild for it:
-    post-norm the layer norm's ``output``; pre-norm None, because the next
-    sublayer's rule reads its own layer norm's output, not this one.
+    of ``x``.  Returns the output and the same kind of rebuild for it,
+    the layer norm's ``output``.
 
     Unless ``steps`` is None, appends the sublayer's ``backward(g)``,
     which returns the gradient of ``x``: the residual's plus the
     sublayer's.  It keeps the layer norm's ``xhat`` and what F keeps, and
-    the mask as a ``tt.held_mask``; it hands F its input again, rebuilt
-    by ``rebuild()`` post-norm and by the layer norm's ``output()``
-    pre-norm.  With ``steps`` None each rule's saved arrays go once the
-    next rule has run.
+    the mask as a ``tt.held_mask``; it hands F its input again, rebuilt by
+    ``rebuild()``.  With ``steps`` None each rule's saved arrays go once
+    the next rule has run.
     """
     if keep is not None and keep.shape != x.shape:
         raise DimensionError(f"dropout mask {keep.shape} vs input {x.shape}")
-    inner, pre_backward, rule_input = x, None, rebuild
-    if pre_norm:
-        inner, pre_backward, rule_input = tt.layer_norm_rule(x, *norm)
-    z, rule_backward = rule(inner)
+    z, rule_backward = rule(x)
     if keep is not None:
         z *= keep
     z += x
-    out, post_backward, rebuild_out = z, None, None
-    if not pre_norm:
-        out, post_backward, rebuild_out = tt.layer_norm_rule(z, *norm)
+    out, norm_backward, rebuild_out = tt.layer_norm_rule(z, *norm)
     times_keep = tt.held_mask(keep)
 
     def backward(g):
-        if post_backward is not None:
-            g = post_backward(g, True)
+        g = norm_backward(g, True)
         dx = rule_backward(g if times_keep is None else times_keep(g),
-                           rule_input(), True)
-        if pre_backward is not None:
-            dx = pre_backward(dx, True)
+                           rebuild(), True)
         dx += g  # a sum of two terms rounds alike in either order
         return dx
 
@@ -364,15 +353,16 @@ def _sublayer(rule, x: np.ndarray, rebuild, keep: np.ndarray | None,
 
 
 def dropout_masks(config: EncoderConfig, tokens: TokenSequence,
-                  rng: RandomSource | None, training: bool) -> list:
+                  rng: RandomSource | None) -> list:
     """Per layer, the (attention, FFN) ``tt.dropout_mask`` pair for
-    ``tokens``, in the shape applied.  Each is drawn in that order at the
-    padded height, one row per id, PADs included, and returned as a copy
-    of its top ``tokens.length`` rows, so the padded draw can go."""
+    ``tokens``, in the shape applied; all None when ``rng`` is None.  Each
+    is drawn in that order at the padded height, one row per id, PADs
+    included, and returned as a copy of its top ``tokens.length`` rows, so
+    the padded draw can go."""
     shape = (len(tokens.input_ids), config.d_model)
 
     def draw():
-        keep = tt.dropout_mask(rng, config.dropout, shape, training)
+        keep = tt.dropout_mask(rng, config.dropout, shape)
         return None if keep is None else keep[:tokens.length].copy()
 
     return [(draw(), draw()) for _ in range(config.n_layers)]
@@ -387,8 +377,8 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
     One tape op over every encoder parameter.  Its backward rule runs the
     sublayers' rules in reverse, passing each layer's input gradient on as
     a local array, and ends with the embedding's.  It holds no rule's
-    input: a post-norm sublayer's is rebuilt from the layer norm before it
-    or, in the first layer, from the embedding gather plus positions.  A
+    input: a sublayer's is rebuilt from the layer norm before it or, in
+    the first layer, from the embedding gather plus positions.  A
     causal encoder attends through a view of the model's one
     ``causal_mask``.
     """
@@ -423,11 +413,10 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
     for layer, (keep_attn, keep_ffn) in zip(model.layers, masks):
         x, rebuild = _sublayer(
             lambda h: multi_head_attention_rule(layer.attn, h, mask), x,
-            rebuild, keep_attn, (layer.ln1_gain, layer.ln1_bias),
-            config.pre_norm, steps)
+            rebuild, keep_attn, (layer.ln1_gain, layer.ln1_bias), steps)
         x, rebuild = _sublayer(
             lambda h: feed_forward_rule(layer.ffn, h), x, rebuild, keep_ffn,
-            (layer.ln2_gain, layer.ln2_bias), config.pre_norm, steps)
+            (layer.ln2_gain, layer.ln2_bias), steps)
 
     def backward(g):
         for step in reversed(steps):
@@ -520,12 +509,12 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
 
 
 def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
-                   rng: RandomSource | None = None,
-                   training: bool = False) -> Tensor:
+                   rng: RandomSource | None = None) -> Tensor:
     """Mean NLL of the original ids at masked positions: the masked rows
     through the projection tied to the embedding, then the classifier's
     row-wise softmax, cross-entropy and mean; a fixed number of tape ops
-    however many positions are masked."""
+    however many positions are masked.  The encoder draws its dropout
+    masks from ``rng``; None runs it without dropout."""
     targets = list(targets)
     if not targets:
         raise ParameterError("denoising loss needs at least one masked position")
@@ -534,7 +523,7 @@ def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
         if not 0 <= pos < corrupted.length:
             raise ParameterError(
                 f"masked position {pos} outside the {corrupted.length} real tokens")
-    masks = dropout_masks(model.config, corrupted, rng, training)
+    masks = dropout_masks(model.config, corrupted, rng)
     states = encoder_forward(model, corrupted, masks)
     rows = tt.gather_rows(states, positions)
     no_bias = Tensor(np.zeros(model.config.vocab_size))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,12 @@ HEAD_KINDS = ("rnn", "mean")
 
 @dataclass
 class ModelConfig:
+    """The bundle's shape.  ``encoder`` None means imported embeddings,
+    each row ``input_dim`` wide; with an encoder, ``input_dim`` is its
+    ``d_model``."""
+
     n_classes: int
-    embedding_source: str = "internal"
-    encoder: EncoderConfig | None = None
+    encoder: EncoderConfig | None = field(default_factory=EncoderConfig)
     input_dim: int | None = None
     head_kind: str = "rnn"
     rnn_variant: str = "gru"
@@ -49,23 +52,15 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.embedding_source not in ("internal", "imported"):
-            raise ParameterError(
-                f"unknown embedding source {self.embedding_source!r}")
-        if self.embedding_source == "internal":
-            if self.encoder is None:
-                self.encoder = EncoderConfig()
+        if self.encoder is not None:
             if self.input_dim is None:
                 self.input_dim = self.encoder.d_model
             if self.input_dim != self.encoder.d_model:
                 raise DimensionError(
                     f"bridge input {self.input_dim} differs from encoder "
                     f"width {self.encoder.d_model}")
-        else:
-            if self.encoder is not None:
-                raise ParameterError("imported embeddings cannot carry an encoder")
-            if self.input_dim is None:
-                raise ParameterError("imported embeddings need input_dim")
+        elif self.input_dim is None:
+            raise ParameterError("imported embeddings need input_dim")
         if self.head_kind not in HEAD_KINDS:
             raise ParameterError(f"unknown head kind {self.head_kind!r}")
         if self.head_kind == "rnn" and self.rnn_variant not in hd.VARIANT_GATES:
@@ -129,7 +124,7 @@ class _Unfilled:
 
 def _build_model(config: ModelConfig, rng) -> ModelBundle:
     encoder = None
-    if config.embedding_source == "internal":
+    if config.encoder is not None:
         encoder = init_encoder(config.encoder, rng.derive("encoder"))
     bridge = hd.init_bridge(config.input_dim, config.d_rnn, rng.derive("bridge"))
     cell = None
@@ -159,7 +154,7 @@ class Example:
 
 
 def draw_masks(bundle: ModelBundle, example: Example,
-               rng: RandomSource | None, training: bool):
+               rng: RandomSource | None):
     """One sample's dropout masks in the shape applied, the one place their
     order and the padded height they are drawn at are fixed.
 
@@ -171,7 +166,8 @@ def draw_masks(bundle: ModelBundle, example: Example,
     bridge mask cut to the sample's real rows, the classifier mask to the
     summary row that ``hd.summary_rows`` reads.  The encoder masks are
     None for an imported matrix, and the head masks None, like every
-    encoder mask, where nothing is dropped.
+    encoder mask, where nothing is dropped: with ``rng`` None (no
+    dropout) or a zero rate.
     """
     config = bundle.config
     encoder_masks = None
@@ -179,13 +175,12 @@ def draw_masks(bundle: ModelBundle, example: Example,
         rows = length = len(example.matrix)
     else:
         rows, length = len(example.tokens.input_ids), example.tokens.length
-        encoder_masks = dropout_masks(config.encoder, example.tokens, rng,
-                                      training)
+        encoder_masks = dropout_masks(config.encoder, example.tokens, rng)
     p, width = bundle.head.dropout, config.summary_dim
     # the mean head has one pooled row, which its summary reads
     state_rows, last = (1, 1) if bundle.cell is None else (rows, length)
-    bridge = tt.dropout_mask(rng, p, (rows, config.input_dim), training)
-    classifier = tt.dropout_mask(rng, p, (state_rows, width), training)
+    bridge = tt.dropout_mask(rng, p, (rows, config.input_dim))
+    classifier = tt.dropout_mask(rng, p, (state_rows, width))
     if bridge is None:
         return encoder_masks, None
     read = hd.summary_rows([last], width,
@@ -196,11 +191,12 @@ def draw_masks(bundle: ModelBundle, example: Example,
 
 
 def forward_example(bundle: ModelBundle, examples,
-                    rng: RandomSource | None = None, training: bool = False,
+                    rng: RandomSource | None = None, *,
                     with_loss: bool = False):
     """Encoder (or the imported matrix) per sample, then the bundle's head
     once over the batch; returns (probs, losses), the losses None unless
-    ``with_loss``.
+    ``with_loss``.  A random source ``rng`` means training-mode dropout;
+    None runs without dropout.
 
     ``examples`` is a list: probs is (B, k) and losses (B,).  A single
     :class:`Example` is the batch of one: probs is its (k,) row and the
@@ -212,7 +208,7 @@ def forward_example(bundle: ModelBundle, examples,
     for example in batch:
         if example.tokens is not None and bundle.encoder is None:
             raise ParameterError("model has no encoder; feed embeddings instead")
-        encoder_masks, masks = draw_masks(bundle, example, rng, training)
+        encoder_masks, masks = draw_masks(bundle, example, rng)
         if example.tokens is None:
             sequences.append(Tensor(example.matrix))
         else:

@@ -222,8 +222,7 @@ def train(bundle: ModelBundle, train_examples: list[Example],
             optimizer.zero_grad()
             with Tape() as tape:
                 losses = forward_example(bundle, order[lo:lo + config.batch_size],
-                                         dropout_rng, training=True,
-                                         with_loss=True)[1]
+                                         dropout_rng, with_loss=True)[1]
                 tape.backward(average_losses(losses))
             epoch_loss += sum(losses.data.tolist())
             optimizer.step()

@@ -393,17 +393,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                      (gain, bias))
 
 
-def dropout_mask(rng: RandomSource | None, p: float, shape,
-                 training: bool) -> np.ndarray | None:
+def dropout_mask(rng: RandomSource | None, p: float,
+                 shape) -> np.ndarray | None:
     """Inverted-dropout mask from one ``rng.bernoulli`` draw: 0 where
-    dropped, 1/(1-p) where kept.  Outside training, and for p == 0, it is
-    None and draws nothing."""
+    dropped, 1/(1-p) where kept.  A random source means training; with
+    none (inference), and for p == 0, it is None and draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None
-    if rng is None:
-        raise ParameterError("training-mode dropout requires a random source")
     return rng.bernoulli(1.0 - p, shape) / (1.0 - p)
 
 

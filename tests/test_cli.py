@@ -33,6 +33,7 @@ from seqcls.errors import DataError, ParameterError
 from seqcls.model import (HEAD_KINDS, ModelConfig, init_model,
                           load_checkpoint, save_checkpoint)
 from seqcls.optim import OPTIMIZERS, evaluate
+from test_model import with_deleted_settings
 
 
 def read_results(path):
@@ -319,13 +320,20 @@ class TestTrainCommand:
 class TestEvalCommand:
     # at small_config's dropout 0.1; frozen, the train loop scores its own
     # encoded rows, but the results rows, like eval, score the reloaded
-    # model.ckpt through the token examples
-    @pytest.mark.parametrize("freeze_encoder", [False, True],
-                             ids=["trained", "frozen"])
+    # model.ckpt through the token examples; imported, both read the
+    # pretrained embedding file
+    @pytest.mark.parametrize("source", ["trained", "frozen", "imported"])
     def test_eval_reproduces_each_results_row(self, corpus, tmp_path,
-                                              freeze_encoder):
-        config = small_config(corpus, tmp_path / "run",
-                              freeze_encoder=freeze_encoder)
+                                              source):
+        overrides = {"frozen": {"freeze_encoder": True}}.get(source, {})
+        if source == "imported":
+            embeddings = cmd_pretrain(corpus, "generic", tmp_path / "pre",
+                                      vocab_size=300, max_len=12, d_model=8,
+                                      n_heads=2, n_layers=1, steps=3)
+            overrides = dict(embeddings=str(embeddings), max_len=None,
+                             d_model=None, n_heads=None, n_layers=None,
+                             vocab_size=None)
+        config = small_config(corpus, tmp_path / "run", **overrides)
         rows = cmd_train(config, clock=FakeClock())
         assert [row.split for row in rows] == list(cli.SPLIT_NAMES)
         for trained in rows:
@@ -438,6 +446,26 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err == "seqcls: DataError: unsupported checkpoint version 1\n"
 
+    def test_checkpoint_with_deleted_settings_exits_with_one_line(
+            self, corpus, tmp_path, capsys):
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        checkpoint = Path(config.out_dir) / "model.ckpt"
+        checkpoint.write_bytes(with_deleted_settings(checkpoint.read_bytes()))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: DataError: bad checkpoint config:")
+        assert "'pre_norm'" in err and err.count("\n") == 1
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        """The split is the one splits.json records: no flag re-splits."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                  "--seed", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_missing_run_config_is_a_data_error(self, tmp_path):
         checkpoint = tmp_path / "model.ckpt"
         checkpoint.write_bytes(b"SQCK")
@@ -477,7 +505,7 @@ class TestEvalCommand:
         (run_dir / "config.json").write_text(
             json.dumps(run_config.to_dict(), sort_keys=True))
         bundle = init_model(ModelConfig(
-            n_classes=2, embedding_source="imported", input_dim=2,
+            n_classes=2, encoder=None, input_dim=2,
             head_kind="mean", d_rnn=2, dense_units=2, dropout=0.0), seed=0)
         bundle.bridge.w.data = np.eye(2)
         bundle.bridge.b.data = np.zeros(2)

@@ -36,6 +36,14 @@ def small_config(**overrides):
     return enc.EncoderConfig(**defaults)
 
 
+@pytest.fixture(params=["post-norm"])
+def norm_placement(request):
+    """The encoder's one layer-norm placement. Cases that once ran per
+    placement keep it as the first part of their ids, so a second
+    placement comes back as a second param without renaming them."""
+    return request.param
+
+
 def transpose(x):
     """2-D transpose as a tape op; only the reference attention uses it."""
     if x.data.ndim != 2:
@@ -188,24 +196,16 @@ def out_of_place_layer_norm_rule(z, gain, bias, eps=1e-5):
     return data, backward
 
 
-def out_of_place_sublayer(rule, x, keep, norm, pre_norm):
+def out_of_place_sublayer(rule, x, keep, norm):
     """``enc._sublayer`` over the out-of-place layer norm, with its masked
     residual out of place; returns the output and ``backward(g)``."""
-    inner, pre_backward = x, None
-    if pre_norm:
-        inner, pre_backward = out_of_place_layer_norm_rule(x, *norm)
-    a, rule_backward = rule(inner)
+    a, rule_backward = rule(x)
     z = x + a if keep is None else x + a * keep
-    out, post_backward = z, None
-    if not pre_norm:
-        out, post_backward = out_of_place_layer_norm_rule(z, *norm)
+    out, norm_backward = out_of_place_layer_norm_rule(z, *norm)
 
     def backward(g):
-        if post_backward is not None:
-            g = post_backward(g, True)
+        g = norm_backward(g, True)
         dx = rule_backward(g if keep is None else g * keep, True)
-        if pre_backward is not None:
-            dx = pre_backward(dx, True)
         dx += g
         return dx
 
@@ -287,26 +287,18 @@ def out_of_place_scan(cell, sequences, lengths, reverse):
     return tt.make_output(data, (sequences, cell.p, cell.q, cell.b), backward)
 
 
-def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
+def reference_layer_forward(layer, x, mask, keep_attn, keep_ffn):
     """The layer the fused sublayers replaced: one tape op per residual
     add, dropout, layer norm and FFN step, 12 per layer."""
-    if pre_norm:
-        a = enc.multi_head_attention(
-            layer.attn, tt.layer_norm(x, layer.ln1_gain, layer.ln1_bias), mask)
-        x = add(x, tt.dropout(a, keep_attn))
-        f = reference_feed_forward(
-            layer.ffn, tt.layer_norm(x, layer.ln2_gain, layer.ln2_bias))
-        return add(x, tt.dropout(f, keep_ffn))
     a = tt.dropout(enc.multi_head_attention(layer.attn, x, mask), keep_attn)
     x = tt.layer_norm(add(x, a), layer.ln1_gain, layer.ln1_bias)
     f = tt.dropout(reference_feed_forward(layer.ffn, x), keep_ffn)
     return tt.layer_norm(add(x, f), layer.ln2_gain, layer.ln2_bias)
 
 
-def add_norm(x, a, keep, norm=None):
-    """A sublayer's residual tail as one tape op: ``x + keep * a``, then,
-    given ``norm`` = (gain, bias), the layer norm of the sum (post-norm);
-    with ``norm`` None (pre-norm) the sum itself.  ``keep`` is a
+def add_norm(x, a, keep, norm):
+    """A sublayer's residual tail as one tape op: the layer norm of
+    ``x + keep * a`` with ``norm`` = (gain, bias).  ``keep`` is a
     ``tt.dropout_mask``, a taller one applying its top rows
     (``fit_mask``); None drops nothing.
     The rule hands ``x`` its gradient before ``a``, the order the unfused
@@ -318,32 +310,23 @@ def add_norm(x, a, keep, norm=None):
     else:
         keep = fit_mask(keep, a.shape)
         z = x.data + a.data * keep
-    data, norm_backward = z, None
-    if norm is not None:
-        data, norm_backward, _ = tt.layer_norm_rule(z, *norm)
+    data, norm_backward, _ = tt.layer_norm_rule(z, *norm)
 
     def backward(g):
-        if norm_backward is not None:
-            g = norm_backward(g, x.requires_grad or a.requires_grad)
+        g = norm_backward(g, x.requires_grad or a.requires_grad)
         if x.requires_grad:
             x.accumulate_grad(g)
         if a.requires_grad:
             a.accumulate_grad(g if keep is None else g * keep)
 
-    return tt.make_output(data, (x, a, *(norm or ())), backward)
+    return tt.make_output(data, (x, a, *norm), backward)
 
 
-def layer_forward(layer, x, mask, keep_attn, keep_ffn, pre_norm):
+def layer_forward(layer, x, mask, keep_attn, keep_ffn):
     """The layer as a graph of tape ops, the one-op encoder's oracle:
-    attention, add-norm, FFN and add-norm per post-norm layer, 4 ops;
-    pre-norm adds its two layer norms, 6."""
+    attention, add-norm, FFN and add-norm, 4 ops."""
     ln1 = (layer.ln1_gain, layer.ln1_bias)
     ln2 = (layer.ln2_gain, layer.ln2_bias)
-    if pre_norm:
-        a = enc.multi_head_attention(layer.attn, tt.layer_norm(x, *ln1), mask)
-        x = add_norm(x, a, keep_attn)
-        return add_norm(x, enc.feed_forward(layer.ffn, tt.layer_norm(x, *ln2)),
-                        keep_ffn)
     x = add_norm(x, enc.multi_head_attention(layer.attn, x, mask), keep_attn,
                  ln1)
     return add_norm(x, enc.feed_forward(layer.ffn, x), keep_ffn, ln2)
@@ -360,15 +343,15 @@ def graph_encoder_forward(model, tokens, masks=None, layer=layer_forward):
             Tensor(model.positional[:length]))
     mask = enc.additive_mask(length, causal=True) if config.causal else None
     for params, keep in zip(model.layers, masks):
-        x = layer(params, x, mask, *keep, config.pre_norm)
+        x = layer(params, x, mask, *keep)
     return x
 
 
-def reference_encoder_forward(model, tokens, rng=None, training=False):
+def reference_encoder_forward(model, tokens, rng=None):
     """The padded forward ``encoder_forward`` replaced: every id, PADs
     included, is embedded, the PAD columns are masked out of attention,
-    and the layers are the unfused ones; returns all
-    ``len(tokens.input_ids)`` rows."""
+    and the layers are the unfused ones, dropping out when given ``rng``;
+    returns all ``len(tokens.input_ids)`` rows."""
     config = model.config
     n = len(tokens.input_ids)
     x = add(tt.gather_rows(model.embedding, list(tokens.input_ids)),
@@ -376,33 +359,32 @@ def reference_encoder_forward(model, tokens, rng=None, training=False):
     mask = enc.additive_mask(n, valid_len=tokens.length, causal=config.causal)
     for layer in model.layers:
         keep = [None, None]
-        if training and config.dropout > 0.0:
+        if rng is not None and config.dropout > 0.0:
             keep = separate_masks(rng, config.dropout, [(n, config.d_model)] * 2)
-        x = reference_layer_forward(layer, x, mask, *keep, config.pre_norm)
+        x = reference_layer_forward(layer, x, mask, *keep)
     return x
 
 
-def padded_masks(config, tokens, rng, training):
+def padded_masks(config, tokens, rng):
     """Per layer, the (attention, FFN) masks ``enc.dropout_masks`` draws,
     in its order and at the padded height, uncut: the oracles' masks."""
     shape = (len(tokens.input_ids), config.d_model)
-    return [(tt.dropout_mask(rng, config.dropout, shape, training),
-             tt.dropout_mask(rng, config.dropout, shape, training))
+    return [(tt.dropout_mask(rng, config.dropout, shape),
+             tt.dropout_mask(rng, config.dropout, shape))
             for _ in range(config.n_layers)]
 
 
-def trimmed_forward(model, tokens, rng=None, training=False):
+def trimmed_forward(model, tokens, rng=None):
     """``encoder_forward`` with its masks drawn as the model draws them."""
-    masks = enc.dropout_masks(model.config, tokens, rng, training)
+    masks = enc.dropout_masks(model.config, tokens, rng)
     return enc.encoder_forward(model, tokens, masks)
 
 
-def reference_denoising_loss(model, corrupted, targets, rng=None,
-                             training=False):
+def reference_denoising_loss(model, corrupted, targets, rng=None):
     """The per-position loop ``denoising_loss`` replaced: each masked row
     through one tied-embedding matvec, softmax and floored log, the
     negated terms summed and scaled by the target count."""
-    masks = enc.dropout_masks(model.config, corrupted, rng, training)
+    masks = enc.dropout_masks(model.config, corrupted, rng)
     states = enc.encoder_forward(model, corrupted, masks)
     total = None
     for pos, original_id in targets:
@@ -726,47 +708,44 @@ class TestFeedForward:
 
 
 class TestAddNorm:
-    """The fused residual tail, ``LN(x + keep * a)`` for post-norm and
-    ``x + keep * a`` for pre-norm, against the unfused graph."""
-
-    NORMS = {"post-norm": True, "pre-norm": False}
+    """The fused residual tail, ``LN(x + keep * a)``, against the unfused
+    graph."""
 
     @staticmethod
-    def operands(seed, normed=True):
-        """x and a (3 x 4), the (gain, bias) pair or None, a keep mask
-        drawn at a padded height of 5 and cut to its top 3 rows, and a
-        probe for the loss."""
+    def operands(seed):
+        """x and a (3 x 4), the (gain, bias) pair, a keep mask drawn at a
+        padded height of 5 and cut to its top 3 rows, and a probe for the
+        loss."""
         rng = RandomSource(seed)
         x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         gain = Tensor(1.0 + rng.uniform(-0.2, 0.2, 4), requires_grad=True)
         bias = Tensor(rng.uniform(-0.1, 0.1, 4), requires_grad=True)
-        keep = tt.dropout_mask(rng, 0.4, (5, 4), training=True)[:3]
+        keep = tt.dropout_mask(rng, 0.4, (5, 4))[:3]
         probe = Tensor(rng.uniform(-1, 1, (3, 4)))
-        return x, a, (gain, bias) if normed else None, keep, probe
+        return x, a, (gain, bias), keep, probe
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
-    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
-    def test_gradients_match_finite_differences(self, norm_kind, dropped):
-        x, a, norm, keep, probe = self.operands(400, self.NORMS[norm_kind])
+    def test_gradients_match_finite_differences(self, dropped):
+        x, a, norm, keep, probe = self.operands(400)
         keep = keep if dropped else None
-        tensors = [x, a, *(norm or ())]
+        tensors = [x, a, *norm]
 
         def loss():
             return tt.sum_all(tt.mul(add_norm(x, a, keep, norm), probe))
 
         assert tt.check_gradients(loss, tensors) < 1e-4
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
-    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
-    def test_matches_unfused_graph_bit_for_bit(self, norm_kind, dropped):
-        x, a, norm, keep, probe = self.operands(401, self.NORMS[norm_kind])
+    def test_matches_unfused_graph_bit_for_bit(self, dropped):
+        x, a, norm, keep, probe = self.operands(401)
         keep = keep if dropped else None
-        tensors = [x, a, *(norm or ())]
+        tensors = [x, a, *norm]
 
         def unfused(x, a, keep, norm):
-            out = add(x, tt.dropout(a, keep))
-            return out if norm is None else tt.layer_norm(out, *norm)
+            return tt.layer_norm(add(x, tt.dropout(a, keep)), *norm)
 
         results = []
         for forward in (add_norm, unfused):
@@ -785,8 +764,8 @@ class TestAddNorm:
         same seed; asserts each cut mask is a copy of its padded draw's
         top rows and that both streams end at the same place."""
         rng, replay = RandomSource(seed), RandomSource(seed)
-        cut = enc.dropout_masks(config, tokens, rng, True)
-        padded = padded_masks(config, tokens, replay, True)
+        cut = enc.dropout_masks(config, tokens, rng)
+        padded = padded_masks(config, tokens, replay)
         for pair, padded_pair in zip(cut, padded):
             for keep, full in zip(pair, padded_pair):
                 assert np.array_equal(keep, full[:tokens.length])
@@ -794,13 +773,12 @@ class TestAddNorm:
         assert np.array_equal(rng.uniform(0, 1, 3), replay.uniform(0, 1, 3))
         return cut, padded
 
-    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
-    def test_padded_mask_applies_its_top_rows(self, norm_kind):
+    @pytest.mark.usefixtures("norm_placement")
+    def test_padded_mask_applies_its_top_rows(self):
         """``enc.dropout_masks`` cuts each mask to the 3 real rows, and the
         encoder applies the cut masks as the layer graph applies the
         padded ones."""
-        config = small_config(n_layers=2, dropout=0.4,
-                              pre_norm=not self.NORMS[norm_kind])
+        config = small_config(n_layers=2, dropout=0.4)
         tokens = make_tokens([3, 1, 4, PAD_ID, PAD_ID], 3)
         cut, padded = self.cut_and_padded(config, tokens, 402)
         model = enc.init_encoder(config, RandomSource(403))
@@ -823,9 +801,9 @@ class TestAddNorm:
         # the first four draws are dropout_masks'; the oracle's follow
         assert len(draws) == 8 and all(ref() is None for ref in draws[:4])
 
-    @pytest.mark.parametrize("norm_kind", sorted(NORMS))
-    def test_mask_of_wrong_width_rejected(self, norm_kind):
-        x, a, norm, _, _ = self.operands(404, self.NORMS[norm_kind])
+    @pytest.mark.usefixtures("norm_placement")
+    def test_mask_of_wrong_width_rejected(self):
+        x, a, norm, _, _ = self.operands(404)
         for shape in ((5, 5), (3, 3), (2, 4)):
             with pytest.raises(DimensionError, match="dropout mask"):
                 add_norm(x, a, np.ones(shape), norm)
@@ -841,15 +819,13 @@ class TestFusedLayer:
     against, against ``reference_layer_forward``, the unfused layer:
     outputs and every parameter gradient bit for bit."""
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("training", [False, True],
                              ids=["no-masks", "masks"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_matches_unfused_layer_bit_for_bit(self, pre_norm, causal,
-                                               training):
+    def test_matches_unfused_layer_bit_for_bit(self, causal, training):
         config = small_config(d_model=8, n_heads=2, n_layers=2, max_len=8,
-                              dropout=0.3, pre_norm=pre_norm, causal=causal)
+                              dropout=0.3, causal=causal)
         rng = RandomSource(500)
         model = enc.init_encoder(config, rng.derive("enc"))
         for _, t in model.named_parameters():
@@ -859,8 +835,8 @@ class TestFusedLayer:
         tensors = [t for _, t in model.named_parameters()]
         results = []
         for layer in (layer_forward, reference_layer_forward):
-            masks = enc.dropout_masks(config, tokens, RandomSource(7),
-                                      training)
+            masks = enc.dropout_masks(config, tokens,
+                                      RandomSource(7) if training else None)
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
@@ -870,22 +846,21 @@ class TestFusedLayer:
         for fused, ref in zip(*results):
             assert np.array_equal(fused, ref)
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("training", [False, True],
                              ids=["no-masks", "masks"])
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
-    @pytest.mark.parametrize("pre_norm, per_layer", [(False, 4), (True, 6)],
-                             ids=["post-norm", "pre-norm"])
-    def test_records_per_layer(self, pre_norm, per_layer, n_layers, training):
+    def test_records_per_layer(self, n_layers, training):
         """Embedding and positions, then attention, add-norm, FFN and
-        add-norm per post-norm layer; pre-norm adds its two layer norms."""
-        config = small_config(n_layers=n_layers, dropout=0.3,
-                              pre_norm=pre_norm)
+        add-norm per layer."""
+        config = small_config(n_layers=n_layers, dropout=0.3)
         model = enc.init_encoder(config, RandomSource(501))
         tokens = make_tokens([3, 1, 4, 1, 5, PAD_ID], 5)
-        masks = enc.dropout_masks(config, tokens, RandomSource(502), training)
+        masks = enc.dropout_masks(config, tokens,
+                                  RandomSource(502) if training else None)
         with tt.Tape() as tape:
             graph_encoder_forward(model, tokens, masks)
-        assert len(tape) == 2 + per_layer * n_layers
+        assert len(tape) == 2 + 4 * n_layers
 
 
 class TestEncoderOp:
@@ -910,7 +885,8 @@ class TestEncoderOp:
         tensors = [t for _, t in model.named_parameters()]
         draw = (enc.dropout_masks if forward is enc.encoder_forward
                 else padded_masks)
-        masks = draw(model.config, tokens, RandomSource(7), training)
+        masks = draw(model.config, tokens,
+                     RandomSource(7) if training else None)
         for t in tensors:
             t.zero_grad()
         with tt.Tape() as tape:
@@ -919,16 +895,14 @@ class TestEncoderOp:
         return [out.data] + [None if t.grad is None else t.grad.copy()
                              for t in tensors]
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     @pytest.mark.parametrize("training", [False, True],
                              ids=["no-masks", "masks"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_matches_layer_graph_bit_for_bit(self, pre_norm, causal, training,
-                                             n_layers):
+    def test_matches_layer_graph_bit_for_bit(self, causal, training, n_layers):
         model, rng = self.perturbed_model(510 + n_layers, n_layers=n_layers,
-                                          pre_norm=pre_norm, causal=causal)
+                                          causal=causal)
         # a repeated id sums two rows into one embedding gradient row
         tokens = make_tokens([3, 9, 3, 14, 1, 7, PAD_ID, PAD_ID], 6)
         probe = Tensor(rng.uniform(-1, 1, (6, 8)))
@@ -961,20 +935,18 @@ class TestEncoderOp:
             if fused is not None:
                 assert np.array_equal(fused, ref)
 
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_gradients_match_finite_differences(self, pre_norm):
+    @pytest.mark.usefixtures("norm_placement")
+    def test_gradients_match_finite_differences(self):
         """Every parameter, the embedding included, through two layers with
         fixed dropout masks and a causal mask."""
         config = small_config(d_model=4, n_heads=2, n_layers=2, vocab_size=8,
-                              max_len=5, dropout=0.3, causal=True,
-                              pre_norm=pre_norm)
+                              max_len=5, dropout=0.3, causal=True)
         rng = RandomSource(530)
         model = enc.init_encoder(config, rng.derive("enc"))
         for _, t in model.named_parameters():
             t.data += rng.uniform(-0.2, 0.2, t.shape)
         tokens = make_tokens([1, 5, 2, 5, PAD_ID], 4)
-        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"))
         probe = Tensor(rng.uniform(-1, 1, (4, 4)))
         tensors = [t for _, t in model.named_parameters()]
 
@@ -984,17 +956,16 @@ class TestEncoderOp:
 
         assert tt.check_gradients(loss, tensors) < 1e-4
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("trains", ["all", "embedding", "one-gain"])
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_one_record_per_call(self, pre_norm, trains):
-        model, _ = self.perturbed_model(540, n_layers=3, pre_norm=pre_norm)
+    def test_one_record_per_call(self, trains):
+        model, _ = self.perturbed_model(540, n_layers=3)
         keep = {"all": None, "embedding": "encoder.embedding",
                 "one-gain": "encoder.layer2.ln1.gain"}[trains]
         for name, t in model.named_parameters():
             t.requires_grad = keep is None or name == keep
         tokens = make_tokens([3, 1, 4, 1, 5, 9], 5)
-        masks = enc.dropout_masks(model.config, tokens, RandomSource(541), True)
+        masks = enc.dropout_masks(model.config, tokens, RandomSource(541))
         with tt.Tape() as tape:
             out = enc.encoder_forward(model, tokens, masks)
         assert len(tape) == 1 and out.requires_grad
@@ -1128,19 +1099,18 @@ class TestInPlaceRules:
         again = output()
         assert again is not out and np.array_equal(again, out)
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("dropped", [False, True], ids=["no-keep", "keep"])
     @pytest.mark.parametrize("sublayer",
                              ["attention", "unmasked-attention", "ffn"])
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_sublayer_matches_out_of_place(self, pre_norm, sublayer, dropped):
+    def test_sublayer_matches_out_of_place(self, sublayer, dropped):
         """The sublayer hands its rule the input at backward time, rebuilt
-        (here a copy of ``x``) post-norm and from its layer norm pre-norm;
-        "attention" attends through the causal mask."""
+        (here a copy of ``x``); "attention" attends through the causal
+        mask."""
         layer, rng = self.perturbed_layer(603)
         x = rng.uniform(-1, 1, (5, 8))
         g = rng.uniform(-1, 1, (5, 8))
-        keep = tt.dropout_mask(rng, 0.4, (5, 8), training=dropped)
+        keep = tt.dropout_mask(rng if dropped else None, 0.4, (5, 8))
         mask = (enc.additive_mask(5, causal=True) if sublayer == "attention"
                 else None)
         norm = (layer.ln1_gain, layer.ln1_bias)
@@ -1156,7 +1126,7 @@ class TestInPlaceRules:
         def in_place():
             steps = []
             out, rebuild = enc._sublayer(rule, x, lambda: x.copy(), keep, norm,
-                                         pre_norm, steps)
+                                         steps)
             rebuilds.append(rebuild)
             return out, steps[0]
 
@@ -1164,20 +1134,18 @@ class TestInPlaceRules:
         tensors = [t for _, t in params.named_parameters()] + list(norm)
         results = [self.run(forward, (g,), given, tensors) for forward in (
             in_place,
-            lambda: out_of_place_sublayer(ref_rule, x, keep, norm, pre_norm))]
+            lambda: out_of_place_sublayer(ref_rule, x, keep, norm))]
         self.assert_all_equal(*results)
-        # post-norm, the next sublayer's input is rebuilt from this layer norm
+        # the next sublayer's input is rebuilt from this layer norm
         rebuild, = rebuilds
-        assert (rebuild is None) == pre_norm
-        if not pre_norm:
-            assert np.array_equal(rebuild(), results[0][0])
+        assert np.array_equal(rebuild(), results[0][0])
 
     @pytest.mark.parametrize("keep_kind", ["drawn", "all-dropped", "all-kept"])
     def test_held_mask_gives_the_bits_of_the_mask_product(self, keep_kind):
         """``(g * kept) * scale`` against ``g * keep``, sign and NaN bits
         included, on kept and dropped entries of -0.0, +-inf and NaN."""
         rng = RandomSource(606)
-        keep = tt.dropout_mask(rng, 0.4, (8, 6), training=True)
+        keep = tt.dropout_mask(rng, 0.4, (8, 6))
         if keep_kind != "drawn":
             keep = np.where(keep_kind == "all-kept", 1.0 / 0.6, 0.0 * keep)
         g = rng.uniform(-1, 1, (8, 6))
@@ -1214,7 +1182,7 @@ class TestInPlaceRules:
                      for n in lengths]
         keeps = None
         if dropped:
-            keeps = [tt.dropout_mask(rng, 0.4, s.shape, training=True)
+            keeps = [tt.dropout_mask(rng, 0.4, s.shape)
                      for s in sequences]
         cells = (cell.fw, cell.bw) if bidirectional else (cell,)
         probe = Tensor(rng.uniform(-1, 1, (4, 6, 3 * len(cells))))
@@ -1250,7 +1218,7 @@ class TestInPlaceRules:
         rng = RandomSource(604)
         model = enc.init_encoder(config, rng.derive("enc"))
         tokens = make_tokens([int(i) for i in rng.integers(0, 64, 256)], 256)
-        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"))
         weights_bytes = config.n_heads * 256 * 256 * 8
         tracemalloc.start()
         try:
@@ -1263,10 +1231,9 @@ class TestInPlaceRules:
         assert len(tape) == 1 and out.shape == (256, 16)
         assert held < weights_bytes
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_recorded_op_holds_each_array_once(self, pre_norm, causal):
+    def test_recorded_op_holds_each_array_once(self, causal):
         """One recorded ``encoder_forward`` at T = 256 holds, per layer, two
         layer norms' ``xhat`` and two 1-byte dropout masks, besides its
         output and the layer norms' (T, 1) statistics: no Q, K or V, no
@@ -1276,11 +1243,11 @@ class TestInPlaceRules:
         t, d = 256, 16
         config = enc.EncoderConfig(d_model=d, n_heads=4, n_layers=2,
                                    vocab_size=64, max_len=t, dropout=0.1,
-                                   causal=causal, pre_norm=pre_norm)
+                                   causal=causal)
         rng = RandomSource(608)
         model = enc.init_encoder(config, rng.derive("enc"))
         tokens = make_tokens([int(i) for i in rng.integers(0, 64, t)], t)
-        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"))
         probe = Tensor(rng.uniform(-1, 1, (t, d)))
         per_layer = 2 * t * d * 8 + 2 * t * d
         budget = (config.n_layers * (per_layer + 2 * t * 8) + t * d * 8
@@ -1315,7 +1282,7 @@ class TestInPlaceRules:
         rng = RandomSource(610)
         model = enc.init_encoder(config, rng.derive("enc"))
         tokens = make_tokens([int(i) for i in rng.integers(0, 64, t)], t)
-        masks = enc.dropout_masks(config, tokens, rng.derive("masks"), True)
+        masks = enc.dropout_masks(config, tokens, rng.derive("masks"))
         probe = Tensor(rng.uniform(-1, 1, (t, d)))
         held_per_call = config.n_layers * (2 * t * d * 8 + 2 * t * d)
         tracemalloc.start()
@@ -1381,7 +1348,7 @@ class TestEncoderForward:
         config = small_config(dropout=0.5)
         model = enc.init_encoder(config, RandomSource(16))
         tokens = make_tokens([1, 2, 3, PAD_ID], 3)
-        masks = padded_masks(config, tokens, RandomSource(17), True)
+        masks = padded_masks(config, tokens, RandomSource(17))
         with pytest.raises(DimensionError, match=r"dropout mask \(4, 4\)"):
             enc.encoder_forward(model, tokens, masks)
 
@@ -1395,19 +1362,12 @@ class TestEncoderForward:
             enc.encoder_forward(model, make_tokens([1, 2, 3], 3),
                                 [(None, None)] * pairs)
 
-    def test_training_dropout_requires_rng(self):
-        model = enc.init_encoder(small_config(dropout=0.5), RandomSource(16))
-        with pytest.raises(ParameterError):
-            enc.denoising_loss(model, make_tokens([1, 2], 2), [(0, 1)],
-                               training=True)
-
     def test_dropout_active_only_in_training(self):
         model = enc.init_encoder(small_config(dropout=0.5), RandomSource(17))
         tokens = make_tokens([1, 2, 3], 3)
         eval_a = enc.encoder_forward(model, tokens).data
         eval_b = enc.encoder_forward(model, tokens).data
-        trained = trimmed_forward(model, tokens, rng=RandomSource(18),
-                                  training=True).data
+        trained = trimmed_forward(model, tokens, rng=RandomSource(18)).data
         assert np.array_equal(eval_a, eval_b)
         assert not np.allclose(eval_a, trained)
 
@@ -1425,17 +1385,15 @@ class TestEncoderForward:
             out_alt = enc.encoder_forward(model, make_tokens(altered, 5)).data
             assert np.array_equal(out_full[:i], out_alt[:i])
 
-    @pytest.mark.parametrize("pre_norm", [False, True])
-    def test_non_causal_stack_adds_no_mask(self, monkeypatch, pre_norm):
+    def test_non_causal_stack_adds_no_mask(self, monkeypatch):
         """No mask is built, and the result is bit-equal to adding an
         all-zero mask to every head's scores."""
-        model = enc.init_encoder(small_config(n_layers=2, pre_norm=pre_norm),
-                                 RandomSource(24))
+        model = enc.init_encoder(small_config(n_layers=2), RandomSource(24))
         tokens = make_tokens([7, 2, 11, 4, 0, 0], 4)
         x = add(tt.gather_rows(model.embedding, [7, 2, 11, 4]),
                 Tensor(model.positional[:4]))
         for layer in model.layers:
-            x = layer_forward(layer, x, np.zeros((4, 4)), None, None, pre_norm)
+            x = layer_forward(layer, x, np.zeros((4, 4)), None, None)
 
         def fail(*args, **kwargs):
             raise AssertionError("built a mask for a non-causal encoder")
@@ -1459,16 +1417,6 @@ class TestEncoderForward:
             for seq in (ids, permuted)
         ]
         assert np.allclose(without_table[0], without_table[1], atol=1e-12)
-
-    def test_pre_norm_variant_runs_and_differs(self):
-        post = enc.init_encoder(small_config(n_layers=1), RandomSource(24))
-        pre = enc.init_encoder(small_config(n_layers=1, pre_norm=True),
-                               RandomSource(24))
-        tokens = make_tokens([1, 2, 3], 3)
-        out_post = enc.encoder_forward(post, tokens).data
-        out_pre = enc.encoder_forward(pre, tokens).data
-        assert out_post.shape == out_pre.shape
-        assert not np.allclose(out_post, out_pre)
 
     def test_gradients_match_finite_differences(self):
         config = small_config(d_model=4, n_heads=2, n_layers=1, vocab_size=8,
@@ -1497,7 +1445,6 @@ class TestTrimmedForward:
 
     VARIANTS = {
         "post-norm": {},
-        "pre-norm": {"pre_norm": True},
         "causal": {"causal": True},
     }
 
@@ -1520,7 +1467,8 @@ class TestTrimmedForward:
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
-                rows = forward(model, tokens, RandomSource(7), training)
+                rows = forward(model, tokens,
+                               RandomSource(7) if training else None)
                 out = slice_rows(rows, 0, length)
                 tape.backward(tt.sum_all(tt.mul(out, probe)))
             results.append((rows.shape, out.data,
@@ -1662,26 +1610,24 @@ class TestDenoisingLoss:
         for t in tensors:
             t.zero_grad()
         with tt.Tape() as tape:
-            loss = loss_fn(model, corrupted, targets, rng=RandomSource(48),
-                           training=training)
+            loss = loss_fn(model, corrupted, targets,
+                           rng=RandomSource(48) if training else None)
             tape.backward(loss)
         return loss.item(), [t.grad for t in tensors]
 
+    @pytest.mark.usefixtures("norm_placement")
     @pytest.mark.parametrize("positions", [
         {4}, {0, 1, 3, 5, 6, 8, 9}, {0, 1, 2, 8, 9},
     ], ids=["one", "many", "shared-ids"])
     @pytest.mark.parametrize("training", [False, True],
                              ids=["no-dropout", "dropout"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("pre_norm", [False, True],
-                             ids=["post-norm", "pre-norm"])
-    def test_matches_per_position_loop(self, pre_norm, causal, training,
-                                       positions):
+    def test_matches_per_position_loop(self, causal, training, positions):
         """Loss and every parameter gradient, the tied embedding's included,
         against ``reference_denoising_loss``; the GEMM over the masked rows
         rounds unlike one matvec per row, so they agree to rounding."""
         config = small_config(d_model=8, n_heads=2, n_layers=2, max_len=12,
-                              dropout=0.3, causal=causal, pre_norm=pre_norm)
+                              dropout=0.3, causal=causal)
         rng = RandomSource(49)
         model = enc.init_encoder(config, rng.derive("enc"))
         for _, t in model.named_parameters():
@@ -1708,8 +1654,7 @@ class TestDenoisingLoss:
         positions = set(RandomSource(52).permutation(24)[:count].tolist())
         corrupted, targets = masked(ids, 24, positions)
         with tt.Tape() as tape:
-            enc.denoising_loss(model, corrupted, targets, rng=RandomSource(53),
-                               training=True)
+            enc.denoising_loss(model, corrupted, targets, rng=RandomSource(53))
         assert len(targets) == count and len(tape) == 6
 
 

@@ -50,7 +50,7 @@ def loads_or_library_error(loader, path, blob: bytes) -> bool:
 @pytest.fixture(scope="module")
 def checkpoint_blob(tmp_path_factory):
     config = md.ModelConfig(
-        n_classes=2, embedding_source="internal",
+        n_classes=2,
         encoder=EncoderConfig(d_model=4, n_heads=2, n_layers=1,
                               vocab_size=12, max_len=6, dropout=0.0),
         rnn_variant="lstm", bidirectional=True, hidden_units=3, d_rnn=3,

@@ -105,10 +105,10 @@ def batch_of(matrices, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad), lengths
 
 
-def reference_dropout(x, p, rng, training, rows=None):
+def reference_dropout(x, p, rng, rows=None):
     """Dropout as the per-sample head drew it: one draw per mask, ``rows``
-    high (default ``len(x)``), its top rows applied."""
-    if not training or p == 0.0:
+    high (default ``len(x)``), its top rows applied; none without ``rng``."""
+    if rng is None or p == 0.0:
         return x
     keep, = separate_masks(rng, p, [(rows or len(x.data), *x.shape[1:])])
     return tt.dropout(x, fit_mask(keep, x.shape))
@@ -124,11 +124,11 @@ def reference_summarize(states, bidirectional):
                      slice_vec(tt.row(states, 0), h, width), axis=0)
 
 
-def reference_classify(head, states, rng=None, training=False,
-                       bidirectional=False, rows=None):
+def reference_classify(head, states, rng=None, bidirectional=False,
+                       rows=None):
     """Per-sample classifier: dropout, summarize, dense+ReLU, output, softmax."""
     summary = reference_summarize(
-        reference_dropout(states, head.dropout, rng, training, rows),
+        reference_dropout(states, head.dropout, rng, rows),
         bidirectional)
     dense = tt.relu(add(matvec(head.w_dense, summary), head.b_dense))
     return tt.softmax(add(matvec(head.w_out, dense), head.b_out))
@@ -146,20 +146,20 @@ def reference_average_losses(losses):
 
 
 def reference_pipeline_forward(embeddings, bridge, cell, head, rng=None,
-                               training=False, label=None, rows=None):
+                               label=None, rows=None):
     """The per-sample head chain the batched ``pipeline_forward`` replaced,
     over one sequence, with the per-step reference scan; ``cell`` None is
     the mean head.  Returns (probs, loss)."""
-    dropped = reference_dropout(embeddings, head.dropout, rng, training, rows)
+    dropped = reference_dropout(embeddings, head.dropout, rng, rows)
     z = add(tt.matmul(dropped, bridge.w), bridge.b)
     if cell is None:
         pooled = scale(sum_rows(z), 1.0 / z.shape[0])
-        probs = reference_classify(head, stack_rows([pooled]), rng, training)
+        probs = reference_classify(head, stack_rows([pooled]), rng)
     else:
         bidirectional = isinstance(cell, hd.BiRnnParams)
         scan = reference_birnn_forward if bidirectional else reference_rnn_forward
-        probs = reference_classify(head, scan(cell, z), rng, training,
-                                   bidirectional, rows)
+        probs = reference_classify(head, scan(cell, z), rng, bidirectional,
+                                   rows)
     loss = None if label is None else reference_cross_entropy_loss(probs, label)
     return probs, loss
 
@@ -507,12 +507,13 @@ def build_pipeline(variant, bidirectional, d_model=3, d_rnn=3, hidden=2,
     return bridge, cell, head
 
 
-def draw_head_masks(bridge, cell, head, lengths, rows, rng, training=True):
+def draw_head_masks(bridge, cell, head, lengths, rows, rng):
     """Each sequence's head masks as the model draws them, at the padded
     heights ``rows``, then applied as the per-sample head applies them to
     ``lengths`` real rows: the bridge mask's top rows and the classifier
-    mask's summary row.  None where the head drops nothing."""
-    if not training or head.dropout == 0.0:
+    mask's summary row.  None where the head drops nothing: ``rng`` None
+    or dropout 0."""
+    if rng is None or head.dropout == 0.0:
         return None
     p, width = head.dropout, head.w_dense.shape[1]
     kind = ("mean" if cell is None
@@ -654,7 +655,7 @@ class TestBridge:
         sequences = [a, b, a]
         keeps = None
         if dropped:
-            keeps = [tt.dropout_mask(rng, 0.4, s.shape, training=True)
+            keeps = [tt.dropout_mask(rng, 0.4, s.shape)
                      for s in sequences]
         probe = Tensor(rng.uniform(-1, 1, (3, 4, 3)))
         return bridge, sequences, keeps, probe
@@ -793,15 +794,15 @@ class TestBatchedHeadOracle:
 
         def batched():
             masks = draw_head_masks(bridge, cell, head, lengths, padded,
-                                    RandomSource(9), training)
+                                    RandomSource(9) if training else None)
             probs, losses = hd.pipeline_forward(sequences, bridge, cell, head,
                                                 masks, labels)
             return probs.data, losses.data, hd.average_losses(losses)
 
         def per_sample():
-            stream = RandomSource(9)
+            stream = RandomSource(9) if training else None
             runs = [reference_pipeline_forward(x, bridge, cell, head, stream,
-                                               training, y, rows)
+                                               y, rows)
                     for x, y, rows in zip(sequences, labels, padded)]
             return (np.stack([p.data for p, _ in runs]),
                     np.array([l.item() for _, l in runs]),

@@ -1,5 +1,6 @@
 """Tests for model bundle configuration, forward dispatch, and checkpoints."""
 
+import json
 import struct
 
 import numpy as np
@@ -36,6 +37,20 @@ def with_config(blob: bytes, config_blob: bytes) -> bytes:
     (old_len,) = struct.unpack_from("<I", blob, 8)
     return (blob[:8] + struct.pack("<I", len(config_blob)) + config_blob
             + blob[12 + old_len:])
+
+
+def with_deleted_settings(blob: bytes) -> bytes:
+    """Checkpoint bytes whose config block is written as it was while
+    ``ModelConfig`` had an ``embedding_source`` and ``EncoderConfig`` a
+    ``pre_norm`` field."""
+    (length,) = struct.unpack_from("<I", blob, 8)
+    payload = json.loads(blob[12:12 + length])
+    payload["embedding_source"] = ("imported" if payload["encoder"] is None
+                                   else "internal")
+    if payload["encoder"] is not None:
+        payload["encoder"]["pre_norm"] = False
+    return with_config(blob, json.dumps(payload, sort_keys=True,
+                                        separators=(",", ":")).encode())
 
 
 def tokens(ids, valid):
@@ -117,15 +132,16 @@ class TestModelConfig:
         config = tiny_config()
         assert config.input_dim == 8
 
+    def test_default_is_the_internal_encoder(self):
+        """Each default config gets its own default ``EncoderConfig``."""
+        a, b = md.ModelConfig(n_classes=2), md.ModelConfig(n_classes=2)
+        assert a.encoder == EncoderConfig() and a.encoder is not b.encoder
+        assert a.input_dim == EncoderConfig.d_model
+        assert md.init_model(a, seed=1).encoder is not None
+
     def test_imported_requires_input_dim(self):
         with pytest.raises(ParameterError):
-            md.ModelConfig(n_classes=2, embedding_source="imported",
-                           encoder=None)
-
-    def test_imported_rejects_encoder(self):
-        with pytest.raises(ParameterError):
-            md.ModelConfig(n_classes=2, embedding_source="imported",
-                           encoder=EncoderConfig(), input_dim=4)
+            md.ModelConfig(n_classes=2, encoder=None)
 
     def test_summary_dim_variants(self):
         assert tiny_config().summary_dim == 3
@@ -141,12 +157,20 @@ class TestModelConfig:
         assert md.ModelConfig.from_dict(config.to_dict()) == config
 
     def test_dict_round_trip_imported(self):
-        config = md.ModelConfig(n_classes=3, embedding_source="imported",
+        config = md.ModelConfig(n_classes=3, encoder=None,
                                 input_dim=5, head_kind="mean", d_rnn=4)
         assert md.ModelConfig.from_dict(config.to_dict()) == config
 
 
 class TestInitAndForward:
+    def test_with_loss_is_keyword_only(self):
+        """A positional fourth argument, where a ``training`` flag once
+        stood, is refused rather than read as ``with_loss``."""
+        bundle = md.init_model(tiny_config(), seed=6)
+        example = md.Example(label=0, tokens=tokens([1, 5, 3, 0, 0, 0], 3))
+        with pytest.raises(TypeError):
+            md.forward_example(bundle, example, RandomSource(1), True)
+
     def test_initialization_is_seed_deterministic(self):
         a = md.init_model(tiny_config(), seed=3)
         b = md.init_model(tiny_config(), seed=3)
@@ -180,7 +204,7 @@ class TestInitAndForward:
         assert loss.item() > 0.0
 
     def test_imported_bundle_rejects_tokens(self):
-        config = md.ModelConfig(n_classes=2, embedding_source="imported",
+        config = md.ModelConfig(n_classes=2, encoder=None,
                                 input_dim=4, d_rnn=3, hidden_units=3,
                                 dense_units=3, dropout=0.0)
         bundle = md.init_model(config, seed=6)
@@ -193,7 +217,7 @@ class TestInitAndForward:
             bundle, md.Example(label=0, tokens=tokens([1, 5, 3, 0, 0, 0], 3)))
         assert via_tokens[1] is None
         imported = md.init_model(
-            md.ModelConfig(n_classes=2, embedding_source="imported",
+            md.ModelConfig(n_classes=2, encoder=None,
                            input_dim=4, d_rnn=3, hidden_units=3,
                            dense_units=3, dropout=0.0), seed=8)
         matrix = RandomSource(9).uniform(-1, 1, (5, 4))
@@ -267,18 +291,15 @@ class TestForwardPadding:
                     bundle, md.Example(label=0, tokens=tokens(altered, length)))[0]
                 assert np.array_equal(probs.data, base.data)
 
-    @pytest.mark.parametrize("pre_norm", [False, True])
     @pytest.mark.parametrize("head", sorted(HEADS))
-    def test_training_draws_every_mask_at_the_padded_height(self, head,
-                                                            pre_norm):
+    def test_training_draws_every_mask_at_the_padded_height(self, head):
         encoder = EncoderConfig(d_model=8, n_heads=2, n_layers=2,
-                                vocab_size=16, max_len=6, dropout=0.5,
-                                pre_norm=pre_norm)
+                                vocab_size=16, max_len=6, dropout=0.5)
         config = tiny_config(encoder=encoder, dropout=0.5, **HEADS[head])
         bundle = md.init_model(config, seed=15)
         rng = RandomSource(16)
         md.forward_example(bundle, md.Example(label=1, tokens=tokens(
-            [1, 5, 3, 0, 0, 0], 3)), rng, training=True, with_loss=True)
+            [1, 5, 3, 0, 0, 0], 3)), rng, with_loss=True)
         # two per encoder layer, the bridge, then the classifier (the mean
         # head drops out its one pooled row)
         shapes = [(6, 8)] * 5 + [{"rnn": (6, 3), "birnn": (6, 6),
@@ -289,7 +310,7 @@ class TestForwardPadding:
         assert np.array_equal(rng.uniform(0, 1, 8), replay.uniform(0, 1, 8))
 
 
-def reference_forward_example(bundle, example, rng=None, training=False):
+def reference_forward_example(bundle, example, rng=None):
     """The per-sample forward the batched ``forward_example`` replaced: the
     encoder draws its masks one at a time at the padded height and applies
     their top rows, then the per-sample head chain draws the bridge and
@@ -301,7 +322,7 @@ def reference_forward_example(bundle, example, rng=None, training=False):
         rows = len(example.tokens.input_ids)
         enc = config.encoder
         masks = None
-        if training and enc.dropout > 0.0:
+        if rng is not None and enc.dropout > 0.0:
             flat = [fit_mask(keep, (example.tokens.length, enc.d_model))
                     for keep in separate_masks(
                         rng, enc.dropout,
@@ -309,12 +330,11 @@ def reference_forward_example(bundle, example, rng=None, training=False):
             masks = list(zip(flat[::2], flat[1::2]))
         embeddings = md.encoder_forward(bundle.encoder, example.tokens, masks)
     return reference_pipeline_forward(embeddings, bundle.bridge, bundle.cell,
-                                      bundle.head, rng, training,
-                                      example.label, rows)
+                                      bundle.head, rng, example.label, rows)
 
 
 def imported_config(**overrides):
-    defaults = dict(n_classes=3, embedding_source="imported", input_dim=5,
+    defaults = dict(n_classes=3, encoder=None, input_dim=5,
                     d_rnn=4, hidden_units=3, dense_units=4, dropout=0.3)
     defaults.update(overrides)
     return md.ModelConfig(**defaults)
@@ -359,11 +379,11 @@ class TestBatchedForward:
 
         def batched(stream):
             probs, losses = md.forward_example(bundle, examples, stream,
-                                               training=True, with_loss=True)
+                                               with_loss=True)
             return probs.data, losses.data, hd.average_losses(losses)
 
         def per_sample(stream):
-            runs = [reference_forward_example(bundle, ex, stream, True)
+            runs = [reference_forward_example(bundle, ex, stream)
                     for ex in examples]
             return (np.stack([p.data for p, _ in runs]),
                     np.array([loss.item() for _, loss in runs]),
@@ -423,7 +443,7 @@ class TestTapeRecords:
                     for i in range(16)]
         with tt.Tape() as tape:
             losses = md.forward_example(bundle, examples, RandomSource(61),
-                                        training=True, with_loss=True)[1]
+                                        with_loss=True)[1]
             tape.backward(hd.average_losses(losses))
         assert len(tape) / len(examples) <= 2
 
@@ -493,6 +513,18 @@ class TestCheckpoint:
         md.save_checkpoint(path, md.init_model(tiny_config(), seed=18))
         path.write_bytes(with_config(path.read_bytes(), config_blob))
         with pytest.raises(DataError):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("source, key", [("internal", "pre_norm"),
+                                             ("imported", "embedding_source")])
+    def test_deleted_setting_is_refused(self, tmp_path, source, key):
+        """An older checkpoint is refused, naming the setting it holds."""
+        config = tiny_config() if source == "internal" else imported_config()
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_model(config, seed=18))
+        path.write_bytes(with_deleted_settings(path.read_bytes()))
+        with pytest.raises(DataError,
+                           match=rf"^bad checkpoint config: .*'{key}'"):
             md.load_checkpoint(path)
 
     def test_non_utf8_tensor_name_raises_data_error(self, tmp_path):
@@ -567,7 +599,7 @@ class TestCheckpoint:
             assert np.array_equal(saved.data.astype(np.float32), restored.data), name
 
     def test_imported_mean_model_round_trips(self, tmp_path):
-        config = md.ModelConfig(n_classes=3, embedding_source="imported",
+        config = md.ModelConfig(n_classes=3, encoder=None,
                                 input_dim=5, head_kind="mean", d_rnn=4,
                                 dense_units=4, dropout=0.0)
         bundle = md.init_model(config, seed=17)

@@ -461,7 +461,7 @@ class TestTrainLoop:
         assert len(lines) == 3
 
     def test_imported_embedding_path_trains(self):
-        config = md.ModelConfig(n_classes=2, embedding_source="imported",
+        config = md.ModelConfig(n_classes=2, encoder=None,
                                 input_dim=3, rnn_variant="gru",
                                 hidden_units=3, d_rnn=3, dense_units=3,
                                 dropout=0.0)

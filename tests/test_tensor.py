@@ -344,33 +344,33 @@ class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor([1.0, 2.0])
         rng = RandomSource(0)
-        keep = T.dropout_mask(rng, 0.0, (2,), training=True)
+        keep = T.dropout_mask(rng, 0.0, (2,))
         assert keep is None and T.dropout(x, keep) is x
         assert np.array_equal(rng.uniform(0, 1, 3), RandomSource(0).uniform(0, 1, 3))
 
     def test_eval_mode_is_identity(self):
         x = Tensor([1.0, 2.0])
-        keep = T.dropout_mask(RandomSource(0), 0.9, (2,), training=False)
+        keep = T.dropout_mask(None, 0.9, (2,))
         assert keep is None and T.dropout(x, keep) is x
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ParameterError):
-            T.dropout_mask(RandomSource(0), 1.0, (1,), training=True)
-        with pytest.raises(ParameterError):
-            T.dropout_mask(None, 0.5, (1,), training=True)
+            T.dropout_mask(RandomSource(0), 1.0, (1,))
+        with pytest.raises(ParameterError):  # checked before the source
+            T.dropout_mask(None, 1.0, (1,))
 
     def test_expectation_preserved(self):
         # Monte-Carlo oracle: inverted scaling keeps E[output] = input.
         rng = RandomSource(7)
         x = Tensor(np.full(10_000, 2.0))
-        out = T.dropout(x, T.dropout_mask(rng, 0.5, x.shape, training=True))
+        out = T.dropout(x, T.dropout_mask(rng, 0.5, x.shape))
         assert abs(out.data.mean() - 2.0) / 2.0 < 0.02
 
     def test_backward_uses_same_mask(self):
         rng = RandomSource(3)
         x = Tensor(np.ones(50), requires_grad=True)
         with Tape() as tape:
-            out = T.dropout(x, T.dropout_mask(rng, 0.5, x.shape, training=True))
+            out = T.dropout(x, T.dropout_mask(rng, 0.5, x.shape))
             tape.backward(T.sum_all(out))
         np.testing.assert_array_equal(x.grad, out.data)
 
@@ -381,7 +381,7 @@ class TestDropout:
         ``separate_masks`` over ``shapes`` from the same seed; asserts both
         streams end at the same place."""
         rng, replay = RandomSource(seed), RandomSource(seed)
-        encoder, head = md.draw_masks(bundle, example, rng, True)
+        encoder, head = md.draw_masks(bundle, example, rng)
         cut = [keep for pair in encoder or () for keep in pair] + list(head)
         padded = separate_masks(replay, 0.5, shapes)
         np.testing.assert_array_equal(rng.uniform(0, 1, 3),
@@ -427,7 +427,7 @@ class TestDropout:
         example = md.Example(0, matrix=np.ones((5, 3)))
         for kind, state_rows in (("bi", 5), ("mean", 1)):
             bundle = md.init_model(md.ModelConfig(
-                n_classes=2, embedding_source="imported", input_dim=3,
+                n_classes=2, encoder=None, input_dim=3,
                 head_kind="mean" if kind == "mean" else "rnn",
                 bidirectional=True, hidden_units=2, d_rnn=4, dense_units=4,
                 dropout=0.5), seed=6)
@@ -643,8 +643,7 @@ class TestTape:
             rng = RandomSource(99)
             x = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
             with Tape() as tape:
-                keep = T.dropout_mask(rng.derive("drop"), 0.3, (4, 4),
-                                      training=True)
+                keep = T.dropout_mask(rng.derive("drop"), 0.3, (4, 4))
                 out = T.dropout(tanh(T.matmul(x, x)), keep)
                 tape.backward(T.sum_all(out))
             return out.data.tobytes(), x.grad.tobytes()
