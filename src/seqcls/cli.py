@@ -2,12 +2,17 @@
 supervised training, evaluation, and hyperparameter grids.
 
 Every training run leaves a self-contained directory (config, vocabulary,
-split manifest, input hashes, epoch log, checkpoint, results rows) from
-which the results CSV row can be regenerated.  Results use one CSV schema
-everywhere: comma separated, header row, '.' decimal point, six decimal
-places.  Grid execution fans runs out to worker processes with disjoint
-output directories and merges the per-run rows at the end, so parallelism
-never changes the bytes that land in the merged table.
+split manifest, input hashes, epoch log, checkpoint, results rows) that
+holds each fact once: config.json alone holds the settings, and a rerun
+into the directory rewrites every file.  ``eval`` regenerates any results
+row from it, encoding only the split it scores, and refuses a run input
+whose sha256 changed since unless the file is named again.  Results use
+one CSV schema everywhere: comma separated, header row, '.' decimal
+point, six decimal places.  Grid execution fans runs out to worker
+processes with disjoint output directories (cells that would share one
+are refused before any data loads) and merges the per-run rows at the
+end, so parallelism never changes the bytes that land in the merged
+table.
 """
 
 from __future__ import annotations
@@ -100,12 +105,6 @@ class RunConfig:
                     setattr(self, name, getattr(EncoderConfig, name))
 
     @property
-    def embedding_source(self) -> str:
-        if self.embeddings is None:
-            return "internal"
-        return f"imported:{self.embeddings}"
-
-    @property
     def variant_tag(self) -> str:
         return self.rnn if self.head == "rnn" else "mean"
 
@@ -114,16 +113,9 @@ class RunConfig:
         source = "encoder" if self.embeddings is None else "imported"
         return f"{source}+{self.variant_tag}"
 
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["embedding_source"] = self.embedding_source
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        payload = dict(payload)
-        payload.pop("embedding_source", None)
-        return cls(**payload)
+    @property
+    def input_path(self) -> str:
+        return self.data if self.embeddings is None else self.embeddings
 
 
 _METRIC_FIELDS = (
@@ -213,11 +205,6 @@ class PreparedData:
     vocab: BpeVocabulary | None
 
 
-def _encode_split(vocab: BpeVocabulary, samples, max_len: int) -> list[Example]:
-    return [Example(label=s.label, tokens=encode(vocab, s.code, max_len))
-            for s in samples]
-
-
 def _imported_samples(path):
     rows = load_embeddings(path)
     if not rows:
@@ -239,15 +226,18 @@ def _imported_samples(path):
     return placeholders, matrices, widths.pop()
 
 
-def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedData:
-    """Load, dedupe, split, tokenize; returns per-split Example lists."""
+def prepare(config: RunConfig, vocab: BpeVocabulary | None = None,
+            names: tuple[str, ...] = SPLIT_NAMES) -> PreparedData:
+    """Load, dedupe, split, tokenize; returns the Example lists of the
+    splits ``names`` only.  The split still reads every sample, and
+    without ``vocab`` the BPE fit reads the train split."""
     if config.embeddings is not None:
         placeholders, matrices, width = _imported_samples(config.embeddings)
         splits = split(placeholders, config.seed)
         examples = {
             name: [Example(label=s.label, matrix=matrices[s.source_id])
                    for s in getattr(splits, name)]
-            for name in SPLIT_NAMES
+            for name in names
         }
         source = dict(encoder=None, input_dim=width)
         vocab = None
@@ -266,16 +256,16 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None) -> PreparedDa
             max_len=config.max_len, dropout=config.dropout)
         source = dict(encoder=encoder)
         examples = {}
-        if segments is not None:
-            # the fit has already segmented every training line
-            examples["train"] = [
-                Example(label=s.label,
-                        tokens=to_sequence(ids, config.max_len))
-                for s, ids in zip(splits.train, segments)]
-        for name in SPLIT_NAMES:
-            if name not in examples:
-                examples[name] = _encode_split(vocab, getattr(splits, name),
-                                               config.max_len)
+        for name in names:
+            samples = getattr(splits, name)
+            if name == "train" and segments is not None:
+                # the fit has already segmented every training line
+                tokens = [to_sequence(ids, config.max_len) for ids in segments]
+            else:
+                tokens = [encode(vocab, s.code, config.max_len)
+                          for s in samples]
+            examples[name] = [Example(label=s.label, tokens=t)
+                              for s, t in zip(samples, tokens)]
     model_config = ModelConfig(
         n_classes=len(splits.label_map), head_kind=config.head,
         rnn_variant=config.rnn.removeprefix("bi"),
@@ -291,14 +281,12 @@ def _write_run_artifacts(config: RunConfig, prepared: PreparedData,
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
-        json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",
+        json.dumps(asdict(config), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
     if prepared.vocab is not None:
         save_vocabulary(prepared.vocab, out / "vocab.txt")
     write_manifest(out / "splits.json", prepared.splits)
-    input_path = config.embeddings if config.embeddings else config.data
-    manifest = {"config": config.to_dict(),
-                "inputs": {str(input_path): _sha256(input_path)}}
+    manifest = {"inputs": {config.input_path: _sha256(config.input_path)}}
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
@@ -328,7 +316,7 @@ def cmd_train(config: RunConfig, clock=time.perf_counter) -> list[ResultsRow]:
                      wall)
         for name in SPLIT_NAMES
     ]
-    write_results(out / "results.csv", rows)
+    write_results(out / "results.csv", rows, append=False)
     return rows
 
 
@@ -339,46 +327,53 @@ def _report_lines(split_name: str, rep: MetricsReport) -> list[str]:
     return lines
 
 
+def _read_run_file(path: Path, read):
+    """Apply ``read`` to a run file's JSON; any failure is one DataError."""
+    if not path.exists():
+        raise DataError(f"missing run {path.stem} next to checkpoint: {path}")
+    try:
+        return read(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"unreadable run {path.stem} {path}: {exc!r}") from exc
+
+
 def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
              results=None, clock=time.perf_counter) -> ResultsRow:
     """Forward-only evaluation of a saved run against one dataset split,
-    the split that the run's splits.json records."""
+    the split that the run's splits.json records; only that split is
+    encoded.  Without ``data`` the run's own input file is scored, and it
+    is refused if its sha256 is no longer the one manifest.json records."""
     if split_name not in SPLIT_NAMES:
         raise ParameterError(f"unknown split {split_name!r}")
-    checkpoint = Path(checkpoint)
-    config_path = checkpoint.parent / "config.json"
-    splits_path = checkpoint.parent / "splits.json"
-    for path in (config_path, splits_path):
-        if not path.exists():
-            raise DataError(f"missing run {path.stem} next to checkpoint: {path}")
-    try:
-        config = RunConfig.from_dict(json.loads(config_path.read_text()))
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"unreadable run config {config_path}: {exc!r}") from exc
+    run_dir = Path(checkpoint).parent
+    config = _read_run_file(run_dir / "config.json", lambda d: RunConfig(**d))
+    trained_map = _read_run_file(run_dir / "splits.json",
+                                 lambda d: d["label_map"])
+    recorded = _read_run_file(run_dir / "manifest.json",
+                              lambda d: d["inputs"][config.input_path])
     if schema is not None:
         config = replace(config, schema=schema)
-    if data is not None:
-        config = replace(
-            config,
-            **({"embeddings": str(data)} if config.embeddings else
-               {"data": str(data)}))
+    if data is None:
+        if _sha256(config.input_path) != recorded:
+            raise DataError(f"{config.input_path} changed since the run: its "
+                            f"sha256 is not the one manifest.json records; "
+                            f"pass it as --data to score it anyway")
+    else:
+        source = "data" if config.embeddings is None else "embeddings"
+        config = replace(config, **{source: str(data)})
     bundle = load_checkpoint(checkpoint)
     vocab = None
     if bundle.config.encoder is not None:
-        vocab = load_vocabulary(checkpoint.parent / "vocab.txt")
-    prepared = prepare(config, vocab=vocab)
+        vocab = load_vocabulary(run_dir / "vocab.txt")
+    prepared = prepare(config, vocab=vocab, names=(split_name,))
     if prepared.model_config.n_classes != bundle.config.n_classes:
         raise DataError(
             f"dataset has {prepared.model_config.n_classes} classes but the "
             f"checkpoint was trained with {bundle.config.n_classes}")
-    try:
-        trained_map = json.loads(splits_path.read_text())["label_map"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"unreadable run splits {splits_path}: {exc!r}") from exc
     if prepared.splits.label_map != trained_map:
         raise DataError(
             f"dataset label map {prepared.splits.label_map} differs from the "
-            f"run's label map {trained_map} in {splits_path}")
+            f"run's label map {trained_map} in {run_dir / 'splits.json'}")
     started = clock()
     rep = evaluate(bundle, prepared.examples[split_name],
                    bundle.config.n_classes)
@@ -499,19 +494,23 @@ def cmd_grid(base: RunConfig, lrs, dropouts, hidden_units, variants,
     if not (lrs and dropouts and hidden_units and variants):
         raise ParameterError("grid axes must be non-empty")
     out = Path(base.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    configs = []
+    configs = {}
     for variant, lr, hidden, drop in itertools.product(
             variants, lrs, hidden_units, dropouts):
-        tag = f"run_{variant}_lr{lr:g}_h{hidden}_d{drop:g}"
-        configs.append(replace(base, rnn=variant, lr=lr, hidden_units=hidden,
-                               dropout=drop, out_dir=str(out / tag)))
+        run_dir = out / f"run_{variant}_lr{lr:g}_h{hidden}_d{drop:g}"
+        if run_dir in configs:
+            raise ParameterError(f"two grid cells share the run directory "
+                                 f"{run_dir}")
+        configs[run_dir] = replace(base, rnn=variant, lr=lr,
+                                   hidden_units=hidden, dropout=drop,
+                                   out_dir=str(run_dir))
+    out.mkdir(parents=True, exist_ok=True)
     worker = functools.partial(_grid_worker, clock=clock)
     if workers > 1:
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            merged = pool.map(worker, configs)
+            merged = pool.map(worker, configs.values())
     else:
-        merged = list(map(worker, configs))
+        merged = list(map(worker, configs.values()))
     failed = sum(row.status != "ok" for row in merged)
     merged.sort(key=ResultsRow.sort_key)
     write_results(out / "grid.csv", merged, append=False)

@@ -50,7 +50,6 @@ class DatasetSplits:
     val: list[LabeledSample]
     test: list[LabeledSample]
     label_map: dict[str, int]
-    seed: int
 
 
 def _parse_defect(record: dict):
@@ -183,7 +182,7 @@ def split(samples, seed: int, label_map: dict[str, int] | None = None) -> Datase
         test.extend(rows[n_val:n_val + n_test])
         train.extend(rows[n_val + n_test:])
     return DatasetSplits(train=train, val=val, test=test,
-                         label_map=dict(label_map), seed=seed)
+                         label_map=dict(label_map))
 
 
 _FILLERS = (
@@ -227,7 +226,6 @@ def synth_corpus(n_classes: int, per_class: int, seed: int) -> list[LabeledSampl
 
 def write_manifest(path, splits: DatasetSplits) -> None:
     payload = {
-        "seed": splits.seed,
         "label_map": splits.label_map,
         "train": [s.source_id for s in splits.train],
         "val": [s.source_id for s in splits.val],

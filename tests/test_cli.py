@@ -4,7 +4,7 @@ import csv
 import hashlib
 import inspect
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ class TestRunConfig:
         config = RunConfig(data="x", out_dir=str(tmp_path))
         assert (config.max_len, config.d_model, config.n_heads,
                 config.n_layers, config.vocab_size) == (64, 64, 4, 2, 512)
-        assert config.embedding_source == "internal"
+        assert config.input_path == "x"
         assert config.model_tag == "encoder+gru"
 
     def test_imported_mode_forbids_encoder_flags(self, tmp_path):
@@ -89,19 +89,13 @@ class TestRunConfig:
     def test_imported_mode_tags_and_source(self, tmp_path):
         config = RunConfig(data="", out_dir=str(tmp_path),
                            embeddings="e.sqf1", rnn="bilstm")
-        assert config.embedding_source == "imported:e.sqf1"
+        assert config.input_path == "e.sqf1"
         assert config.model_tag == "imported+bilstm"
         assert config.max_len is None
 
     def test_mean_head_variant_tag(self, tmp_path):
         config = RunConfig(data="x", out_dir=str(tmp_path), head="mean")
         assert config.variant_tag == "mean"
-
-    def test_dict_round_trip(self, tmp_path):
-        config = small_config("c.jsonl", tmp_path, rnn="bigru", seed=5)
-        payload = config.to_dict()
-        assert payload["embedding_source"] == "internal"
-        assert RunConfig.from_dict(payload) == config
 
     def test_bad_names_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
@@ -261,7 +255,10 @@ class TestTrainCommand:
         saved = read_results(out / "results.csv")
         assert [r["split"] for r in saved] == ["train", "val", "test"]
         config_echo = json.loads((out / "config.json").read_text())
-        assert RunConfig.from_dict(config_echo) == config
+        assert config_echo == asdict(config)
+        assert RunConfig(**config_echo) == config
+        splits = json.loads((out / "splits.json").read_text())
+        assert sorted(splits) == ["label_map", "test", "train", "val"]
 
     def test_manifest_records_input_hash(self, corpus, tmp_path):
         config = small_config(corpus, tmp_path / "run", epochs=1)
@@ -269,8 +266,18 @@ class TestTrainCommand:
         manifest = json.loads(
             (Path(config.out_dir) / "manifest.json").read_text())
         digest = hashlib.sha256(Path(corpus).read_bytes()).hexdigest()
-        assert manifest["inputs"] == {str(corpus): digest}
-        assert manifest["config"]["seed"] == 0
+        assert manifest == {"inputs": {str(corpus): digest}}
+
+    def test_retrain_rewrites_results(self, corpus, tmp_path):
+        """A second train into a run directory leaves only its own rows
+        beside the checkpoint it wrote."""
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        cmd_train(small_config(corpus, reused, epochs=1), clock=FakeClock())
+        for out in (reused, fresh):
+            cmd_train(small_config(corpus, out, epochs=1, seed=3),
+                      clock=FakeClock())
+        assert (reused / "results.csv").read_bytes() == \
+            (fresh / "results.csv").read_bytes()
 
     def test_zero_lr_run_equals_untrained_model(self, corpus, tmp_path):
         config = small_config(corpus, tmp_path / "run", lr=0.0, epochs=1)
@@ -384,17 +391,89 @@ class TestEvalCommand:
         with pytest.raises(DataError, match="splits"):
             cmd_eval(Path(config.out_dir) / "model.ckpt", None, "test")
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "unknown-key"])
+    def test_missing_run_manifest_is_a_data_error(self, corpus, tmp_path):
+        config = small_config(corpus, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        (Path(config.out_dir) / "manifest.json").unlink()
+        with pytest.raises(DataError, match="missing run manifest"):
+            cmd_eval(Path(config.out_dir) / "model.ckpt", None, "test")
+
+    def test_changed_data_file_is_refused_unless_named(self, corpus, tmp_path,
+                                                       capsys):
+        data = tmp_path / "corpus.jsonl"
+        data.write_bytes(corpus.read_bytes())
+        config = small_config(data, tmp_path / "run", epochs=1)
+        cmd_train(config, clock=FakeClock())
+        cmd_synth(2, 20, seed=2, out=tmp_path / "more.jsonl")
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write((tmp_path / "more.jsonl").read_text())
+        checkpoint = Path(config.out_dir) / "model.ckpt"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqcls: DataError: {data} changed since")
+        assert err.count("\n") == 1
+        row = cmd_eval(checkpoint, data, "test", clock=FakeClock())
+        assert row.status == "ok"
+
+    # the token run encodes the scored split's lines and nothing else; the
+    # imported run builds an Example for each of them and nothing else
+    @pytest.mark.parametrize("source", ["tokens", "imported"])
+    def test_eval_encodes_only_the_scored_split(self, corpus, tmp_path,
+                                                monkeypatch, source):
+        overrides = {}
+        if source == "imported":
+            embeddings = cmd_pretrain(corpus, "generic", tmp_path / "pre",
+                                      vocab_size=300, max_len=12, d_model=8,
+                                      n_heads=2, n_layers=1, steps=0)
+            overrides = dict(embeddings=str(embeddings), max_len=None,
+                             d_model=None, n_heads=None, n_layers=None,
+                             vocab_size=None)
+        config = small_config(corpus, tmp_path / "run", epochs=1, **overrides)
+        cmd_train(config, clock=FakeClock())
+        run_dir = Path(config.out_dir)
+        ids = json.loads((run_dir / "splits.json").read_text())
+        code = {record["idx"]: record["code"] for record in
+                map(json.loads, corpus.read_text().splitlines())}
+        encoded, built = [], []
+        encode, example = cli.encode, cli.Example
+
+        def counting_encode(vocab, text, max_len):
+            encoded.append(text)
+            return encode(vocab, text, max_len)
+
+        def counting_example(**kwargs):
+            built.append(kwargs["label"])
+            return example(**kwargs)
+
+        monkeypatch.setattr(cli, "encode", counting_encode)
+        monkeypatch.setattr(cli, "Example", counting_example)
+        for name in cli.SPLIT_NAMES:
+            encoded.clear()
+            built.clear()
+            cmd_eval(run_dir / "model.ckpt", None, name, clock=FakeClock())
+            assert len(built) == len(ids[name]), name
+            if source == "tokens":
+                assert encoded == [code[i] for i in ids[name]], name
+            else:
+                assert encoded == [], name
+
+    # "deleted-key": a config.json written while the run config still
+    # echoed the derived embedding_source
+    @pytest.mark.parametrize("corrupt", ["truncated", "unknown-key",
+                                         "deleted-key"])
     def test_unreadable_run_config_is_a_data_error(self, corpus, tmp_path,
                                                    capsys, corrupt):
         config = small_config(corpus, tmp_path / "run", epochs=1)
         cmd_train(config, clock=FakeClock())
         config_path = Path(config.out_dir) / "config.json"
+        extra = {"unknown-key": {"mystery": 1},
+                 "deleted-key": {"embedding_source": "internal"}}
         if corrupt == "truncated":
             config_path.write_text("{")
         else:
             payload = json.loads(config_path.read_text())
-            config_path.write_text(json.dumps({**payload, "mystery": 1}))
+            config_path.write_text(json.dumps({**payload, **extra[corrupt]}))
         checkpoint = Path(config.out_dir) / "model.ckpt"
         with pytest.raises(DataError, match="run config"):
             cmd_eval(checkpoint, None, "test")
@@ -503,7 +582,10 @@ class TestEvalCommand:
             head="mean", d_rnn=2, dense_units=2, dropout=0.0,
             embeddings=str(embeddings))
         (run_dir / "config.json").write_text(
-            json.dumps(run_config.to_dict(), sort_keys=True))
+            json.dumps(asdict(run_config), sort_keys=True))
+        digest = hashlib.sha256(embeddings.read_bytes()).hexdigest()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"inputs": {str(embeddings): digest}}))
         bundle = init_model(ModelConfig(
             n_classes=2, encoder=None, input_dim=2,
             head_kind="mean", d_rnn=2, dense_units=2, dropout=0.0), seed=0)
@@ -610,6 +692,19 @@ class TestGridCommand:
         by_lr = {r.lr: r.status for r in rows}
         assert by_lr == {-1.0: "error:ParameterError",
                          1e-2: "error:FileNotFoundError"}
+
+    def test_cells_sharing_a_run_directory_are_refused(self, tmp_path,
+                                                       capsys):
+        """Nearly equal learning rates print alike in the cell's tag; the
+        grid stops before the data loads and before anything is written."""
+        out = tmp_path / "grid"
+        assert main(["grid", "--data", str(tmp_path / "missing.jsonl"),
+                     "--out-dir", str(out), "--lr", "0.001,0.0010000001",
+                     "--hidden-units", "32", "--dropout", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("seqcls: ParameterError: two grid cells share the run "
+                       f"directory {out / 'run_gru_lr0.001_h32_d0.1'}\n")
+        assert not out.exists()
 
     def test_parallel_workers_match_serial_rows(self, corpus, tmp_path):
         base_serial = small_config(corpus, tmp_path / "serial", epochs=1)

@@ -321,7 +321,7 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         write_manifest(path, splits)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["seed"] == 2
+        assert sorted(payload) == ["label_map", "test", "train", "val"]
         assert payload["train"] == [s.source_id for s in splits.train]
         assert payload["val"] == [s.source_id for s in splits.val]
         assert payload["test"] == [s.source_id for s in splits.test]
