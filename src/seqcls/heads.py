@@ -17,9 +17,14 @@ Blunsom, 2016): the gates are stacked in VARIANT_GATES order, the input
 projections of every real row are one GEMM, and every step does one
 (B, H) recurrent GEMM over the sequences still running (GRU's candidate
 keeps its own Q_h (r * h)).  The backward rule runs BPTT in numpy.  Rows
-past a sequence's length are zero and take no gradient.  The tests keep
-the per-sample head and a per-step scan built from elementary tape ops,
-and check the batched head against both.
+past a sequence's length are zero and take no gradient.  The scan's
+transients (the input projections, the gradient on the states, the
+backward's per-step factors) cover the real rows only; the arrays its
+backward holds and the gate gradient stay on the padded (step, slot)
+grid, since Q's gradient sums over that grid and BLAS would round a
+shorter sum differently (see ``_scan``).  The tests keep the per-sample
+head, a per-step scan built from elementary tape ops and the padded-grid
+scan, and check the batched head against them.
 
 Weight layouts: each scan direction stores its gates stacked in
 VARIANT_GATES order, one row block of ``hidden`` rows per gate: input
@@ -162,49 +167,52 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-# Each recurrence runs time-major over the stacked input projections gx
-# (step, slot, gates in VARIANT_GATES order) and the stacked recurrent map
-# q.  The slots hold the batch sorted by length, so running[t], the number
-# of sequences still running at step t, makes them the prefix [:running[t]].
-# The forward pass returns hs, whose [t + 1, j] is slot j's hidden state
-# after step t (row 0 is the zero initial state, rows past a sequence's end
-# stay zero), plus what its backward pass needs.  The backward pass turns
-# dh, the gradient on hs[1:], into da, the gradient on every gate
-# pre-activation (zero past each sequence's end), and dq.  The factors that
-# do not depend on the carried gradient are computed for all steps before
-# the loop, which keeps only the recurrence inside it.
+# Each recurrence runs time-major.  Its input gx is one block per step of
+# the real rows' stacked input projections (gates in VARIANT_GATES order):
+# the slots hold the batch sorted by length, so step t's block is the
+# running prefix of slots, len(gx[t]) of them.  The forward pass returns
+# hs, whose [t + 1, j] is slot j's hidden state after step t (row 0 is the
+# zero initial state, rows past a sequence's end stay zero), plus what its
+# backward pass needs.  The backward pass takes dh, the gradient on each
+# step's block of hs[1:], in the same per-step blocks, and returns da, the
+# gradient on every gate pre-activation (zero past each sequence's end),
+# and dq.  It computes each step's factors that do not depend on the
+# carried gradient from that step's rows, in the loop.  hs, the saved
+# arrays and da stay on the padded (step, slot) grid (``_scan`` says why).
 
 
-def _vanilla_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
-    hs = np.zeros((len(gx) + 1, gx.shape[1], q.shape[1]))
+def _vanilla_forward(gx: list[np.ndarray], q: np.ndarray):
+    hs = np.zeros((len(gx) + 1, len(gx[0]), q.shape[1]))
     q_t = q.T
-    for t, n in enumerate(running):
-        hs[t + 1, :n] = np.tanh(gx[t, :n] + hs[t, :n] @ q_t)
+    for t, x in enumerate(gx):
+        n = len(x)
+        hs[t + 1, :n] = np.tanh(x + hs[t, :n] @ q_t)
     return hs, ()
 
 
-def _vanilla_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved,
-                      running: np.ndarray):
-    slope = 1.0 - hs[1:] * hs[1:]
-    da = np.zeros_like(dh)
-    carry = np.zeros(dh.shape[1:])
+def _vanilla_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
+                      saved):
+    da = np.zeros(hs[1:].shape)
+    carry = np.zeros(hs.shape[1:])
     for t in range(len(dh) - 1, -1, -1):
-        n = running[t]
-        row = da[t, :n] = (dh[t, :n] + carry[:n]) * slope[t, :n]
+        n = len(dh[t])
+        h = hs[t + 1, :n]
+        row = da[t, :n] = (dh[t] + carry[:n]) * (1.0 - h * h)
         carry[:n] = row @ q
     return da, _rows(da).T @ _rows(hs[:-1])
 
 
-def _lstm_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
-    steps, batch, hidden = len(gx), gx.shape[1], q.shape[1]
+def _lstm_forward(gx: list[np.ndarray], q: np.ndarray):
+    steps, batch, hidden = len(gx), len(gx[0]), q.shape[1]
     hs = np.zeros((steps + 1, batch, hidden))
     cs = np.zeros((steps + 1, batch, hidden))
     candidates = np.zeros((steps, batch, hidden))
     gates = np.zeros((steps, batch, 3 * hidden))  # forget, update, output
     cell_tanh = np.zeros((steps, batch, hidden))
     q_t = q.T
-    for t, n in enumerate(running):
-        a = gx[t, :n] + hs[t, :n] @ q_t
+    for t, x in enumerate(gx):
+        n = len(x)
+        a = x + hs[t, :n] @ q_t
         candidate = candidates[t, :n] = np.tanh(a[:, :hidden])
         s = gates[t, :n] = _sigmoid(a[:, hidden:])
         c = cs[t + 1, :n] = (s[:, hidden:2 * hidden] * candidate
@@ -214,76 +222,77 @@ def _lstm_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
     return hs, (cs, candidates, gates, cell_tanh)
 
 
-def _lstm_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved,
-                   running: np.ndarray):
+def _lstm_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
+                   saved):
     cs, candidates, gates, cell_tanh = saved
-    steps, batch, hidden = dh.shape
-    forget, update, output = (gates[..., k * hidden:(k + 1) * hidden]
-                              for k in range(3))
-    # candidate, forget and update pre-activations per unit of d_c
-    per_dc = np.stack((update * (1.0 - candidates * candidates),
-                       cs[:-1] * forget * (1.0 - forget),
-                       candidates * update * (1.0 - update)), axis=2)
-    per_dh = cell_tanh * output * (1.0 - output)
-    dc_per_dh = output * (1.0 - cell_tanh * cell_tanh)
+    steps, batch, hidden = candidates.shape
     da = np.zeros((steps, batch, 4 * hidden))
     da_cfi = da[..., :3 * hidden].reshape(steps, batch, 3, hidden)
     da_o = da[..., 3 * hidden:]
     carry_h = np.zeros((batch, hidden))
     carry_c = np.zeros((batch, hidden))
     for t in range(steps - 1, -1, -1):
-        n = running[t]
-        d_h = dh[t, :n] + carry_h[:n]
-        d_c = carry_c[:n] + d_h * dc_per_dh[t, :n]
-        da_cfi[t, :n] = per_dc[t, :n] * d_c[:, None]
-        da_o[t, :n] = d_h * per_dh[t, :n]
-        carry_c[:n] = d_c * forget[t, :n]
+        n = len(dh[t])
+        candidate, tc = candidates[t, :n], cell_tanh[t, :n]
+        forget, update, output = (gates[t, :n, k * hidden:(k + 1) * hidden]
+                                  for k in range(3))
+        # candidate, forget and update pre-activations per unit of d_c
+        per_dc = np.stack((update * (1.0 - candidate * candidate),
+                           cs[t, :n] * forget * (1.0 - forget),
+                           candidate * update * (1.0 - update)), axis=1)
+        per_dh = tc * output * (1.0 - output)
+        dc_per_dh = output * (1.0 - tc * tc)
+        d_h = dh[t] + carry_h[:n]
+        d_c = carry_c[:n] + d_h * dc_per_dh
+        da_cfi[t, :n] = per_dc * d_c[:, None]
+        da_o[t, :n] = d_h * per_dh
+        carry_c[:n] = d_c * forget
         carry_h[:n] = da[t, :n] @ q
     return da, _rows(da).T @ _rows(hs[:-1])
 
 
-def _gru_forward(gx: np.ndarray, q: np.ndarray, running: np.ndarray):
-    steps, batch, hidden = len(gx), gx.shape[1], q.shape[1]
+def _gru_forward(gx: list[np.ndarray], q: np.ndarray):
+    steps, batch, hidden = len(gx), len(gx[0]), q.shape[1]
     q_zr_t, q_h_t = q[:2 * hidden].T, q[2 * hidden:].T
-    gx_zr, gx_h = gx[..., :2 * hidden], gx[..., 2 * hidden:]
     hs = np.zeros((steps + 1, batch, hidden))
     gates = np.zeros((steps, batch, 2 * hidden))  # update, reset
     candidates = np.zeros((steps, batch, hidden))
-    for t, n in enumerate(running):
+    for t, x in enumerate(gx):
+        n = len(x)
         h = hs[t, :n]
-        s = gates[t, :n] = _sigmoid(gx_zr[t, :n] + h @ q_zr_t)
+        s = gates[t, :n] = _sigmoid(x[:, :2 * hidden] + h @ q_zr_t)
         update = s[:, :hidden]
         candidate = candidates[t, :n] = np.tanh(
-            gx_h[t, :n] + (s[:, hidden:] * h) @ q_h_t)
+            x[:, 2 * hidden:] + (s[:, hidden:] * h) @ q_h_t)
         hs[t + 1, :n] = (1.0 - update) * candidate + update * h
     return hs, (gates, candidates)
 
 
-def _gru_backward(dh: np.ndarray, q: np.ndarray, hs: np.ndarray, saved,
-                  running: np.ndarray):
+def _gru_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
+                  saved):
     gates, candidates = saved
-    steps, batch, hidden = dh.shape
-    update, reset = gates[..., :hidden], gates[..., hidden:]
-    previous = hs[:-1]
-    # update and candidate pre-activations per unit of d_h; reset per unit
-    # of the gradient on reset * previous
-    per_dh_z = (previous - candidates) * update * (1.0 - update)
-    per_dh_c = (1.0 - update) * (1.0 - candidates * candidates)
-    per_drh_r = previous * reset * (1.0 - reset)
+    steps, batch, hidden = candidates.shape
     q_zr, q_h = q[:2 * hidden], q[2 * hidden:]
     da = np.zeros((steps, batch, 3 * hidden))
     da_z, da_r = da[..., :hidden], da[..., hidden:2 * hidden]
     da_zr, da_c = da[..., :2 * hidden], da[..., 2 * hidden:]
     carry = np.zeros((batch, hidden))
     for t in range(steps - 1, -1, -1):
-        n = running[t]
-        d_h = dh[t, :n] + carry[:n]
-        d_c = da_c[t, :n] = d_h * per_dh_c[t, :n]
+        n = len(dh[t])
+        previous, candidate = hs[t, :n], candidates[t, :n]
+        update, reset = gates[t, :n, :hidden], gates[t, :n, hidden:]
+        # update and candidate pre-activations per unit of d_h; reset per
+        # unit of the gradient on reset * previous
+        per_dh_z = (previous - candidate) * update * (1.0 - update)
+        per_dh_c = (1.0 - update) * (1.0 - candidate * candidate)
+        per_drh_r = previous * reset * (1.0 - reset)
+        d_h = dh[t] + carry[:n]
+        d_c = da_c[t, :n] = d_h * per_dh_c
         d_rh = d_c @ q_h
-        da_z[t, :n] = d_h * per_dh_z[t, :n]
-        da_r[t, :n] = d_rh * per_drh_r[t, :n]
-        carry[:n] = (d_h * update[t, :n] + d_rh * reset[t, :n]
-                     + da_zr[t, :n] @ q_zr)
+        da_z[t, :n] = d_h * per_dh_z
+        da_r[t, :n] = d_rh * per_drh_r
+        carry[:n] = d_h * update + d_rh * reset + da_zr[t, :n] @ q_zr
+    previous, reset = hs[:-1], gates[..., hidden:]
     dq = np.concatenate((_rows(da_zr).T @ _rows(previous),
                          _rows(da_c).T @ _rows(reset * previous)))
     return da, dq
@@ -302,6 +311,8 @@ def _check_lengths(sequences: Tensor, lengths) -> np.ndarray:
         raise DimensionError(
             f"need (batch, steps, width) input and one length per sequence, "
             f"got {sequences.shape} and {lengths.shape}")
+    if not len(lengths):
+        raise ParameterError("need at least one sequence")
     if lengths.min() < 1 or lengths.max() > sequences.shape[1]:
         raise ParameterError(
             f"sequence lengths must be in [1, {sequences.shape[1]}]")
@@ -321,6 +332,16 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     sequence's length are zero and take no gradient.  The backward keeps
     the hidden states and the gates, not the real rows of the input: it
     gathers them from ``sequences`` again for P's gradient.
+
+    The transients cover the real rows only: the input projections and
+    the gradient on the states are (sum(lengths), ·) arrays in step-major
+    order, read one step's block at a time, and the backward computes each
+    step's factors inside its loop.  What the backward holds (the hidden
+    states, the gates, the candidates, LSTM's cells and their tanh) and
+    the gate gradient da stay on the padded (step, slot) grid, because
+    Q's gradient is a GEMM summed over that grid's rows: with the zero
+    rows dropped, BLAS blocks its K dimension differently and dq's last
+    bits change.
     """
     lengths = _check_lengths(sequences, lengths)
     if sequences.shape[2] != cell.input_dim:
@@ -328,24 +349,28 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
             f"input shape {sequences.shape} vs cell input {cell.input_dim}"
         )
     p, q, b = cell.p.data, cell.q.data, cell.b.data
-    batch, hidden = len(lengths), cell.hidden
     # slot j scans sequence order[j]; (step, slot) pairs read real rows
     order = np.argsort(-lengths, kind="stable")
     step, slot = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
     sample = order[slot]
     row = lengths[sample] - 1 - step if reverse else step
-    running = np.bincount(step)
-    gx = np.zeros((len(running), batch, len(b)))
-    gx[step, slot] = sequences.data[sample, row] @ p.T + b
+    ends = np.cumsum(np.bincount(step)).tolist()
+
+    def by_step(rows):
+        """Step-major real rows as one view per step."""
+        return [rows[start:end] for start, end in zip([0] + ends, ends)]
+
+    gx = sequences.data[sample, row] @ p.T
+    gx += b
     recur, recur_backward = _RECURRENCES[cell.variant]
-    hs, saved = recur(gx, q, running)
-    data = np.zeros((*sequences.shape[:2], hidden))
+    hs, saved = recur(by_step(gx), q)
+    data = np.zeros((*sequences.shape[:2], cell.hidden))
     data[sample, row] = hs[step + 1, slot]
 
     def backward(g):
-        dh = np.zeros((len(running), batch, hidden))
-        dh[step, slot] = g[sample, row]
-        da, dq = recur_backward(dh, q, hs, saved, running)
+        # g's real rows are freed as the call returns, before da's are
+        # gathered
+        da, dq = recur_backward(by_step(g[sample, row]), q, hs, saved)
         da = da[step, slot]
         dp = da.T @ sequences.data[sample, row]
         db = da.sum(axis=0)
@@ -540,6 +565,8 @@ def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
     holds each sequence's :class:`HeadMasks`, in the shape applied, or is
     None for no dropout.
     """
+    if not sequences:
+        raise ParameterError("need at least one sequence")
     lengths = np.array([len(s.data) for s in sequences], dtype=np.intp)
     bridge_keeps = head_keep = None
     if masks is not None:

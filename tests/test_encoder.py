@@ -15,6 +15,7 @@ from seqcls.bpe import MASK_ID, PAD_ID, TokenSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
+from test_heads import PADDED_RECURRENCES
 from test_tensor import (add, clip_min, fit_mask, log, matvec, neg, pick,
                          scale, separate_masks)
 
@@ -253,7 +254,8 @@ def out_of_place_bridge_forward(bridge, sequences, keeps=None):
 
 def out_of_place_scan(cell, sequences, lengths, reverse):
     """``hd._scan`` as it was before its backward gathered the input rows
-    again: it holds them."""
+    again: it holds them.  It runs the padded-grid recurrences of
+    ``tests/test_heads.py``."""
     lengths = np.asarray(lengths, dtype=np.intp)
     p, q, b = cell.p.data, cell.q.data, cell.b.data
     batch, hidden = len(lengths), cell.hidden
@@ -265,7 +267,7 @@ def out_of_place_scan(cell, sequences, lengths, reverse):
     x = sequences.data[sample, row]
     gx = np.zeros((len(running), batch, len(b)))
     gx[step, slot] = x @ p.T + b
-    recur, recur_backward = hd._RECURRENCES[cell.variant]
+    recur, recur_backward = PADDED_RECURRENCES[cell.variant]
     hs, saved = recur(gx, q, running)
     data = np.zeros((*sequences.shape[:2], hidden))
     data[sample, row] = hs[step + 1, slot]

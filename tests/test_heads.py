@@ -1,10 +1,13 @@
 """Tests for the recurrent heads: cells, scans, classifier, and pipeline.
 
 The batched head is checked against the per-sample head it replaced,
-kept here as ``reference_*`` oracles built from elementary tape ops.
+kept here as ``reference_*`` oracles built from elementary tape ops, and
+the scan against the padded-grid scan it replaced, kept here as the
+``padded_*`` oracles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +181,197 @@ def probed_gradients(scan, params, sequence, probe):
     return out.data.copy(), grads
 
 
+# The scan as it was before its transients covered the real rows only:
+# the input projections, the gradient on the states and every backward
+# factor are padded (step, slot, ·) arrays.  The scan must match it bit
+# for bit.
+
+
+def padded_vanilla_forward(gx, q, running):
+    hs = np.zeros((len(gx) + 1, gx.shape[1], q.shape[1]))
+    q_t = q.T
+    for t, n in enumerate(running):
+        hs[t + 1, :n] = np.tanh(gx[t, :n] + hs[t, :n] @ q_t)
+    return hs, ()
+
+
+def padded_vanilla_backward(dh, q, hs, saved, running):
+    slope = 1.0 - hs[1:] * hs[1:]
+    da = np.zeros_like(dh)
+    carry = np.zeros(dh.shape[1:])
+    for t in range(len(dh) - 1, -1, -1):
+        n = running[t]
+        row = da[t, :n] = (dh[t, :n] + carry[:n]) * slope[t, :n]
+        carry[:n] = row @ q
+    return da, hd._rows(da).T @ hd._rows(hs[:-1])
+
+
+def padded_lstm_forward(gx, q, running):
+    steps, batch, hidden = len(gx), gx.shape[1], q.shape[1]
+    hs = np.zeros((steps + 1, batch, hidden))
+    cs = np.zeros((steps + 1, batch, hidden))
+    candidates = np.zeros((steps, batch, hidden))
+    gates = np.zeros((steps, batch, 3 * hidden))
+    cell_tanh = np.zeros((steps, batch, hidden))
+    q_t = q.T
+    for t, n in enumerate(running):
+        a = gx[t, :n] + hs[t, :n] @ q_t
+        candidate = candidates[t, :n] = np.tanh(a[:, :hidden])
+        s = gates[t, :n] = hd._sigmoid(a[:, hidden:])
+        c = cs[t + 1, :n] = (s[:, hidden:2 * hidden] * candidate
+                             + s[:, :hidden] * cs[t, :n])
+        tc = cell_tanh[t, :n] = np.tanh(c)
+        hs[t + 1, :n] = s[:, 2 * hidden:] * tc
+    return hs, (cs, candidates, gates, cell_tanh)
+
+
+def padded_lstm_backward(dh, q, hs, saved, running):
+    cs, candidates, gates, cell_tanh = saved
+    steps, batch, hidden = dh.shape
+    forget, update, output = (gates[..., k * hidden:(k + 1) * hidden]
+                              for k in range(3))
+    per_dc = np.stack((update * (1.0 - candidates * candidates),
+                       cs[:-1] * forget * (1.0 - forget),
+                       candidates * update * (1.0 - update)), axis=2)
+    per_dh = cell_tanh * output * (1.0 - output)
+    dc_per_dh = output * (1.0 - cell_tanh * cell_tanh)
+    da = np.zeros((steps, batch, 4 * hidden))
+    da_cfi = da[..., :3 * hidden].reshape(steps, batch, 3, hidden)
+    da_o = da[..., 3 * hidden:]
+    carry_h = np.zeros((batch, hidden))
+    carry_c = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        n = running[t]
+        d_h = dh[t, :n] + carry_h[:n]
+        d_c = carry_c[:n] + d_h * dc_per_dh[t, :n]
+        da_cfi[t, :n] = per_dc[t, :n] * d_c[:, None]
+        da_o[t, :n] = d_h * per_dh[t, :n]
+        carry_c[:n] = d_c * forget[t, :n]
+        carry_h[:n] = da[t, :n] @ q
+    return da, hd._rows(da).T @ hd._rows(hs[:-1])
+
+
+def padded_gru_forward(gx, q, running):
+    steps, batch, hidden = len(gx), gx.shape[1], q.shape[1]
+    q_zr_t, q_h_t = q[:2 * hidden].T, q[2 * hidden:].T
+    gx_zr, gx_h = gx[..., :2 * hidden], gx[..., 2 * hidden:]
+    hs = np.zeros((steps + 1, batch, hidden))
+    gates = np.zeros((steps, batch, 2 * hidden))
+    candidates = np.zeros((steps, batch, hidden))
+    for t, n in enumerate(running):
+        h = hs[t, :n]
+        s = gates[t, :n] = hd._sigmoid(gx_zr[t, :n] + h @ q_zr_t)
+        update = s[:, :hidden]
+        candidate = candidates[t, :n] = np.tanh(
+            gx_h[t, :n] + (s[:, hidden:] * h) @ q_h_t)
+        hs[t + 1, :n] = (1.0 - update) * candidate + update * h
+    return hs, (gates, candidates)
+
+
+def padded_gru_backward(dh, q, hs, saved, running):
+    gates, candidates = saved
+    steps, batch, hidden = dh.shape
+    update, reset = gates[..., :hidden], gates[..., hidden:]
+    previous = hs[:-1]
+    per_dh_z = (previous - candidates) * update * (1.0 - update)
+    per_dh_c = (1.0 - update) * (1.0 - candidates * candidates)
+    per_drh_r = previous * reset * (1.0 - reset)
+    q_zr, q_h = q[:2 * hidden], q[2 * hidden:]
+    da = np.zeros((steps, batch, 3 * hidden))
+    da_z, da_r = da[..., :hidden], da[..., hidden:2 * hidden]
+    da_zr, da_c = da[..., :2 * hidden], da[..., 2 * hidden:]
+    carry = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        n = running[t]
+        d_h = dh[t, :n] + carry[:n]
+        d_c = da_c[t, :n] = d_h * per_dh_c[t, :n]
+        d_rh = d_c @ q_h
+        da_z[t, :n] = d_h * per_dh_z[t, :n]
+        da_r[t, :n] = d_rh * per_drh_r[t, :n]
+        carry[:n] = (d_h * update[t, :n] + d_rh * reset[t, :n]
+                     + da_zr[t, :n] @ q_zr)
+    dq = np.concatenate((hd._rows(da_zr).T @ hd._rows(previous),
+                         hd._rows(da_c).T @ hd._rows(reset * previous)))
+    return da, dq
+
+
+PADDED_RECURRENCES = {
+    "vanilla": (padded_vanilla_forward, padded_vanilla_backward),
+    "lstm": (padded_lstm_forward, padded_lstm_backward),
+    "gru": (padded_gru_forward, padded_gru_backward),
+}
+
+
+def padded_scan(cell, sequences, lengths, reverse):
+    lengths = hd._check_lengths(sequences, lengths)
+    p, q, b = cell.p.data, cell.q.data, cell.b.data
+    batch, hidden = len(lengths), cell.hidden
+    order = np.argsort(-lengths, kind="stable")
+    step, slot = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    sample = order[slot]
+    row = lengths[sample] - 1 - step if reverse else step
+    running = np.bincount(step)
+    gx = np.zeros((len(running), batch, len(b)))
+    gx[step, slot] = sequences.data[sample, row] @ p.T + b
+    recur, recur_backward = PADDED_RECURRENCES[cell.variant]
+    hs, saved = recur(gx, q, running)
+    data = np.zeros((*sequences.shape[:2], hidden))
+    data[sample, row] = hs[step + 1, slot]
+
+    def backward(g):
+        dh = np.zeros((len(running), batch, hidden))
+        dh[step, slot] = g[sample, row]
+        da, dq = recur_backward(dh, q, hs, saved, running)
+        da = da[step, slot]
+        dp = da.T @ sequences.data[sample, row]
+        db = da.sum(axis=0)
+        for param, grad in ((cell.p, dp), (cell.q, dq), (cell.b, db)):
+            if param.requires_grad:
+                param.accumulate_grad(grad)
+        if sequences.requires_grad:
+            dx = np.zeros(sequences.shape)
+            dx[sample, row] = da @ p
+            sequences.accumulate_grad(dx)
+
+    return tt.make_output(data, (sequences, cell.p, cell.q, cell.b), backward)
+
+
+def padded_birnn_forward(params, sequences, lengths):
+    return tt.concat(padded_scan(params.fw, sequences, lengths, False),
+                     padded_scan(params.bw, sequences, lengths, True), axis=2)
+
+
+class RuleCapture(tt.Tape):
+    """A tape that keeps each recorded op's backward rule, to be called
+    alone."""
+
+    def __init__(self):
+        super().__init__()
+        self.rules = []
+
+    def record(self, out, backward):
+        super().record(out, backward)
+        self.rules.append(backward)
+
+
+def backward_peak(scan, cell, sequences, lengths, g):
+    """tracemalloc's peak while one scan's backward rule runs, above what
+    was traced before it."""
+    for _, t in cell.named_parameters():
+        t.zero_grad()
+    sequences.zero_grad()
+    with RuleCapture() as tape:
+        scan(cell, sequences, lengths, False)
+    rule, = tape.rules
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rule(g)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestRnnStep:
     def test_zero_lstm_maps_zero_state_to_zero(self):
         cell = zero_cell("lstm", 3, 2)
@@ -258,6 +452,15 @@ class TestRnnForward:
         cell = hd.init_cell("gru", 3, 2, RandomSource(7))
         with pytest.raises((DimensionError, ParameterError)):
             hd.rnn_forward(cell, Tensor(np.ones((2, 4, 3))), lengths)
+
+    def test_empty_batch_rejected(self):
+        cell = hd.init_cell("gru", 3, 2, RandomSource(7))
+        empty = Tensor(np.zeros((0, 4, 3)))
+        for summarize in (lambda x, n: hd.rnn_forward(cell, x, n),
+                          hd.mean_pool_forward):
+            with pytest.raises(ParameterError,
+                               match="need at least one sequence"):
+                summarize(empty, [])
 
 
 class TestBiRnnForward:
@@ -368,6 +571,56 @@ class TestFusedScan:
         cell = hd.init_cell("gru", 3, 2, RandomSource(73))
         with pytest.raises(DimensionError):
             hd.rnn_forward(cell, Tensor(np.zeros((1, 4, 2))), [4])
+
+
+class TestPaddedGridOracle:
+    """The scan against the padded-grid scan it replaced: the same states
+    and gradients, bit for bit."""
+
+    @pytest.mark.parametrize("lengths", [[1], [3, 1, 6, 3], [5, 5, 5], "mixed"])
+    @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_matches_bit_for_bit(self, variant, bidirectional, lengths):
+        rng = RandomSource(75)
+        if lengths == "mixed":
+            lengths = [int(n) for n in rng.integers(32, 63, 16)]
+        d_in, hidden = 5, 4
+        if bidirectional:
+            params = hd.init_bicell(variant, d_in, hidden, rng.derive("cell"))
+            scans = (hd.birnn_forward, padded_birnn_forward)
+        else:
+            params = hd.init_cell(variant, d_in, hidden, rng.derive("cell"))
+            scans = (hd.rnn_forward, lambda cell, x, lengths: padded_scan(
+                cell, x, lengths, False))
+        for name, t in params.named_parameters():
+            if name.endswith("b"):
+                t.data = rng.uniform(-0.5, 0.5, t.shape)
+        batch, _ = batch_of([rng.uniform(-2, 2, (n, d_in)) for n in lengths],
+                            requires_grad=True)
+        probe = rng.uniform(-1, 1, (*batch.shape[:2], 2 * hidden
+                                    if bidirectional else hidden))
+        (out, grads), (ref_out, ref_grads) = (
+            probed_gradients(lambda p, x: scan(p, x, lengths), params, batch,
+                             probe) for scan in scans)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    def test_backward_transients_cover_the_real_rows(self):
+        """On a GRU batch shaped like perfbench's train-gru head input (16
+        sequences of 32-62 rows, d_rnn and hidden 32; 22% of the padded
+        grid is empty), the backward's transient peak is at least a
+        quarter below the padded scan's."""
+        rng = RandomSource(76)
+        cell = hd.init_cell("gru", 32, 32, rng.derive("cell"))
+        lengths = [62] + [int(n) for n in rng.integers(32, 63, 15)]
+        sequences, _ = batch_of([rng.uniform(-1, 1, (n, 32)) for n in lengths],
+                                requires_grad=True)
+        g = rng.uniform(-1, 1, (16, 62, 32))
+        peak, padded_peak = (backward_peak(scan, cell, sequences, lengths, g)
+                             for scan in (hd._scan, padded_scan))
+        assert peak <= 0.75 * padded_peak
 
 
 class TestSummarize:
@@ -539,6 +792,12 @@ class TestPipelineForward:
         assert np.array_equal(probs.data, probs2.data)
         assert loss2.data[0] == pytest.approx(
             -math.log(max(probs.data[0, 1], 1e-12)))
+
+    @pytest.mark.parametrize("variant", ["gru", None])
+    def test_empty_batch_rejected(self, variant):
+        bridge, cell, head = build_pipeline(variant, False)
+        with pytest.raises(ParameterError, match="need at least one sequence"):
+            hd.pipeline_forward([], bridge, cell, head, labels=[])
 
     def test_training_dropout_is_seed_deterministic(self):
         bridge, cell, head = build_pipeline("gru", True, dropout=0.3)

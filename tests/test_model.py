@@ -194,6 +194,13 @@ class TestInitAndForward:
         assert np.array_equal(probs.data, batch_probs.data[0])
         assert loss.shape == () and loss.item() == losses.data[0]
 
+    @pytest.mark.parametrize("rng", [None, RandomSource(1)],
+                             ids=["eval", "training"])
+    def test_empty_batch_rejected(self, rng):
+        bundle = md.init_model(tiny_config(), seed=5)
+        with pytest.raises(ParameterError, match="need at least one sequence"):
+            md.forward_example(bundle, [], rng)
+
     def test_forward_tokens_returns_distribution(self):
         bundle = md.init_model(tiny_config(), seed=5)
         probs, loss = md.forward_example(
