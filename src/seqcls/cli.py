@@ -39,14 +39,13 @@ from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
                       span_mask)
 from .errors import DataError, ParameterError, SeqclsError
 from .metrics import MetricsReport
-from .model import (HEAD_KINDS, Example, ModelConfig, init_model,
-                    load_checkpoint, save_checkpoint)
+from .model import (HEAD_KINDS, RNN_VARIANTS, Example, ModelConfig,
+                    init_model, load_checkpoint, save_checkpoint)
 from .optim import (OPTIMIZERS, OptimizerConfig, TrainConfig, evaluate,
                     make_optimizer, train, write_log)
 from .rng import RandomSource
 from .tensor import Tape
 
-RNN_CHOICES = ("vanilla", "lstm", "bilstm", "gru", "bigru")
 SPLIT_NAMES = ("train", "val", "test")
 SCHEMAS = ("defect", "generic")
 
@@ -87,7 +86,7 @@ class RunConfig:
     def __post_init__(self):
         if self.head not in HEAD_KINDS:
             raise ParameterError(f"unknown head {self.head!r}")
-        if self.rnn not in RNN_CHOICES:
+        if self.rnn not in RNN_VARIANTS:
             raise ParameterError(f"unknown rnn variant {self.rnn!r}")
         if self.embeddings is not None:
             given = [name for name in _ENCODER_FIELDS
@@ -103,6 +102,19 @@ class RunConfig:
             for name in _ENCODER_FIELDS:
                 if getattr(self, name) is None:
                     setattr(self, name, getattr(EncoderConfig, name))
+
+    def model_config(self, n_classes: int = 2, vocab_size: int | None = None,
+                     input_dim: int = 1) -> ModelConfig:
+        """The bundle's shape; the facts the data sets default to stand-ins."""
+        shape = dict(encoder=None, input_dim=input_dim)
+        if self.embeddings is None:
+            sizes = {name: getattr(self, name) for name in _ENCODER_FIELDS}
+            sizes["vocab_size"] = vocab_size or self.vocab_size
+            shape = dict(encoder=EncoderConfig(dropout=self.dropout, **sizes))
+        return ModelConfig(n_classes=n_classes, head_kind=self.head,
+                           rnn_variant=self.rnn, hidden_units=self.hidden_units,
+                           d_rnn=self.d_rnn, dense_units=self.dense_units,
+                           dropout=self.dropout, **shape)
 
     @property
     def variant_tag(self) -> str:
@@ -239,7 +251,7 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None,
                    for s in getattr(splits, name)]
             for name in names
         }
-        source = dict(encoder=None, input_dim=width)
+        shape = dict(input_dim=width)
         vocab = None
     else:
         loaded = load_jsonl(config.data, schema=config.schema)
@@ -250,11 +262,7 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None,
             segments = []
             vocab = train_bpe((s.code for s in splits.train), config.vocab_size,
                               segments=segments)
-        encoder = EncoderConfig(
-            d_model=config.d_model, n_heads=config.n_heads,
-            n_layers=config.n_layers, vocab_size=len(vocab),
-            max_len=config.max_len, dropout=config.dropout)
-        source = dict(encoder=encoder)
+        shape = dict(vocab_size=len(vocab))
         examples = {}
         for name in names:
             samples = getattr(splits, name)
@@ -266,12 +274,7 @@ def prepare(config: RunConfig, vocab: BpeVocabulary | None = None,
                           for s in samples]
             examples[name] = [Example(label=s.label, tokens=t)
                               for s, t in zip(samples, tokens)]
-    model_config = ModelConfig(
-        n_classes=len(splits.label_map), head_kind=config.head,
-        rnn_variant=config.rnn.removeprefix("bi"),
-        bidirectional=config.rnn.startswith("bi"),
-        hidden_units=config.hidden_units, d_rnn=config.d_rnn,
-        dense_units=config.dense_units, dropout=config.dropout, **source)
+    model_config = config.model_config(len(splits.label_map), **shape)
     return PreparedData(model_config, examples, splits, vocab)
 
 
@@ -301,6 +304,7 @@ def cmd_train(config: RunConfig, clock=time.perf_counter) -> list[ResultsRow]:
     model.ckpt, as `seqcls eval` does, so eval reproduces each of them."""
     train_config = TrainConfig(**{f.name: getattr(config, f.name)
                                   for f in fields(TrainConfig)})
+    config.model_config()  # with stand-ins for the data, before it loads
     prepared = prepare(config)
     bundle = init_model(prepared.model_config, config.seed)
     started = clock()
@@ -421,6 +425,9 @@ def cmd_pretrain(data, schema: str, out_dir,
     """
     if steps < 0:
         raise ParameterError(f"step count must be >= 0, got {steps}")
+    if not 0.0 < mask_rate < 1.0:
+        raise ParameterError(f"mask rate must be in (0, 1) to give each step "
+                             f"a masked position, got {mask_rate}")
     config = EncoderConfig(d_model=d_model, n_heads=n_heads,
                            n_layers=n_layers, vocab_size=vocab_size,
                            max_len=max_len, dropout=0.0)
@@ -596,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[run],
                        help="train one classifier end to end")
     p.add_argument("--lr", type=float, default=RunConfig.lr)
-    p.add_argument("--rnn", choices=RNN_CHOICES, default=RunConfig.rnn)
+    p.add_argument("--rnn", choices=RNN_VARIANTS, default=RunConfig.rnn)
     p.add_argument("--hidden-units", type=int, default=RunConfig.hidden_units)
     p.add_argument("--dropout", type=float, default=RunConfig.dropout)
     _add_model_flags(p)

@@ -470,19 +470,16 @@ def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:
     )
 
 
-def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
-              mean_span: float = 3.0):
+def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float):
     """Corrupt ~mask_rate of the real tokens with non-overlapping MASK spans.
 
-    Span lengths are geometric with the given mean; the total number of
-    masked positions is exactly max(1, round(mask_rate * valid_len)), and
-    0 at rate 0 or with no real token.  Returns the corrupted sequence and
-    (position, original id) targets.
+    Span lengths are geometric with mean 3, as in T5, whose span corruption
+    CodeT5 inherits; exactly max(1, round(mask_rate * valid_len)) positions
+    are masked, 0 at rate 0 or with no real token.  Returns the corrupted
+    sequence and (position, original id) targets.
     """
     if not 0.0 <= mask_rate < 1.0:
         raise ParameterError(f"mask rate must be in [0, 1), got {mask_rate}")
-    if mean_span < 1.0:
-        raise ParameterError(f"mean span must be >= 1, got {mean_span}")
     valid = tokens.length
     budget = int(round(mask_rate * valid))
     if mask_rate > 0.0 and valid > 0:
@@ -492,7 +489,7 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
     attempts = 0
     while len(chosen) < budget and attempts < 20 * valid:
         attempts += 1
-        length = min(rng.geometric(1.0 / mean_span), budget - len(chosen))
+        length = min(rng.geometric(1.0 / 3.0), budget - len(chosen))
         start = int(rng.integers(0, valid))
         span = range(start, min(start + length, valid))
         if any(pos in chosen for pos in span):
@@ -508,13 +505,12 @@ def span_mask(tokens: TokenSequence, rng: RandomSource, mask_rate: float,
     return TokenSequence(ids, valid), targets
 
 
-def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
-                   rng: RandomSource | None = None) -> Tensor:
-    """Mean NLL of the original ids at masked positions: the masked rows
-    through the projection tied to the embedding, then the classifier's
-    row-wise softmax, cross-entropy and mean; a fixed number of tape ops
-    however many positions are masked.  The encoder draws its dropout
-    masks from ``rng``; None runs it without dropout."""
+def denoising_loss(model: EncoderParams, corrupted: TokenSequence,
+                   targets) -> Tensor:
+    """Mean NLL of the original ids at masked positions: the masked rows of
+    the encoder, run without dropout, through the projection tied to the
+    embedding, then the classifier's row-wise softmax, cross-entropy and
+    mean; a fixed number of tape ops however many positions are masked."""
     targets = list(targets)
     if not targets:
         raise ParameterError("denoising loss needs at least one masked position")
@@ -523,8 +519,7 @@ def denoising_loss(model: EncoderParams, corrupted: TokenSequence, targets,
         if not 0 <= pos < corrupted.length:
             raise ParameterError(
                 f"masked position {pos} outside the {corrupted.length} real tokens")
-    masks = dropout_masks(model.config, corrupted, rng)
-    states = encoder_forward(model, corrupted, masks)
+    states = encoder_forward(model, corrupted)
     rows = tt.gather_rows(states, positions)
     no_bias = Tensor(np.zeros(model.config.vocab_size))
     probs = tt.softmax(tt.linear(rows, model.embedding, no_bias), axis=-1)

@@ -143,8 +143,6 @@ class ClassifierParams:
             raise DimensionError("output bias width differs from class count")
         if self.w_out.shape[1] != self.w_dense.shape[0]:
             raise DimensionError("output layer width differs from dense layer")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ParameterError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def n_classes(self) -> int:

@@ -32,20 +32,20 @@ from .tensor import Tensor
 _CHECKPOINT_MAGIC = b"SQCK"
 _CHECKPOINT_VERSION = 2
 HEAD_KINDS = ("rnn", "mean")
+RNN_VARIANTS = ("vanilla", "lstm", "bilstm", "gru", "bigru")
 
 
 @dataclass
 class ModelConfig:
     """The bundle's shape.  ``encoder`` None means imported embeddings,
     each row ``input_dim`` wide; with an encoder, ``input_dim`` is its
-    ``d_model``."""
+    ``d_model``.  A "bi" ``rnn_variant`` runs its cell both ways."""
 
     n_classes: int
     encoder: EncoderConfig | None = field(default_factory=EncoderConfig)
     input_dim: int | None = None
     head_kind: str = "rnn"
     rnn_variant: str = "gru"
-    bidirectional: bool = False
     hidden_units: int = 32
     d_rnn: int = 32
     dense_units: int = 32
@@ -63,18 +63,20 @@ class ModelConfig:
             raise ParameterError("imported embeddings need input_dim")
         if self.head_kind not in HEAD_KINDS:
             raise ParameterError(f"unknown head kind {self.head_kind!r}")
-        if self.head_kind == "rnn" and self.rnn_variant not in hd.VARIANT_GATES:
+        if self.head_kind == "rnn" and self.rnn_variant not in RNN_VARIANTS:
             raise ParameterError(f"unknown rnn variant {self.rnn_variant!r}")
         if self.n_classes < 2:
             raise ParameterError(f"need >= 2 classes, got {self.n_classes}")
         if min(self.hidden_units, self.d_rnn, self.dense_units) < 1:
             raise ParameterError("layer widths must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ParameterError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def summary_dim(self) -> int:
         if self.head_kind == "mean":
             return self.d_rnn
-        return 2 * self.hidden_units if self.bidirectional else self.hidden_units
+        return self.hidden_units * (2 if self.rnn_variant.startswith("bi") else 1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -129,9 +131,10 @@ def _build_model(config: ModelConfig, rng) -> ModelBundle:
     bridge = hd.init_bridge(config.input_dim, config.d_rnn, rng.derive("bridge"))
     cell = None
     if config.head_kind == "rnn":
-        maker = hd.init_bicell if config.bidirectional else hd.init_cell
-        cell = maker(config.rnn_variant, config.d_rnn, config.hidden_units,
-                     rng.derive("cell"))
+        variant = config.rnn_variant
+        maker = hd.init_bicell if variant.startswith("bi") else hd.init_cell
+        cell = maker(variant.removeprefix("bi"), config.d_rnn,
+                     config.hidden_units, rng.derive("cell"))
     head = hd.init_classifier(config.summary_dim, config.dense_units,
                               config.n_classes, config.dropout,
                               rng.derive("classifier"))

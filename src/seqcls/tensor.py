@@ -334,8 +334,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 # normalization and regularization
 
 
-def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
-                    eps: float = 1e-5):
+def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor):
     """Per-row normalization of the array ``z`` over its last axis, then
     affine gain/bias: the one copy of this math, shared by ``layer_norm``
     and the encoder op.
@@ -352,15 +351,12 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
     theirs bit for bit.  Every step runs in place on arrays the rule
     allocated; ``z``, ``g``, the gain and the bias are only read.
     """
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     d = z.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
-        )
+        raise DimensionError(f"layer_norm affine shapes {gain.shape}/"
+                             f"{bias.shape} do not match width {d}")
     xhat = z - z.sum(axis=-1, keepdims=True) / d  # centred, then scaled
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + 1e-5)
     xhat *= inv
 
     def output():
@@ -386,9 +382,9 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor,
     return output(), backward, output
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
-    data, rule, _ = layer_norm_rule(x.data, gain, bias, eps)
+    data, rule, _ = layer_norm_rule(x.data, gain, bias)
     return from_rule(data, lambda g, _, wants_input: rule(g, wants_input), x,
                      (gain, bias))
 

@@ -30,10 +30,10 @@ from seqcls.cli import (
 from seqcls.data import LabeledSample, load_jsonl, split, write_manifest
 from seqcls.encoder import EncoderConfig, save_embeddings
 from seqcls.errors import DataError, ParameterError
-from seqcls.model import (HEAD_KINDS, ModelConfig, init_model,
+from seqcls.model import (HEAD_KINDS, RNN_VARIANTS, ModelConfig, init_model,
                           load_checkpoint, save_checkpoint)
 from seqcls.optim import OPTIMIZERS, evaluate
-from test_model import with_deleted_settings
+from test_model import with_deleted_setting
 
 
 def read_results(path):
@@ -102,6 +102,22 @@ class TestRunConfig:
             RunConfig(data="x", out_dir=str(tmp_path), rnn="transformer")
         with pytest.raises(ParameterError):
             RunConfig(data="x", out_dir=str(tmp_path), head="cls")
+
+    def test_model_config_takes_only_the_data_facts(self, tmp_path):
+        """The run's settings pass through as they are; the data sets the
+        class count and the fitted vocabulary size, or the imported width."""
+        config = small_config("x", tmp_path, rnn="bilstm", dropout=0.2)
+        shape = config.model_config(3, vocab_size=290)
+        assert (shape.n_classes, shape.rnn_variant, shape.dropout) == (
+            3, "bilstm", 0.2)
+        assert shape.encoder == EncoderConfig(
+            d_model=8, n_heads=2, n_layers=1, vocab_size=290, max_len=12,
+            dropout=0.2)
+        assert config.model_config().encoder.vocab_size == 300
+        imported = RunConfig(data="", out_dir=str(tmp_path),
+                             embeddings="e.sqf1")
+        shape = imported.model_config(2, input_dim=7)
+        assert shape.encoder is None and shape.input_dim == 7
 
 
 class TestResultsRows:
@@ -530,7 +546,8 @@ class TestEvalCommand:
         config = small_config(corpus, tmp_path / "run", epochs=1)
         cmd_train(config, clock=FakeClock())
         checkpoint = Path(config.out_dir) / "model.ckpt"
-        checkpoint.write_bytes(with_deleted_settings(checkpoint.read_bytes()))
+        checkpoint.write_bytes(
+            with_deleted_setting(checkpoint.read_bytes(), "pre_norm"))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(checkpoint)]) == 1
         err = capsys.readouterr().err
@@ -634,7 +651,7 @@ class TestGridCommand:
         assert len(rows) == 2 and failed == 1
         by_hidden = {r.hidden_units: r for r in rows}
         assert by_hidden[4].status == "ok"
-        assert by_hidden[0].status.startswith("error:")
+        assert by_hidden[0].status == "error:ParameterError"
         assert by_hidden[0].accuracy is None
 
     def test_unexpected_exception_becomes_error_row(self, corpus, tmp_path,
@@ -766,7 +783,8 @@ class TestPretrainCommand:
         assert path.exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--steps", "-1"), ("--lr", "nan"), ("--n-heads", "3")])
+        ("--steps", "-1"), ("--lr", "nan"), ("--n-heads", "3"),
+        ("--mask-rate", "0"), ("--mask-rate", "1.5")])
     def test_bad_settings_fail_before_the_corpus_loads(self, tmp_path, capsys,
                                                        flag, value):
         out = tmp_path / "pre"
@@ -845,12 +863,28 @@ class TestMainEntry:
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
         ("--weight-decay", "-0.01"), ("--weight-decay", "nan"),
-        ("--epochs", "0"), ("--batch-size", "0")])
+        ("--epochs", "0"), ("--batch-size", "0"), ("--n-heads", "3"),
+        ("--hidden-units", "0"), ("--d-rnn", "0"), ("--dense-units", "0"),
+        ("--dropout", "1.5")])
     def test_bad_settings_give_one_line_before_the_data_loads(
             self, tmp_path, capsys, flag, value):
         run_dir = tmp_path / "run"
         code = main(["train", "--data", str(tmp_path / "missing.jsonl"),
                      "--out-dir", str(run_dir), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: ParameterError:")
+        assert err.count("\n") == 1
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden-units", "0"), ("--dropout", "1.5")])
+    def test_imported_head_settings_fail_before_the_embeddings_load(
+            self, tmp_path, capsys, flag, value):
+        run_dir = tmp_path / "run"
+        code = main(["train", "--data", "x.jsonl", "--out-dir", str(run_dir),
+                     "--embeddings", str(tmp_path / "missing.sqf1"), flag,
+                     value])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("seqcls: ParameterError:")
@@ -880,6 +914,17 @@ class TestMainEntry:
             args = parser.parse_args(["train", "--data", "d", "--out-dir", "o",
                                       "--head", head])
             assert ModelConfig(n_classes=2, head_kind=args.head).head_kind == head
+
+    def test_rnn_flag_takes_the_model_variant_names(self):
+        parser = cli.build_parser()
+        choices = next(action.choices for action in
+                       parser._subparsers._group_actions[0]
+                       .choices["train"]._actions if action.dest == "rnn")
+        assert tuple(choices) == RNN_VARIANTS
+        for variant in RNN_VARIANTS:
+            args = parser.parse_args(["train", "--data", "d", "--out-dir", "o",
+                                      "--rnn", variant])
+            assert cli._run_config(args).model_config().rnn_variant == variant
 
     def test_tokenizer_min_frequency_has_one_default(self):
         args = cli.build_parser().parse_args(

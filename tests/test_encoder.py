@@ -174,11 +174,11 @@ def out_of_place_feed_forward_rule(params, x):
     return inner @ w2.data + b2.data, backward
 
 
-def out_of_place_layer_norm_rule(z, gain, bias, eps=1e-5):
+def out_of_place_layer_norm_rule(z, gain, bias):
     """``tt.layer_norm_rule`` as it was before it ran in place."""
     d = z.shape[-1]
     c = z - z.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + 1e-5)
     xhat = c * inv
     data = xhat * gain.data + bias.data
 
@@ -382,12 +382,11 @@ def trimmed_forward(model, tokens, rng=None):
     return enc.encoder_forward(model, tokens, masks)
 
 
-def reference_denoising_loss(model, corrupted, targets, rng=None):
+def reference_denoising_loss(model, corrupted, targets):
     """The per-position loop ``denoising_loss`` replaced: each masked row
     through one tied-embedding matvec, softmax and floored log, the
     negated terms summed and scaled by the target count."""
-    masks = enc.dropout_masks(model.config, corrupted, rng)
-    states = enc.encoder_forward(model, corrupted, masks)
+    states = enc.encoder_forward(model, corrupted)
     total = None
     for pos, original_id in targets:
         logits = matvec(model.embedding, tt.row(states, pos))
@@ -1497,8 +1496,7 @@ class TestSpanMask:
 
     def test_rate_point3_of_ten_masks_exactly_three(self):
         tokens = make_tokens(list(range(5, 15)), 10)
-        corrupted, targets = enc.span_mask(tokens, RandomSource(3), 0.3,
-                                           mean_span=1.0)
+        corrupted, targets = enc.span_mask(tokens, RandomSource(3), 0.3)
         assert len(targets) == 3
         masked = [pos for pos, _ in targets]
         assert all(corrupted.input_ids[p] == MASK_ID for p in masked)
@@ -1514,8 +1512,8 @@ class TestSpanMask:
 
     def test_seeded_runs_reproduce(self):
         tokens = make_tokens(list(range(5, 15)), 10)
-        a = enc.span_mask(tokens, RandomSource(5), 0.4, mean_span=2.0)
-        b = enc.span_mask(tokens, RandomSource(5), 0.4, mean_span=2.0)
+        a = enc.span_mask(tokens, RandomSource(5), 0.4)
+        b = enc.span_mask(tokens, RandomSource(5), 0.4)
         assert a[0].input_ids == b[0].input_ids
         assert a[1] == b[1]
 
@@ -1527,8 +1525,8 @@ class TestSpanMask:
             rate = float(rng.uniform(0.05, 0.9))
             tokens = make_tokens(
                 [int(t) for t in rng.integers(5, 50, total)], valid)
-            corrupted, targets = enc.span_mask(
-                tokens, rng.derive("case"), rate, mean_span=2.0)
+            corrupted, targets = enc.span_mask(tokens, rng.derive("case"),
+                                               rate)
             assert len(targets) == max(1, int(round(rate * valid)))
             untouched = set(range(total)) - {pos for pos, _ in targets}
             for pos in untouched:
@@ -1549,8 +1547,6 @@ class TestSpanMask:
         tokens = make_tokens([5, 6], 2)
         with pytest.raises(ParameterError):
             enc.span_mask(tokens, RandomSource(7), 1.0)
-        with pytest.raises(ParameterError):
-            enc.span_mask(tokens, RandomSource(7), 0.5, mean_span=0.5)
 
 
 class TestDenoisingLoss:
@@ -1582,7 +1578,7 @@ class TestDenoisingLoss:
                               max_len=4)
         model = enc.init_encoder(config, RandomSource(44))
         corrupted, targets = enc.span_mask(
-            make_tokens([1, 5, 2, 7], 4), RandomSource(45), 0.5, mean_span=1.0)
+            make_tokens([1, 5, 2, 7], 4), RandomSource(45), 0.5)
         tensors = [t for _, t in model.named_parameters()]
 
         def loss():
@@ -1607,13 +1603,12 @@ class TestDenoisingLoss:
             enc.denoising_loss(model, tokens, [(1, original_id)])
 
     @staticmethod
-    def loss_and_gradients(loss_fn, model, corrupted, targets, training):
+    def loss_and_gradients(loss_fn, model, corrupted, targets):
         tensors = [t for _, t in model.named_parameters()]
         for t in tensors:
             t.zero_grad()
         with tt.Tape() as tape:
-            loss = loss_fn(model, corrupted, targets,
-                           rng=RandomSource(48) if training else None)
+            loss = loss_fn(model, corrupted, targets)
             tape.backward(loss)
         return loss.item(), [t.grad for t in tensors]
 
@@ -1621,10 +1616,8 @@ class TestDenoisingLoss:
     @pytest.mark.parametrize("positions", [
         {4}, {0, 1, 3, 5, 6, 8, 9}, {0, 1, 2, 8, 9},
     ], ids=["one", "many", "shared-ids"])
-    @pytest.mark.parametrize("training", [False, True],
-                             ids=["no-dropout", "dropout"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    def test_matches_per_position_loop(self, causal, training, positions):
+    def test_matches_per_position_loop(self, causal, positions):
         """Loss and every parameter gradient, the tied embedding's included,
         against ``reference_denoising_loss``; the GEMM over the masked rows
         rounds unlike one matvec per row, so they agree to rounding."""
@@ -1638,9 +1631,9 @@ class TestDenoisingLoss:
         ids = [3, 9, 3, 14, 1, 7, 12, 5, 9, 3, PAD_ID, PAD_ID]
         corrupted, targets = masked(ids, 10, positions)
         loss, grads = self.loss_and_gradients(enc.denoising_loss, model,
-                                              corrupted, targets, training)
+                                              corrupted, targets)
         ref_loss, ref_grads = self.loss_and_gradients(
-            reference_denoising_loss, model, corrupted, targets, training)
+            reference_denoising_loss, model, corrupted, targets)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for grad, ref in zip(grads, ref_grads):
             np.testing.assert_allclose(grad, ref, rtol=1e-9, atol=1e-15)
@@ -1656,7 +1649,7 @@ class TestDenoisingLoss:
         positions = set(RandomSource(52).permutation(24)[:count].tolist())
         corrupted, targets = masked(ids, 24, positions)
         with tt.Tape() as tape:
-            enc.denoising_loss(model, corrupted, targets, rng=RandomSource(53))
+            enc.denoising_loss(model, corrupted, targets)
         assert len(targets) == count and len(tape) == 6
 
 

@@ -53,7 +53,7 @@ def checkpoint_blob(tmp_path_factory):
         n_classes=2,
         encoder=EncoderConfig(d_model=4, n_heads=2, n_layers=1,
                               vocab_size=12, max_len=6, dropout=0.0),
-        rnn_variant="lstm", bidirectional=True, hidden_units=3, d_rnn=3,
+        rnn_variant="bilstm", hidden_units=3, d_rnn=3,
         dense_units=3, dropout=0.0)
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     md.save_checkpoint(path, md.init_model(config, seed=3))

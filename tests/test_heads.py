@@ -514,7 +514,7 @@ class TestFusedScan:
                 fused, reference = hd.rnn_forward, reference_rnn_forward
             # non-zero biases, so every gate term is exercised
             for name, t in params.named_parameters():
-                if name.endswith(".b"):
+                if name.rsplit(".", 1)[-1] == "b":
                     t.data = rng.uniform(-0.5, 0.5, t.shape)
             width = 8 if bidirectional else 4
             # one batch of mixed lengths, unsorted, against each sequence alone

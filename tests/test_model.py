@@ -39,16 +39,21 @@ def with_config(blob: bytes, config_blob: bytes) -> bytes:
             + blob[12 + old_len:])
 
 
-def with_deleted_settings(blob: bytes) -> bytes:
-    """Checkpoint bytes whose config block is written as it was while
-    ``ModelConfig`` had an ``embedding_source`` and ``EncoderConfig`` a
-    ``pre_norm`` field."""
+def with_deleted_setting(blob: bytes, key: str) -> bytes:
+    """Checkpoint bytes whose config block holds ``key`` as it was written
+    while ``ModelConfig`` had a ``bidirectional`` or an ``embedding_source``
+    field, or ``EncoderConfig`` a ``pre_norm`` field."""
     (length,) = struct.unpack_from("<I", blob, 8)
     payload = json.loads(blob[12:12 + length])
-    payload["embedding_source"] = ("imported" if payload["encoder"] is None
-                                   else "internal")
-    if payload["encoder"] is not None:
-        payload["encoder"]["pre_norm"] = False
+    if key == "bidirectional":
+        variant = payload["rnn_variant"]
+        payload["rnn_variant"] = variant.removeprefix("bi")
+        payload[key] = variant.startswith("bi")
+    elif key == "embedding_source":
+        payload[key] = ("imported" if payload["encoder"] is None
+                        else "internal")
+    else:
+        payload["encoder"][key] = False
     return with_config(blob, json.dumps(payload, sort_keys=True,
                                         separators=(",", ":")).encode())
 
@@ -81,10 +86,11 @@ def drawn_per_slice(config, seed):
     if config.head_kind == "rnn":
         rng, d_in, h = root.derive("cell"), config.d_rnn, config.hidden_units
         p_limit, q_limit = np.sqrt(6.0 / (d_in + h)), np.sqrt(6.0 / (2 * h))
-        for direction in ("fw.", "bw.") if config.bidirectional else ("",):
+        variant = config.rnn_variant
+        for direction in ("fw.", "bw.") if variant.startswith("bi") else ("",):
             gates = [(rng.uniform(-p_limit, p_limit, (h, d_in)),
                       rng.uniform(-q_limit, q_limit, (h, h)))
-                     for _ in hd.VARIANT_GATES[config.rnn_variant]]
+                     for _ in hd.VARIANT_GATES[variant.removeprefix("bi")]]
             drawn[f"cell.{direction}p"] = np.concatenate([p for p, _ in gates])
             drawn[f"cell.{direction}q"] = np.concatenate([q for _, q in gates])
             drawn[f"cell.{direction}b"] = np.zeros(len(gates) * h)
@@ -145,15 +151,28 @@ class TestModelConfig:
 
     def test_summary_dim_variants(self):
         assert tiny_config().summary_dim == 3
-        assert tiny_config(bidirectional=True).summary_dim == 6
+        assert tiny_config(rnn_variant="bigru").summary_dim == 6
         assert tiny_config(head_kind="mean").summary_dim == 4
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParameterError):
             tiny_config(rnn_variant="hopfield")
 
+    def test_variant_names_the_direction(self):
+        """A "bi" name builds a cell for each direction, as ``--rnn`` does;
+        a bidirectional vanilla cell has no name and cannot be written."""
+        for variant in md.RNN_VARIANTS:
+            config = tiny_config(rnn_variant=variant)
+            both = variant.startswith("bi")
+            cell = md.init_model(config, seed=13).cell
+            assert isinstance(cell, hd.BiRnnParams) == both
+            assert config.summary_dim == (6 if both else 3)
+            assert "bidirectional" not in config.to_dict()
+        with pytest.raises(ParameterError, match="bivanilla"):
+            tiny_config(rnn_variant="bivanilla")
+
     def test_dict_round_trip(self):
-        config = tiny_config(bidirectional=True, rnn_variant="lstm")
+        config = tiny_config(rnn_variant="bilstm")
         assert md.ModelConfig.from_dict(config.to_dict()) == config
 
     def test_dict_round_trip_imported(self):
@@ -247,7 +266,7 @@ class TestInitAndForward:
         assert probs.shape == (2,)
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"bidirectional": True}, {"rnn_variant": "lstm"},
+        {}, {"rnn_variant": "bigru"}, {"rnn_variant": "lstm"},
         {"rnn_variant": "vanilla"}, {"head_kind": "mean"},
     ], ids=["gru", "bigru", "lstm", "vanilla", "mean"])
     def test_init_joins_the_per_head_and_per_gate_draws(self, overrides):
@@ -274,7 +293,7 @@ class TestInitAndForward:
 
 HEADS = {
     "rnn": {},
-    "birnn": {"bidirectional": True},
+    "birnn": {"rnn_variant": "bigru"},
     "mean": {"head_kind": "mean"},
 }
 
@@ -457,7 +476,7 @@ class TestTapeRecords:
 
 class TestCheckpoint:
     def test_round_trip_preserves_values_at_f32(self, tmp_path):
-        bundle = md.init_model(tiny_config(bidirectional=True), seed=12)
+        bundle = md.init_model(tiny_config(rnn_variant="bigru"), seed=12)
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, bundle)
         loaded = md.load_checkpoint(path)
@@ -523,13 +542,15 @@ class TestCheckpoint:
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("source, key", [("internal", "pre_norm"),
-                                             ("imported", "embedding_source")])
+                                             ("imported", "embedding_source"),
+                                             ("bigru", "bidirectional")])
     def test_deleted_setting_is_refused(self, tmp_path, source, key):
         """An older checkpoint is refused, naming the setting it holds."""
-        config = tiny_config() if source == "internal" else imported_config()
+        config = {"internal": tiny_config, "imported": imported_config,
+                  "bigru": lambda: tiny_config(rnn_variant="bigru")}[source]()
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, md.init_model(config, seed=18))
-        path.write_bytes(with_deleted_settings(path.read_bytes()))
+        path.write_bytes(with_deleted_setting(path.read_bytes(), key))
         with pytest.raises(DataError,
                            match=rf"^bad checkpoint config: .*'{key}'"):
             md.load_checkpoint(path)
@@ -544,18 +565,18 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="UTF-8"):
             md.load_checkpoint(path)
 
-    @pytest.mark.parametrize("bidirectional, cell_table", [
-        (False, [("cell.p", (9, 4)), ("cell.q", (9, 3)), ("cell.b", (9,)),
+    @pytest.mark.parametrize("variant, cell_table", [
+        ("gru", [("cell.p", (9, 4)), ("cell.q", (9, 3)), ("cell.b", (9,)),
                  ("head.w_dense", (4, 3))]),
-        (True, [("cell.fw.p", (9, 4)), ("cell.fw.q", (9, 3)),
+        ("bigru", [("cell.fw.p", (9, 4)), ("cell.fw.q", (9, 3)),
                 ("cell.fw.b", (9,)), ("cell.bw.p", (9, 4)),
                 ("cell.bw.q", (9, 3)), ("cell.bw.b", (9,)),
                 ("head.w_dense", (4, 6))]),
     ], ids=["gru", "bigru"])
-    def test_tensor_table_is_pinned(self, tmp_path, bidirectional, cell_table):
+    def test_tensor_table_is_pinned(self, tmp_path, variant, cell_table):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, md.init_model(
-            tiny_config(bidirectional=bidirectional), seed=22))
+            tiny_config(rnn_variant=variant), seed=22))
         blob = path.read_bytes()
         assert struct.unpack_from("<I", blob, 4) == (2,)
         assert tensor_table(blob) == ENCODER_TABLE + cell_table + [
@@ -587,12 +608,10 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="non-finite"):
             md.load_checkpoint(path)
 
-    @pytest.mark.parametrize("bidirectional", [False, True],
-                             ids=["gru", "bigru"])
+    @pytest.mark.parametrize("variant", ["gru", "bigru"])
     def test_load_draws_no_random_values(self, tmp_path, monkeypatch,
-                                         bidirectional):
-        bundle = md.init_model(tiny_config(bidirectional=bidirectional),
-                               seed=23)
+                                         variant):
+        bundle = md.init_model(tiny_config(rnn_variant=variant), seed=23)
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, bundle)
 

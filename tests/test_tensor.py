@@ -301,9 +301,11 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
     def test_layer_norm_already_normalized(self):
+        """Unit variance; the 1e-5 added to it is all that moves the row."""
         x = Tensor([[1.0, -1.0]])
-        out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+        out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        np.testing.assert_allclose(out.data, [[1.0, -1.0]] / np.sqrt(1 + 1e-5),
+                                   rtol=1e-15)
 
     def test_layer_norm_zero_gain_broadcasts_bias(self):
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4)))
@@ -429,7 +431,7 @@ class TestDropout:
             bundle = md.init_model(md.ModelConfig(
                 n_classes=2, encoder=None, input_dim=3,
                 head_kind="mean" if kind == "mean" else "rnn",
-                bidirectional=True, hidden_units=2, d_rnn=4, dense_units=4,
+                rnn_variant="bigru", hidden_units=2, d_rnn=4, dense_units=4,
                 dropout=0.5), seed=6)
             draws.clear()
             cut, padded = self.drawn(bundle, example, 6,
