@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import sys
 import time
 import traceback
@@ -128,6 +129,11 @@ class RunConfig:
     @property
     def input_path(self) -> str:
         return self.data if self.embeddings is None else self.embeddings
+
+    def with_input(self, path) -> RunConfig:
+        """This run with ``path`` as its input file."""
+        source = "data" if self.embeddings is None else "embeddings"
+        return replace(self, **{source: str(path)})
 
 
 _METRIC_FIELDS = (
@@ -305,6 +311,8 @@ def cmd_train(config: RunConfig, clock=time.perf_counter) -> list[ResultsRow]:
     train_config = TrainConfig(**{f.name: getattr(config, f.name)
                                   for f in fields(TrainConfig)})
     config.model_config()  # with stand-ins for the data, before it loads
+    # recorded absolute, so that eval finds the input from any directory
+    config = config.with_input(os.path.abspath(config.input_path))
     prepared = prepare(config)
     bundle = init_model(prepared.model_config, config.seed)
     started = clock()
@@ -363,8 +371,7 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
                             f"sha256 is not the one manifest.json records; "
                             f"pass it as --data to score it anyway")
     else:
-        source = "data" if config.embeddings is None else "embeddings"
-        config = replace(config, **{source: str(data)})
+        config = config.with_input(data)
     bundle = load_checkpoint(checkpoint)
     vocab = None
     if bundle.config.encoder is not None:

@@ -194,12 +194,11 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
     ``x``, concatenated, then W_O: one x @ [Wq|Wk|Wv] GEMM, and the scores
     of every head form one (heads, T, T) array, softmaxed in place.
 
-    Returns the output and ``backward(g, x, wants_input)``, which is handed
-    ``x`` again and keeps nothing of its own, only ``mask``: it recomputes
-    Q, K and V (the one x @ W_QKV GEMM), the weights and the joined heads
-    as the forward did, bit for bit, accumulates the W_QKV and W_O
-    gradients and returns the gradient of ``x`` when ``wants_input`` is
-    true, else None.
+    Returns the output and ``backward(g, x)``, which is handed ``x`` again
+    and keeps nothing of its own, only ``mask``: it recomputes Q, K and V
+    (the one x @ W_QKV GEMM), the weights and the joined heads as the
+    forward did, bit for bit, accumulates the W_QKV and W_O gradients and
+    returns the gradient of ``x``.
     """
     w_qkv, wo = params.w_qkv, params.wo
     if x.shape[1] != w_qkv.shape[0]:
@@ -229,7 +228,7 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
         weights /= weights.sum(axis=-1, keepdims=True)
         return weights, (weights @ v).transpose(1, 0, 2).reshape(n, width)
 
-    def backward(g, x, wants_input):
+    def backward(g, x):
         q, k, v = project(x)
         weights, joined = attend(q, k, v)
         if wo.requires_grad:
@@ -249,7 +248,7 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
         if w_qkv.requires_grad:
             w_qkv.accumulate_grad(x.T @ d_proj)
-        return d_proj @ w.T if wants_input else None
+        return d_proj @ w.T
 
     return attend(*project(x))[1] @ wo.data, backward
 
@@ -264,13 +263,12 @@ def multi_head_attention(params: AttentionParams, x: Tensor,
 def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
     """relu(x @ W1 + b1) @ W2 + b2 over the rows of the array ``x``.
 
-    Returns the output and ``backward(g, x, wants_input)``, which is
-    handed ``x`` again and keeps nothing: it recomputes the ReLU output
-    from ``x`` with the forward's own ops, bit for bit, accumulates the
-    weight and bias gradients and returns the gradient of ``x`` when
-    ``wants_input`` is true, else None.  The bias add, the ReLU and the
-    ReLU's backward run in place on arrays the rule allocated; ``x`` and
-    ``g`` are only read.
+    Returns the output and ``backward(g, x)``, which is handed ``x``
+    again and keeps nothing: it recomputes the ReLU output from ``x`` with
+    the forward's own ops, bit for bit, accumulates the weight and bias
+    gradients and returns the gradient of ``x``.  The bias add, the ReLU
+    and the ReLU's backward run in place on arrays the rule allocated;
+    ``x`` and ``g`` are only read.
     """
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     d_in, d_inner = w1.shape
@@ -286,7 +284,7 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
         inner += b1.data
         return np.maximum(inner, 0.0, out=inner)
 
-    def backward(g, x, wants_input):
+    def backward(g, x):
         inner = hidden(x)
         if w2.requires_grad:
             w2.accumulate_grad(inner.T @ g)
@@ -298,7 +296,7 @@ def feed_forward_rule(params: FeedForwardParams, x: np.ndarray):
             w1.accumulate_grad(x.T @ d_inner)
         if b1.requires_grad:
             b1.accumulate_grad(d_inner.sum(axis=0))
-        return d_inner @ w1.data.T if wants_input else None
+        return d_inner @ w1.data.T
 
     out = hidden(x) @ w2.data
     out += b2.data
@@ -341,9 +339,9 @@ def _sublayer(rule, x: np.ndarray, rebuild, keep: np.ndarray | None,
     times_keep = tt.held_mask(keep)
 
     def backward(g):
-        g = norm_backward(g, True)
+        g = norm_backward(g)
         dx = rule_backward(g if times_keep is None else times_keep(g),
-                           rebuild(), True)
+                           rebuild())
         dx += g  # a sum of two terms rounds alike in either order
         return dx
 

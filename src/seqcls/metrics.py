@@ -17,44 +17,6 @@ from .errors import DataError
 
 
 @dataclass
-class ConfusionMatrix:
-    """counts[true][pred]; row sums are the class supports."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise DataError(f"confusion matrix must be square, got {self.counts.shape}")
-        if (self.counts < 0).any():
-            raise DataError("confusion matrix counts must be nonnegative")
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def supports(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def true_positives(self) -> np.ndarray:
-        return np.diag(self.counts)
-
-    @property
-    def false_positives(self) -> np.ndarray:
-        return self.counts.sum(axis=0) - self.true_positives
-
-    @property
-    def false_negatives(self) -> np.ndarray:
-        return self.supports - self.true_positives
-
-
-@dataclass
 class MetricsReport:
     accuracy: float
     precision: list[float]
@@ -70,26 +32,24 @@ class MetricsReport:
     f1_macro_per_class: float
 
 
-def confusion(true_labels, predicted_labels, n_classes: int) -> ConfusionMatrix:
-    true_labels = list(true_labels)
-    predicted_labels = list(predicted_labels)
-    if len(true_labels) != len(predicted_labels):
-        raise DataError(
-            f"{len(true_labels)} labels vs {len(predicted_labels)} predictions")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for y, y_hat in zip(true_labels, predicted_labels):
-        if not 0 <= y < n_classes:
-            raise DataError(f"label {y} outside {n_classes} classes")
-        if not 0 <= y_hat < n_classes:
-            raise DataError(f"prediction {y_hat} outside {n_classes} classes")
-        counts[y, y_hat] += 1
-    return ConfusionMatrix(counts)
-
-
-def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
-        raise DataError("empty confusion matrix has no accuracy")
-    return float(cm.true_positives.sum()) / cm.total
+def confusion(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
+    """The (K, K) int64 counts[true][pred]; row sums are the class
+    supports.  A label or prediction outside the K classes is refused,
+    naming the first bad value, a sample's label before its prediction."""
+    y = np.asarray(true_labels, dtype=np.int64)
+    y_hat = np.asarray(predicted_labels, dtype=np.int64)
+    if len(y) != len(y_hat):
+        raise DataError(f"{len(y)} labels vs {len(y_hat)} predictions")
+    bad_y = (y < 0) | (y >= n_classes)
+    bad_y_hat = (y_hat < 0) | (y_hat >= n_classes)
+    bad = bad_y | bad_y_hat
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_y[i]:
+            raise DataError(f"label {y[i]} outside {n_classes} classes")
+        raise DataError(f"prediction {y_hat[i]} outside {n_classes} classes")
+    counts = np.bincount(y * n_classes + y_hat, minlength=n_classes * n_classes)
+    return counts.reshape(n_classes, n_classes)
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -99,52 +59,32 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
-def per_class_metrics(cm: ConfusionMatrix):
-    """(precision, recall, f1) arrays; zero-denominator classes score 0."""
-    tp = cm.true_positives.astype(np.float64)
-    precision = _ratio(tp, tp + cm.false_positives)
-    recall = _ratio(tp, tp + cm.false_negatives)
+def report(true_labels, predicted_labels, n_classes: int) -> MetricsReport:
+    counts = confusion(true_labels, predicted_labels, n_classes)
+    total = int(counts.sum())
+    if total == 0:
+        raise DataError("empty confusion matrix has no metrics")
+    supports = counts.sum(axis=1)
+    # tp + fp and tp + fn are the column and row sums, exact in float64
+    tp = np.diag(counts).astype(np.float64)
+    precision = _ratio(tp, counts.sum(axis=0))
+    recall = _ratio(tp, supports)
     f1 = _ratio(2.0 * precision * recall, precision + recall)
-    return precision, recall, f1
-
-
-def weighted_metrics(cm: ConfusionMatrix):
-    if cm.total == 0:
-        raise DataError("empty confusion matrix has no weighted metrics")
-    precision, recall, f1 = per_class_metrics(cm)
-    weights = cm.supports / cm.total
-    return (float(precision @ weights), float(recall @ weights),
-            float(f1 @ weights))
-
-
-def macro_metrics(cm: ConfusionMatrix):
-    """Averages over classes; macro F1 is the harmonic mean of the two."""
-    if cm.total == 0:
-        raise DataError("empty confusion matrix has no macro metrics")
-    precision, recall, _ = per_class_metrics(cm)
+    weights = supports / total
     p_macro = float(precision.mean())
     r_macro = float(recall.mean())
     denominator = p_macro + r_macro
-    f1_macro = 0.0 if denominator == 0 else 2.0 * p_macro * r_macro / denominator
-    return p_macro, r_macro, f1_macro
-
-
-def report(true_labels, predicted_labels, n_classes: int) -> MetricsReport:
-    cm = confusion(true_labels, predicted_labels, n_classes)
-    precision, recall, f1 = per_class_metrics(cm)
-    p_w, r_w, f1_w = weighted_metrics(cm)
-    p_m, r_m, f1_m = macro_metrics(cm)
     return MetricsReport(
-        accuracy=accuracy(cm),
-        precision=[float(v) for v in precision],
-        recall=[float(v) for v in recall],
-        f1=[float(v) for v in f1],
-        supports=[int(v) for v in cm.supports],
-        precision_weighted=p_w,
-        recall_weighted=r_w,
-        f1_weighted=f1_w,
-        precision_macro=p_m,
-        recall_macro=r_m,
-        f1_macro=f1_m,
-        f1_macro_per_class=float(f1.mean()) if len(f1) else 0.0,
+        accuracy=float(tp.sum()) / total,
+        precision=precision.tolist(),
+        recall=recall.tolist(),
+        f1=f1.tolist(),
+        supports=supports.tolist(),
+        precision_weighted=float(precision @ weights),
+        recall_weighted=float(recall @ weights),
+        f1_weighted=float(f1 @ weights),
+        precision_macro=p_macro,
+        recall_macro=r_macro,
+        f1_macro=0.0 if denominator == 0 else 2.0 * p_macro * r_macro / denominator,
+        f1_macro_per_class=float(f1.mean()),
     )

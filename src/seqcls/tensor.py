@@ -151,15 +151,15 @@ def recording(inputs: Iterable[Tensor]) -> bool:
 
 
 def from_rule(data: np.ndarray,
-              rule: Callable[[np.ndarray, np.ndarray, bool], np.ndarray | None],
+              rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
               x: Tensor, params: Sequence[Tensor]) -> Tensor:
     """One op over ``x`` and ``params`` from an array rule's output and its
-    ``rule(g, x, wants_input)``, which is handed ``x.data``, accumulates
-    the parameter gradients and returns the gradient of ``x`` when
-    ``wants_input`` is true."""
+    ``rule(g, x)``, which is handed ``x.data``, accumulates the parameter
+    gradients and returns the gradient of ``x``; that gradient is
+    accumulated only when ``x`` carries one."""
 
     def backward(g):
-        dx = rule(g, x.data, x.requires_grad)
+        dx = rule(g, x.data)
         if x.requires_grad:
             x.accumulate_grad(dx)
 
@@ -339,13 +339,12 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor):
     affine gain/bias: the one copy of this math, shared by ``layer_norm``
     and the encoder op.
 
-    Returns the output, ``backward(g, wants_input)`` and ``output()``.
-    Both keep only the normalized rows ``xhat`` and their (rows, 1)
-    inverse deviations, not ``z`` or the output.  ``backward`` accumulates
-    the gain and bias gradients and returns the gradient of ``z`` when
-    ``wants_input`` is true, else None.  ``output()`` rebuilds the output
-    as a new array with the forward's two ops, ``xhat * gain`` then
-    ``+= bias``, so its bits are the output's: a rule that reads this
+    Returns the output, ``backward(g)`` and ``output()``.  Both keep only
+    the normalized rows ``xhat`` and their (rows, 1) inverse deviations,
+    not ``z`` or the output.  ``backward`` accumulates the gain and bias
+    gradients and returns the gradient of ``z``.  ``output()`` rebuilds
+    the output as a new array with the forward's two ops, ``xhat * gain``
+    then ``+= bias``, so its bits are the output's: a rule that reads this
     output can be handed it again at backward time.  The statistics are
     the steps ``np.mean`` and ``np.var`` take, so the output matches
     theirs bit for bit.  Every step runs in place on arrays the rule
@@ -364,13 +363,11 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor):
         data += bias.data
         return data
 
-    def backward(g, wants_input):
+    def backward(g):
         if gain.requires_grad:
             gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if not wants_input:
-            return None
         gx = g * gain.data
         m1 = gx.sum(axis=-1, keepdims=True) / d
         m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
@@ -385,8 +382,7 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor):
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
     data, rule, _ = layer_norm_rule(x.data, gain, bias)
-    return from_rule(data, lambda g, _, wants_input: rule(g, wants_input), x,
-                     (gain, bias))
+    return from_rule(data, lambda g, _: rule(g), x, (gain, bias))
 
 
 def dropout_mask(rng: RandomSource | None, p: float,

@@ -365,6 +365,26 @@ class TestEvalCommand:
             assert replace(evaluated, wall_seconds=None) == \
                 replace(trained, wall_seconds=None), trained.split
 
+    def test_relative_input_is_found_from_another_directory(
+            self, tmp_path, monkeypatch):
+        """A run trained on a path relative to where it ran records it
+        absolute, so eval run from elsewhere scores the same file."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cmd_synth(2, 20, seed=1, out=Path("corpus.jsonl"))
+        config = small_config("corpus.jsonl", "run", epochs=1)
+        trained = cmd_train(config, clock=FakeClock())[-1]
+        recorded = Path(json.loads(Path("run/config.json").read_text())["data"])
+        assert recorded.is_absolute()
+        assert recorded.samefile(work / "corpus.jsonl")
+        monkeypatch.chdir(tmp_path)
+        evaluated = cmd_eval(Path("work/run/model.ckpt"), None, "test",
+                             clock=FakeClock())
+        assert trained.split == "test"
+        assert replace(evaluated, wall_seconds=None) == \
+            replace(trained, wall_seconds=None)
+
     def test_eval_twice_is_identical(self, corpus, tmp_path, capsys):
         config = small_config(corpus, tmp_path / "run", epochs=1)
         cmd_train(config, clock=FakeClock())

@@ -135,7 +135,7 @@ def out_of_place_attention_rule(params, x, mask=None):
     weights = e / e.sum(axis=-1, keepdims=True)
     joined = (weights @ v).transpose(1, 0, 2).reshape(n, width)
 
-    def backward(g, wants_input):
+    def backward(g):
         if wo.requires_grad:
             wo.accumulate_grad(joined.T @ g)
         d_context = (g @ wo.data.T).reshape(n, heads, d_k).transpose(1, 0, 2)
@@ -148,7 +148,7 @@ def out_of_place_attention_rule(params, x, mask=None):
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * width)
         if w_qkv.requires_grad:
             w_qkv.accumulate_grad(x.T @ d_proj)
-        return d_proj @ w.T if wants_input else None
+        return d_proj @ w.T
 
     return joined @ wo.data, backward
 
@@ -159,7 +159,7 @@ def out_of_place_feed_forward_rule(params, x):
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     inner = np.maximum(x @ w1.data + b1.data, 0.0)
 
-    def backward(g, wants_input):
+    def backward(g):
         if w2.requires_grad:
             w2.accumulate_grad(inner.T @ g)
         if b2.requires_grad:
@@ -169,7 +169,7 @@ def out_of_place_feed_forward_rule(params, x):
             w1.accumulate_grad(x.T @ d_inner)
         if b1.requires_grad:
             b1.accumulate_grad(d_inner.sum(axis=0))
-        return d_inner @ w1.data.T if wants_input else None
+        return d_inner @ w1.data.T
 
     return inner @ w2.data + b2.data, backward
 
@@ -182,13 +182,11 @@ def out_of_place_layer_norm_rule(z, gain, bias):
     xhat = c * inv
     data = xhat * gain.data + bias.data
 
-    def backward(g, wants_input):
+    def backward(g):
         if gain.requires_grad:
             gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if not wants_input:
-            return None
         gx = g * gain.data
         m1 = gx.sum(axis=-1, keepdims=True) / d
         m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
@@ -205,8 +203,8 @@ def out_of_place_sublayer(rule, x, keep, norm):
     out, norm_backward = out_of_place_layer_norm_rule(z, *norm)
 
     def backward(g):
-        g = norm_backward(g, True)
-        dx = rule_backward(g if keep is None else g * keep, True)
+        g = norm_backward(g)
+        dx = rule_backward(g if keep is None else g * keep)
         dx += g
         return dx
 
@@ -215,12 +213,12 @@ def out_of_place_sublayer(rule, x, keep, norm):
 
 def handed_input(rule):
     """An out-of-place rule, whose backward holds its input, called as the
-    in-place rules are: its ``backward(g, x, wants_input)`` is handed the
-    input too, and ignores it."""
+    in-place rules are: its ``backward(g, x)`` is handed the input too,
+    and ignores it."""
 
     def handed(*args):
         out, backward = rule(*args)
-        return out, lambda g, _, wants_input: backward(g, wants_input)
+        return out, lambda g, _: backward(g)
 
     return handed
 
@@ -315,7 +313,7 @@ def add_norm(x, a, keep, norm):
     data, norm_backward, _ = tt.layer_norm_rule(z, *norm)
 
     def backward(g):
-        g = norm_backward(g, x.requires_grad or a.requires_grad)
+        g = norm_backward(g)
         if x.requires_grad:
             x.accumulate_grad(g)
         if a.requires_grad:
@@ -1050,10 +1048,8 @@ class TestInPlaceRules:
             if got is not None:
                 assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("wants_input", [False, True],
-                             ids=["no-dx", "dx"])
     @pytest.mark.parametrize("mask_kind", sorted(TestFusedAttention.MASKS))
-    def test_attention_matches_out_of_place(self, mask_kind, wants_input):
+    def test_attention_matches_out_of_place(self, mask_kind):
         layer, rng = self.perturbed_layer(600)
         x = rng.uniform(-1, 1, (5, 8))
         g = rng.uniform(-1, 1, (5, 8))
@@ -1061,34 +1057,30 @@ class TestInPlaceRules:
         given = [x, g] + ([] if mask is None else [mask])
         tensors = [t for _, t in layer.attn.named_parameters()]
         results = [self.run(lambda: rule(layer.attn, x, mask),
-                            (g, x, wants_input), given, tensors)
+                            (g, x), given, tensors)
                    for rule in (enc.multi_head_attention_rule,
                                 handed_input(out_of_place_attention_rule))]
         self.assert_all_equal(*results)
 
-    @pytest.mark.parametrize("wants_input", [False, True],
-                             ids=["no-dx", "dx"])
-    def test_feed_forward_matches_out_of_place(self, wants_input):
+    def test_feed_forward_matches_out_of_place(self):
         layer, rng = self.perturbed_layer(601)
         x = rng.uniform(-1, 1, (5, 8))
         g = rng.uniform(-1, 1, (5, 8))
         tensors = [t for _, t in layer.ffn.named_parameters()]
-        results = [self.run(lambda: rule(layer.ffn, x), (g, x, wants_input),
-                            [x, g], tensors)
+        results = [self.run(lambda: rule(layer.ffn, x), (g, x), [x, g],
+                            tensors)
                    for rule in (enc.feed_forward_rule,
                                 handed_input(out_of_place_feed_forward_rule))]
         self.assert_all_equal(*results)
 
-    @pytest.mark.parametrize("wants_input", [False, True],
-                             ids=["no-dx", "dx"])
     @pytest.mark.parametrize("shape", [(5, 8), (2, 3, 8)], ids=["2d", "3d"])
-    def test_layer_norm_matches_out_of_place(self, shape, wants_input):
+    def test_layer_norm_matches_out_of_place(self, shape):
         layer, rng = self.perturbed_layer(602)
         z = rng.uniform(-1, 1, shape)
         g = rng.uniform(-1, 1, shape)
         tensors = [layer.ln1_gain, layer.ln1_bias]
-        results = [self.run(lambda: rule(z, *tensors)[:2], (g, wants_input),
-                            [z, g], tensors)
+        results = [self.run(lambda: rule(z, *tensors)[:2], (g,), [z, g],
+                            tensors)
                    for rule in (tt.layer_norm_rule,
                                 out_of_place_layer_norm_rule)]
         self.assert_all_equal(*results)

@@ -35,21 +35,23 @@ def brute_force_report(y, y_hat, k):
                 f1_macro=f1_m, f1_macro_per_class=sum(f1) / k)
 
 
-WORKED = mt.ConfusionMatrix(np.array([[2, 1], [0, 1]]))
+WORKED_Y, WORKED_Y_HAT = [0, 0, 0, 1], [0, 0, 1, 1]
+WORKED_COUNTS = mt.confusion(WORKED_Y, WORKED_Y_HAT, 2)
+WORKED = mt.report(WORKED_Y, WORKED_Y_HAT, 2)
 
 
 class TestConfusion:
     def test_perfect_two_samples_is_identity(self):
-        cm = mt.confusion([0, 1], [0, 1], 2)
-        assert np.array_equal(cm.counts, np.eye(2, dtype=int))
+        counts = mt.confusion([0, 1], [0, 1], 2)
+        assert np.array_equal(counts, np.eye(2, dtype=int))
 
     def test_empty_inputs_give_zero_matrix(self):
-        cm = mt.confusion([], [], 3)
-        assert np.array_equal(cm.counts, np.zeros((3, 3), dtype=int))
+        counts = mt.confusion([], [], 3)
+        assert np.array_equal(counts, np.zeros((3, 3), dtype=int))
 
     def test_hand_tally(self):
-        cm = mt.confusion([0, 0, 0, 1], [0, 0, 1, 1], 2)
-        assert np.array_equal(cm.counts, [[2, 1], [0, 1]])
+        counts = mt.confusion([0, 0, 0, 1], [0, 0, 1, 1], 2)
+        assert np.array_equal(counts, [[2, 1], [0, 1]])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -61,44 +63,75 @@ class TestConfusion:
         with pytest.raises(DataError):
             mt.confusion([0, 0], [0, -1], 2)
 
+    def test_names_the_first_bad_value(self):
+        # sample 1 has the first bad value, a prediction; sample 2's bad
+        # label comes later, and a sample's label is checked before its
+        # prediction
+        with pytest.raises(DataError, match=r"^prediction 5 outside 3 classes$"):
+            mt.confusion([0, 1, 7, 2], [0, 5, 0, -1], 3)
+        with pytest.raises(DataError, match=r"^label -2 outside 3 classes$"):
+            mt.confusion([0, -2, 3], [0, 9, 0], 3)
+        with pytest.raises(DataError, match=r"^label 3 outside 3 classes$"):
+            mt.confusion(np.array([1, 3, 4]), np.array([1, 1, -1]), 3)
+
+    def test_lists_and_arrays_give_the_same_counts(self):
+        rng = np.random.default_rng(10)
+        y, y_hat = rng.integers(0, 4, 50), rng.integers(0, 4, 50)
+        counts = mt.confusion(y, y_hat, 4)
+        tally = np.zeros((4, 4), dtype=np.int64)
+        for label, prediction in zip(y, y_hat):
+            tally[label, prediction] += 1
+        assert counts.dtype == np.int64 and np.array_equal(counts, tally)
+        assert np.array_equal(counts, mt.confusion(y.tolist(), y_hat.tolist(), 4))
+        assert np.array_equal(counts, mt.confusion(y.astype(np.int32),
+                                                   list(y_hat), 4))
+
     def test_derived_fields(self):
-        assert WORKED.total == 4
+        tp = np.diag(WORKED_COUNTS)
+        assert sum(WORKED.supports) == 4
         assert np.array_equal(WORKED.supports, [3, 1])
-        assert np.array_equal(WORKED.true_positives, [2, 1])
-        assert np.array_equal(WORKED.false_positives, [0, 1])
-        assert np.array_equal(WORKED.false_negatives, [1, 0])
+        assert np.array_equal(tp, [2, 1])
+        assert np.array_equal(WORKED_COUNTS.sum(axis=0) - tp, [0, 1])
+        assert np.array_equal(np.array(WORKED.supports) - tp, [1, 0])
 
 
 class TestAccuracy:
     def test_all_correct(self):
-        assert mt.accuracy(mt.confusion([0, 1, 2], [0, 1, 2], 3)) == 1.0
+        assert mt.report([0, 1, 2], [0, 1, 2], 3).accuracy == 1.0
 
     def test_all_wrong(self):
-        assert mt.accuracy(mt.confusion([0, 1], [1, 0], 2)) == 0.0
+        assert mt.report([0, 1], [1, 0], 2).accuracy == 0.0
 
     def test_worked_example(self):
-        assert mt.accuracy(WORKED) == 0.75
+        assert WORKED.accuracy == 0.75
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError):
-            mt.accuracy(mt.confusion([], [], 2))
+            mt.report([], [], 2)
+
+
+def weighted(rep):
+    return rep.precision_weighted, rep.recall_weighted, rep.f1_weighted
+
+
+def macro(rep):
+    return rep.precision_macro, rep.recall_macro, rep.f1_macro
 
 
 class TestWeightedMetrics:
     def test_worked_example(self):
-        precision, recall, f1 = mt.per_class_metrics(WORKED)
-        assert np.allclose(precision, [1.0, 0.5])
-        assert np.allclose(recall, [2 / 3, 1.0])
-        assert np.allclose(f1, [0.8, 2 / 3])
-        p_w, r_w, f1_w = mt.weighted_metrics(WORKED)
+        assert np.allclose(WORKED.precision, [1.0, 0.5])
+        assert np.allclose(WORKED.recall, [2 / 3, 1.0])
+        assert np.allclose(WORKED.f1, [0.8, 2 / 3])
+        p_w, r_w, f1_w = weighted(WORKED)
         assert f1_w == pytest.approx((0.8 * 3 + (2 / 3) * 1) / 4, abs=1e-12)
         assert f1_w == pytest.approx(0.76667, abs=1e-5)
         assert p_w == pytest.approx((1.0 * 3 + 0.5 * 1) / 4, abs=1e-12)
         assert r_w == pytest.approx(0.75, abs=1e-12)
 
     def test_perfect_predictions(self):
-        cm = mt.confusion([0, 1, 1, 2], [0, 1, 1, 2], 3)
-        assert mt.weighted_metrics(cm) == (1.0, 1.0, 1.0)
+        rep = mt.report([0, 1, 1, 2], [0, 1, 1, 2], 3)
+        assert weighted(rep) == (1.0, 1.0, 1.0)
 
     def test_weighted_recall_equals_accuracy(self):
         rng = np.random.default_rng(5)
@@ -107,14 +140,13 @@ class TestWeightedMetrics:
             n = int(rng.integers(1, 40))
             y = rng.integers(0, k, n)
             y_hat = rng.integers(0, k, n)
-            cm = mt.confusion(y, y_hat, k)
-            assert mt.weighted_metrics(cm)[1] == pytest.approx(
-                mt.accuracy(cm), abs=1e-12)
+            rep = mt.report(y, y_hat, k)
+            assert rep.recall_weighted == pytest.approx(rep.accuracy, abs=1e-12)
 
 
 class TestMacroMetrics:
     def test_worked_example(self):
-        p_m, r_m, f1_m = mt.macro_metrics(WORKED)
+        p_m, r_m, f1_m = macro(WORKED)
         assert p_m == pytest.approx(0.75, abs=1e-12)
         assert r_m == pytest.approx(5 / 6, abs=1e-12)
         expected = 2 * 0.75 * (5 / 6) / (0.75 + 5 / 6)
@@ -122,12 +154,10 @@ class TestMacroMetrics:
         assert f1_m == pytest.approx(0.78947, abs=1e-5)
 
     def test_perfect_predictions(self):
-        cm = mt.confusion([0, 1, 2], [0, 1, 2], 3)
-        assert mt.macro_metrics(cm) == (1.0, 1.0, 1.0)
+        assert macro(mt.report([0, 1, 2], [0, 1, 2], 3)) == (1.0, 1.0, 1.0)
 
     def test_all_wrong_f1_defined_as_zero(self):
-        cm = mt.confusion([0, 1], [1, 0], 2)
-        assert mt.macro_metrics(cm) == (0.0, 0.0, 0.0)
+        assert macro(mt.report([0, 1], [1, 0], 2)) == (0.0, 0.0, 0.0)
 
     def test_balanced_supports_match_weighted(self):
         rng = np.random.default_rng(6)
@@ -136,23 +166,48 @@ class TestMacroMetrics:
             per = int(rng.integers(1, 10))
             y = np.repeat(np.arange(k), per)
             y_hat = rng.integers(0, k, k * per)
-            cm = mt.confusion(y, y_hat, k)
-            p_w, r_w, _ = mt.weighted_metrics(cm)
-            p_m, r_m, _ = mt.macro_metrics(cm)
+            rep = mt.report(y, y_hat, k)
+            p_w, r_w, _ = weighted(rep)
+            p_m, r_m, _ = macro(rep)
             assert p_w == pytest.approx(p_m, abs=1e-12)
             assert r_w == pytest.approx(r_m, abs=1e-12)
 
 
 class TestReport:
     def test_composes_like_the_parts(self):
-        y, y_hat = [0, 0, 0, 1], [0, 0, 1, 1]
-        rep = mt.report(y, y_hat, 2)
-        cm = mt.confusion(y, y_hat, 2)
-        assert rep.accuracy == mt.accuracy(cm)
-        assert (rep.precision_weighted, rep.recall_weighted,
-                rep.f1_weighted) == mt.weighted_metrics(cm)
-        assert (rep.precision_macro, rep.recall_macro,
-                rep.f1_macro) == mt.macro_metrics(cm)
+        """Each average is formed from the per-class figures, the supports
+        and the counts as the module docstring says, bit for bit."""
+        rep, counts = WORKED, WORKED_COUNTS
+        assert rep.accuracy == float(np.trace(counts)) / counts.sum()
+        weights = np.array(rep.supports) / sum(rep.supports)
+        assert weighted(rep) == tuple(float(np.array(per_class) @ weights)
+                                      for per_class in (rep.precision,
+                                                        rep.recall, rep.f1))
+        p_m, r_m = float(np.mean(rep.precision)), float(np.mean(rep.recall))
+        assert macro(rep) == (p_m, r_m, 2.0 * p_m * r_m / (p_m + r_m))
+
+    def test_pinned_bit_for_bit(self):
+        """A k = 4 labeling (drawn from default_rng(29)) whose class 3 is
+        never predicted and whose class 2 is never predicted right; every
+        field is the value the per-sample-loop suite gave, compared with
+        ==."""
+        y = [3, 0, 2, 2, 0, 2, 2, 1, 2, 0, 3, 0, 1, 1, 0, 1, 2, 0, 0, 0,
+             0, 3, 0, 2, 3, 3, 0, 3, 3, 2, 1, 0, 0, 3, 3, 1, 1, 0, 1, 3]
+        y_hat = [1, 2, 1, 0, 2, 1, 1, 0, 1, 2, 2, 2, 0, 1, 0, 1, 1, 0, 0, 0,
+                 2, 1, 1, 1, 2, 2, 1, 0, 1, 1, 0, 2, 1, 0, 0, 1, 0, 0, 2, 2]
+        assert mt.report(y, y_hat, 4) == mt.MetricsReport(
+            accuracy=0.2,
+            precision=[0.38461538461538464, 0.1875, 0.0, 0.0],
+            recall=[0.35714285714285715, 0.375, 0.0, 0.0],
+            f1=[0.3703703703703704, 0.25, 0.0, 0.0],
+            supports=[14, 8, 8, 10],
+            precision_weighted=0.17211538461538461,
+            recall_weighted=0.2,
+            f1_weighted=0.17962962962962964,
+            precision_macro=0.14302884615384615,
+            recall_macro=0.1830357142857143,
+            f1_macro=0.16057793575566087,
+            f1_macro_per_class=0.15509259259259262)
 
     def test_worked_example_full_report(self):
         rep = mt.report([0, 0, 0, 1], [0, 0, 1, 1], 2)
