@@ -166,6 +166,22 @@ def _pop_best(heap: list, counts: dict[tuple[str, str], int]):
     return None, 0
 
 
+def check_fit(vocab_size: int, min_frequency: int = MIN_FREQUENCY) -> None:
+    """``train_bpe``'s bounds, also checked before a corpus loads."""
+    base = len(RESERVED) + len(_BYTE_SYMBOLS)
+    if vocab_size <= base:
+        raise ParameterError(f"vocab_size must exceed the {base}-token base "
+                             f"alphabet, got {vocab_size}")
+    if min_frequency < 1:
+        raise ParameterError(f"min_frequency must be >= 1, got {min_frequency}")
+
+
+def check_max_len(max_len: int) -> None:
+    """``to_sequence``'s bound, also checked before a corpus loads."""
+    if max_len < 2:
+        raise ParameterError(f"max_len must be >= 2, got {max_len}")
+
+
 def train_bpe(corpus, vocab_size: int, min_frequency: int = MIN_FREQUENCY,
               *, segments: list | None = None) -> BpeVocabulary:
     """Learn merges greedily by highest pair frequency.
@@ -176,14 +192,7 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = MIN_FREQUENCY,
     final token ids to it, in corpus order: what ``encode`` gives that
     line under the returned vocabulary, before truncation and padding.
     """
-    base = _base_vocabulary()
-    if vocab_size <= len(base):
-        raise ParameterError(
-            f"vocab_size must exceed the {len(base)}-token base alphabet, "
-            f"got {vocab_size}"
-        )
-    if min_frequency < 1:
-        raise ParameterError(f"min_frequency must be >= 1, got {min_frequency}")
+    check_fit(vocab_size, min_frequency)
 
     # One flat symbol list: None before, between and after the lines, and
     # in every slot a merge has emptied.  counts[pair] is the number of
@@ -207,7 +216,7 @@ def train_bpe(corpus, vocab_size: int, min_frequency: int = MIN_FREQUENCY,
     heap = [(-count, pair) for pair, count in counts.items()]
     heapq.heapify(heap)
 
-    vocab = dict(base)
+    vocab = _base_vocabulary()
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size:
         pair, count = _pop_best(heap, counts)
@@ -321,8 +330,7 @@ def to_sequence(ids: list[int], max_len: int) -> TokenSequence:
 
     Truncation keeps the head of the sequence.
     """
-    if max_len < 2:
-        raise ParameterError(f"max_len must be >= 2, got {max_len}")
+    check_max_len(max_len)
     ids = ids[:max_len]
     length = len(ids)
     return TokenSequence(ids + [PAD_ID] * (max_len - length), length)

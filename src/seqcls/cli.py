@@ -31,8 +31,9 @@ import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .bpe import (MIN_FREQUENCY, BpeVocabulary, encode, load_vocabulary,
-                  save_vocabulary, to_sequence, train_bpe)
+from .bpe import (MIN_FREQUENCY, BpeVocabulary, check_fit, check_max_len,
+                  encode, load_vocabulary, save_vocabulary, to_sequence,
+                  train_bpe)
 from .data import (DatasetSplits, LabeledSample, dedupe, load_jsonl, split,
                    synth_corpus, write_manifest)
 from .encoder import (EncoderConfig, denoising_loss, encoder_forward,
@@ -103,6 +104,8 @@ class RunConfig:
             for name in _ENCODER_FIELDS:
                 if getattr(self, name) is None:
                     setattr(self, name, getattr(EncoderConfig, name))
+            check_max_len(self.max_len)
+            check_fit(self.vocab_size)
 
     def model_config(self, n_classes: int = 2, vocab_size: int | None = None,
                      input_dim: int = 1) -> ModelConfig:
@@ -399,6 +402,7 @@ def cmd_eval(checkpoint, data, split_name: str, schema: str | None = None,
 def cmd_tokenizer(data, schema: str, vocab_size: int, out,
                   min_frequency: int = MIN_FREQUENCY):
     """Train a byte-pair vocabulary from a dataset file and save it."""
+    check_fit(vocab_size, min_frequency)
     loaded = load_jsonl(data, schema=schema)
     vocab = train_bpe((s.code for s in loaded.samples), vocab_size,
                       min_frequency=min_frequency)
@@ -435,6 +439,8 @@ def cmd_pretrain(data, schema: str, out_dir,
     if not 0.0 < mask_rate < 1.0:
         raise ParameterError(f"mask rate must be in (0, 1) to give each step "
                              f"a masked position, got {mask_rate}")
+    check_max_len(max_len)
+    check_fit(vocab_size)
     config = EncoderConfig(d_model=d_model, n_heads=n_heads,
                            n_layers=n_layers, vocab_size=vocab_size,
                            max_len=max_len, dropout=0.0)

@@ -4,27 +4,27 @@ The head runs once per mini-batch over the batch's sequences, every row
 a real token, and their length vector.  ``pipeline_forward`` runs: the
 bridge, which stacks, masks and projects the batch into a zero-padded
 (B, T, d_rnn) array as one op (one GEMM) -> recurrent scan
-(vanilla/LSTM/GRU, unidirectional or bidirectional) -> summary rows ->
+(vanilla/LSTM/GRU, unidirectional or bidirectional), which returns each
+sequence's final hidden state as its summary (bidirectional: the forward
+state after the last row, then the backward state after row 0) ->
 dropout -> dense+ReLU -> output layer -> softmax -> cross-entropy, each
-once over the batch.  A sequence is summarized by its last hidden state;
-bidirectional runs concatenate the forward state at its last row with
-the backward state at row 0.  An order-blind variant replaces the scan
-with mean pooling over each sequence's rows, as a baseline for
-order-sensitivity comparisons.
+once over the batch.  An order-blind variant replaces the scan with mean
+pooling over each sequence's rows, as a baseline for order-sensitivity
+comparisons.
 
 Each scan direction is one tape op over the batch (Appleyard, Kocisky &
 Blunsom, 2016): the gates are stacked in VARIANT_GATES order, the input
 projections of every real row are one GEMM, and every step does one
 (B, H) recurrent GEMM over the sequences still running (GRU's candidate
-keeps its own Q_h (r * h)).  The backward rule runs BPTT in numpy.  Rows
-past a sequence's length are zero and take no gradient.  The scan's
-transients (the input projections, the gradient on the states, the
-backward's per-step factors) cover the real rows only; the arrays its
-backward holds and the gate gradient stay on the padded (step, slot)
-grid, since Q's gradient sums over that grid and BLAS would round a
-shorter sum differently (see ``_scan``).  The tests keep the per-sample
-head, a per-step scan built from elementary tape ops and the padded-grid
-scan, and check the batched head against them.
+keeps its own Q_h (r * h)).  It builds no per-row state array; the
+backward rule runs BPTT in numpy from a gradient at each sequence's last
+step.  The scan's transients (the input projections, the gradient on the
+states, the backward's per-step factors) cover the real rows only; the
+arrays its backward holds and the gate gradient stay on the padded
+(step, slot) grid, since Q's gradient sums over that grid and BLAS would
+round a shorter sum differently (see ``_scan``).  The tests check the
+batched head against the per-sample head, a per-step scan of
+``rnn_step`` graphs and the padded-grid scan.
 
 Weight layouts: each scan direction stores its gates stacked in
 VARIANT_GATES order, one row block of ``hidden`` rows per gate: input
@@ -321,25 +321,25 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
           reverse: bool) -> Tensor:
     """One direction of the recurrence over a (B, T, d) batch, sequence i
     running over its first lengths[i] rows, as a single tape op with a
-    hand-written backward pass through time.
+    hand-written backward pass through time.  Returns each sequence's final
+    state, (B, H): forward after row lengths[i] - 1, reverse after row 0.
 
     The input projections of every real row are one GEMM over the stacked
     gate weights, and each step does one recurrent GEMM over the sequences
-    still running.  Row t of sequence i is its state after consuming row t:
-    forward from row 0, reverse from row lengths[i] - 1.  Rows past a
-    sequence's length are zero and take no gradient.  The backward keeps
-    the hidden states and the gates, not the real rows of the input: it
-    gathers them from ``sequences`` again for P's gradient.
+    still running.  Input rows past a sequence's length are never read
+    and take no gradient.  The backward keeps the hidden states and the
+    gates, not the real rows of the input: it gathers them from
+    ``sequences`` again for P's gradient.
 
-    The transients cover the real rows only: the input projections and
-    the gradient on the states are (sum(lengths), ·) arrays in step-major
-    order, read one step's block at a time, and the backward computes each
-    step's factors inside its loop.  What the backward holds (the hidden
-    states, the gates, the candidates, LSTM's cells and their tanh) and
-    the gate gradient da stay on the padded (step, slot) grid, because
-    Q's gradient is a GEMM summed over that grid's rows: with the zero
-    rows dropped, BLAS blocks its K dimension differently and dq's last
-    bits change.
+    The transients cover the real rows only: the input projections and the
+    gradient on the states (the output's at each sequence's last step,
+    zero elsewhere) are (sum(lengths), ·) arrays in step-major order, read
+    one step's block at a time, and the backward computes each step's
+    factors inside its loop.  What the backward holds (the hidden states,
+    the gates, the candidates, LSTM's cells and their tanh) and the gate
+    gradient da stay on the padded (step, slot) grid, because Q's gradient
+    is a GEMM summed over that grid's rows: with the zero rows dropped,
+    BLAS blocks its K dimension differently and dq's last bits change.
     """
     lengths = _check_lengths(sequences, lengths)
     if sequences.shape[2] != cell.input_dim:
@@ -353,6 +353,8 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     sample = order[slot]
     row = lengths[sample] - 1 - step if reverse else step
     ends = np.cumsum(np.bincount(step)).tolist()
+    # each sequence's last step, whose state is its output
+    last = np.flatnonzero(step == lengths[sample] - 1)
 
     def by_step(rows):
         """Step-major real rows as one view per step."""
@@ -362,13 +364,14 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     gx += b
     recur, recur_backward = _RECURRENCES[cell.variant]
     hs, saved = recur(by_step(gx), q)
-    data = np.zeros((*sequences.shape[:2], cell.hidden))
-    data[sample, row] = hs[step + 1, slot]
+    data = np.empty((len(lengths), cell.hidden))
+    data[sample[last]] = hs[step[last] + 1, slot[last]]
 
     def backward(g):
-        # g's real rows are freed as the call returns, before da's are
-        # gathered
-        da, dq = recur_backward(by_step(g[sample, row]), q, hs, saved)
+        dh = np.zeros((len(step), cell.hidden))
+        dh[last] = g[sample[last]]
+        da, dq = recur_backward(by_step(dh), q, hs, saved)
+        del dh  # freed before da's real rows are gathered
         da = da[step, slot]
         dp = da.T @ sequences.data[sample, row]
         db = da.sum(axis=0)
@@ -384,47 +387,29 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
 
 
 def rnn_forward(cell: RnnCellParams, sequences: Tensor, lengths) -> Tensor:
-    """Left-to-right scan of each sequence from the zero state: row t of
-    sequence i holds its state after tokens 0..t.  One tape op."""
+    """Left-to-right scan of each sequence from the zero state: row i is
+    sequence i's state after all its tokens, (B, H).  One tape op."""
     return _scan(cell, sequences, lengths, reverse=False)
 
 
 def birnn_forward(params: BiRnnParams, sequences: Tensor, lengths) -> Tensor:
-    """Row t of sequence i holds [forward state after tokens 0..t, backward
-    state after tokens L-1..t], L = lengths[i].  One tape op per
-    direction."""
+    """Row i is [forward state after tokens 0..L-1, backward state after
+    tokens L-1..0], L = lengths[i]: (B, 2H).  One tape op per direction
+    and their concatenation."""
     return tt.concat(_scan(params.fw, sequences, lengths, reverse=False),
                      _scan(params.bw, sequences, lengths, reverse=True),
-                     axis=2)
+                     axis=1)
 
 
 def summary_rows(lengths, width: int, bidirectional: bool) -> np.ndarray:
-    """(B, width) row that each summary entry reads: the last row, except
-    that a bidirectional state's backward half reads row 0."""
+    """(B, width) row of a per-row state grid that each summary entry
+    matches: the last row, or row 0 for a bidirectional state's backward
+    half.  ``model.draw_masks`` picks the classifier mask's entries."""
     rows = np.repeat(np.asarray(lengths, dtype=np.intp)[:, None] - 1, width,
                      axis=1)
     if bidirectional:
-        if width % 2 != 0:
-            raise DimensionError(
-                f"bidirectional states must have even width, got {width}")
         rows[:, width // 2:] = 0
     return rows
-
-
-def summarize(states: Tensor, rows: np.ndarray) -> Tensor:
-    """Summary entry (i, j) is states[i, rows[i, j], j]; one tape op."""
-    batch, width = rows.shape
-    if states.data.ndim != 3 or states.shape[::2] != (batch, width):
-        raise DimensionError(f"states {states.shape} vs summary rows {rows.shape}")
-    index = (np.arange(batch)[:, None], rows, np.arange(width))
-
-    def backward(g):
-        if states.requires_grad:
-            d_states = np.zeros(states.shape)
-            d_states[index] = g
-            states.accumulate_grad(d_states)
-
-    return tt.make_output(states.data[index], (states,), backward)
 
 
 def mean_pool_forward(sequences: Tensor, lengths) -> Tensor:
@@ -558,10 +543,10 @@ def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
     returns ((B, k) probabilities, (B,) losses or None without ``labels``).
 
     The bridge stacks, masks and projects the batch as one op into
-    (B, T, d_rnn); it, the scan (``cell`` None: mean pooling), summary,
-    classifier and loss each run once, with a length vector.  ``masks``
-    holds each sequence's :class:`HeadMasks`, in the shape applied, or is
-    None for no dropout.
+    (B, T, d_rnn); it, the scan, which returns the summaries (``cell``
+    None: mean pooling), the classifier and loss each run once, with a
+    length vector.  ``masks`` holds each sequence's :class:`HeadMasks`,
+    in the shape applied, or is None for no dropout.
     """
     if not sequences:
         raise ParameterError("need at least one sequence")
@@ -574,11 +559,8 @@ def pipeline_forward(sequences: list[Tensor], bridge: BridgeParams,
     if cell is None:
         summary = mean_pool_forward(z, lengths)
     else:
-        bidirectional = isinstance(cell, BiRnnParams)
-        scan = birnn_forward if bidirectional else rnn_forward
-        states = scan(cell, z, lengths)
-        summary = summarize(states, summary_rows(lengths, states.shape[2],
-                                                 bidirectional))
+        scan = birnn_forward if isinstance(cell, BiRnnParams) else rnn_forward
+        summary = scan(cell, z, lengths)
     probs = classify(head, summary, head_keep)
     losses = None if labels is None else cross_entropy_loss(probs, labels)
     return probs, losses

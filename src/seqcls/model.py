@@ -167,10 +167,10 @@ def draw_masks(bundle: ModelBundle, example: Example,
     input, then the classifier input (every state row, or the mean head's
     one pooled row).  Returns (encoder masks, ``hd.HeadMasks``): the
     bridge mask cut to the sample's real rows, the classifier mask to the
-    summary row that ``hd.summary_rows`` reads.  The encoder masks are
-    None for an imported matrix, and the head masks None, like every
-    encoder mask, where nothing is dropped: with ``rng`` None (no
-    dropout) or a zero rate.
+    summary's entries, picked at the rows ``hd.summary_rows`` names.  The
+    encoder masks are None for an imported matrix, and the head masks
+    None, like every encoder mask, where nothing is dropped: with ``rng``
+    None (no dropout) or a zero rate.
     """
     config = bundle.config
     encoder_masks = None

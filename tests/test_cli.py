@@ -194,6 +194,19 @@ class TestTokenizerCommand:
         with pytest.raises(ParameterError):
             cmd_tokenizer(corpus, "generic", 10, tmp_path / "v.txt")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--vocab-size", "200"), ("--vocab-size", "261"),
+        ("--min-frequency", "0")])
+    def test_bad_settings_fail_before_the_data_loads(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "v.txt"
+        assert main(["tokenizer", "--data", str(tmp_path / "missing.jsonl"),
+                     "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: ParameterError:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_output_loads_as_generic_jsonl(self, tmp_path):
@@ -804,7 +817,8 @@ class TestPretrainCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--steps", "-1"), ("--lr", "nan"), ("--n-heads", "3"),
-        ("--mask-rate", "0"), ("--mask-rate", "1.5")])
+        ("--mask-rate", "0"), ("--mask-rate", "1.5"), ("--max-len", "1"),
+        ("--vocab-size", "200")])
     def test_bad_settings_fail_before_the_corpus_loads(self, tmp_path, capsys,
                                                        flag, value):
         out = tmp_path / "pre"
@@ -885,7 +899,8 @@ class TestMainEntry:
         ("--weight-decay", "-0.01"), ("--weight-decay", "nan"),
         ("--epochs", "0"), ("--batch-size", "0"), ("--n-heads", "3"),
         ("--hidden-units", "0"), ("--d-rnn", "0"), ("--dense-units", "0"),
-        ("--dropout", "1.5")])
+        ("--dropout", "1.5"), ("--max-len", "1"), ("--vocab-size", "200"),
+        ("--vocab-size", "261")])
     def test_bad_settings_give_one_line_before_the_data_loads(
             self, tmp_path, capsys, flag, value):
         run_dir = tmp_path / "run"

@@ -15,7 +15,7 @@ from seqcls.bpe import MASK_ID, PAD_ID, TokenSequence
 from seqcls.errors import DataError, DimensionError, ParameterError
 from seqcls.rng import RandomSource
 from seqcls.tensor import Tensor
-from test_heads import PADDED_RECURRENCES
+from test_heads import PADDED_RECURRENCES, summary_of
 from test_tensor import (add, clip_min, fit_mask, log, matvec, neg, pick,
                          scale, separate_masks)
 
@@ -1163,7 +1163,8 @@ class TestInPlaceRules:
     def test_bridge_and_scan_match_out_of_place(self, variant, bidirectional,
                                                 dropped):
         """A masked bridge into a scan: the bridge rebuilds its padded
-        input and the scan gathers its rows again in the backward."""
+        input and the scan gathers its rows again in the backward.  The
+        out-of-place scan's states are read at the summary rows."""
         rng = RandomSource(607)
         bridge = hd.init_bridge(8, 5, rng.derive("bridge"))
         maker = hd.init_bicell if bidirectional else hd.init_cell
@@ -1178,28 +1179,33 @@ class TestInPlaceRules:
             keeps = [tt.dropout_mask(rng, 0.4, s.shape)
                      for s in sequences]
         cells = (cell.fw, cell.bw) if bidirectional else (cell,)
-        probe = Tensor(rng.uniform(-1, 1, (4, 6, 3 * len(cells))))
+        probe = Tensor(rng.uniform(-1, 1, (4, 3 * len(cells))))
         tensors = [*sequences, bridge.w, bridge.b,
                    *(t for _, t in cell.named_parameters())]
         given = [s.data for s in sequences] + list(keeps or ())
 
-        def forward(bridge_op, scan):
-            z = bridge_op(bridge, sequences, keeps)
-            states = [scan(c, z, lengths, reverse) for c, reverse in
-                      zip(cells, (False, True))]
-            return states[0] if len(states) == 1 else tt.concat(*states, axis=2)
+        def fused(z):
+            summaries = [hd._scan(c, z, lengths, reverse) for c, reverse in
+                         zip(cells, (False, True))]
+            return tt.concat(*summaries, axis=1) if bidirectional else summaries[0]
+
+        def out_of_place(z):
+            states = [out_of_place_scan(c, z, lengths, reverse)
+                      for c, reverse in zip(cells, (False, True))]
+            return summary_of(tt.concat(*states, axis=2) if bidirectional
+                              else states[0], lengths, bidirectional)
 
         results = []
-        for bridge_op, scan in ((hd.bridge_forward, hd._scan),
-                                (out_of_place_bridge_forward, out_of_place_scan)):
+        for bridge_op, scan in ((hd.bridge_forward, fused),
+                                (out_of_place_bridge_forward, out_of_place)):
             before = [a.copy() for a in given]
             for t in tensors:
                 t.zero_grad()
             with tt.Tape() as tape:
-                states = forward(bridge_op, scan)
-                tape.backward(tt.sum_all(tt.mul(states, probe)))
+                summary = scan(bridge_op(bridge, sequences, keeps))
+                tape.backward(tt.sum_all(tt.mul(summary, probe)))
             assert all(np.array_equal(a, b) for a, b in zip(given, before))
-            results.append([states.data] + [t.grad.copy() for t in tensors])
+            results.append([summary.data] + [t.grad.copy() for t in tensors])
         self.assert_all_equal(*results)
 
     def test_recorded_op_holds_no_weights(self):

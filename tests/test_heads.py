@@ -3,7 +3,10 @@
 The batched head is checked against the per-sample head it replaced,
 kept here as ``reference_*`` oracles built from elementary tape ops, and
 the scan against the padded-grid scan it replaced, kept here as the
-``padded_*`` oracles.
+``padded_*`` oracles.  The scan returns each sequence's final state; the
+oracles return every row's state, and ``summarize`` reads them at the
+rows ``hd.summary_rows`` names, as the head did before the scan returned
+its summaries itself.
 """
 
 import math
@@ -341,6 +344,29 @@ def padded_birnn_forward(params, sequences, lengths):
                      padded_scan(params.bw, sequences, lengths, True), axis=2)
 
 
+def summarize(states, rows):
+    """Summary entry (i, j) is states[i, rows[i, j], j]; one tape op, whose
+    backward hands the states a zero-padded gradient."""
+    batch, width = rows.shape
+    if states.data.ndim != 3 or states.shape[::2] != (batch, width):
+        raise DimensionError(f"states {states.shape} vs summary rows {rows.shape}")
+    index = (np.arange(batch)[:, None], rows, np.arange(width))
+
+    def backward(g):
+        if states.requires_grad:
+            d_states = np.zeros(states.shape)
+            d_states[index] = g
+            states.accumulate_grad(d_states)
+
+    return tt.make_output(states.data[index], (states,), backward)
+
+
+def summary_of(states, lengths, bidirectional):
+    """Full-row (B, T, width) states read at each sequence's summary row."""
+    return summarize(states, hd.summary_rows(lengths, states.shape[2],
+                                             bidirectional))
+
+
 class RuleCapture(tt.Tape):
     """A tape that keeps each recorded op's backward rule, to be called
     alone."""
@@ -424,28 +450,39 @@ class TestRnnStep:
             for _ in range(5):
                 n = int(rng.integers(1, 7))
                 seq = Tensor(rng.uniform(-5, 5, (1, n, 4)))
-                states = hd.rnn_forward(cell, seq, [n])
-                assert np.array_equal(states.data, np.zeros((1, n, 3)))
+                summary = hd.rnn_forward(cell, seq, [n])
+                assert np.array_equal(summary.data, np.zeros((1, 3)))
 
 
 class TestRnnForward:
     def test_single_position_reduces_to_step(self):
         cell = hd.init_cell("lstm", 3, 2, RandomSource(3))
         x = RandomSource(4).uniform(-1, 1, (1, 3))
-        states = hd.rnn_forward(cell, Tensor(x[None]), [1])
+        summary = hd.rnn_forward(cell, Tensor(x[None]), [1])
         step, _ = rnn_step(cell, Tensor(x[0]), initial_state(cell))
-        assert np.array_equal(states.data[0, 0], step.data)
+        assert np.array_equal(summary.data[0], step.data)
 
-    def test_rows_past_each_length_are_zero(self):
-        cell = hd.init_cell("gru", 3, 2, RandomSource(5))
-        x, lengths = batch_of([RandomSource(6).uniform(-1, 1, (n, 3))
-                               for n in (2, 4, 1)])
-        for scan, params in ((hd.rnn_forward, cell),
-                             (hd.birnn_forward, hd.BiRnnParams(fw=cell, bw=cell))):
-            states = scan(params, x, lengths).data
-            for i, n in enumerate(lengths):
-                assert not states[i, n:].any()
-                assert np.abs(states[i, :n]).min() > 0.0
+    def test_input_rows_past_each_length_change_nothing(self):
+        """Rows past a sequence's length are never read: other values there
+        leave every summary and every gradient bit-identical."""
+        rng = RandomSource(5)
+        cell = hd.init_cell("gru", 3, 2, rng.derive("cell"))
+        x, lengths = batch_of([rng.uniform(-1, 1, (n, 3)) for n in (2, 4, 1)],
+                              requires_grad=True)
+        noisy = x.data.copy()
+        for i, n in enumerate(lengths):
+            noisy[i, n:] = rng.uniform(-9, 9, noisy[i, n:].shape)
+        noisy = Tensor(noisy, requires_grad=True)
+        for scan, params, width in (
+                (hd.rnn_forward, cell, 2),
+                (hd.birnn_forward, hd.BiRnnParams(fw=cell, bw=cell), 4)):
+            probe = rng.uniform(-1, 1, (3, width))
+            (out, grads), (noisy_out, noisy_grads) = (
+                probed_gradients(lambda p, s: scan(p, s, lengths), params,
+                                 batch, probe) for batch in (x, noisy))
+            assert np.array_equal(out, noisy_out)
+            for g, noisy_g in zip(grads, noisy_grads):
+                assert np.array_equal(g, noisy_g)
 
     @pytest.mark.parametrize("lengths", [[0, 2], [3, 5], [2]])
     def test_bad_lengths_rejected(self, lengths):
@@ -466,8 +503,8 @@ class TestRnnForward:
 class TestBiRnnForward:
     def test_output_width_doubles(self):
         params = hd.init_bicell("gru", 3, 2, RandomSource(8))
-        states = hd.birnn_forward(params, Tensor(np.ones((1, 4, 3))), [4])
-        assert states.shape == (1, 4, 4)
+        summary = hd.birnn_forward(params, Tensor(np.ones((1, 4, 3))), [4])
+        assert summary.shape == (1, 4)
 
     def test_palindrome_symmetry_with_shared_directions(self):
         cell = hd.init_cell("gru", 2, 3, RandomSource(9))
@@ -475,22 +512,20 @@ class TestBiRnnForward:
         x = np.array([[0.3, -0.1], [1.0, 0.5], [0.3, -0.1]])
         # the padded copy checks that each reverse scan starts at its own end
         batch, lengths = batch_of([x, np.ones((5, 2)), x])
-        states = hd.birnn_forward(params, batch, lengths).data
+        summary = hd.birnn_forward(params, batch, lengths).data
         h = 3
         for i in (0, 2):
-            for t in range(3):
-                assert np.allclose(states[i, t, h:], states[i, 2 - t, :h],
-                                   atol=1e-12)
+            assert np.allclose(summary[i, h:], summary[i, :h], atol=1e-12)
 
     def test_valid_len_one_directions_agree(self):
         params = hd.init_bicell("vanilla", 3, 2, RandomSource(10))
         x = RandomSource(11).uniform(-1, 1, (3, 3))
-        states = hd.birnn_forward(params, Tensor(x[None, :1]), [1]).data
+        summary = hd.birnn_forward(params, Tensor(x[None, :1]), [1]).data
         fw_step = rnn_step(params.fw, Tensor(x[0]), initial_state(params.fw))
         bw_step = rnn_step(params.bw, Tensor(x[0]), initial_state(params.bw))
-        assert np.array_equal(states[0, 0, :2], fw_step.data)
-        assert np.array_equal(states[0, 0, 2:], bw_step.data)
-        assert states.shape == (1, 1, 4)
+        assert np.array_equal(summary[0, :2], fw_step.data)
+        assert np.array_equal(summary[0, 2:], bw_step.data)
+        assert summary.shape == (1, 4)
 
     def test_mismatched_directions_rejected(self):
         fw = hd.init_cell("gru", 3, 2, RandomSource(12))
@@ -517,18 +552,21 @@ class TestFusedScan:
                 if name.rsplit(".", 1)[-1] == "b":
                     t.data = rng.uniform(-0.5, 0.5, t.shape)
             width = 8 if bidirectional else 4
-            # one batch of mixed lengths, unsorted, against each sequence alone
+            # one batch of mixed lengths, unsorted, against each sequence
+            # alone, read at its summary rows
             matrices = [rng.uniform(-2, 2, (n, 3)) for n in (3, 1, 6, 3)]
-            probes = [rng.uniform(-1, 1, (n, width)) for n in (3, 1, 6, 3)]
+            probe = rng.uniform(-1, 1, (4, width))
             batch, lengths = batch_of(matrices, requires_grad=True)
-            probe, _ = batch_of(probes)
             out, grads = probed_gradients(
-                lambda p, x: fused(p, x, lengths), params, batch, probe.data)
+                lambda p, x: fused(p, x, lengths), params, batch, probe)
             ref_grads = None
-            for i, (m, pr) in enumerate(zip(matrices, probes)):
+            for i, m in enumerate(matrices):
                 sequence = Tensor(m, requires_grad=True)
-                ref_out, grads_i = probed_gradients(reference, params, sequence, pr)
-                assert np.abs(out[i, :len(m)] - ref_out).max() <= 1e-10
+                ref_out, grads_i = probed_gradients(
+                    lambda p, x: reference_summarize(reference(p, x),
+                                                     bidirectional),
+                    params, sequence, probe[i])
+                assert np.abs(out[i] - ref_out).max() <= 1e-10
                 assert np.abs(grads[-1][i, :len(m)] - grads_i[-1]).max() <= 1e-10
                 ref_grads = grads_i[:-1] if ref_grads is None else [
                     a + b for a, b in zip(ref_grads, grads_i[:-1])]
@@ -548,7 +586,7 @@ class TestFusedScan:
             scan = hd.rnn_forward
         sequences = Tensor(rng.uniform(-1, 1, (3, 3, 3)), requires_grad=True)
         lengths = [3, 1, 2]
-        probe = Tensor(rng.uniform(-1, 1, (3, 3, 4 if bidirectional else 2)))
+        probe = Tensor(rng.uniform(-1, 1, (3, 4 if bidirectional else 2)))
         tensors = [t for _, t in params.named_parameters()] + [sequences]
 
         def loss():
@@ -574,8 +612,10 @@ class TestFusedScan:
 
 
 class TestPaddedGridOracle:
-    """The scan against the padded-grid scan it replaced: the same states
-    and gradients, bit for bit."""
+    """The scan against the padded-grid scan it replaced, read at the
+    summary rows: the same summaries and gradients, bit for bit.  The
+    oracle's backward takes the zero-padded gradient ``summarize`` builds
+    from the summary's."""
 
     @pytest.mark.parametrize("lengths", [[1], [3, 1, 6, 3], [5, 5, 5], "mixed"])
     @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
@@ -587,21 +627,26 @@ class TestPaddedGridOracle:
         d_in, hidden = 5, 4
         if bidirectional:
             params = hd.init_bicell(variant, d_in, hidden, rng.derive("cell"))
-            scans = (hd.birnn_forward, padded_birnn_forward)
+            scan, full_rows = hd.birnn_forward, padded_birnn_forward
         else:
             params = hd.init_cell(variant, d_in, hidden, rng.derive("cell"))
-            scans = (hd.rnn_forward, lambda cell, x, lengths: padded_scan(
-                cell, x, lengths, False))
+            scan, full_rows = hd.rnn_forward, (
+                lambda cell, x, lengths: padded_scan(cell, x, lengths, False))
+
+        def oracle(cell, x, lengths):
+            return summary_of(full_rows(cell, x, lengths), lengths,
+                              bidirectional)
+
         for name, t in params.named_parameters():
             if name.endswith("b"):
                 t.data = rng.uniform(-0.5, 0.5, t.shape)
         batch, _ = batch_of([rng.uniform(-2, 2, (n, d_in)) for n in lengths],
                             requires_grad=True)
-        probe = rng.uniform(-1, 1, (*batch.shape[:2], 2 * hidden
+        probe = rng.uniform(-1, 1, (len(lengths), 2 * hidden
                                     if bidirectional else hidden))
         (out, grads), (ref_out, ref_grads) = (
-            probed_gradients(lambda p, x: scan(p, x, lengths), params, batch,
-                             probe) for scan in scans)
+            probed_gradients(lambda p, x: run(p, x, lengths), params, batch,
+                             probe) for run in (scan, oracle))
         assert np.array_equal(out, ref_out)
         assert len(grads) == len(ref_grads)
         for g, ref in zip(grads, ref_grads):
@@ -611,40 +656,59 @@ class TestPaddedGridOracle:
         """On a GRU batch shaped like perfbench's train-gru head input (16
         sequences of 32-62 rows, d_rnn and hidden 32; 22% of the padded
         grid is empty), the backward's transient peak is at least a
-        quarter below the padded scan's."""
+        quarter below the padded scan's, fed the same summary gradient
+        zero-padded."""
         rng = RandomSource(76)
         cell = hd.init_cell("gru", 32, 32, rng.derive("cell"))
         lengths = [62] + [int(n) for n in rng.integers(32, 63, 15)]
         sequences, _ = batch_of([rng.uniform(-1, 1, (n, 32)) for n in lengths],
                                 requires_grad=True)
-        g = rng.uniform(-1, 1, (16, 62, 32))
-        peak, padded_peak = (backward_peak(scan, cell, sequences, lengths, g)
-                             for scan in (hd._scan, padded_scan))
+        g = rng.uniform(-1, 1, (16, 32))
+        g_padded = np.zeros((16, 62, 32))
+        g_padded[np.arange(16), np.array(lengths) - 1] = g
+        peak, padded_peak = (backward_peak(scan, cell, sequences, lengths, grad)
+                             for scan, grad in ((hd._scan, g),
+                                                (padded_scan, g_padded)))
         assert peak <= 0.75 * padded_peak
 
 
 class TestSummarize:
+    """The scan's output is each sequence's summary.  Cells whose state is
+    the tanh of its last input row (P the identity, Q and b zero) show
+    which rows it reads."""
+
+    @staticmethod
+    def identity_cell(width):
+        return hd.RnnCellParams(
+            variant="vanilla", p=Tensor(np.eye(width), requires_grad=True),
+            q=Tensor(np.zeros((width, width)), requires_grad=True),
+            b=Tensor(np.zeros(width), requires_grad=True))
+
     def test_unidirectional_takes_last_valid_row(self):
-        states = Tensor(np.arange(24.0).reshape(2, 4, 3))
-        rows = hd.summary_rows([2, 4], 3, False)
-        assert np.array_equal(hd.summarize(states, rows).data,
-                              [[3.0, 4.0, 5.0], [21.0, 22.0, 23.0]])
+        x = np.arange(24.0).reshape(2, 4, 3) / 24.0
+        summary = hd.rnn_forward(self.identity_cell(3), Tensor(x), [2, 4])
+        assert np.array_equal(summary.data, np.tanh([x[0, 1], x[1, 3]]))
 
     def test_bidirectional_concatenates_ends(self):
-        states = Tensor(np.arange(32.0).reshape(2, 4, 4))
-        rows = hd.summary_rows([3, 1], 4, True)
-        assert np.array_equal(hd.summarize(states, rows).data,
-                              [[8.0, 9.0, 2.0, 3.0], [16.0, 17.0, 18.0, 19.0]])
+        x = np.arange(24.0).reshape(2, 4, 3) / 24.0
+        params = hd.BiRnnParams(fw=self.identity_cell(3),
+                                bw=self.identity_cell(3))
+        summary = hd.birnn_forward(params, Tensor(x), [3, 1])
+        assert np.array_equal(summary.data, np.tanh(
+            [[*x[0, 2], *x[0, 0]], [*x[1, 0], *x[1, 0]]]))
 
     def test_gradient_lands_on_the_summary_rows(self):
-        states = Tensor(RandomSource(24).uniform(-1, 1, (2, 3, 4)),
-                        requires_grad=True)
-        rows = hd.summary_rows([2, 3], 4, True)
-        probe = Tensor(RandomSource(25).uniform(-1, 1, (2, 4)))
+        sequences = Tensor(RandomSource(24).uniform(-1, 1, (2, 3, 4)),
+                           requires_grad=True)
+        params = hd.BiRnnParams(fw=self.identity_cell(4),
+                                bw=self.identity_cell(4))
+        probe = Tensor(RandomSource(25).uniform(-1, 1, (2, 8)))
         assert tt.check_gradients(
-            lambda: tt.sum_all(tt.mul(hd.summarize(states, rows), probe)),
-            [states]) < 1e-6
-        assert not states.grad[0, 2].any()
+            lambda: tt.sum_all(tt.mul(
+                hd.birnn_forward(params, sequences, [2, 3]), probe)),
+            [sequences, *(t for _, t in params.named_parameters())]) < 1e-6
+        assert not sequences.grad[0, 2].any()
+        assert not sequences.grad[1, 1].any()
 
 
 class TestClassify:
