@@ -307,13 +307,19 @@ def _write_run_artifacts(config: RunConfig, prepared: PreparedData,
     return out
 
 
+def _checked(config: RunConfig) -> TrainConfig:
+    """The run's training settings; raises on a bad setting, data unread."""
+    train_config = TrainConfig(**{f.name: getattr(config, f.name)
+                                  for f in fields(TrainConfig)})
+    config.model_config()  # with stand-ins for the data
+    return train_config
+
+
 def cmd_train(config: RunConfig, clock=time.perf_counter) -> list[ResultsRow]:
     """Full pipeline: data, tokenizer, training, per-split results rows.
     Bad settings fail before the data loads; the rows score the reloaded
     model.ckpt, as `seqcls eval` does, so eval reproduces each of them."""
-    train_config = TrainConfig(**{f.name: getattr(config, f.name)
-                                  for f in fields(TrainConfig)})
-    config.model_config()  # with stand-ins for the data, before it loads
+    train_config = _checked(config)
     # recorded absolute, so that eval finds the input from any directory
     config = config.with_input(os.path.abspath(config.input_path))
     prepared = prepare(config)
@@ -510,9 +516,12 @@ def best_rows(rows: list[ResultsRow]) -> list[tuple[str, ResultsRow]]:
 
 def cmd_grid(base: RunConfig, lrs, dropouts, hidden_units, variants,
              workers: int = 1, clock=time.perf_counter):
-    """Cartesian sweep over {lr} x {dropout} x {hidden} x {variant}."""
+    """Cartesian sweep over {lr} x {dropout} x {hidden} x {variant}, every
+    cell's settings checked before the output directory is made."""
     if not (lrs and dropouts and hidden_units and variants):
         raise ParameterError("grid axes must be non-empty")
+    if workers < 1:
+        raise ParameterError(f"need >= 1 grid worker, got {workers}")
     out = Path(base.out_dir)
     configs = {}
     for variant, lr, hidden, drop in itertools.product(
@@ -524,6 +533,7 @@ def cmd_grid(base: RunConfig, lrs, dropouts, hidden_units, variants,
         configs[run_dir] = replace(base, rnn=variant, lr=lr,
                                    hidden_units=hidden, dropout=drop,
                                    out_dir=str(run_dir))
+        _checked(configs[run_dir])
     out.mkdir(parents=True, exist_ok=True)
     worker = functools.partial(_grid_worker, clock=clock)
     if workers > 1:
@@ -671,9 +681,9 @@ def main(argv=None) -> int:
             cmd_eval(args.checkpoint, args.data, args.split,
                      schema=args.schema, results=args.results)
         elif args.command == "grid":
-            base = _run_config(args, lr=args.lr[0], rnn=args.rnn[0],
-                               hidden_units=args.hidden_units[0],
-                               dropout=args.dropout[0])
+            base = _run_config(args, lr=RunConfig.lr, rnn=RunConfig.rnn,
+                               hidden_units=RunConfig.hidden_units,
+                               dropout=RunConfig.dropout)  # set per cell
             rows, _, failed = cmd_grid(
                 base, args.lr, args.dropout, args.hidden_units, args.rnn,
                 workers=args.workers)

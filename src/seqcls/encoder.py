@@ -226,7 +226,9 @@ def multi_head_attention_rule(params: AttentionParams, x: np.ndarray,
         weights -= weights.max(axis=-1, keepdims=True)
         np.exp(weights, out=weights)
         weights /= weights.sum(axis=-1, keepdims=True)
-        return weights, (weights @ v).transpose(1, 0, 2).reshape(n, width)
+        joined = np.empty((n, heads, d_k))
+        np.matmul(weights, v, out=joined.transpose(1, 0, 2))
+        return weights, joined.reshape(n, width)
 
     def backward(g, x):
         q, k, v = project(x)
@@ -336,6 +338,8 @@ def _sublayer(rule, x: np.ndarray, rebuild, keep: np.ndarray | None,
         z *= keep
     z += x
     out, norm_backward, rebuild_out = tt.layer_norm_rule(z, *norm)
+    if steps is None:
+        return out, rebuild_out
     times_keep = tt.held_mask(keep)
 
     def backward(g):
@@ -345,8 +349,7 @@ def _sublayer(rule, x: np.ndarray, rebuild, keep: np.ndarray | None,
         dx += g  # a sum of two terms rounds alike in either order
         return dx
 
-    if steps is not None:
-        steps.append(backward)
+    steps.append(backward)
     return out, rebuild_out
 
 
@@ -378,7 +381,9 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
     input: a sublayer's is rebuilt from the layer norm before it or, in
     the first layer, from the embedding gather plus positions.  A
     causal encoder attends through a view of the model's one
-    ``causal_mask``.
+    ``causal_mask``.  With no tape recording it builds no parameter list,
+    no sublayer backward and no held mask, and its output has the same
+    bits.
     """
     config = model.config
     ids = list(tokens.input_ids)
@@ -395,8 +400,8 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
     if len(masks) != config.n_layers:
         raise DimensionError(
             f"{len(masks)} dropout mask pairs for {config.n_layers} layers")
-    params = [t for _, t in model.named_parameters()]
-    steps = [] if tt.recording(params) else None
+    params = lambda: (t for _, t in model.named_parameters())
+    steps = [] if tt.recording(params()) else None
 
     def embed():
         """The first layer's input, the embedding rows plus positions, and
@@ -421,7 +426,7 @@ def encoder_forward(model: EncoderParams, tokens: TokenSequence,
             g = step(g)
         embed_backward(g)
 
-    return tt.make_output(x, params, backward)
+    return tt.make_output(x, params(), backward)
 
 
 def init_encoder(config: EncoderConfig, rng: RandomSource) -> EncoderParams:

@@ -16,13 +16,15 @@ Each scan direction is one tape op over the batch (Appleyard, Kocisky &
 Blunsom, 2016): the gates are stacked in VARIANT_GATES order, the input
 projections of every real row are one GEMM, and every step does one
 (B, H) recurrent GEMM over the sequences still running (GRU's candidate
-keeps its own Q_h (r * h)).  It builds no per-row state array; the
-backward rule runs BPTT in numpy from a gradient at each sequence's last
-step.  The scan's transients (the input projections, the gradient on the
+keeps its own Q_h (r * h)).  Each step updates one running (B, H) state
+(LSTM: and cell), which ends holding the summaries; the step grids the
+backward reads are written only while a tape records.  The backward
+rule runs BPTT in numpy from a gradient at each sequence's last step.
+The scan's transients (the input projections, the gradient on the
 states, the backward's per-step factors) cover the real rows only; the
-arrays its backward holds and the gate gradient stay on the padded
-(step, slot) grid, since Q's gradient sums over that grid and BLAS would
-round a shorter sum differently (see ``_scan``).  The tests check the
+step grids and the gate gradient stay on the padded (step, slot) grid,
+since Q's gradient sums over that grid and BLAS would round a shorter
+sum differently (see ``_scan``).  The tests check the
 batched head against the per-sample head, a per-step scan of
 ``rnn_step`` graphs and the padded-grid scan.
 
@@ -105,14 +107,6 @@ class BiRnnParams:
                 f"direction hidden sizes differ: {self.fw.hidden} vs {self.bw.hidden}"
             )
 
-    @property
-    def variant(self) -> str:
-        return self.fw.variant
-
-    @property
-    def hidden(self) -> int:
-        return self.fw.hidden
-
     def named_parameters(self, prefix: str = ""):
         yield from self.fw.named_parameters(f"{prefix}fw.")
         yield from self.bw.named_parameters(f"{prefix}bw.")
@@ -168,28 +162,40 @@ def _rows(a: np.ndarray) -> np.ndarray:
 # Each recurrence runs time-major.  Its input gx is one block per step of
 # the real rows' stacked input projections (gates in VARIANT_GATES order):
 # the slots hold the batch sorted by length, so step t's block is the
-# running prefix of slots, len(gx[t]) of them.  The forward pass returns
-# hs, whose [t + 1, j] is slot j's hidden state after step t (row 0 is the
-# zero initial state, rows past a sequence's end stay zero), plus what its
-# backward pass needs.  The backward pass takes dh, the gradient on each
-# step's block of hs[1:], in the same per-step blocks, and returns da, the
-# gradient on every gate pre-activation (zero past each sequence's end),
-# and dq.  It computes each step's factors that do not depend on the
-# carried gradient from that step's rows, in the loop.  hs, the saved
-# arrays and da stay on the padded (step, slot) grid (``_scan`` says why).
+# running prefix of slots, len(gx[t]) of them.  The forward pass updates
+# one running (B, H) state in place (LSTM: and a running cell), so slot j
+# ends holding its state after its last step, and returns it with the
+# step grids, written only when ``keep`` (None otherwise): hs, whose
+# [t + 1, j] is slot j's state after step t (row 0 and rows past a
+# sequence's end stay zero), then the gates and candidates.  The backward
+# pass takes dh, the gradient on each step's block of hs[1:], in the same
+# per-step blocks, and the grids, and returns da, the gradient on every
+# gate pre-activation (zero past each sequence's end), and dq.  It
+# computes each step's factors that do not depend on the carried gradient
+# from that step's rows, in the loop.  The grids and da stay on the
+# padded (step, slot) grid (``_scan`` says why).
 
 
-def _vanilla_forward(gx: list[np.ndarray], q: np.ndarray):
-    hs = np.zeros((len(gx) + 1, len(gx[0]), q.shape[1]))
+def _grids(keep: bool, steps: int, batch: int, *widths: int):
+    """One zeroed (steps, batch, width) grid per width, or None each
+    without ``keep``."""
+    return [np.zeros((steps, batch, w)) if keep else None for w in widths]
+
+
+def _vanilla_forward(gx: list[np.ndarray], q: np.ndarray, keep: bool):
+    h = np.zeros((len(gx[0]), q.shape[1]))
+    hs, = _grids(keep, len(gx) + 1, *h.shape)
     q_t = q.T
     for t, x in enumerate(gx):
         n = len(x)
-        hs[t + 1, :n] = np.tanh(x + hs[t, :n] @ q_t)
-    return hs, ()
+        np.tanh(x + h[:n] @ q_t, out=h[:n])
+        if keep:
+            hs[t + 1, :n] = h[:n]
+    return h, (hs,)
 
 
-def _vanilla_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
-                      saved):
+def _vanilla_backward(dh: list[np.ndarray], q: np.ndarray, saved):
+    hs, = saved
     da = np.zeros(hs[1:].shape)
     carry = np.zeros(hs.shape[1:])
     for t in range(len(dh) - 1, -1, -1):
@@ -200,29 +206,32 @@ def _vanilla_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
     return da, _rows(da).T @ _rows(hs[:-1])
 
 
-def _lstm_forward(gx: list[np.ndarray], q: np.ndarray):
+def _lstm_forward(gx: list[np.ndarray], q: np.ndarray, keep: bool):
     steps, batch, hidden = len(gx), len(gx[0]), q.shape[1]
-    hs = np.zeros((steps + 1, batch, hidden))
-    cs = np.zeros((steps + 1, batch, hidden))
-    candidates = np.zeros((steps, batch, hidden))
-    gates = np.zeros((steps, batch, 3 * hidden))  # forget, update, output
-    cell_tanh = np.zeros((steps, batch, hidden))
+    h, cell = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+    hs, cs = _grids(keep, steps + 1, batch, hidden, hidden)
+    candidates, gates, cell_tanh = _grids(  # gates: forget, update, output
+        keep, steps, batch, hidden, 3 * hidden, hidden)
     q_t = q.T
     for t, x in enumerate(gx):
         n = len(x)
-        a = x + hs[t, :n] @ q_t
-        candidate = candidates[t, :n] = np.tanh(a[:, :hidden])
-        s = gates[t, :n] = _sigmoid(a[:, hidden:])
-        c = cs[t + 1, :n] = (s[:, hidden:2 * hidden] * candidate
-                             + s[:, :hidden] * cs[t, :n])
-        tc = cell_tanh[t, :n] = np.tanh(c)
-        hs[t + 1, :n] = s[:, 2 * hidden:] * tc
-    return hs, (cs, candidates, gates, cell_tanh)
+        a = x + h[:n] @ q_t
+        candidate = np.tanh(a[:, :hidden])
+        s = _sigmoid(a[:, hidden:])
+        c = cell[:n]
+        c *= s[:, :hidden]  # forget * c + update * candidate, in place
+        c += s[:, hidden:2 * hidden] * candidate
+        tc = np.tanh(c)
+        np.multiply(s[:, 2 * hidden:], tc, out=h[:n])
+        if keep:
+            hs[t + 1, :n], cs[t + 1, :n] = h[:n], c
+            candidates[t, :n], gates[t, :n], cell_tanh[t, :n] = (
+                candidate, s, tc)
+    return h, (hs, cs, candidates, gates, cell_tanh)
 
 
-def _lstm_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
-                   saved):
-    cs, candidates, gates, cell_tanh = saved
+def _lstm_backward(dh: list[np.ndarray], q: np.ndarray, saved):
+    hs, cs, candidates, gates, cell_tanh = saved
     steps, batch, hidden = candidates.shape
     da = np.zeros((steps, batch, 4 * hidden))
     da_cfi = da[..., :3 * hidden].reshape(steps, batch, 3, hidden)
@@ -249,26 +258,30 @@ def _lstm_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
     return da, _rows(da).T @ _rows(hs[:-1])
 
 
-def _gru_forward(gx: list[np.ndarray], q: np.ndarray):
+def _gru_forward(gx: list[np.ndarray], q: np.ndarray, keep: bool):
     steps, batch, hidden = len(gx), len(gx[0]), q.shape[1]
     q_zr_t, q_h_t = q[:2 * hidden].T, q[2 * hidden:].T
-    hs = np.zeros((steps + 1, batch, hidden))
-    gates = np.zeros((steps, batch, 2 * hidden))  # update, reset
-    candidates = np.zeros((steps, batch, hidden))
+    h = np.zeros((batch, hidden))
+    hs, = _grids(keep, steps + 1, batch, hidden)
+    gates, candidates = _grids(  # gates: update, reset
+        keep, steps, batch, 2 * hidden, hidden)
     for t, x in enumerate(gx):
         n = len(x)
-        h = hs[t, :n]
-        s = gates[t, :n] = _sigmoid(x[:, :2 * hidden] + h @ q_zr_t)
+        previous = h[:n]
+        s = _sigmoid(x[:, :2 * hidden] + previous @ q_zr_t)
         update = s[:, :hidden]
-        candidate = candidates[t, :n] = np.tanh(
-            x[:, 2 * hidden:] + (s[:, hidden:] * h) @ q_h_t)
-        hs[t + 1, :n] = (1.0 - update) * candidate + update * h
-    return hs, (gates, candidates)
+        candidate = np.tanh(x[:, 2 * hidden:]
+                            + (s[:, hidden:] * previous) @ q_h_t)
+        previous *= update  # update * h + (1 - update) * candidate
+        previous += (1.0 - update) * candidate
+        if keep:
+            hs[t + 1, :n], gates[t, :n], candidates[t, :n] = (
+                previous, s, candidate)
+    return h, (hs, gates, candidates)
 
 
-def _gru_backward(dh: list[np.ndarray], q: np.ndarray, hs: np.ndarray,
-                  saved):
-    gates, candidates = saved
+def _gru_backward(dh: list[np.ndarray], q: np.ndarray, saved):
+    hs, gates, candidates = saved
     steps, batch, hidden = candidates.shape
     q_zr, q_h = q[:2 * hidden], q[2 * hidden:]
     da = np.zeros((steps, batch, 3 * hidden))
@@ -331,15 +344,18 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     gates, not the real rows of the input: it gathers them from
     ``sequences`` again for P's gradient.
 
+    The outputs are read from the running state.  The step grids the
+    backward reads (the hidden states, the gates, the candidates, LSTM's
+    cells and their tanh) are written only while ``tt.recording``.
+
     The transients cover the real rows only: the input projections and the
     gradient on the states (the output's at each sequence's last step,
     zero elsewhere) are (sum(lengths), ·) arrays in step-major order, read
     one step's block at a time, and the backward computes each step's
-    factors inside its loop.  What the backward holds (the hidden states,
-    the gates, the candidates, LSTM's cells and their tanh) and the gate
-    gradient da stay on the padded (step, slot) grid, because Q's gradient
-    is a GEMM summed over that grid's rows: with the zero rows dropped,
-    BLAS blocks its K dimension differently and dq's last bits change.
+    factors inside its loop.  The step grids and the gate gradient da stay
+    on the padded (step, slot) grid, because Q's gradient is a GEMM summed
+    over that grid's rows: with the zero rows dropped, BLAS blocks its K
+    dimension differently and dq's last bits change.
     """
     lengths = _check_lengths(sequences, lengths)
     if sequences.shape[2] != cell.input_dim:
@@ -353,24 +369,25 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
     sample = order[slot]
     row = lengths[sample] - 1 - step if reverse else step
     ends = np.cumsum(np.bincount(step)).tolist()
-    # each sequence's last step, whose state is its output
-    last = np.flatnonzero(step == lengths[sample] - 1)
 
     def by_step(rows):
         """Step-major real rows as one view per step."""
         return [rows[start:end] for start, end in zip([0] + ends, ends)]
 
+    inputs = (sequences, cell.p, cell.q, cell.b)
     gx = sequences.data[sample, row] @ p.T
     gx += b
     recur, recur_backward = _RECURRENCES[cell.variant]
-    hs, saved = recur(by_step(gx), q)
-    data = np.empty((len(lengths), cell.hidden))
-    data[sample[last]] = hs[step[last] + 1, slot[last]]
+    state, saved = recur(by_step(gx), q, tt.recording(inputs))
+    data = np.empty_like(state)
+    data[order] = state
 
     def backward(g):
+        # each sequence's last step, whose state is its output
+        last = np.flatnonzero(step == lengths[sample] - 1)
         dh = np.zeros((len(step), cell.hidden))
         dh[last] = g[sample[last]]
-        da, dq = recur_backward(by_step(dh), q, hs, saved)
+        da, dq = recur_backward(by_step(dh), q, saved)
         del dh  # freed before da's real rows are gathered
         da = da[step, slot]
         dp = da.T @ sequences.data[sample, row]
@@ -383,7 +400,7 @@ def _scan(cell: RnnCellParams, sequences: Tensor, lengths,
             dx[sample, row] = da @ p
             sequences.accumulate_grad(dx)
 
-    return tt.make_output(data, (sequences, cell.p, cell.q, cell.b), backward)
+    return tt.make_output(data, inputs, backward)
 
 
 def rnn_forward(cell: RnnCellParams, sequences: Tensor, lengths) -> Tensor:

@@ -169,9 +169,11 @@ def draw_masks(bundle: ModelBundle, example: Example,
     bridge mask cut to the sample's real rows, the classifier mask to the
     summary's entries, picked at the rows ``hd.summary_rows`` names.  The
     encoder masks are None for an imported matrix, and the head masks
-    None, like every encoder mask, where nothing is dropped: with ``rng``
-    None (no dropout) or a zero rate.
+    None, like every encoder mask, at a zero rate.  With ``rng`` None (no
+    dropout) it returns (None, None) at once and builds nothing.
     """
+    if rng is None:
+        return None, None
     config = bundle.config
     encoder_masks = None
     if example.tokens is None:

@@ -10,8 +10,10 @@ only when its output received a gradient; an output the loss never
 reached runs no rule.  The backward spends the tape: it releases each
 record, the rule with every array it holds and the output, as soon as
 the rule has run or been skipped, so the graph is gone when the
-backward returns.  Ops executed with no active tape (evaluation
-mode) pay no recording cost.  An op's array math may live in a rule that
+backward returns.  An op no tape records (evaluation mode) keeps nothing
+for a backward: by ``recording``, the scan then writes no step grids and
+the encoder builds no parameter list, sublayer backward or held mask,
+with the same bits.  An op's array math may live in a rule that
 returns its output and ``backward(g, ...)`` (``layer_norm_rule``,
 ``gather_rows_rule``); ``from_rule`` records such a rule as one op, and a
 fused op, such as the encoder's, runs several rules under one record.
@@ -132,7 +134,7 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def make_output(data: np.ndarray, inputs: Sequence[Tensor],
+def make_output(data: np.ndarray, inputs: Iterable[Tensor],
                 backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op's output; while a tape is active and an input carries a
     gradient, record ``backward``, which the tape calls with the output's
@@ -354,9 +356,13 @@ def layer_norm_rule(z: np.ndarray, gain: Tensor, bias: Tensor):
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(f"layer_norm affine shapes {gain.shape}/"
                              f"{bias.shape} do not match width {d}")
-    xhat = z - z.sum(axis=-1, keepdims=True) / d  # centred, then scaled
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + 1e-5)
-    xhat *= inv
+    mean = z.sum(axis=-1, keepdims=True)
+    mean /= d
+    xhat = z - mean  # centred, then scaled
+    inv = (xhat * xhat).sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += 1e-5
+    xhat *= np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
 
     def output():
         data = xhat * gain.data

@@ -678,14 +678,18 @@ class TestGridCommand:
         assert len(winners) == 4
 
     def test_failed_runs_are_flagged_and_grid_continues(self, corpus, tmp_path):
+        """A file where one cell's run directory goes fails that cell once
+        it has trained."""
         base = small_config(corpus, tmp_path / "grid", epochs=1)
+        (tmp_path / "grid").mkdir()
+        (tmp_path / "grid" / "run_gru_lr0.01_h8_d0.1").write_text("")
         rows, _, failed = cmd_grid(
-            base, [1e-2], [0.1], [4, 0], ["gru"], clock=FakeClock())
+            base, [1e-2], [0.1], [4, 8], ["gru"], clock=FakeClock())
         assert len(rows) == 2 and failed == 1
         by_hidden = {r.hidden_units: r for r in rows}
         assert by_hidden[4].status == "ok"
-        assert by_hidden[0].status == "error:ParameterError"
-        assert by_hidden[0].accuracy is None
+        assert by_hidden[8].status == "error:FileExistsError"
+        assert by_hidden[8].accuracy is None
 
     def test_unexpected_exception_becomes_error_row(self, corpus, tmp_path,
                                                     monkeypatch):
@@ -735,13 +739,29 @@ class TestGridCommand:
 
     def test_each_cell_checks_its_settings_before_the_data_loads(
             self, tmp_path):
+        """One bad cell stops the grid before any cell runs."""
         base = RunConfig(data=str(tmp_path / "missing.jsonl"),
                          out_dir=str(tmp_path / "grid"))
-        rows, _, failed = cmd_grid(base, [-1.0, 1e-2], [0.1], [4], ["gru"])
-        assert failed == 2
-        by_lr = {r.lr: r.status for r in rows}
-        assert by_lr == {-1.0: "error:ParameterError",
-                         1e-2: "error:FileNotFoundError"}
+        with pytest.raises(ParameterError, match="lr must be finite"):
+            cmd_grid(base, [1e-2, -1.0], [0.1], [4], ["gru"])
+        assert not (tmp_path / "grid").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--hidden-units", "0"], ["--hidden-units", "4,0"], ["--lr", ","],
+        ["--lr", ""], ["--rnn", ","], ["--dropout", "0.1,1.5"],
+        ["--workers", "0"], ["--workers", "-1"], ["--n-heads", "3"],
+        ["--epochs", "0"], ["--max-len", "1"], ["--weight-decay", "-0.01"]],
+        ids=" ".join)
+    def test_bad_settings_give_one_line_before_the_data_loads(
+            self, tmp_path, capsys, args):
+        out = tmp_path / "grid"
+        code = main(["grid", "--data", str(tmp_path / "missing.jsonl"),
+                     "--out-dir", str(out), *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqcls: ParameterError:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_cells_sharing_a_run_directory_are_refused(self, tmp_path,
                                                        capsys):

@@ -995,6 +995,23 @@ class TestEncoderOp:
             enc.encoder_forward(model, make_tokens([3, 1, 4, 1], 4))
         assert alive == ([1, 2] if recording else [0, 0])
 
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    def test_no_tape_gives_the_taped_bits_and_holds_nothing(self, monkeypatch,
+                                                            causal):
+        """With dropout masks and no tape, the output has the taped
+        output's bits, and no sublayer holds a mask for a backward."""
+        model, rng = self.perturbed_model(544, n_layers=2, causal=causal)
+        tokens = make_tokens([3, 9, 3, 14, 1, 7, PAD_ID, PAD_ID], 6)
+        masks = enc.dropout_masks(model.config, tokens, rng)
+        with tt.Tape() as tape:
+            taped = enc.encoder_forward(model, tokens, masks).data
+        assert len(tape) == 1
+        held = []
+        monkeypatch.setattr(tt, "held_mask", held.append)
+        untaped = enc.encoder_forward(model, tokens, masks).data
+        assert held == []
+        assert np.array_equal(untaped.view(np.uint64), taped.view(np.uint64))
+
     def test_no_record_when_frozen(self):
         model, _ = self.perturbed_model(542, n_layers=2)
         for _, t in model.named_parameters():

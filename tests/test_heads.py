@@ -672,6 +672,51 @@ class TestPaddedGridOracle:
         assert peak <= 0.75 * padded_peak
 
 
+class TestNoTapeScan:
+    """With no tape recording, the scan computes every step from its
+    running state and writes no step grid for a backward."""
+
+    @pytest.mark.parametrize("lengths", [[1], [2, 7, 1, 3], [4, 4, 4]],
+                             ids=["one-row", "one-runs-alone", "equal"])
+    @pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bi"])
+    @pytest.mark.parametrize("variant", sorted(hd.VARIANT_GATES))
+    def test_matches_the_taped_scan_bit_for_bit(self, variant, bidirectional,
+                                                lengths):
+        rng = RandomSource(92)
+        maker = hd.init_bicell if bidirectional else hd.init_cell
+        params = maker(variant, 5, 4, rng.derive("cell"))
+        for _, t in params.named_parameters():
+            t.data += rng.uniform(-0.3, 0.3, t.shape)
+        sequences = Tensor(rng.uniform(-2, 2, (len(lengths), max(lengths), 5)),
+                           requires_grad=True)
+        scan = hd.birnn_forward if bidirectional else hd.rnn_forward
+        untaped = scan(params, sequences, lengths).data
+        with tt.Tape() as tape:
+            taped = scan(params, sequences, lengths).data
+        assert len(tape) == (3 if bidirectional else 1)
+        assert np.array_equal(untaped.view(np.uint64), taped.view(np.uint64))
+
+    def test_peak_holds_no_step_grid(self):
+        """A GRU batch shaped like perfbench's train-gru held-out chunk (16
+        sequences of up to 63 rows, d_rnn and hidden 32) peaks below the
+        input projection GEMM's operand and result plus one (T + 1, B, H)
+        grid; the taped scan's grids (hidden states, gates, candidates)
+        are four such grids."""
+        rng = RandomSource(93)
+        cell = hd.init_cell("gru", 32, 32, rng.derive("cell"))
+        lengths = [63] + [int(n) for n in rng.integers(32, 64, 15)]
+        sequences = Tensor(rng.uniform(-1, 1, (16, 63, 32)))
+        rows = sum(lengths)
+        budget = 8 * (rows * 32 + rows * 3 * 32 + 64 * 16 * 32)
+        tracemalloc.start()
+        try:
+            hd.rnn_forward(cell, sequences, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+
+
 class TestSummarize:
     """The scan's output is each sequence's summary.  Cells whose state is
     the tanh of its last input row (P the identity, Q and b zero) show

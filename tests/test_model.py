@@ -474,6 +474,30 @@ class TestTapeRecords:
         assert len(tape) / len(examples) <= 2
 
 
+class TestNoTapeForward:
+    @pytest.mark.parametrize("lengths", [[1, 5, 3], [4, 4, 4]],
+                             ids=["one-row-and-one-runs-alone", "equal"])
+    @pytest.mark.parametrize("head", [*md.RNN_VARIANTS, "mean"])
+    def test_matches_the_taped_forward_bit_for_bit(self, head, lengths):
+        """The forward with no tape, which keeps nothing for a backward,
+        against the same batch under a tape, without dropout."""
+        kind = dict(head_kind="mean") if head == "mean" else dict(
+            rnn_variant=head)
+        bundle = md.init_model(tiny_config(dropout=0.3, **kind), seed=94)
+        rng = RandomSource(95)
+        for _, t in bundle.all_named_parameters():
+            t.data += rng.uniform(-0.3, 0.3, t.shape)
+        batch = [md.Example(i % 2, tokens=tokens(
+                     [int(t) for t in rng.integers(4, 16, 6)], n))
+                 for i, n in enumerate(lengths)]
+        untaped = md.forward_example(bundle, batch, with_loss=True)
+        with tt.Tape() as tape:
+            taped = md.forward_example(bundle, batch, with_loss=True)
+        assert len(tape) > len(batch)
+        for a, b in zip(untaped, taped):
+            assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_values_at_f32(self, tmp_path):
         bundle = md.init_model(tiny_config(rnn_variant="bigru"), seed=12)
